@@ -17,7 +17,7 @@
 //	benchqueue -exp obs                 # T15 observability overhead
 //	benchqueue -exp trace               # T16 stage decomposition
 //	benchqueue -exp memwall             # T17 allocation profile + elimination
-//	benchqueue -exp netwall             # T18 network hot-path allocs/frame, legacy vs pooled
+//	benchqueue -exp netwall             # T18 network hot-path allocs/frame and B/frame
 //	benchqueue -exp all -json results   # also emit results/BENCH_<ID>.json
 //	benchqueue -exp sharded -seeds 3    # 3 fixed seeds, variance columns + manifest
 //
@@ -55,7 +55,7 @@ func main() {
 		shards    = flag.Int("shards", 8, "largest shard count for -exp sharded / -impl sharded")
 		backend   = flag.String("backend", "core", "sharded fabric backend: core or bounded")
 		jsonDir   = flag.String("json", "", "also write each table as BENCH_<ID>.json into this directory")
-		smoke     = flag.Bool("smoke", false, "CI gates: fail -exp memwall unless the elimination fast path fired, fail -exp netwall unless the pooled arm clears its allocs/frame and B/frame ratio floors")
+		smoke     = flag.Bool("smoke", false, "CI gate: fail -exp memwall unless the elimination fast path fired")
 		seeds     = flag.Int("seeds", 1, "run each experiment this many times with fixed seeds (42,123,456,...) and emit mean/stddev/cv variance columns plus a run manifest")
 		compare   = flag.String("compare", "", "re-run the experiment recorded in this BENCH_<ID>.json and exit 1 if any metric leaves its tolerance band")
 		tolerance = flag.Float64("tolerance", 0.15, "relative tolerance for -compare; the band per metric is tolerance + 2*cv(baseline)")
@@ -182,17 +182,16 @@ func runners() map[string]runner {
 				harness.ShardCountsUpTo(cfg.shards), cfg.ops, cfg.backend, seed))
 		},
 		"netwall": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
-			// T18: server-side allocations per frame for the legacy vs
-			// pooled network hot path, conservation-checked per cell. The
-			// round count derives from -ops so compare mode can rebuild
-			// the run from the manifest params alone.
+			// T18: server-side allocations per frame on the network hot
+			// path, conservation-checked per cell. The round count derives
+			// from -ops so compare mode can rebuild the run from the
+			// manifest params alone.
 			return one(harness.ExpNetMemWall([]int{1, 8, 64},
 				harness.NetWallConfig{
-					Shards:        cfg.shards,
-					Backend:       cfg.backend,
-					Rounds:        max(4, cfg.ops/128),
-					Seed:          seed,
-					RequireRatios: cfg.smoke,
+					Shards:  cfg.shards,
+					Backend: cfg.backend,
+					Rounds:  max(4, cfg.ops/128),
+					Seed:    seed,
 				}))
 		},
 		"memwall": func(cfg runConfig, seed int64) ([]*harness.Table, error) {

@@ -67,8 +67,7 @@ func main() {
 		shards    = flag.Int("shards", 4, "shard count of the backing fabric")
 		backend   = flag.String("backend", "core", "per-shard queue backend: core or bounded")
 		handles   = flag.Int("max-handles", 0, "leasable handle slots = max concurrent sessions (0 = fabric default)")
-		window    = flag.Int("window", 64, "per-connection in-flight request window (overflow gets BUSY)")
-		batch     = flag.Int("batch", 0, "max requests per batched fabric pass (0 = window)")
+		window    = flag.Int("window", 64, "per-connection in-flight request window (overflow gets BUSY; also the most requests one batch pass executes)")
 		idle      = flag.Duration("idle", 2*time.Minute, "reap sessions idle this long (0 disables)")
 		maxFrame  = flag.Int("max-frame", server.DefaultMaxFrame, "max request frame size in bytes")
 		maxQueues = flag.Int("max-queues", server.DefaultMaxQueues, "max named queues (each its own fabric; OPEN beyond the cap is refused)")
@@ -81,7 +80,7 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -statsz listener")
 	)
 	flag.Parse()
-	if err := run(*addr, *addrFile, *shards, *backend, *handles, *window, *batch, *idle,
+	if err := run(*addr, *addrFile, *shards, *backend, *handles, *window, *idle,
 		*maxFrame, *maxQueues, *queueIdle, *statsz, *minShards, *maxShards, *autoscale,
 		*obsOn, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "queued:", err)
@@ -89,7 +88,7 @@ func main() {
 	}
 }
 
-func run(addr, addrFile string, shards int, backend string, handles, window, batch int,
+func run(addr, addrFile string, shards int, backend string, handles, window int,
 	idle time.Duration, maxFrame, maxQueues int, queueIdle time.Duration, statsz string,
 	minShards, maxShards int, autoscale time.Duration, obsOn, pprofOn bool) error {
 	q, err := newFabric(shards, backend, handles)
@@ -98,7 +97,6 @@ func run(addr, addrFile string, shards int, backend string, handles, window, bat
 	}
 	srv, err := server.Serve(addr, q,
 		server.WithWindow(window),
-		server.WithBatchMax(batch),
 		server.WithIdleTimeout(idle),
 		server.WithMaxFrame(maxFrame),
 		server.WithMaxQueues(maxQueues),

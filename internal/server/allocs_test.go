@@ -78,7 +78,7 @@ func allocsServer(t *testing.T, w int) *Server {
 		t.Fatal(err)
 	}
 	srv, err := Serve("127.0.0.1:0", q,
-		WithObservability(true), WithWindow(w), WithBatchMax(w))
+		WithObservability(true), WithWindow(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,8 @@ func FuzzFrame(f *testing.F) {
 				// The batch codec must reject anything inconsistent
 				// without overreading; decoded values must alias inside
 				// the payload.
-				if vals, err := decodeBatch(d.rest); err == nil {
+				vals, err := decodeBatch(d.rest)
+				if err == nil {
 					var total int
 					for _, v := range vals {
 						total += len(v)
@@ -130,6 +131,20 @@ func FuzzFrame(f *testing.F) {
 					if total > len(d.rest) {
 						t.Fatalf("decodeBatch returned %d bytes from a %d-byte payload", total, len(d.rest))
 					}
+				}
+				// The server's copying decoder must agree with the
+				// client's aliasing one on every input: same verdict,
+				// same values.
+				copies, perr := decodeBatchPooled(d.rest, nil)
+				if (err == nil) != (perr == nil) || len(copies) != len(vals) {
+					t.Fatalf("decoders disagree: decodeBatch (%d values, %v), decodeBatchPooled (%d values, %v)",
+						len(vals), err, len(copies), perr)
+				}
+				for i := range copies {
+					if !bytes.Equal(copies[i], vals[i]) {
+						t.Fatalf("decoders disagree on value %d", i)
+					}
+					putBuf(copies[i])
 				}
 			case OpDequeueBatch:
 				// Count word parse; the executor clamps against

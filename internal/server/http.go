@@ -43,7 +43,6 @@ func (srv *Server) VarzHandler(extra map[string]string) http.Handler {
 			"uptime_seconds": time.Since(srv.start).Seconds(),
 			"options": map[string]any{
 				"window":         srv.opts.window,
-				"batch_max":      srv.opts.batchMax,
 				"max_frame":      srv.opts.maxFrame,
 				"max_queues":     srv.opts.maxQueues,
 				"min_shards":     srv.opts.minShards,

@@ -64,7 +64,7 @@ func TestOpenLoopConservation(t *testing.T) {
 // generator observes BUSY rejections — and the run must still conserve
 // every *acknowledged* value.
 func TestOpenLoopBackpressure(t *testing.T) {
-	srv, _ := newTestServer(t, 1, nil, WithWindow(1), WithBatchMax(1))
+	srv, _ := newTestServer(t, 1, nil, WithWindow(1))
 	cfg := LoadConfig{
 		Rate:         20000,
 		Duration:     200 * time.Millisecond,

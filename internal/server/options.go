@@ -1,0 +1,163 @@
+package server
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/shard"
+)
+
+// Option configures Serve.
+type Option func(*options)
+
+type options struct {
+	window      int
+	idleTimeout time.Duration
+	maxFrame    int
+	maxQueues   int
+	queueIdle   time.Duration
+	factory     func() (*shard.Queue[[]byte], error)
+
+	autoscale     time.Duration // autoscaler tick interval; 0 disables
+	minShards     int
+	maxShards     int
+	lowWatermark  float64 // served ops/s per shard below which a queue shrinks
+	highWatermark float64 // served ops/s per shard above which a queue grows
+
+	obs bool // per-(queue, op) latency histograms + control-plane trace ring
+}
+
+// WithWindow sets the per-connection in-flight window W (default 64): the
+// number of parsed-but-unanswered requests a connection may have before
+// further requests are answered BUSY. It is also the most requests one
+// batch pass drains, executes and answers with a single socket flush.
+func WithWindow(w int) Option {
+	return func(o *options) { o.window = w }
+}
+
+// WithIdleTimeout sets how long a session may go without sending a frame
+// before the reaper closes it and recycles its handle lease (default 2m;
+// 0 disables reaping).
+func WithIdleTimeout(d time.Duration) Option {
+	return func(o *options) { o.idleTimeout = d }
+}
+
+// WithMaxFrame bounds the size of a single request frame, and so of an
+// enqueued value (default DefaultMaxFrame).
+func WithMaxFrame(n int) Option {
+	return func(o *options) { o.maxFrame = n }
+}
+
+// WithMaxQueues caps how many named queues the server will hold at once
+// (default DefaultMaxQueues; the default queue 0 is not counted). An
+// OpOpen beyond the cap is answered StatusErr.
+func WithMaxQueues(n int) Option {
+	return func(o *options) { o.maxQueues = n }
+}
+
+// WithQueueIdleTimeout sets how long a named queue may sit with no bound
+// session — and no backlog — before its fabric is torn down (default 5m;
+// 0 disables teardown). A torn-down name is recreated fresh on the next
+// OpOpen.
+func WithQueueIdleTimeout(d time.Duration) Option {
+	return func(o *options) { o.queueIdle = d }
+}
+
+// WithQueueFactory overrides how named queues' fabrics are built. The
+// default clones the default queue's shape: same shard count, backend,
+// and handle-slot count.
+func WithQueueFactory(f func() (*shard.Queue[[]byte], error)) Option {
+	return func(o *options) { o.factory = f }
+}
+
+// WithAutoscale starts the per-queue shard autoscaler with the given tick
+// interval (0, the default, disables it). Every tick, each queue's fabric
+// is grown or shrunk — live, with exact conservation — from its served
+// ops/sec, occupancy, and null-dequeue rate, between the WithShardBounds
+// limits and around the WithAutoscaleWatermarks rates.
+func WithAutoscale(interval time.Duration) Option {
+	return func(o *options) { o.autoscale = interval }
+}
+
+// WithShardBounds bounds the per-queue shard count the autoscaler — and
+// the wire-level manual RESIZE — will apply (defaults DefaultMinShards,
+// DefaultMaxShards). A default queue or factory outside the bounds is
+// admitted as-is and pulled inside them at the first autoscale decision.
+func WithShardBounds(min, max int) Option {
+	return func(o *options) { o.minShards, o.maxShards = min, max }
+}
+
+// WithAutoscaleWatermarks sets the served-rate watermarks (ops/s per
+// shard): a queue grows above high and shrinks below low (defaults
+// DefaultLowWatermark, DefaultHighWatermark). Keep low well under high —
+// the gap is the scaler's hysteresis.
+func WithAutoscaleWatermarks(low, high float64) Option {
+	return func(o *options) { o.lowWatermark, o.highWatermark = low, high }
+}
+
+// WithObservability toggles the server's observability layer (default
+// on): per-(queue, op) latency histograms recorded on the hot path —
+// each request frame's read-to-reply in-server latency, bucketed as
+// enqueue / dequeue / batch / null-dequeue — the bounded control-plane
+// event trace served by /tracez, and request tracing (per-stage
+// timestamps, the span exemplar reservoir served by /spanz, and the
+// per-stage histograms) for frames a client flags with OpTraceFlag. Off,
+// the read loop stops stamping frames, no histogram is touched, traced
+// requests are served normally but answered plain (the client reads that
+// as "server declined to sample"), and Snapshot reverts to the
+// pre-observability shape; the /healthz, /varz, and /metricsz endpoints
+// keep working (exposing counters only).
+func WithObservability(on bool) Option {
+	return func(o *options) { o.obs = on }
+}
+
+// DefaultMaxQueues is the default cap on named queues per server.
+const DefaultMaxQueues = 64
+
+// resolveOptions applies opts over the defaults and validates the result.
+// q is the default queue, whose shape named queues inherit unless a
+// factory overrides it.
+func resolveOptions(q *shard.Queue[[]byte], opts []Option) (options, error) {
+	o := options{
+		window:        64,
+		idleTimeout:   2 * time.Minute,
+		maxFrame:      DefaultMaxFrame,
+		maxQueues:     DefaultMaxQueues,
+		queueIdle:     5 * time.Minute,
+		minShards:     DefaultMinShards,
+		maxShards:     DefaultMaxShards,
+		lowWatermark:  DefaultLowWatermark,
+		highWatermark: DefaultHighWatermark,
+		obs:           true,
+	}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.minShards < 1 || o.maxShards < o.minShards {
+		return o, fmt.Errorf("server: shard bounds [%d, %d] invalid (want 1 <= min <= max)",
+			o.minShards, o.maxShards)
+	}
+	if o.autoscale > 0 && (o.lowWatermark < 0 || o.highWatermark <= o.lowWatermark) {
+		return o, fmt.Errorf("server: autoscale watermarks low %.0f / high %.0f invalid (want 0 <= low < high)",
+			o.lowWatermark, o.highWatermark)
+	}
+	if o.window < 1 {
+		return o, fmt.Errorf("server: window must be at least 1 (got %d)", o.window)
+	}
+	if o.maxFrame < frameHeader {
+		return o, fmt.Errorf("server: max frame %d below header size", o.maxFrame)
+	}
+	if o.maxQueues < 0 {
+		return o, fmt.Errorf("server: max queues must not be negative (got %d)", o.maxQueues)
+	}
+	if o.factory == nil {
+		// Named queues inherit the default fabric's shape. Each named queue
+		// is its own ShardedQueue, so its guarantees are per-queue exact.
+		o.factory = func() (*shard.Queue[[]byte], error) {
+			return shard.New[[]byte](q.Shards(),
+				shard.WithBackend(q.Backend()),
+				shard.WithMaxHandles(q.MaxHandles()))
+		}
+	}
+	return o, nil
+}

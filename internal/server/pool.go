@@ -5,7 +5,7 @@ import "sync"
 // Network memory pool: size-classed recycled byte buffers for the server's
 // frame hot path. Two kinds of storage cycle through it:
 //
-//   - ingress frame bodies: readFrameBuf decodes each request payload into
+//   - ingress frame bodies: readFramePooled decodes each request payload into
 //     a pooled buffer, which the batch worker returns once its window is
 //     processed (every reply byte has been copied into the egress scratch
 //     and every enqueue payload copied out at admit time, so the body is
@@ -18,10 +18,12 @@ import "sync"
 //
 // The lifetime rule that makes recycling sound: a buffer is returned to
 // the pool only by the goroutine that holds its sole reference, only after
-// the last read of its bytes. Values that could not be delivered (a write
-// error mid-window) go to the session stash instead — the stash owns its
+// the last read of its bytes. A dequeued value sits in its session's stash
+// from the fabric pull until a reply ships it, and is recycled only once
+// that reply's bytes are in the egress scratch; a value whose reply failed
+// to write was never consumed, so it is still in the stash — which owns its
 // bytes until teardown re-enqueues them, at which point the fabric owns
-// them again. Nothing is ever recycled from the stash path.
+// them again.
 //
 // Ownership contract: a value enqueued into a served fabric is transferred
 // to the service — callers must not read or reuse the slice afterwards

@@ -46,7 +46,7 @@ func TestPooledIngressNoCrossContamination(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := Serve("127.0.0.1:0", q, WithNetPooling(true))
+				srv, err := Serve("127.0.0.1:0", q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +137,7 @@ func TestPooledStashOwnsBytes(t *testing.T) {
 	}
 	// Frames cap at 256 bytes: a DequeueBatch of 100-byte values can ship
 	// at most two per reply, so the rest of each fabric pull is stashed.
-	srv, err := Serve("127.0.0.1:0", q, WithNetPooling(true), WithMaxFrame(256))
+	srv, err := Serve("127.0.0.1:0", q, WithMaxFrame(256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,147 +2,14 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
-	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
-
-// Option configures Serve.
-type Option func(*options)
-
-type options struct {
-	window      int
-	batchMax    int
-	idleTimeout time.Duration
-	maxFrame    int
-	maxQueues   int
-	queueIdle   time.Duration
-	factory     func() (*shard.Queue[[]byte], error)
-
-	autoscale     time.Duration // autoscaler tick interval; 0 disables
-	minShards     int
-	maxShards     int
-	lowWatermark  float64 // served ops/s per shard below which a queue shrinks
-	highWatermark float64 // served ops/s per shard above which a queue grows
-
-	obs bool // per-(queue, op) latency histograms + control-plane trace ring
-
-	netPool bool // pooled ingress buffers + retained reply scratch (see pool.go)
-}
-
-// WithWindow sets the per-connection in-flight window W (default 64): the
-// number of parsed-but-unanswered requests a connection may have before
-// further requests are answered BUSY.
-func WithWindow(w int) Option {
-	return func(o *options) { o.window = w }
-}
-
-// WithBatchMax caps how many pending requests one batch pass executes
-// before flushing replies (default: the window size).
-func WithBatchMax(n int) Option {
-	return func(o *options) { o.batchMax = n }
-}
-
-// WithIdleTimeout sets how long a session may go without sending a frame
-// before the reaper closes it and recycles its handle lease (default 2m;
-// 0 disables reaping).
-func WithIdleTimeout(d time.Duration) Option {
-	return func(o *options) { o.idleTimeout = d }
-}
-
-// WithMaxFrame bounds the size of a single request frame, and so of an
-// enqueued value (default DefaultMaxFrame).
-func WithMaxFrame(n int) Option {
-	return func(o *options) { o.maxFrame = n }
-}
-
-// WithMaxQueues caps how many named queues the server will hold at once
-// (default DefaultMaxQueues; the default queue 0 is not counted). An
-// OpOpen beyond the cap is answered StatusErr.
-func WithMaxQueues(n int) Option {
-	return func(o *options) { o.maxQueues = n }
-}
-
-// WithQueueIdleTimeout sets how long a named queue may sit with no bound
-// session — and no backlog — before its fabric is torn down (default 5m;
-// 0 disables teardown). A torn-down name is recreated fresh on the next
-// OpOpen.
-func WithQueueIdleTimeout(d time.Duration) Option {
-	return func(o *options) { o.queueIdle = d }
-}
-
-// WithQueueFactory overrides how named queues' fabrics are built. The
-// default clones the default queue's shape: same shard count, backend,
-// and handle-slot count.
-func WithQueueFactory(f func() (*shard.Queue[[]byte], error)) Option {
-	return func(o *options) { o.factory = f }
-}
-
-// WithAutoscale starts the per-queue shard autoscaler with the given tick
-// interval (0, the default, disables it). Every tick, each queue's fabric
-// is grown or shrunk — live, with exact conservation — from its served
-// ops/sec, occupancy, and null-dequeue rate, between the WithShardBounds
-// limits and around the WithAutoscaleWatermarks rates.
-func WithAutoscale(interval time.Duration) Option {
-	return func(o *options) { o.autoscale = interval }
-}
-
-// WithShardBounds bounds the per-queue shard count the autoscaler — and
-// the wire-level manual RESIZE — will apply (defaults DefaultMinShards,
-// DefaultMaxShards). A default queue or factory outside the bounds is
-// admitted as-is and pulled inside them at the first autoscale decision.
-func WithShardBounds(min, max int) Option {
-	return func(o *options) { o.minShards, o.maxShards = min, max }
-}
-
-// WithAutoscaleWatermarks sets the served-rate watermarks (ops/s per
-// shard): a queue grows above high and shrinks below low (defaults
-// DefaultLowWatermark, DefaultHighWatermark). Keep low well under high —
-// the gap is the scaler's hysteresis.
-func WithAutoscaleWatermarks(low, high float64) Option {
-	return func(o *options) { o.lowWatermark, o.highWatermark = low, high }
-}
-
-// WithObservability toggles the server's observability layer (default
-// on): per-(queue, op) latency histograms recorded on the hot path —
-// each request frame's read-to-reply in-server latency, bucketed as
-// enqueue / dequeue / batch / null-dequeue — the bounded control-plane
-// event trace served by /tracez, and request tracing (per-stage
-// timestamps, the span exemplar reservoir served by /spanz, and the
-// per-stage histograms) for frames a client flags with OpTraceFlag. Off,
-// the read loop stops stamping frames, no histogram is touched, traced
-// requests are served normally but answered plain (the client reads that
-// as "server declined to sample"), and Snapshot reverts to the
-// pre-observability shape; the /healthz, /varz, and /metricsz endpoints
-// keep working (exposing counters only).
-func WithObservability(on bool) Option {
-	return func(o *options) { o.obs = on }
-}
-
-// WithNetPooling toggles the server's network memory system (default on):
-// request frames decode into size-classed pooled buffers recycled after
-// each window, enqueue payloads are copied out of their frame at admit
-// time into pooled storage recycled when a dequeue reply ships them, and
-// replies append into a retained per-session egress scratch flushed with
-// one sized write. Off, the server reproduces the pre-pooling cost model —
-// a fresh buffer per frame and per encode helper — which is what the T18
-// netwall experiment's before-arm measures; correctness is identical
-// either way.
-func WithNetPooling(on bool) Option {
-	return func(o *options) { o.netPool = on }
-}
-
-// DefaultMaxQueues is the default cap on named queues per server.
-const DefaultMaxQueues = 64
 
 // Observability constants: the trace ring's capacity, the sampling
 // strides that keep hot control-plane event sources (BUSY replies,
@@ -156,28 +23,6 @@ const (
 	spanRecentCap   = 128  // most recent traced spans kept by /spanz
 	spanSlowCap     = 32   // slowest traced spans kept by /spanz
 )
-
-// serverStats are the service-level counters exported through Snapshot.
-// enqueues/dequeues count operations (values), not frames: a batch frame
-// carrying m values adds m.
-type serverStats struct {
-	sessionsTotal  atomic.Int64 // accepted connections that got a lease
-	sessionsDenied atomic.Int64 // accepted connections denied for want of a handle
-	reaped         atomic.Int64 // sessions closed by the idle reaper
-	requests       atomic.Int64 // frames parsed off sockets
-	busy           atomic.Int64 // requests answered StatusBusy
-	enqueues       atomic.Int64 // values acknowledged enqueued
-	dequeues       atomic.Int64 // values delivered by dequeue replies
-	emptyDeqs      atomic.Int64 // StatusEmpty dequeue replies
-	batches        atomic.Int64 // batch passes (one socket flush each)
-	frames         atomic.Int64 // request frames answered by batch passes
-	batchedOps     atomic.Int64 // queue ops executed by batch passes (batch frames count each op they carry)
-	fabricBatches  atomic.Int64 // multi-op fabric calls (coalesced runs + native batch frames)
-	fabricBatchOps atomic.Int64 // queue ops carried by multi-op fabric calls
-	autoGrows      atomic.Int64 // queue fabrics grown by the autoscaler
-	autoShrinks    atomic.Int64 // queue fabrics shrunk by the autoscaler
-	wireResizes    atomic.Int64 // RESIZE requests applied over the wire
-}
 
 // Server is a TCP queue service fronting a namespace of sharded fabrics:
 // the default queue it was started with (id 0) plus any named queues
@@ -210,50 +55,9 @@ type Server struct {
 // Handles of named queues are leased per (connection, queue) on first
 // use.
 func Serve(addr string, q *shard.Queue[[]byte], opts ...Option) (*Server, error) {
-	o := options{
-		window:        64,
-		idleTimeout:   2 * time.Minute,
-		maxFrame:      DefaultMaxFrame,
-		maxQueues:     DefaultMaxQueues,
-		queueIdle:     5 * time.Minute,
-		minShards:     DefaultMinShards,
-		maxShards:     DefaultMaxShards,
-		lowWatermark:  DefaultLowWatermark,
-		highWatermark: DefaultHighWatermark,
-		obs:           true,
-		netPool:       true,
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.batchMax <= 0 {
-		o.batchMax = o.window
-	}
-	if o.minShards < 1 || o.maxShards < o.minShards {
-		return nil, fmt.Errorf("server: shard bounds [%d, %d] invalid (want 1 <= min <= max)",
-			o.minShards, o.maxShards)
-	}
-	if o.autoscale > 0 && (o.lowWatermark < 0 || o.highWatermark <= o.lowWatermark) {
-		return nil, fmt.Errorf("server: autoscale watermarks low %.0f / high %.0f invalid (want 0 <= low < high)",
-			o.lowWatermark, o.highWatermark)
-	}
-	if o.window < 1 {
-		return nil, fmt.Errorf("server: window must be at least 1 (got %d)", o.window)
-	}
-	if o.maxFrame < frameHeader {
-		return nil, fmt.Errorf("server: max frame %d below header size", o.maxFrame)
-	}
-	if o.maxQueues < 0 {
-		return nil, fmt.Errorf("server: max queues must not be negative (got %d)", o.maxQueues)
-	}
-	if o.factory == nil {
-		// Named queues inherit the default fabric's shape. Each named queue
-		// is its own ShardedQueue, so its guarantees are per-queue exact.
-		o.factory = func() (*shard.Queue[[]byte], error) {
-			return shard.New[[]byte](q.Shards(),
-				shard.WithBackend(q.Backend()),
-				shard.WithMaxHandles(q.MaxHandles()))
-		}
+	o, err := resolveOptions(q, opts)
+	if err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -345,9 +149,7 @@ func (srv *Server) startSession(conn net.Conn) {
 		srv.stats.sessionsDenied.Add(1)
 		srv.trace.Add("session_denied", "", map[string]any{
 			"remote": conn.RemoteAddr().String(), "error": err.Error()})
-		bw := bufio.NewWriter(conn)
-		writeFrame(bw, 0, StatusErr, []byte(err.Error()))
-		bw.Flush()
+		_, _ = conn.Write(appendFrame(nil, 0, StatusErr, []byte(err.Error()))) // best effort: hanging up either way
 		conn.Close()
 		return
 	}
@@ -394,7 +196,7 @@ func (srv *Server) readLoop(s *session) {
 	defer close(s.reqCh)
 	br := bufio.NewReader(s.conn)
 	for {
-		f, err := readFrameBuf(br, srv.opts.maxFrame, srv.opts.netPool)
+		f, err := readFramePooled(br, srv.opts.maxFrame)
 		if err != nil {
 			return
 		}
@@ -415,9 +217,7 @@ func (srv *Server) readLoop(s *session) {
 			// frees one — pausing the read loop is the backpressure. The
 			// rejected frame's body dies here: the marker carries only the
 			// id, so the buffer recycles immediately.
-			if srv.opts.netPool {
-				putBuf(f.payload)
-			}
+			putBuf(f.payload)
 			if n := srv.stats.busy.Add(1); (n-1)%busySampleEvery == 0 {
 				srv.trace.Add("busy", "", map[string]any{
 					"session": s.id, "busy_total": n})
@@ -428,34 +228,19 @@ func (srv *Server) readLoop(s *session) {
 }
 
 // batchWorker owns the session's write side: it waits for one pending
-// request, greedily drains whatever else has accumulated (up to batchMax),
-// executes the whole window against the leased handle — partitioning it
-// into multi-op fabric batch calls wherever adjacent requests are the same
-// operation — and flushes all the replies with a single socket write: the
-// paper's batch propagation applied at the network layer, now all the way
-// down (a coalesced run of m pipelined enqueues becomes one m-op leaf
-// block and one tree walk). It also owns teardown: when reqCh closes, the
-// handle lease is released and the session unregistered.
+// request, greedily drains whatever else has accumulated (at most one
+// window), executes it against the session's leased handles — every run of
+// adjacent same-direction, same-queue data frames as one fabric batch call
+// (run.go) — and flushes all the replies with a single socket write: the
+// paper's batch propagation applied at the network layer, all the way down
+// (a run of m pipelined enqueues becomes one m-op leaf block and one tree
+// walk). It also owns teardown: when reqCh closes, the handle leases are
+// released and the session unregistered.
 func (srv *Server) batchWorker(s *session) {
 	defer srv.wg.Done()
 	defer srv.finishSession(s)
-	pooled := srv.opts.netPool
-	fw := newFrameWriter(s.conn, pooled)
-	window := make([]frame, 0, srv.opts.batchMax)
-	// recycleWindow returns the window's frame bodies to the pool. By the
-	// time it runs, every reference into them is gone: enqueue payloads
-	// were copied out at admit time, reply bytes were copied into the
-	// egress scratch, error strings were materialized by Sprintf/string(),
-	// and spans carry timestamps only.
-	recycleWindow := func() {
-		if !pooled {
-			return
-		}
-		for i := range window {
-			putBuf(window[i].payload)
-			window[i].payload = nil
-		}
-	}
+	fw := &frameWriter{w: s.conn}
+	window := make([]frame, 0, srv.opts.window)
 	for {
 		f, ok := <-s.reqCh
 		if !ok {
@@ -463,7 +248,7 @@ func (srv *Server) batchWorker(s *session) {
 		}
 		window = append(window[:0], f)
 	drain:
-		for len(window) < srv.opts.batchMax {
+		for len(window) < srv.opts.window {
 			select {
 			case f, more := <-s.reqCh:
 				if !more {
@@ -478,7 +263,15 @@ func (srv *Server) batchWorker(s *session) {
 		err := srv.processWindow(s, window, fw)
 		srv.stats.batches.Add(1)
 		srv.stats.frames.Add(int64(len(window)))
-		recycleWindow()
+		// The window's frame bodies go back to the pool. Every reference
+		// into them is gone by now: enqueue payloads were copied out at admit
+		// time, reply bytes were copied into the egress scratch, error
+		// strings were materialized by Sprintf/string(), and spans carry
+		// timestamps only.
+		for i := range window {
+			putBuf(window[i].payload)
+			window[i].payload = nil
+		}
 		if err == nil {
 			err = fw.flush()
 		}
@@ -490,9 +283,7 @@ func (srv *Server) batchWorker(s *session) {
 			s.winSpans = s.winSpans[:0]
 			s.shutdown()
 			for f := range s.reqCh {
-				if pooled {
-					putBuf(f.payload)
-				}
+				putBuf(f.payload)
 			}
 			return
 		}
@@ -504,693 +295,6 @@ func (srv *Server) batchWorker(s *session) {
 			return
 		}
 	}
-}
-
-// processWindow executes one drained window. Runs of adjacent single-op
-// enqueue (resp. dequeue) frames targeting the same queue are coalesced
-// into one fabric batch call; everything else executes frame by frame.
-// Coalescing preserves the session's request order — runs never reorder
-// across a frame of a different kind or queue — so pipelined
-// enqueue-then-dequeue sequences observe exactly the single-op semantics.
-func (srv *Server) processWindow(s *session, window []frame, fw *frameWriter) error {
-	decs := s.decs[:0]
-	for _, f := range window {
-		decs = append(decs, decodeOp(f))
-	}
-	s.decs = decs
-	// One admit stamp covers the whole window, taken only when the window
-	// carries a sampled traced frame — untraced windows pay no clock read.
-	for i := range decs {
-		if decs[i].traced && window[i].at != 0 {
-			s.admitNs = time.Now().UnixNano()
-			break
-		}
-	}
-	for i := 0; i < len(window); {
-		d := decs[i]
-		j := i + 1
-		if !d.bad && (d.op == OpEnqueue || d.op == OpDequeue) {
-			for j < len(window) && !decs[j].bad && decs[j].op == d.op && decs[j].qid == d.qid {
-				j++
-			}
-		}
-		run := window[i:j]
-		var err error
-		switch {
-		case len(run) > 1 && d.op == OpEnqueue:
-			err = srv.executeEnqueueRun(s, d.qid, run, decs[i:j], fw)
-		case len(run) > 1 && d.op == OpDequeue:
-			err = srv.executeDequeueRun(s, d.qid, run, decs[i:j], fw)
-		default:
-			err = srv.execute(s, run[0], d, fw)
-		}
-		if err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
-// refuseRun answers every frame of a run with the same request-scoped
-// error (unknown queue, per-queue registry exhausted).
-func (srv *Server) refuseRun(run []frame, err error, fw *frameWriter) error {
-	for _, f := range run {
-		if werr := fw.frame(f.id, StatusErr, []byte(err.Error())); werr != nil {
-			return werr
-		}
-	}
-	return nil
-}
-
-// executeEnqueueRun installs a coalesced run of single-enqueue frames as
-// one fabric batch on the run's queue and writes each frame's reply.
-// Oversized values (ones a batch reply could not ship back) are rare
-// enough that the whole run falls back to frame-by-frame execution, where
-// they are rejected individually.
-func (srv *Server) executeEnqueueRun(s *session, qid uint32, run []frame, decs []decoded, fw *frameWriter) error {
-	b, berr := s.bind(qid)
-	if berr != nil {
-		return srv.refuseRun(run, berr, fw)
-	}
-	pooled := srv.opts.netPool
-	vals := s.vals[:0]
-	for _, d := range decs {
-		if !srv.enqueueFits(d.rest) {
-			if pooled {
-				for _, v := range vals {
-					putBuf(v)
-				}
-			}
-			for k, f := range run {
-				if err := srv.execute(s, f, decs[k], fw); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if pooled {
-			// Admit-time copy: the fabric's reference must be independent
-			// of the (recyclable) frame body.
-			vals = append(vals, copyBuf(d.rest))
-		} else {
-			vals = append(vals, d.rest)
-		}
-	}
-	// A sampled run pays two clock reads bounding the fabric call; the
-	// stamps are shared by every traced frame it carries.
-	var fabricStart, fabricEnd int64
-	traced := runSampled(run, decs)
-	if traced {
-		fabricStart = time.Now().UnixNano()
-	}
-	err := b.h.EnqueueBatch(vals)
-	if traced {
-		fabricEnd = time.Now().UnixNano()
-	}
-	if err == nil {
-		srv.noteFabricBatch(int64(len(run)))
-		srv.stats.enqueues.Add(int64(len(run)))
-		srv.stats.batchedOps.Add(int64(len(run)))
-		b.t.enqueues.Add(int64(len(run)))
-	} else if pooled {
-		for _, v := range vals { // rejected (closed): the copies die here
-			putBuf(v)
-		}
-	}
-	s.vals = vals[:0] // EnqueueBatch copies the headers; the scratch is ours again
-	for k, f := range run {
-		status := StatusOK
-		if err != nil {
-			status = StatusClosed
-		}
-		if werr := srv.writeReply(s, b, f, decs[k], status, nil, nil,
-			obs.OpEnqueue, 1, fabricStart, fabricEnd, fw); werr != nil {
-			return werr
-		}
-	}
-	if h := b.t.hists; h != nil && err == nil {
-		// One clock read prices the whole run; each frame's sample is its
-		// read-to-reply in-server latency.
-		now := time.Now().UnixNano()
-		for _, f := range run {
-			if f.at != 0 {
-				h.Record(obs.OpEnqueue, s.stripe, time.Duration(now-f.at))
-			}
-		}
-	}
-	return nil
-}
-
-// executeDequeueRun serves a coalesced run of single-dequeue frames from
-// one fabric batch call on the run's queue (stash first — see
-// binding.stash), assigning the values to the frames in order; frames
-// beyond the values get StatusEmpty. A reply that fails to write was not
-// delivered (the client cannot parse a truncated length-prefixed frame),
-// so its value and everything after it go back to the stash for teardown
-// to re-enqueue.
-func (srv *Server) executeDequeueRun(s *session, qid uint32, run []frame, decs []decoded, fw *frameWriter) error {
-	b, berr := s.bind(qid)
-	if berr != nil {
-		return srv.refuseRun(run, berr, fw)
-	}
-	pooled := srv.opts.netPool
-	b.t.deqPolls.Add(int64(len(run)))
-	var fabricStart, fabricEnd int64
-	traced := runSampled(run, decs)
-	if traced {
-		fabricStart = time.Now().UnixNano()
-	}
-	vals, fromFabric := b.takeValues(s.vals[:0], len(run))
-	if traced {
-		fabricEnd = time.Now().UnixNano()
-	}
-	if fromFabric > 0 {
-		srv.noteFabricBatch(fromFabric)
-	}
-	srv.stats.batchedOps.Add(int64(len(run)))
-	for i, f := range run {
-		if i < len(vals) {
-			if err := srv.writeReply(s, b, f, decs[i], StatusOK, vals[i], nil,
-				obs.OpDequeue, 1, fabricStart, fabricEnd, fw); err != nil {
-				// Undelivered values go back to the stash, which owns its
-				// bytes until teardown re-enqueues them — never recycled.
-				b.stash = append(b.stash, vals[i:]...)
-				s.vals = vals[:0]
-				return err
-			}
-			if pooled {
-				putBuf(vals[i]) // reply bytes are in the egress scratch now
-			}
-			srv.stats.dequeues.Add(1)
-			b.t.dequeues.Add(1)
-			continue
-		}
-		srv.stats.emptyDeqs.Add(1)
-		b.t.emptyDeqs.Add(1)
-		if err := srv.writeReply(s, b, f, decs[i], StatusEmpty, nil, nil,
-			obs.OpNullDequeue, 0, fabricStart, fabricEnd, fw); err != nil {
-			s.vals = vals[:0]
-			return err
-		}
-	}
-	s.vals = vals[:0]
-	if h := b.t.hists; h != nil {
-		now := time.Now().UnixNano()
-		for i, f := range run {
-			if f.at == 0 {
-				continue
-			}
-			op := obs.OpDequeue
-			if i >= len(vals) {
-				op = obs.OpNullDequeue
-			}
-			h.Record(op, s.stripe, time.Duration(now-f.at))
-		}
-	}
-	return nil
-}
-
-// takeValues appends up to n dequeued values to dst — the binding's stash
-// first (values dequeued earlier that overflowed a reply), then one fabric
-// batch call for the remainder — and returns the result with how many
-// values came from the fabric call.
-func (b *binding) takeValues(dst [][]byte, n int) (vals [][]byte, fromFabric int64) {
-	vals = dst
-	if len(b.stash) > 0 {
-		k := min(n, len(b.stash))
-		vals = append(vals, b.stash[:k]...)
-		b.stash = b.stash[k:]
-		if len(b.stash) == 0 {
-			b.stash = nil
-		}
-	}
-	if len(vals) < n {
-		var got int
-		vals, got = b.h.DequeueBatchAppend(vals, n-len(vals))
-		fromFabric = int64(got)
-	}
-	return vals, fromFabric
-}
-
-// enqueueFits reports whether an enqueued value of this size can always be
-// shipped back, whatever reply type a dequeuer uses (see
-// batchReplyOverhead).
-func (srv *Server) enqueueFits(v []byte) bool {
-	return len(v)+frameHeader+batchReplyOverhead <= srv.opts.maxFrame
-}
-
-// noteFabricBatch records one multi-op fabric call of n ops.
-func (srv *Server) noteFabricBatch(n int64) {
-	srv.stats.fabricBatches.Add(1)
-	srv.stats.fabricBatchOps.Add(n)
-}
-
-// execute runs one request against its target queue's session lease and
-// writes (but does not flush) the reply. Queue resolution failures —
-// unknown id, per-queue registry exhausted, bad name — are request-scoped
-// StatusErr replies, never connection failures.
-func (srv *Server) execute(s *session, f frame, d decoded, fw *frameWriter) error {
-	if d.bad {
-		return fw.frame(f.id, StatusErr,
-			[]byte(fmt.Sprintf("opcode 0x%02x payload %d bytes, too short for its trace/queue prefix",
-				f.kind, len(f.payload))))
-	}
-	pooled := srv.opts.netPool
-	switch d.op {
-	case StatusBusy: // BUSY marker injected by the read loop
-		return fw.frame(f.id, StatusBusy)
-	case OpEnqueue:
-		if !srv.enqueueFits(d.rest) {
-			return fw.frame(f.id, StatusErr,
-				[]byte(fmt.Sprintf("value of %d bytes cannot fit a reply within the %d-byte frame cap",
-					len(d.rest), srv.opts.maxFrame)))
-		}
-		b, err := s.bind(d.qid)
-		if err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		v := d.rest
-		if pooled {
-			v = copyBuf(d.rest) // admit-time copy; the frame body recycles
-		}
-		var fabricStart, fabricEnd int64
-		if sampled(f, d) {
-			fabricStart = time.Now().UnixNano()
-		}
-		enqErr := b.h.Enqueue(v)
-		if sampled(f, d) {
-			fabricEnd = time.Now().UnixNano()
-		}
-		if enqErr != nil {
-			if pooled {
-				putBuf(v) // rejected (closed): the copy dies here
-			}
-			return fw.frame(f.id, StatusClosed)
-		}
-		srv.stats.enqueues.Add(1)
-		srv.stats.batchedOps.Add(1)
-		b.t.enqueues.Add(1)
-		err = srv.writeReply(s, b, f, d, StatusOK, nil, nil,
-			obs.OpEnqueue, 1, fabricStart, fabricEnd, fw)
-		recordOp(b, s.stripe, f, obs.OpEnqueue)
-		return err
-	case OpDequeue:
-		b, err := s.bind(d.qid)
-		if err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		var v []byte
-		ok := false
-		b.t.deqPolls.Add(1)
-		var fabricStart, fabricEnd int64
-		if sampled(f, d) {
-			fabricStart = time.Now().UnixNano()
-		}
-		if len(b.stash) > 0 { // ship overflow values before new fabric pulls
-			v, ok = b.popStash(), true
-		} else {
-			v, ok = b.h.Dequeue()
-		}
-		if sampled(f, d) {
-			fabricEnd = time.Now().UnixNano()
-		}
-		srv.stats.batchedOps.Add(1)
-		if !ok {
-			srv.stats.emptyDeqs.Add(1)
-			b.t.emptyDeqs.Add(1)
-			err = srv.writeReply(s, b, f, d, StatusEmpty, nil, nil,
-				obs.OpNullDequeue, 0, fabricStart, fabricEnd, fw)
-			recordOp(b, s.stripe, f, obs.OpNullDequeue)
-			return err
-		}
-		if err := srv.writeReply(s, b, f, d, StatusOK, v, nil,
-			obs.OpDequeue, 1, fabricStart, fabricEnd, fw); err != nil {
-			b.stash = append(b.stash, v) // undelivered: teardown re-enqueues
-			return err
-		}
-		if pooled {
-			putBuf(v) // reply bytes are in the egress scratch now
-		}
-		srv.stats.dequeues.Add(1)
-		b.t.dequeues.Add(1)
-		recordOp(b, s.stripe, f, obs.OpDequeue)
-		return nil
-	case OpEnqueueBatch:
-		var vals [][]byte
-		var err error
-		if pooled {
-			// Copy-at-decode: each value gets its own pooled buffer, so
-			// nothing the fabric holds aliases the recyclable frame body.
-			vals, err = decodeBatchPooled(d.rest, s.vals[:0])
-		} else {
-			vals, err = decodeBatch(d.rest)
-		}
-		if err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		if len(vals) == 0 {
-			return fw.frame(f.id, StatusOK)
-		}
-		release := func() {
-			if pooled {
-				for _, v := range vals {
-					putBuf(v)
-				}
-				s.vals = vals[:0]
-			}
-		}
-		b, berr := s.bind(d.qid)
-		if berr != nil {
-			release()
-			return fw.frame(f.id, StatusErr, []byte(berr.Error()))
-		}
-		var fabricStart, fabricEnd int64
-		if sampled(f, d) {
-			fabricStart = time.Now().UnixNano()
-		}
-		enqErr := b.h.EnqueueBatch(vals)
-		if sampled(f, d) {
-			fabricEnd = time.Now().UnixNano()
-		}
-		if enqErr != nil {
-			release()
-			return fw.frame(f.id, StatusClosed)
-		}
-		if pooled {
-			s.vals = vals[:0] // fabric copied the headers and owns the values
-		}
-		srv.noteFabricBatch(int64(len(vals)))
-		srv.stats.enqueues.Add(int64(len(vals)))
-		srv.stats.batchedOps.Add(int64(len(vals)))
-		b.t.enqueues.Add(int64(len(vals)))
-		err = srv.writeReply(s, b, f, d, StatusOK, nil, nil,
-			obs.OpBatch, len(vals), fabricStart, fabricEnd, fw)
-		recordOp(b, s.stripe, f, obs.OpBatch)
-		return err
-	case OpDequeueBatch:
-		if len(d.rest) != 4 {
-			return fw.frame(f.id, StatusErr,
-				[]byte(fmt.Sprintf("dequeue batch payload %d bytes, want 4", len(d.rest))))
-		}
-		n := int(binary.BigEndian.Uint32(d.rest))
-		if n > MaxBatchOps {
-			n = MaxBatchOps
-		}
-		b, err := s.bind(d.qid)
-		if err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		return srv.executeDequeueBatch(s, b, f, d, n, fw)
-	case OpLen:
-		t, ok := srv.ns.lookup(d.qid)
-		if !ok {
-			return fw.frame(f.id, StatusErr,
-				[]byte(fmt.Sprintf("%s: id %d", ErrUnknownQueue.Error(), d.qid)))
-		}
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(t.q.Len()))
-		return fw.frame(f.id, StatusOK, buf[:])
-	case OpStats:
-		data, err := json.Marshal(srv.Snapshot())
-		if err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		return fw.frame(f.id, StatusOK, data)
-	case OpResize:
-		if len(d.rest) != 4 {
-			return fw.frame(f.id, StatusErr,
-				[]byte(fmt.Sprintf("resize payload %d bytes, want 4", len(d.rest))))
-		}
-		k := int(binary.BigEndian.Uint32(d.rest))
-		t, ok := srv.ns.lookup(d.qid)
-		if !ok {
-			return fw.frame(f.id, StatusErr,
-				[]byte(fmt.Sprintf("%s: id %d", ErrUnknownQueue.Error(), d.qid)))
-		}
-		// Manual resizes obey the same bounds as the autoscaler, so a
-		// client cannot push a queue outside the operator's envelope. The
-		// reply carries the clamped count this request applied, not a
-		// re-read of the fabric — a concurrent autoscaler tick could have
-		// already moved it again.
-		k = min(max(k, srv.opts.minShards), srv.opts.maxShards)
-		from := t.q.Shards()
-		if err := t.q.Resize(k); err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		srv.stats.wireResizes.Add(1)
-		srv.trace.Add("wire_resize", t.name, map[string]any{
-			"from": from, "to": k, "epoch": t.q.ResizeStats().Epoch})
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(k))
-		return fw.frame(f.id, StatusOK, buf[:])
-	case OpOpen:
-		t, err := srv.openQueue(s, string(d.rest))
-		if err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		var buf [queueIDLen]byte
-		binary.BigEndian.PutUint32(buf[:], t.id)
-		return fw.frame(f.id, StatusOK, buf[:])
-	case OpDelete:
-		if err := srv.ns.remove(string(d.rest)); err != nil {
-			return fw.frame(f.id, StatusErr, []byte(err.Error()))
-		}
-		return fw.frame(f.id, StatusOK)
-	default:
-		return fw.frame(f.id, StatusErr,
-			[]byte(fmt.Sprintf("unknown opcode 0x%02x", f.kind)))
-	}
-}
-
-// openQueue resolves OpOpen for one session: the named queue is created
-// on first use (its fabric instantiated then, not before), and the
-// session binds to it so the idle reaper leaves it alone while the
-// session lives. Creation and binding happen under one namespace lock,
-// so the reaper cannot tear a pre-existing idle queue down between the
-// two; a re-open of a queue this session already holds undoes the extra
-// ref. The handle lease itself stays lazy — opening a queue reserves no
-// registry slot until the first data operation.
-func (srv *Server) openQueue(s *session, name string) (*tenant, error) {
-	t, err := srv.ns.open(name, true)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := s.bindings[t.id]; ok {
-		srv.ns.unbind(t) // already bound: one ref per (session, queue)
-	} else {
-		s.bindings[t.id] = &binding{t: t}
-	}
-	return t, nil
-}
-
-// executeDequeueBatch serves one OpDequeueBatch request against one
-// queue binding: up to n values, stash first, then the fabric, capped so
-// the encoded reply never exceeds the frame limit. Values that were
-// pulled from the fabric but would overflow the reply go to the binding's
-// stash and are shipped by the next dequeue request instead — the frame
-// cap must bound every frame the server emits, not only the ones it
-// reads.
-func (srv *Server) executeDequeueBatch(s *session, b *binding, f frame, d decoded, n int, fw *frameWriter) error {
-	pooled := srv.opts.netPool
-	b.t.deqPolls.Add(1)
-	budget := srv.opts.maxFrame - frameHeader - 4 // payload bytes after the count word
-	if sampled(f, d) {
-		// A traced reply carries the span block too; shrink the budget so
-		// the traced frame still fits the cap.
-		budget -= traceBlockLen
-	}
-	out := s.vals[:0]
-	var fabricStart, fabricEnd int64
-	if sampled(f, d) {
-		fabricStart = time.Now().UnixNano()
-	}
-	full := false
-	for len(b.stash) > 0 && len(out) < n && !full {
-		if v := b.stash[0]; 4+len(v) <= budget {
-			budget -= 4 + len(v)
-			out = append(out, v)
-			b.popStash()
-		} else {
-			full = true
-		}
-	}
-	for !full && len(out) < n {
-		want := n - len(out)
-		base := len(out)
-		var got int
-		out, got = b.h.DequeueBatchAppend(out, want)
-		if got > 0 {
-			srv.noteFabricBatch(int64(got))
-		}
-		for i := base; i < len(out); i++ {
-			if 4+len(out[i]) <= budget {
-				budget -= 4 + len(out[i])
-				continue
-			}
-			// Reply full: everything already pulled is owed to this session.
-			b.stash = append(b.stash, out[i:]...)
-			out = out[:i]
-			full = true
-			break
-		}
-		if got < want {
-			break // fabric certified empty
-		}
-	}
-	if sampled(f, d) {
-		fabricEnd = time.Now().UnixNano()
-	}
-	if len(out) == 0 {
-		s.vals = out
-		srv.stats.batchedOps.Add(1) // the empty reply still answers one op
-		srv.stats.emptyDeqs.Add(1)
-		b.t.emptyDeqs.Add(1)
-		err := srv.writeReply(s, b, f, d, StatusEmpty, nil, nil,
-			obs.OpNullDequeue, 0, fabricStart, fabricEnd, fw)
-		recordOp(b, s.stripe, f, obs.OpNullDequeue)
-		return err
-	}
-	srv.stats.batchedOps.Add(int64(len(out)))
-	if err := srv.writeReply(s, b, f, d, StatusOK, nil, out,
-		obs.OpBatch, len(out), fabricStart, fabricEnd, fw); err != nil {
-		// The reply never reached the client as a parseable frame; keep its
-		// values for teardown to re-enqueue.
-		b.stash = append(b.stash, out...)
-		s.vals = out[:0]
-		return err
-	}
-	if pooled {
-		for _, v := range out { // reply bytes are in the egress scratch now
-			putBuf(v)
-		}
-	}
-	s.vals = out[:0]
-	srv.stats.dequeues.Add(int64(len(out)))
-	b.t.dequeues.Add(int64(len(out)))
-	recordOp(b, s.stripe, f, obs.OpBatch)
-	return nil
-}
-
-// recordOp samples one frame's in-server latency (read-loop stamp to
-// reply) into the binding's queue histograms. A zero stamp (observability
-// off) or a tenant without histograms makes it a no-op, so call sites
-// need no guard.
-func recordOp(b *binding, stripe int, f frame, op obs.Op) {
-	if h := b.t.hists; h != nil && f.at != 0 {
-		h.Record(op, stripe, time.Duration(time.Now().UnixNano()-f.at))
-	}
-}
-
-// sampled reports whether a request frame is a live trace sample: the
-// client set the trace flag and the read loop stamped the frame (i.e.
-// observability is on). A traced frame on an obs-off server is served
-// normally but answered plain — the client reads that as "declined".
-func sampled(f frame, d decoded) bool {
-	return d.traced && f.at != 0
-}
-
-// runSampled reports whether any frame of a coalesced run is a live trace
-// sample, deciding whether the run pays for fabric-boundary clock reads.
-func runSampled(run []frame, decs []decoded) bool {
-	for i := range run {
-		if sampled(run[i], decs[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// writeReply writes one reply frame, upgrading it to the traced form —
-// status|OpTraceFlag with a span-block payload prefix — when the request
-// was a live trace sample and the reply is a terminal success (OK or
-// Empty). The span itself is parked on the session until the window's
-// flush lands (completeSpans), which closes its last stage. The reply body
-// is either payload (a single value or fixed-size answer) or bvals (a
-// batch reply, encoded straight into the egress scratch) — never both. ops
-// is how many values the frame moved; fabricStart/fabricEnd bound the
-// queue operation that served it (shared by every frame of a coalesced
-// run). A traced reply that would overflow the frame cap falls back to the
-// plain form — the span is still captured server-side.
-func (srv *Server) writeReply(s *session, b *binding, f frame, d decoded, status byte,
-	payload []byte, bvals [][]byte, op obs.Op, ops int, fabricStart, fabricEnd int64, fw *frameWriter) error {
-	if !sampled(f, d) || srv.spans == nil || (status != StatusOK && status != StatusEmpty) {
-		if bvals != nil {
-			return fw.batchFrame(f.id, status, nil, bvals)
-		}
-		return fw.frame(f.id, status, payload)
-	}
-	replyWrite := time.Now().UnixNano()
-	sp := &obs.Span{
-		Queue:       b.t.name,
-		Op:          op.String(),
-		Session:     s.id,
-		ReqID:       f.id,
-		Ops:         ops,
-		ClientSend:  d.sendNs,
-		Read:        f.at,
-		Admit:       s.admitNs,
-		FabricStart: fabricStart,
-		FabricEnd:   fabricEnd,
-		ReplyWrite:  replyWrite,
-	}
-	s.winSpans = append(s.winSpans, sp)
-	bodyLen := len(payload)
-	if bvals != nil {
-		bodyLen = encodedBatchSize(bvals)
-	}
-	if frameHeader+traceBlockLen+bodyLen > srv.opts.maxFrame {
-		if bvals != nil {
-			return fw.batchFrame(f.id, status, nil, bvals)
-		}
-		return fw.frame(f.id, status, payload)
-	}
-	if !fw.pooled {
-		// Legacy-arm fidelity: materialize the span block (and a batch
-		// payload) through the allocating helpers, as the pre-pooling
-		// encoder did.
-		body := payload
-		if bvals != nil {
-			body = encodeBatch(bvals)
-		}
-		return fw.frame(f.id, status|OpTraceFlag,
-			putSpanBlock(f.at, s.admitNs, fabricStart, fabricEnd, replyWrite, body))
-	}
-	var block [traceBlockLen]byte
-	for i, ns := range [5]int64{f.at, s.admitNs, fabricStart, fabricEnd, replyWrite} {
-		binary.BigEndian.PutUint64(block[i*8:], uint64(ns))
-	}
-	if bvals != nil {
-		return fw.batchFrame(f.id, status|OpTraceFlag, block[:], bvals)
-	}
-	return fw.frame(f.id, status|OpTraceFlag, block[:], payload)
-}
-
-// completeSpans closes the window's parked spans with the flush timestamp
-// that just landed, prices their stages into the per-stage histograms, and
-// publishes them to the exemplar reservoir.
-func (srv *Server) completeSpans(s *session) {
-	if len(s.winSpans) == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for i, sp := range s.winSpans {
-		sp.Flush = now
-		srv.stageHists.RecordSpan(s.stripe, sp)
-		srv.spans.Offer(sp)
-		s.winSpans[i] = nil
-	}
-	s.winSpans = s.winSpans[:0]
-}
-
-// popStash removes and returns the stash head; the stash must be nonempty.
-func (b *binding) popStash() []byte {
-	v := b.stash[0]
-	b.stash = b.stash[1:]
-	if len(b.stash) == 0 {
-		b.stash = nil
-	}
-	return v
 }
 
 // finishSession releases every queue lease the session holds and
@@ -1208,155 +312,12 @@ func (srv *Server) finishSession(s *session) {
 			"session": s.id, "queues_bound": len(s.bindings)})
 		for _, b := range s.bindings {
 			if b.h != nil {
-				if len(b.stash) > 0 {
-					b.h.EnqueueBatch(b.stash)
-					b.stash = nil
-				}
+				// Fails only on a closed fabric, and then the loss is the
+				// owner's choice (see above).
+				_ = b.h.EnqueueBatch(b.pending())
 				b.h.Release()
 			}
 			srv.ns.unbind(b.t)
 		}
 	}
-}
-
-// Stats is the service-level half of a Snapshot. Operation counters count
-// queue operations (values), not wire frames: a batch frame carrying m
-// values contributes m to Enqueues/Dequeues/BatchedOps and 1 to Frames, so
-// BatchedOps/Frames is the wire-level amortization and
-// FabricBatchOps/FabricBatches the fabric-level one.
-type Stats struct {
-	SessionsOpen   int     `json:"sessions_open"`
-	SessionsTotal  int64   `json:"sessions_total"`
-	SessionsDenied int64   `json:"sessions_denied"`
-	SessionsReaped int64   `json:"sessions_reaped"`
-	Requests       int64   `json:"requests"`
-	Busy           int64   `json:"busy"`
-	Enqueues       int64   `json:"enqueues"`
-	Dequeues       int64   `json:"dequeues"`
-	EmptyDequeues  int64   `json:"empty_dequeues"`
-	Batches        int64   `json:"batches"`
-	Frames         int64   `json:"frames"`           // request frames answered by batch passes
-	BatchedOps     int64   `json:"batched_ops"`      // queue ops executed by batch passes
-	FabricBatches  int64   `json:"fabric_batches"`   // multi-op fabric calls
-	FabricBatchOps int64   `json:"fabric_batch_ops"` // queue ops carried by multi-op fabric calls
-	OpsPerBatch    float64 `json:"ops_per_batch"`    // BatchedOps / Batches
-	Window         int     `json:"window"`
-	BatchMax       int     `json:"batch_max"`
-
-	// Namespace counters: live queue count (default queue included) and
-	// named-queue lifecycle churn.
-	QueuesOpen    int   `json:"queues_open"`
-	QueuesOpened  int64 `json:"queues_opened"`  // named queues created by OpOpen
-	QueuesDeleted int64 `json:"queues_deleted"` // named queues removed by OpDelete
-	QueuesExpired int64 `json:"queues_expired"` // named queues torn down by the idle reaper
-
-	// Elasticity counters and envelope: per-queue resize activity split by
-	// initiator (the autoscaler vs wire-level RESIZE requests), plus the
-	// configured autoscale cadence and shard bounds.
-	AutoscaleGrows   int64   `json:"autoscale_grows"`
-	AutoscaleShrinks int64   `json:"autoscale_shrinks"`
-	WireResizes      int64   `json:"wire_resizes"`
-	AutoscaleMs      float64 `json:"autoscale_ms"` // tick interval in ms; 0 = autoscaler off
-	MinShards        int     `json:"min_shards"`
-	MaxShards        int     `json:"max_shards"`
-}
-
-// ObsStats is the server-wide observability block of a Snapshot: trace
-// ring occupancy plus latency summaries per operation class aggregated
-// across every live queue. In-server latency is measured per request
-// frame, from the read loop's socket read to the reply write, so window
-// queueing is part of the measured interval.
-type ObsStats struct {
-	TraceRecorded int64 `json:"trace_recorded"` // events ever added to the ring
-	TraceCapacity int   `json:"trace_capacity"`
-
-	EnqueueLat     obs.LatencySummary `json:"enqueue_lat"`
-	DequeueLat     obs.LatencySummary `json:"dequeue_lat"`
-	BatchLat       obs.LatencySummary `json:"batch_lat"`
-	NullDequeueLat obs.LatencySummary `json:"null_dequeue_lat"`
-
-	// Request-tracing block: spans ever captured by the exemplar reservoir
-	// (see /spanz) and per-stage latency summaries over traced frames only
-	// — wait (read to batcher admit), fabric (queue operation), reply
-	// (fabric end to reply write), flush (reply write to socket flush),
-	// server (the whole read-to-flush interval).
-	Spans    int64                         `json:"spans"`
-	StageLat map[string]obs.LatencySummary `json:"stage_lat,omitempty"`
-}
-
-// Snapshot is the stable JSON document served by /statsz and OpStats:
-// service counters, the default fabric's own snapshot (per-shard routing
-// traffic, registry lease churn, optional cost-model summaries), one
-// entry per live queue in the namespace, and — when observability is on —
-// the aggregate latency/trace block.
-type Snapshot struct {
-	Server Stats          `json:"server"`
-	Fabric shard.Snapshot `json:"fabric"`
-	Queues []QueueStat    `json:"queues"`
-	Obs    *ObsStats      `json:"obs,omitempty"`
-}
-
-// Snapshot captures the server and fabric statistics.
-func (srv *Server) Snapshot() Snapshot {
-	st := Stats{
-		SessionsOpen:   srv.sessions.count(),
-		SessionsTotal:  srv.stats.sessionsTotal.Load(),
-		SessionsDenied: srv.stats.sessionsDenied.Load(),
-		SessionsReaped: srv.stats.reaped.Load(),
-		Requests:       srv.stats.requests.Load(),
-		Busy:           srv.stats.busy.Load(),
-		Enqueues:       srv.stats.enqueues.Load(),
-		Dequeues:       srv.stats.dequeues.Load(),
-		EmptyDequeues:  srv.stats.emptyDeqs.Load(),
-		Batches:        srv.stats.batches.Load(),
-		Frames:         srv.stats.frames.Load(),
-		BatchedOps:     srv.stats.batchedOps.Load(),
-		FabricBatches:  srv.stats.fabricBatches.Load(),
-		FabricBatchOps: srv.stats.fabricBatchOps.Load(),
-		Window:         srv.opts.window,
-		BatchMax:       srv.opts.batchMax,
-		QueuesOpen:     srv.ns.count(),
-		QueuesOpened:   srv.ns.opened.Load(),
-		QueuesDeleted:  srv.ns.dropped.Load(),
-		QueuesExpired:  srv.ns.expired.Load(),
-
-		AutoscaleGrows:   srv.stats.autoGrows.Load(),
-		AutoscaleShrinks: srv.stats.autoShrinks.Load(),
-		WireResizes:      srv.stats.wireResizes.Load(),
-		AutoscaleMs:      float64(srv.opts.autoscale) / float64(time.Millisecond),
-		MinShards:        srv.opts.minShards,
-		MaxShards:        srv.opts.maxShards,
-	}
-	if st.Batches > 0 {
-		st.OpsPerBatch = float64(st.BatchedOps) / float64(st.Batches)
-	}
-	snap := Snapshot{Server: st, Fabric: srv.q.Snapshot(), Queues: srv.ns.queueStats()}
-	if srv.opts.obs {
-		agg := srv.ns.aggregateLat()
-		stageLat := make(map[string]obs.LatencySummary, obs.NumStages)
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			stageLat[st.String()] = srv.stageHists.Summary(st)
-		}
-		snap.Obs = &ObsStats{
-			TraceRecorded:  srv.trace.Recorded(),
-			TraceCapacity:  srv.trace.Capacity(),
-			EnqueueLat:     agg[obs.OpEnqueue],
-			DequeueLat:     agg[obs.OpDequeue],
-			BatchLat:       agg[obs.OpBatch],
-			NullDequeueLat: agg[obs.OpNullDequeue],
-			Spans:          srv.spans.Offered(),
-			StageLat:       stageLat,
-		}
-	}
-	return snap
-}
-
-// StatszHandler serves the Snapshot as JSON — mount it at /statsz.
-func (srv *Server) StatszHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(srv.Snapshot())
-	})
 }

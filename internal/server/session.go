@@ -43,18 +43,20 @@ type session struct {
 	// queue addressing, reused across passes.
 	decs []decoded
 
-	// vals is the batch worker's value-header scratch, reused across the
-	// coalesced-run, batch-decode, and batch-dequeue paths (they execute
-	// strictly one after another within a window pass). Only slice headers
-	// live here — the value bytes are pooled buffers (or, unpooled, frame
-	// bodies) whose ownership moves to the fabric, the egress scratch, or
-	// the binding's stash before the scratch is reused. Worker-owned.
+	// vals is the batch worker's value-header scratch for enqueue runs,
+	// reused across them. Only slice headers live here — the value bytes are
+	// pooled copies whose ownership moves to the fabric (or back to the
+	// pool, if the queue is closed) before the scratch is reused.
+	// Worker-owned.
 	vals [][]byte
 
 	// admitNs is the batch worker's admit stamp for the current window,
 	// taken once per pass and only when the window carries a sampled traced
-	// frame; every span the pass produces shares it. Worker-owned.
-	admitNs int64
+	// frame; every span the pass produces shares it. fabricStart and
+	// fabricEnd bound the current run's fabric call the same way (zero when
+	// the run carries no sampled frame). Worker-owned.
+	admitNs                int64
+	fabricStart, fabricEnd int64
 
 	// winSpans parks the current window's traced spans between their reply
 	// write and the pass's socket flush, which closes their last stage
@@ -81,14 +83,18 @@ type binding struct {
 	// (refs keep the idle reaper away) without spending a registry slot.
 	h *shard.Handle[[]byte]
 
-	// stash holds values already dequeued from this queue's fabric but not
-	// yet shipped, because fitting them into the current reply would have
-	// pushed it past the frame cap. The batch worker owns it exclusively
-	// and serves it before touching the fabric again, preserving the
-	// session's per-queue dequeue order; teardown re-enqueues any
-	// remainder into the same queue so no value is lost when a client
-	// disconnects mid-overflow.
+	// stash[head:] holds values already dequeued from this queue's fabric
+	// but not yet shipped: a dequeue run pulls its whole total here and
+	// deals replies from the front (run.go), so what a reply's byte budget
+	// or count left behind — or a reply that failed to write — is still
+	// here, in dequeue order, for the next run to ship before the fabric is
+	// touched again. The batch worker owns it exclusively; teardown
+	// re-enqueues any remainder into the same queue so no value is lost
+	// when a client disconnects with values parked. The buffer is kept
+	// across runs (head rewinds when it drains), so steady-state pulls
+	// allocate nothing. Queue.Len does not count parked values.
 	stash [][]byte
+	head  int
 }
 
 // bind resolves the session's binding for a queue id, creating it (and

@@ -144,83 +144,156 @@ func TestDequeueBatchRacesQueueDelete(t *testing.T) {
 	}
 }
 
-// TestIdleReapReEnqueuesStash parks values in a session's stash, lets the
-// idle reaper tear the session down, and checks conservation end to end:
-// the stashed values reappear in the fabric (behind the backlog, order
-// traded for conservation) and a second consumer drains exactly the
-// values the first one never received — the full set, no loss, no dup.
-func TestIdleReapReEnqueuesStash(t *testing.T) {
+// TestTeardownReEnqueuesStash parks values in a session's stash, lets the
+// session die, and checks conservation end to end: the stashed values
+// reappear in the fabric (behind the backlog, order traded for
+// conservation) and a second consumer drains exactly the values the first
+// one never received — the full set, no loss, no dup. Two ways to park and
+// die: one oversized batch pull followed by the idle reaper, and a
+// pipelined [DEQ_BATCH, DEQ, DEQ_BATCH] run — one coalesced pull whose
+// first reply overflows its byte budget, the rest dealt on down the run —
+// followed by the client cutting the connection.
+func TestTeardownReEnqueuesStash(t *testing.T) {
 	const maxFrame = 4096
-	q, err := shard.New[[]byte](1, shard.WithMaxHandles(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve("127.0.0.1:0", q, WithMaxFrame(maxFrame), WithIdleTimeout(60*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	victim, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer victim.Close()
 	const n = 40
-	for i := 0; i < n; i++ {
-		if err := victim.Enqueue(stashValue(i)); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		idle time.Duration
+		// victim receives some strict subset of the n queued values, in
+		// order, and leaves its session to die with the rest parked.
+		victim func(t *testing.T, addr string) [][]byte
+	}{
+		{"batch pull then idle reap", 60 * time.Millisecond, func(t *testing.T, addr string) [][]byte {
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			// One pull for everything: ~4 ship, the rest is stash. Then go
+			// silent and let the reaper take the session.
+			got, err := c.DequeueBatch(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}},
+		{"coalesced run then connection cut", time.Minute, func(t *testing.T, addr string) [][]byte {
+			rc := dialRaw(t, addr)
+			count := []byte{0, 0, 0, n}
+			// The leading STATS keeps the worker busy while the read loop
+			// queues the three dequeues behind it, so they are (almost
+			// always) drained as one window and served as one run; the
+			// assertions below hold wherever the window is cut.
+			burst := appendFrame(nil, 1, OpStats)
+			burst = appendFrame(burst, 2, OpDequeueBatch, count)
+			burst = appendFrame(burst, 3, OpDequeue)
+			burst = appendFrame(burst, 4, OpDequeueBatch, count)
+			rc.write(burst)
+			if kind, _ := rc.reply(); kind != StatusOK {
+				t.Fatalf("stats reply status 0x%02x", kind)
+			}
+			var got [][]byte
+			for i, batch := range []bool{true, false, true} {
+				kind, payload := rc.reply()
+				if kind != StatusOK {
+					t.Fatalf("dequeue reply %d status 0x%02x", i, kind)
+				}
+				vals := [][]byte{payload}
+				if batch {
+					var err error
+					if vals, err = decodeBatch(payload); err != nil {
+						t.Fatal(err)
+					}
+					if len(vals) == 0 || len(vals) >= n/2 {
+						t.Fatalf("batch reply %d shipped %d values; its byte budget should cut it short", i, len(vals))
+					}
+				}
+				for _, v := range vals {
+					got = append(got, append([]byte(nil), v...)) // payload aliases the scan buffer
+				}
+			}
+			rc.conn.Close()
+			return got
+		}},
 	}
-	// One pull for everything: ~4 ship, the rest is stash. The fabric is
-	// now empty — every undelivered value lives only in the session.
-	got, err := victim.DequeueBatch(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || len(got) >= n {
-		t.Fatalf("primer delivered %d of %d values; need a strict subset to exercise the stash", len(got), n)
-	}
-	stashed := n - len(got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := shard.New[[]byte](1, shard.WithMaxHandles(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := Serve("127.0.0.1:0", q, WithMaxFrame(maxFrame), WithIdleTimeout(tc.idle))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			producer, err := Dial(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer producer.Close()
+			for i := 0; i < n; i++ {
+				if err := producer.Enqueue(stashValue(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Go silent and wait for the reaper: the stash must land back in the
-	// fabric, visible as the queue's length recovering to the stash size.
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Len() != stashed {
-		if time.Now().After(deadline) {
-			t.Fatalf("fabric len %d, want %d re-enqueued after idle reap", q.Len(), stashed)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+			got := tc.victim(t, srv.Addr().String())
+			if len(got) == 0 || len(got) >= n {
+				t.Fatalf("victim received %d of %d values; need a strict subset to exercise the stash", len(got), n)
+			}
+			// What shipped is the head of the queue, in order.
+			for i, v := range got {
+				if v[0] != byte(i) {
+					t.Fatalf("shipped value %d has tag %d: per-queue order broken", i, v[0])
+				}
+			}
+			stashed := n - len(got)
 
-	heir, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer heir.Close()
-	seen := make(map[byte]int, n)
-	for _, v := range got {
-		seen[v[0]]++
-	}
-	for drained := 0; drained < stashed; {
-		vs, err := heir.DequeueBatch(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vs) == 0 {
-			t.Fatalf("fabric dry after %d of %d re-enqueued values", drained, stashed)
-		}
-		for _, v := range vs {
-			seen[v[0]]++
-			drained++
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("conservation broken: %d distinct values across both consumers, want %d", len(seen), n)
-	}
-	for tag, count := range seen {
-		if count != 1 {
-			t.Errorf("tag %d delivered %d times across reap", tag, count)
-		}
+			// The fabric is empty — every undelivered value lives only in
+			// the victim's session — until teardown lands the stash back,
+			// visible as the queue's length recovering to the stash size.
+			deadline := time.Now().Add(5 * time.Second)
+			for q.Len() != stashed {
+				if time.Now().After(deadline) {
+					t.Fatalf("fabric len %d, want %d re-enqueued after teardown", q.Len(), stashed)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			heir, err := Dial(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer heir.Close()
+			seen := make(map[byte]int, n)
+			for _, v := range got {
+				seen[v[0]]++
+			}
+			for drained := 0; drained < stashed; {
+				vs, err := heir.DequeueBatch(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(vs) == 0 {
+					t.Fatalf("fabric dry after %d of %d re-enqueued values", drained, stashed)
+				}
+				for _, v := range vs {
+					seen[v[0]]++
+					drained++
+				}
+			}
+			if vs, err := heir.DequeueBatch(n); err != nil || len(vs) != 0 {
+				t.Fatalf("fabric holds %d values beyond the %d re-enqueued (err %v)", len(vs), stashed, err)
+			}
+			if len(seen) != n {
+				t.Fatalf("conservation broken: %d distinct values across both consumers, want %d", len(seen), n)
+			}
+			for tag, count := range seen {
+				if count != 1 {
+					t.Errorf("tag %d delivered %d times across teardown", tag, count)
+				}
+			}
+		})
 	}
 }

@@ -13,6 +13,22 @@ import (
 	"repro/internal/obs"
 )
 
+// waitSpans blocks until the server has published n spans. Spans are priced
+// after their window's flush by design — the flush stamp closes the last
+// stage — so a client can hold its traced reply a moment before the span
+// is visible; a test that reads the reservoir or the stage histograms
+// right after a traced call must wait for the counter, not assume it.
+func waitSpans(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.spans.Offered() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("spans = %d, want %d within 5s", srv.spans.Offered(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestTracedEnqueueDequeue exercises the full trace loop against an
 // obs-on server: the traced calls must behave exactly like their plain
 // counterparts (values move) while returning a server-sampled stage
@@ -86,6 +102,7 @@ func TestTracedOnNamedQueue(t *testing.T) {
 	if _, ok, _, err := q.DequeueTraced(); err != nil || !ok {
 		t.Fatalf("named DequeueTraced = (ok=%v, err=%v)", ok, err)
 	}
+	waitSpans(t, srv, 2)
 	_, slow := srv.spans.Snapshot()
 	if len(slow) == 0 {
 		t.Fatal("no spans captured")
@@ -174,6 +191,7 @@ func TestSpanzHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitSpans(t, srv, 20)
 
 	rec := httptest.NewRecorder()
 	srv.SpanzHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/spanz", nil))
@@ -246,6 +264,7 @@ func TestSnapshotStageLatAndMetricsz(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitSpans(t, srv, 8)
 
 	snap := srv.Snapshot()
 	if snap.Obs == nil || snap.Obs.Spans != 8 {

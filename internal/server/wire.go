@@ -29,7 +29,10 @@
 //     window: requests beyond the window are answered with an immediate
 //     BUSY reply instead of being buffered without bound, and once the
 //     reply lane saturates the reader simply stops draining the socket,
-//     converting overload into TCP backpressure.
+//     converting overload into TCP backpressure. Each drained window is
+//     executed by the one data path there is (run.go): adjacent data
+//     frames of one direction and queue form a run, and a run is one
+//     fabric batch call.
 //
 // Client (client.go) and open-loop load generator (loadgen.go) speak the
 // same protocol; Serve/Dial are re-exported at the repository root.
@@ -61,7 +64,7 @@ const (
 
 	// Batch opcodes: one frame carries a whole multi-op batch, which the
 	// server hands to the fabric as a single multi-op leaf block.
-	OpEnqueueBatch byte = 0x05 // payload: count-prefixed values (see encodeBatch)
+	OpEnqueueBatch byte = 0x05 // payload: count-prefixed values (see "Batch payload layout")
 	OpDequeueBatch byte = 0x06 // payload: uint32 max element count
 
 	// Namespace opcodes: named queues inside one server process. OpOpen
@@ -113,7 +116,7 @@ const (
 	// 0xA1) and prefixes the normal reply payload with a span block: five
 	// int64 unix-nano stamps on the server's clock — socket read, batcher
 	// admit, fabric call start, fabric call end, reply write (see
-	// putSpanBlock). BUSY, error, and closed replies stay plain, as does
+	// writeReply). BUSY, error, and closed replies stay plain, as does
 	// every reply from a server running with observability off — the client
 	// treats a plain status to a traced request as "server declined to
 	// sample" and still completes the call normally.
@@ -216,32 +219,13 @@ func AppendWireFrame(dst []byte, id uint64, kind byte, parts ...[]byte) []byte {
 	return appendFrame(dst, id, kind, parts...)
 }
 
-// writeFrame appends one frame to w. The caller owns flushing: the batcher
-// writes a whole batch of replies and flushes once.
-func writeFrame(w *bufio.Writer, id uint64, kind byte, payload []byte) error {
-	var hdr [4 + frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(frameHeader+len(payload)))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // frameWriter is the server's reply egress: replies append into one
 // per-session scratch buffer and the batch worker pushes the whole
 // window's bytes with a single sized socket write, so frames-per-syscall
-// scales with the drained window. With pooled false it emulates the
-// pre-pooling egress for the T18 before-arm: per-reply payloads are
-// materialized with fresh allocations (encodeBatch, putSpanBlock) exactly
-// as the old encode helpers did, and the scratch is released after every
-// flush instead of being retained.
+// scales with the drained window.
 type frameWriter struct {
-	w      io.Writer
-	buf    []byte
-	pooled bool
+	w   io.Writer
+	buf []byte
 }
 
 const (
@@ -254,10 +238,6 @@ const (
 	// must not pin its scratch forever.
 	fwRetain = 64 << 10
 )
-
-func newFrameWriter(w io.Writer, pooled bool) *frameWriter {
-	return &frameWriter{w: w, pooled: pooled}
-}
 
 // spill writes the buffered bytes out early when the scratch has outgrown
 // its bound. A failed spill poisons the connection exactly like a failed
@@ -280,17 +260,8 @@ func (fw *frameWriter) frame(id uint64, kind byte, parts ...[]byte) error {
 
 // batchFrame appends one batch-reply frame: an optional span-block prefix,
 // the count word, then each value length-prefixed — encoded directly into
-// the scratch, no intermediate payload buffer. In the unpooled arm it
-// materializes the payload through the allocating helpers instead,
-// reproducing the pre-pooling cost model.
+// the scratch, no intermediate payload buffer.
 func (fw *frameWriter) batchFrame(id uint64, kind byte, span []byte, vals [][]byte) error {
-	if !fw.pooled {
-		payload := encodeBatch(vals)
-		if span != nil {
-			payload = append(append(make([]byte, 0, len(span)+len(payload)), span...), payload...)
-		}
-		return fw.frame(id, kind, payload)
-	}
 	if err := fw.spill(); err != nil {
 		return err
 	}
@@ -313,82 +284,79 @@ func (fw *frameWriter) batchFrame(id uint64, kind byte, span []byte, vals [][]by
 }
 
 // flush writes the buffered reply bytes in one socket write and resets the
-// scratch, retaining up to fwRetain of capacity (none in the unpooled
-// arm).
+// scratch, retaining up to fwRetain of capacity.
 func (fw *frameWriter) flush() error {
 	if len(fw.buf) == 0 {
 		return nil
 	}
 	_, err := fw.w.Write(fw.buf)
-	switch {
-	case !fw.pooled:
-		fw.buf = nil
-	case cap(fw.buf) > fwRetain:
+	if cap(fw.buf) > fwRetain {
 		fw.buf = make([]byte, 0, fwRetain)
-	default:
+	} else {
 		fw.buf = fw.buf[:0]
 	}
 	return err
 }
 
-// readFrame reads one frame from r. The header lands in a stack array —
-// only the payload is heap-allocated, so payload-free frames (acks, polls)
-// cost nothing. The payload is freshly allocated and escapes to the
-// caller; the server's pooled ingress is readFrameBuf.
-func readFrame(r *bufio.Reader, maxFrame int) (frame, error) {
-	return readFrameAlloc(r, maxFrame, false)
-}
-
-// readFrameBuf is the server ingress: the payload is decoded into a pooled
-// buffer, which the batch worker recycles (putBuf(f.payload)) once the
-// frame's window is processed — by then every enqueue payload has been
-// copied out at admit time and every reply byte copied into the egress
-// scratch, so the body is dead. With pooled false each payload is a fresh
-// allocation and recycling is a no-op, reproducing the pre-pooling read
-// path.
-func readFrameBuf(r *bufio.Reader, maxFrame int, pooled bool) (frame, error) {
-	return readFrameAlloc(r, maxFrame, pooled)
-}
-
-func readFrameAlloc(r *bufio.Reader, maxFrame int, pooled bool) (frame, error) {
+// readHeader reads one frame's length prefix, id and kind, and returns the
+// frame with how many payload bytes follow.
+func readHeader(r *bufio.Reader, maxFrame int) (frame, int, error) {
 	// The header is parsed in place from the bufio window (Peek/Discard)
 	// rather than copied into a local array: a local passed to io.ReadFull
 	// escapes through the io.Reader interface, costing one heap allocation
 	// per frame — on the hot path, for 13 bytes.
 	hdr, err := r.Peek(4)
 	if err != nil {
-		return frame{}, err
+		return frame{}, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n < frameHeader {
-		return frame{}, fmt.Errorf("%w: length %d below header size", ErrBadFrame, n)
+		return frame{}, 0, fmt.Errorf("%w: length %d below header size", ErrBadFrame, n)
 	}
 	if int(n) > maxFrame {
-		return frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+		return frame{}, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
 	}
 	r.Discard(4)
 	if hdr, err = r.Peek(frameHeader); err != nil {
-		return frame{}, err
+		return frame{}, 0, err
 	}
 	f := frame{
 		id:   binary.BigEndian.Uint64(hdr[:8]),
 		kind: hdr[8],
 	}
 	r.Discard(frameHeader)
-	if m := int(n) - frameHeader; m > 0 {
-		// The payload buffer is heap storage either way, so io.ReadFull's
-		// escape costs nothing extra here.
-		if pooled {
-			f.payload = getBuf(m)
-		} else {
-			f.payload = make([]byte, m)
-		}
-		if _, err := io.ReadFull(r, f.payload); err != nil {
-			if pooled {
-				putBuf(f.payload)
-			}
-			return frame{}, err
-		}
+	return f, int(n) - frameHeader, nil
+}
+
+// readFrame reads one frame from r into a freshly allocated payload that
+// escapes to the caller: the client's reader, whose callers keep the
+// values. Payload-free frames (acks, polls) allocate nothing.
+func readFrame(r *bufio.Reader, maxFrame int) (frame, error) {
+	f, m, err := readHeader(r, maxFrame)
+	if err != nil || m == 0 {
+		return f, err
+	}
+	f.payload = make([]byte, m)
+	if _, err := io.ReadFull(r, f.payload); err != nil {
+		return frame{}, err
+	}
+	return f, nil
+}
+
+// readFramePooled is the server ingress: the payload is decoded into a
+// pooled buffer, which the batch worker recycles (putBuf(f.payload)) once
+// the frame's window is processed — by then every enqueue payload has been
+// copied out at admit time and every reply byte copied into the egress
+// scratch, so the body is dead.
+func readFramePooled(r *bufio.Reader, maxFrame int) (frame, error) {
+	f, m, err := readHeader(r, maxFrame)
+	if err != nil || m == 0 {
+		return f, err
+	}
+	f.payload = getBuf(m)
+	if _, err := io.ReadFull(r, f.payload); err != nil {
+		putBuf(f.payload)
+		return frame{}, err
 	}
 	return f, nil
 }
@@ -404,6 +372,14 @@ type decoded struct {
 	bad    bool   // a frame too short to carry its declared prefixes
 	traced bool   // the client set OpTraceFlag on a traceable data opcode
 	sendNs int64  // the traced frame's client send stamp (client clock)
+
+	// The executor's per-frame outcome within a run (run.go), zero as
+	// decoded: n is how many values the frame moves — admitted by an
+	// enqueue, asked for and then shipped by a dequeue — and err, when set,
+	// is why the frame was not served: its own StatusErr, or the closed
+	// queue's refusal of the run that admitted it.
+	n   int
+	err error
 }
 
 // decodeOp resolves a frame's trace context and queue addressing. The
@@ -447,38 +423,7 @@ func decodeOp(f frame) decoded {
 	return d
 }
 
-// qualify prepends a queue id to an op payload, producing the payload of
-// the queue-qualified variant of the opcode.
-func qualify(qid uint32, payload []byte) []byte {
-	buf := make([]byte, queueIDLen+len(payload))
-	binary.BigEndian.PutUint32(buf[:queueIDLen], qid)
-	copy(buf[queueIDLen:], payload)
-	return buf
-}
-
-// tracePrefix prepends a client send stamp to an op payload, producing the
-// payload of the traced variant of the opcode. For a frame that is both
-// traced and queue-qualified, compose as tracePrefix(ns, qualify(qid, p))
-// — the trace stamp leads, matching decodeOp's stripping order.
-func tracePrefix(sendNs int64, payload []byte) []byte {
-	buf := make([]byte, traceStampLen+len(payload))
-	binary.BigEndian.PutUint64(buf[:traceStampLen], uint64(sendNs))
-	copy(buf[traceStampLen:], payload)
-	return buf
-}
-
-// putSpanBlock prepends the traced reply's span block — five int64
-// server-clock unix-nano stamps — to a reply payload.
-func putSpanBlock(read, admit, fabricStart, fabricEnd, replyWrite int64, payload []byte) []byte {
-	buf := make([]byte, traceBlockLen+len(payload))
-	for i, ns := range [5]int64{read, admit, fabricStart, fabricEnd, replyWrite} {
-		binary.BigEndian.PutUint64(buf[i*8:], uint64(ns))
-	}
-	copy(buf[traceBlockLen:], payload)
-	return buf
-}
-
-// splitTracedReply undoes putSpanBlock on the client side: given a reply
+// splitTracedReply is the client side of writeReply's traced form: given a reply
 // frame, it strips the trace flag and span block if present, returning the
 // normalized frame, the five server stamps, and whether the server
 // actually sampled the request. A plain reply (server tracing off, or a
@@ -517,24 +462,14 @@ func encodedBatchSize(vals [][]byte) int {
 	return n
 }
 
-// encodeBatch renders vals as a count-prefixed batch payload. The value
-// bytes are copied, so callers may reuse their buffers immediately.
-func encodeBatch(vals [][]byte) []byte {
-	buf := make([]byte, 4, encodedBatchSize(vals))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(vals)))
-	var lenBuf [4]byte
-	for _, v := range vals {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(v)))
-		buf = append(buf, lenBuf[:]...)
-		buf = append(buf, v...)
-	}
-	return buf
-}
-
-// decodeBatch parses a count-prefixed batch payload. The returned values
-// alias payload — callers that outlive the payload's buffer (the server's
-// pooled ingress) must use decodeBatchPooled instead; the client decodes
-// replies it consumes before the next read, where aliasing is safe.
+// decodeBatch parses a count-prefixed batch payload into values that alias
+// it. It is the client's decoder: the client owns each reply payload
+// outright (readFrame allocates it fresh) and hands the values to its
+// caller, so aliasing is both safe and the cheapest thing to do. The
+// server cannot use it — its payloads are pooled frame bodies recycled
+// after the window — and decodes with decodeBatchPooled, which copies.
+// The two differ in ownership, not in what they accept: FuzzFrame holds
+// them to the same verdict on every input.
 func decodeBatch(payload []byte) ([][]byte, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrBadFrame, len(payload))
@@ -566,12 +501,12 @@ func decodeBatch(payload []byte) ([][]byte, error) {
 }
 
 // decodeBatchPooled parses a count-prefixed batch payload, copying every
-// value into its own pooled buffer and appending them to dst. Unlike
-// decodeBatch, nothing in the result aliases payload — the frame body can
-// be recycled the moment the window is processed, and each value's storage
-// recycles independently when its dequeue reply ships. On a parse error
-// the copies already made are returned to the pool and the original dst is
-// handed back unchanged.
+// value into its own pooled buffer and appending them to dst (see
+// decodeBatch for why there are two decoders). Nothing in the result
+// aliases payload — the frame body can be recycled the moment the window is
+// processed, and each value's storage recycles independently when its
+// dequeue reply ships. On a parse error the copies already made are
+// returned to the pool and the original dst is handed back unchanged.
 func decodeBatchPooled(payload []byte, dst [][]byte) ([][]byte, error) {
 	base := len(dst)
 	fail := func(err error) ([][]byte, error) {

@@ -12,10 +12,11 @@ import (
 // created on first use and torn down when idle and empty. Each accepted
 // connection leases fabric handles per (connection, queue) — the default
 // queue's at accept, named queues' on first use, all returned when the
-// connection closes or is idle-reaped — pipelined requests are coalesced
-// into batched fabric passes per queue, and overload is answered with
-// explicit BUSY replies through a bounded in-flight window. See package
-// internal/server for the wire protocol.
+// connection closes or is idle-reaped — pipelined requests are executed in
+// runs (adjacent data frames of one direction and queue become one fabric
+// batch call), and overload is answered with explicit BUSY replies through
+// a bounded in-flight window. See package internal/server for the wire
+// protocol.
 type QueueServer = server.Server
 
 // QueueClient speaks the queue service's wire protocol over one TCP
@@ -51,12 +52,9 @@ var (
 )
 
 // WithServeWindow sets the per-connection in-flight request window
-// (default 64); requests beyond it get BUSY replies.
+// (default 64); requests beyond it get BUSY replies. It is also the most
+// requests one batched pass drains and answers with a single flush.
 func WithServeWindow(w int) ServeOption { return server.WithWindow(w) }
-
-// WithServeBatchMax caps the requests executed per batched fabric pass
-// (default: the window size).
-func WithServeBatchMax(n int) ServeOption { return server.WithBatchMax(n) }
 
 // WithServeIdleTimeout sets how long an idle session keeps its handle
 // lease before being reaped (default 2m; 0 disables reaping).
@@ -105,16 +103,6 @@ func WithShardBounds(min, max int) ServeOption { return server.WithShardBounds(m
 // T16) is under 3% CPU cost per operation. Off, snapshots revert to the
 // pre-observability JSON shape and traced frames are answered plain.
 func WithObservability(on bool) ServeOption { return server.WithObservability(on) }
-
-// WithServeNetPooling toggles the server's network memory system
-// (default on): size-classed pooled ingress buffers recycled once each
-// frame's batch pass completes, enqueue payloads copied out of the wire
-// buffer at admit time, per-session reusable reply-encode scratch, and
-// one sized socket write per coalesced reply window. Off, the server
-// reverts to the pre-overhaul cost model — a fresh buffer per frame and
-// allocating reply encoders — which exists for A/B measurement
-// (experiment T18) and as an escape hatch; correctness is identical.
-func WithServeNetPooling(on bool) ServeOption { return server.WithNetPooling(on) }
 
 // ServerObsStats is the server-wide observability block of a
 // ServerSnapshot: trace-ring occupancy plus aggregate latency summaries
