@@ -16,7 +16,7 @@
 //	benchqueue -impl sharded -shards 8  # fabric scaling (T10)
 //	benchqueue -exp obs                 # T15 observability overhead
 //	benchqueue -exp trace               # T16 stage decomposition
-//	benchqueue -exp memwall             # T17 allocation profile + elimination
+//	benchqueue -exp memwall             # T17 allocation profile
 //	benchqueue -exp netwall             # T18 network hot-path allocs/frame and B/frame
 //	benchqueue -exp all -json results   # also emit results/BENCH_<ID>.json
 //	benchqueue -exp sharded -seeds 3    # 3 fixed seeds, variance columns + manifest
@@ -55,7 +55,6 @@ func main() {
 		shards    = flag.Int("shards", 8, "largest shard count for -exp sharded / -impl sharded")
 		backend   = flag.String("backend", "core", "sharded fabric backend: core or bounded")
 		jsonDir   = flag.String("json", "", "also write each table as BENCH_<ID>.json into this directory")
-		smoke     = flag.Bool("smoke", false, "CI gate: fail -exp memwall unless the elimination fast path fired")
 		seeds     = flag.Int("seeds", 1, "run each experiment this many times with fixed seeds (42,123,456,...) and emit mean/stddev/cv variance columns plus a run manifest")
 		compare   = flag.String("compare", "", "re-run the experiment recorded in this BENCH_<ID>.json and exit 1 if any metric leaves its tolerance band")
 		tolerance = flag.Float64("tolerance", 0.15, "relative tolerance for -compare; the band per metric is tolerance + 2*cv(baseline)")
@@ -80,7 +79,6 @@ func main() {
 		shards:    *shards,
 		backend:   shard.Backend(*backend),
 		jsonDir:   *jsonDir,
-		smoke:     *smoke,
 		seeds:     *seeds,
 		tolerance: *tolerance,
 		portable:  *portable,
@@ -120,7 +118,6 @@ type runConfig struct {
 	shards    int
 	backend   shard.Backend
 	jsonDir   string
-	smoke     bool
 	seeds     int
 	tolerance float64
 	portable  bool
@@ -196,13 +193,13 @@ func runners() map[string]runner {
 		},
 		"memwall": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
 			// T17: the T10 sweep re-measured after the memory-system
-			// overhaul (block arenas, flattened tree, padding, elimination),
-			// with allocs/op, B/op, and elimination hit-rate columns. The
-			// goroutine sweep is fixed so the table lines up with
-			// BENCH_T10.json, the frozen before-measurement.
+			// overhaul (block arenas, flattened tree, padding), with
+			// allocs/op and B/op columns. The goroutine sweep is fixed so
+			// the table lines up with BENCH_T10.json, the frozen
+			// before-measurement.
 			return one(harness.ExpMemWall([]int{8, 16, 32, 64},
 				harness.ShardCountsUpTo(cfg.shards), cfg.ops,
-				harness.MemWallConfig{Backend: cfg.backend, RequirePairs: cfg.smoke, Seed: seed}))
+				harness.MemWallConfig{Backend: cfg.backend, Seed: seed}))
 		},
 		"batch": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
 			// T12: one multi-op leaf block per batch; blocks installed per

@@ -25,9 +25,7 @@ import "sync"
 // old blocks), so published blocks are immortal here exactly as in the
 // paper's GC'd-memory model. Because recycled blocks were never reachable by
 // any other process, reuse cannot cause ABA: no CAS anywhere compares
-// against a pointer to a block that was never published. (The pairing fast
-// path in internal/shard is where pointer reuse *would* be an ABA hazard;
-// there, reclamation is delegated to the Go GC — see exchange.go.)
+// against a pointer to a block that was never published.
 const (
 	slabBlocks = 64 // blocks per bump-allocator chunk
 	spareCap   = 16 // max blocks parked on a handle before spilling to the pool

@@ -13,11 +13,6 @@ type MemWallConfig struct {
 	// Backend selects the per-shard queue implementation for the fabric
 	// columns (the nr baseline column is always the unsharded core queue).
 	Backend shard.Backend
-	// RequirePairs makes ExpMemWall fail if the hand-off workload
-	// eliminated zero enqueue/dequeue pairs at the largest shard count —
-	// the CI smoke gate that keeps the elimination path from silently
-	// rotting into dead code.
-	RequirePairs bool
 	// Seed is the experiment seed; trial seeds derive from it so a run is
 	// reproducible from one number. Zero means seed 1 (the historical
 	// default).
@@ -27,8 +22,7 @@ type MemWallConfig struct {
 // ExpMemWall (T17) re-measures the T10 sharded-scaling sweep after the
 // memory-system overhaul, adding the allocation dimension: ops/s, heap
 // allocations and bytes per operation for the nr baseline and the fabric
-// across shard counts, plus the fraction of operations served by the
-// elimination fast path. T10's table (bench_results/BENCH_T10.json) is the
+// across shard counts. T10's table (bench_results/BENCH_T10.json) is the
 // frozen "before"; this experiment is the "after".
 func ExpMemWall(gs, shardCounts []int, opsPerProc int, cfg MemWallConfig) (*Table, error) {
 	seed := cfg.Seed
@@ -43,11 +37,9 @@ func ExpMemWall(gs, shardCounts []int, opsPerProc int, cfg MemWallConfig) (*Tabl
 	cols = append(cols,
 		fmt.Sprintf("k=%d allocs/op", kMax),
 		fmt.Sprintf("k=%d B/op", kMax),
-		"pair %",
-		"handoff pair %",
 		fmt.Sprintf("speedup k=%d", kMax),
 	)
-	envCols := []string{"nr Mops/s", "pair %", "handoff pair %", fmt.Sprintf("speedup k=%d", kMax)}
+	envCols := []string{"nr Mops/s", fmt.Sprintf("speedup k=%d", kMax)}
 	for _, k := range shardCounts {
 		envCols = append(envCols, fmt.Sprintf("k=%d", k))
 	}
@@ -55,14 +47,13 @@ func ExpMemWall(gs, shardCounts []int, opsPerProc int, cfg MemWallConfig) (*Tabl
 		ID:      "T17",
 		Title:   fmt.Sprintf("Memory-wall rerun of T10: throughput and allocation profile (%s backend, pairs workload)", cfg.Backend),
 		Columns: cols,
-		// Throughput, speedup, and elimination hit rates depend on the
-		// machine; the allocation profile columns stay checkable across
-		// machines (run the gate with matching GOMAXPROCS).
+		// Throughput and speedup depend on the machine; the allocation
+		// profile columns stay checkable across machines (run the gate
+		// with matching GOMAXPROCS).
 		EnvCols: envCols,
 		Notes: []string{
 			"Mops/s = completed operations per second / 1e6, best of 3 trials; allocs/op and B/op are heap-allocation deltas (runtime.MemStats) over the whole run divided by completed operations, minimum over the trials.",
-			"pair % = operations served by the enqueue/dequeue elimination path at k=" + fmt.Sprint(kMax) + " under the pairs workload; handoff pair % = the same under a 50/50 mixed workload that keeps the backlog near zero.",
-			"Before/after comparison: BENCH_T10.json rows measured the same workload before block recycling, tree flattening, false-sharing padding, and elimination.",
+			"Before/after comparison: BENCH_T10.json rows measured the same workload before block recycling, tree flattening and false-sharing padding.",
 			"speedup = fabric at the largest shard count over the single nr-queue at the same goroutine count.",
 		},
 	}
@@ -85,18 +76,11 @@ func ExpMemWall(gs, shardCounts []int, opsPerProc int, cfg MemWallConfig) (*Tabl
 			row = append(row, m.mops)
 			last = m
 		}
-		handoff, err := measureHandoffPairs(g, kMax, opsPerProc, cfg.Backend, seed)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.RequirePairs && handoff.pairPct == 0 {
-			return nil, fmt.Errorf("memwall: elimination never fired at g=%d k=%d under the hand-off workload", g, kMax)
-		}
 		speedup := 0.0
 		if base.mops > 0 {
 			speedup = last.mops / base.mops
 		}
-		row = append(row, last.allocsPerOp, last.bytesPerOp, last.pairPct, handoff.pairPct, speedup)
+		row = append(row, last.allocsPerOp, last.bytesPerOp, speedup)
 		t.AddRow(row...)
 	}
 	return t, nil
@@ -107,7 +91,6 @@ type allocMeasurement struct {
 	mops        float64 // best-of-trials throughput, millions of ops/s
 	allocsPerOp float64 // min-of-trials heap allocations per operation
 	bytesPerOp  float64 // min-of-trials heap bytes per operation
-	pairPct     float64 // eliminated operations as % of all, best-throughput trial
 }
 
 // measureAlloc runs the pairs workload three times on fresh queues and
@@ -138,7 +121,6 @@ func measureAlloc(mk func() (queues.Queue, error), procs, opsPerProc int, seed i
 		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / ops
 		if tp := res.ThroughputOps(); tp > out.mops*1e6 {
 			out.mops = tp / 1e6
-			out.pairPct = pairPercent(q, res.Summary.Ops)
 		}
 		if out.allocsPerOp < 0 || allocs < out.allocsPerOp {
 			out.allocsPerOp = allocs
@@ -148,38 +130,4 @@ func measureAlloc(mk func() (queues.Queue, error), procs, opsPerProc int, seed i
 		}
 	}
 	return out, nil
-}
-
-// measureHandoffPairs runs the 50/50 mixed workload — random enqueue or
-// dequeue per step, backlog a random walk around zero — which is the regime
-// the elimination path targets: dequeuers keep probing an empty fabric
-// while enqueuers keep finding an empty home shard.
-func measureHandoffPairs(procs, k, opsPerProc int, backend shard.Backend, seed int64) (allocMeasurement, error) {
-	var out allocMeasurement
-	q, err := queues.NewSharded(procs, k, backend)
-	if err != nil {
-		return out, err
-	}
-	res, err := RunMixed(q, procs, opsPerProc, 0.5, seed)
-	if err != nil {
-		return out, err
-	}
-	out.mops = res.ThroughputOps() / 1e6
-	out.pairPct = pairPercent(q, res.Summary.Ops)
-	return out, nil
-}
-
-// pairPercent reads the fabric's eliminated-pair tally (live atomics, no
-// fold needed) and converts it to a percentage of completed operations;
-// each pair accounts for two operations. Non-fabric queues report 0.
-func pairPercent(q queues.Queue, ops int64) float64 {
-	u, ok := q.(interface{ Unwrap() *shard.Queue[int64] })
-	if !ok || ops == 0 {
-		return 0
-	}
-	var pairs int64
-	for _, s := range u.Unwrap().ShardStats() {
-		pairs += s.Pairs
-	}
-	return 100 * float64(2*pairs) / float64(ops)
 }

@@ -14,17 +14,21 @@ import (
 	"repro/internal/lincheck"
 	"repro/internal/metrics"
 	"repro/internal/queues"
+	"repro/internal/shard"
 )
 
 // TestRealQueuesPassLinearizabilityCheck records concurrent histories from
 // every queue implementation and runs the bad-pattern checker: the paper's
-// queue (both variants) and all baselines must produce violation-free
-// histories.
+// queue (both variants), the single-shard fabric over each (where the
+// cross-shard relaxation vanishes) and all baselines must produce
+// violation-free histories.
 func TestRealQueuesPassLinearizabilityCheck(t *testing.T) {
 	factories := []queues.Factory{
 		{Name: "nr-queue", New: queues.NewNR},
 		{Name: "nr-bounded", New: queues.NewBounded},
 		{Name: "nr-bounded-g3", New: func(p int) (queues.Queue, error) { return queues.NewBoundedGC(p, 3) }},
+		{Name: "sharded-1(core)", New: func(p int) (queues.Queue, error) { return queues.NewSharded(p, 1, shard.BackendCore) }},
+		{Name: "sharded-1(bounded)", New: func(p int) (queues.Queue, error) { return queues.NewSharded(p, 1, shard.BackendBounded) }},
 		{Name: "ms-queue", New: func(p int) (queues.Queue, error) { return msqueue.New(p) }},
 		{Name: "faa-seg", New: func(p int) (queues.Queue, error) { return faaqueue.New(p) }},
 		{Name: "kp-queue", New: func(p int) (queues.Queue, error) { return kpqueue.New(p) }},

@@ -26,14 +26,8 @@ var _ Queue = (*shardedQueue)(nil)
 
 // NewSharded wraps a sharded fabric of the given shard count and backend
 // with exactly procs leasable handles, all pre-leased for harness use.
-// Extra fabric options (e.g. shard.WithPairing(false)) are appended after
-// the adapter's own.
-func NewSharded(procs, shards int, backend shard.Backend, opts ...shard.Option) (Queue, error) {
-	q, err := shard.New[int64](shards,
-		append([]shard.Option{
-			shard.WithBackend(backend),
-			shard.WithMaxHandles(procs),
-		}, opts...)...)
+func NewSharded(procs, shards int, backend shard.Backend) (Queue, error) {
+	q, err := shard.New[int64](shards, shard.WithBackend(backend), shard.WithMaxHandles(procs))
 	if err != nil {
 		return nil, err
 	}
@@ -142,11 +136,7 @@ func NewShardedResizing(procs int, schedule []int, every int64, backend shard.Ba
 	if len(schedule) == 0 || every < 1 {
 		return nil, fmt.Errorf("sharded: resize schedule must be nonempty with every >= 1")
 	}
-	// Elimination pairs linearize at the hand-off, which is sound for the
-	// fabric's relaxed cross-shard order but not for the strict sequential
-	// FIFO this adapter certifies against (a racing enqueue can reach a
-	// root between the emptiness check and the hand-off), so it is off here.
-	q, err := NewSharded(procs, 1, backend, shard.WithPairing(false))
+	q, err := NewSharded(procs, 1, backend)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 package shard
 
 // Batch-path tests for the fabric: home-shard routing of whole batches,
-// d-random-choice refill across shards, certified-empty semantics, and
+// two-random-choice refill across shards, certified-empty semantics, and
 // conservation under concurrent lease churn.
 
 import (

@@ -7,7 +7,9 @@ import "repro/internal/metrics"
 // topology once and works against that snapshot, deriving (and caching)
 // one sub-handle per shard of the epoch. Enqueues are routed to the
 // handle's home shard (preserving per-producer order even across Resize —
-// see syncHome), dequeues roam the fabric via d-random-choice.
+// see syncHome), dequeues roam the fabric via two-random-choice. There is
+// one path per direction, EnqueueBatch and DequeueBatchAppend; single ops
+// are the n=1 case, as a single op is the m=1 block in the tree below.
 //
 // The epoch cache pins the topology of the handle's last operation — for
 // a handle that sits idle across a shrink, that includes the retired
@@ -29,12 +31,10 @@ type Handle[T any] struct {
 	enq      int64 // home-shard enqueue tally
 	lastHome int   // home shard of the last enqueue path, for re-home detection
 
-	// Elimination backoff (exchange.go): a park is attempted only every
-	// pairEvery-th eligible enqueue; pairEvery doubles up to pairEveryMax
-	// when a park goes unmatched and resets to 1 on a hit, so workloads
-	// where elimination never pays stop paying for it almost entirely.
-	pairTick  uint32
-	pairEvery uint32
+	// one is the batch of one that Enqueue and Dequeue hand to the batch
+	// path: it lives in the handle so a single op allocates no slice, and
+	// is zeroed after each use so the handle never retains a value.
+	one [1]T
 
 	counters   []*metrics.Counter // per-shard, only with WithShardMetrics
 	counter    *metrics.Counter   // user-set aggregate counter (SetCounter), applied across refreshes
@@ -151,8 +151,8 @@ func (h *Handle[T]) fold() {
 // the topology's migration drains complete, so the handle's residual
 // elements reach the new home shard before the element about to be
 // enqueued. This wait is the enqueue path's only blocking point (the
-// other is Dequeue's empty-certification wait), it arises only on the
-// first enqueue after a re-homing, and the Resize that owns the drain
+// other is the dequeue path's empty-certification wait), it arises only on
+// the first enqueue after a re-homing, and the Resize that owns the drain
 // never waits on new-epoch operations, so it cannot deadlock.
 //
 // ok == false means the observed home change was written by a resize
@@ -176,51 +176,14 @@ func (h *Handle[T]) syncHome(t *topology[T]) (home int, ok bool) {
 	return home, true
 }
 
-// Enqueue appends v to the handle's home shard. It returns ErrClosed once
-// the fabric is closed; an enqueue that began before Close completed may
-// still be admitted.
+// Enqueue appends v to the handle's home shard: EnqueueBatch of one. It
+// returns ErrClosed once the fabric is closed; an enqueue that began before
+// Close completed may still be admitted.
 func (h *Handle[T]) Enqueue(v T) error {
-	h.check()
-	if h.q.closed.Load() {
-		return ErrClosed
-	}
-	for {
-		t := h.enter()
-		j, ok := h.syncHome(t)
-		if !ok {
-			h.exit() // re-homed by a newer epoch: restart against it
-			continue
-		}
-		// Elimination fast path: with the home shard empty, every prior
-		// element of this producer is already consumed, so handing v
-		// straight to a concurrent dequeuer preserves per-producer FIFO
-		// (exchange.go). The emptiness check is part of the correctness
-		// gate, not a heuristic, so it sits inside the backoff window.
-		if h.q.cfg.pairing && len(t.shards) >= 2 {
-			h.pairTick++
-			if h.pairTick >= h.pairEvery {
-				h.pairTick = 0
-				if t.shards[j].len() == 0 && h.tryPair(t, j, v) {
-					h.pairEvery = 1
-					h.enq++ // the taker tallies the matching dequeue
-					// No bitmap set: the element never reached the tree.
-					h.exit()
-					return nil
-				}
-				if h.pairEvery < pairEveryMax {
-					h.pairEvery *= 2
-				}
-			}
-		}
-		h.sub[j].Enqueue(v)
-		h.enq++
-		// The element is at the root before Enqueue returns (propagation
-		// completes first), so setting the bit here serializes after a root
-		// state that a concurrent clear-then-recheck in dequeueFrom will see.
-		t.bitmap.set(j)
-		h.exit()
-		return nil
-	}
+	h.one[0] = v
+	err := h.EnqueueBatch(h.one[:])
+	h.one = [1]T{}
+	return err
 }
 
 // EnqueueBatch appends all of vs to the handle's home shard as one multi-op
@@ -229,7 +192,7 @@ func (h *Handle[T]) Enqueue(v T) error {
 // batch's elements stay contiguous in that shard's FIFO order — per-producer
 // order is preserved exactly as for single enqueues. It returns ErrClosed
 // once the fabric is closed (the batch is then not enqueued at all; batches
-// are all-or-nothing).
+// are all-or-nothing). vs is copied; the caller keeps ownership.
 func (h *Handle[T]) EnqueueBatch(vs []T) error {
 	h.check()
 	if len(vs) == 0 {
@@ -247,112 +210,51 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 		}
 		h.sub[j].EnqueueBatch(vs)
 		h.enq += int64(len(vs))
-		// As for Enqueue: the elements are at the shard's root before the bit
-		// is set, so clear-then-recheck in dequeueFrom cannot strand them.
+		// The elements are at the shard's root before EnqueueBatch returns
+		// (propagation completes first), so setting the bit here serializes
+		// after a root state that a concurrent clear-then-recheck in
+		// batchFrom will see.
 		t.bitmap.set(j)
 		h.exit()
 		return nil
 	}
 }
 
-// Dequeue removes an element from some nonempty shard: it samples up to d
-// shards from the nonempty bitmap, takes the fullest, and falls back to a
-// deterministic sweep of all shards before reporting ok == false. The
-// returned element is the head of its shard, so FIFO order holds per shard
-// (and per producer) but not across shards.
-//
-// ok == false is a true emptiness verdict even across a Resize: if a
-// shrink migration is still draining retired shards when the sweep comes
-// up empty, Dequeue waits for the drain to complete (elements in flight
-// are owed to the survivors) and sweeps again. That wait — bounded by the
-// retired backlog, outside the epoch-publication window — is the dequeue
-// path's only blocking point (the enqueue path's is syncHome's re-home
-// barrier) and arises only mid-shrink on an otherwise empty fabric.
+// Dequeue removes an element from some nonempty shard: DequeueBatchAppend
+// of one. The returned element is the head of its shard, so FIFO order
+// holds per shard (and per producer) but not across shards; ok == false is
+// the emptiness verdict of a short batch.
 func (h *Handle[T]) Dequeue() (T, bool) {
-	h.check()
-	for {
-		t := h.enter()
-		// Sample the migration state BEFORE sweeping: a drain that
-		// completes mid-sweep may land its elements in survivor shards the
-		// sweep has already passed, so only a sweep that started with no
-		// migration pending may certify emptiness.
-		migrating := t.retired.Load() != nil
-		v, ok := h.dequeueSweep(t)
-		h.exit()
-		if ok || !migrating {
-			return v, ok
-		}
-		<-t.migrationsDone
-	}
-}
-
-// dequeueSweep runs Dequeue's three phases against one topology snapshot.
-func (h *Handle[T]) dequeueSweep(t *topology[T]) (T, bool) {
-	home := h.q.effHome(h.slot, t)
-	// Parked hand-offs first: a parker is spinning right now waiting for
-	// exactly this probe, so claiming one is both the cheapest dequeue the
-	// fabric has and the only way the parker's fast path succeeds.
-	if h.q.cfg.pairing && len(t.shards) >= 2 {
-		if v, ok := h.takeParked(t, home); ok {
-			return v, true
-		}
-	}
-	// Locality fast path: the home shard first. Producers-turned-consumers
-	// (and symmetric workloads like pairs) find their own elements there
-	// without touching other shards' cache lines.
-	if t.bitmap.isSet(home) {
-		if v, ok := h.dequeueFrom(t, home); ok {
-			return v, true
-		}
-	}
-	// Guided attempts: d-random-choice over the nonempty bitmap.
-	for attempt := 0; attempt < 2; attempt++ {
-		j := h.pickShard(t)
-		if j < 0 {
-			break
-		}
-		if v, ok := h.dequeueFrom(t, j); ok {
-			return v, true
-		}
-	}
-	// Certification sweep: every shard, starting at home so concurrent
-	// dequeuers spread out. Each sub-dequeue is wait-free, so the whole
-	// operation is wait-free with at most k extra sub-operations.
-	for i := 0; i < len(t.shards); i++ {
-		j := home + i
-		if j >= len(t.shards) {
-			j -= len(t.shards)
-		}
-		if v, ok := h.dequeueFrom(t, j); ok {
-			return v, true
-		}
-	}
-	var zero T
-	return zero, false
+	_, got := h.DequeueBatchAppend(h.one[:0], 1)
+	v := h.one[0]
+	h.one = [1]T{}
+	return v, got == 1
 }
 
 // DequeueBatch removes up to n elements from the fabric, returning them
-// with their count (len of the result). It first drains the home shard
-// (locality fast path), then refills via d-random-choice over the nonempty
-// bitmap, and finally certifies emptiness with a deterministic sweep of all
-// shards — the same three phases as Dequeue, but each phase issues one
-// multi-op sub-dequeue for everything still missing instead of one
-// sub-operation per element. Values pulled from the same shard are
-// contiguous and FIFO-ordered; values of different shards may interleave in
-// any order, exactly as for single dequeues. A count below n certifies that
-// every shard was observed empty after the batch's last successful pull —
-// like Dequeue, the certification waits out any in-flight shrink migration
-// rather than overlooking elements still being drained.
+// with their count (len of the result); see DequeueBatchAppend.
 func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 	return h.DequeueBatchAppend(nil, n)
 }
 
-// DequeueBatchAppend is DequeueBatch appending into dst: up to n dequeued
-// elements are appended and the (possibly grown) slice is returned with
-// the count actually pulled. Callers that dequeue in a loop (the server's
-// reply path) reuse one scratch slice across calls instead of paying a
-// fresh result allocation per batch. The appended elements are the
-// caller's; certification semantics match DequeueBatch exactly.
+// DequeueBatchAppend appends up to n dequeued elements to dst and returns
+// the (possibly grown) slice with the count actually pulled; callers that
+// dequeue in a loop (the server's reply path) reuse one scratch slice
+// across calls. It first drains the home shard (locality fast path), then
+// refills by two-random-choice over the nonempty bitmap, and finally
+// certifies emptiness with a deterministic sweep of all shards, each phase
+// issuing one multi-op sub-dequeue for everything still missing. Values
+// pulled from the same shard are contiguous and FIFO-ordered; values of
+// different shards may interleave in any order.
+//
+// A count below n is a true emptiness verdict — every shard was observed
+// empty after the batch's last successful pull — even across a Resize: if a
+// shrink migration is still draining retired shards when the sweep comes up
+// short, the call waits for the drain to complete (elements in flight are
+// owed to the survivors) and sweeps again. That wait — bounded by the
+// retired backlog, outside the epoch-publication window — is the dequeue
+// path's only blocking point (the enqueue path's is syncHome's re-home
+// barrier) and arises only mid-shrink on an otherwise drained fabric.
 func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	h.check()
 	if n <= 0 {
@@ -363,7 +265,11 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	out := dst
 	for {
 		t := h.enter()
-		migrating := t.retired.Load() != nil // sampled pre-sweep, as in Dequeue
+		// Sample the migration state BEFORE sweeping: a drain that
+		// completes mid-sweep may land its elements in survivor shards the
+		// sweep has already passed, so only a sweep that started with no
+		// migration pending may certify emptiness.
+		migrating := t.retired.Load() != nil
 		out = h.batchSweep(t, target, out)
 		h.exit()
 		if len(out) >= target || !migrating {
@@ -373,13 +279,17 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	}
 }
 
-// batchSweep runs DequeueBatch's three phases against one topology
+// batchSweep runs DequeueBatchAppend's three phases against one topology
 // snapshot, appending to out until len(out) reaches the absolute target n.
 func (h *Handle[T]) batchSweep(t *topology[T], n int, out []T) []T {
 	home := h.q.effHome(h.slot, t)
+	// Locality fast path: the home shard first. Producers-turned-consumers
+	// (and symmetric workloads like pairs) find their own elements there
+	// without touching other shards' cache lines.
 	if t.bitmap.isSet(home) {
 		out = h.batchFrom(t, home, n, out)
 	}
+	// Guided attempts: two-random-choice over the nonempty bitmap.
 	for attempt := 0; attempt < 2 && len(out) < n; attempt++ {
 		j := h.pickShard(t)
 		if j < 0 {
@@ -387,6 +297,9 @@ func (h *Handle[T]) batchSweep(t *topology[T], n int, out []T) []T {
 		}
 		out = h.batchFrom(t, j, n, out)
 	}
+	// Certification sweep: every shard, starting at home so concurrent
+	// dequeuers spread out. Each sub-dequeue is wait-free, so the whole
+	// operation is wait-free with at most k extra sub-operations.
 	for i := 0; i < len(t.shards) && len(out) < n; i++ {
 		j := home + i
 		if j >= len(t.shards) {
@@ -399,27 +312,17 @@ func (h *Handle[T]) batchSweep(t *topology[T], n int, out []T) []T {
 
 // batchFrom issues one multi-op sub-dequeue on shard j for everything out
 // still lacks, appending the values and maintaining the nonempty bitmap.
-// The bitmap update is batch-aware: a shard that filled the whole request
-// may well have more elements, so only a short pull (the shard certified
-// empty mid-batch) triggers the clear-then-recheck.
+// A shard that filled the whole request may well have more elements, so
+// only a short pull (the shard certified empty mid-batch) clears the bit —
+// and then re-sets it if elements raced in between the pull and the clear:
+// an enqueue reaches the root before its bitmap set (see EnqueueBatch), so
+// either this len read sees it, or the enqueuer's own set lands after the
+// clear.
 func (h *Handle[T]) batchFrom(t *topology[T], j, n int, out []T) []T {
 	want := n - len(out)
 	out, got := h.sub[j].DequeueBatchAppend(out, want)
-	if got > 0 {
-		h.deqs[j] += int64(got)
-	}
+	h.deqs[j] += int64(got)
 	if got < want {
-		// Top up from parked hand-offs before certifying the shard empty;
-		// takeParked tallies each claim itself.
-		if h.q.cfg.pairing && len(t.shards) >= 2 {
-			for len(out) < n {
-				v, ok := h.takeParked(t, j)
-				if !ok {
-					break
-				}
-				out = append(out, v)
-			}
-		}
 		t.bitmap.clear(j)
 		if t.shards[j].len() > 0 {
 			t.bitmap.set(j)
@@ -428,13 +331,17 @@ func (h *Handle[T]) batchFrom(t *topology[T], j, n int, out []T) []T {
 	return out
 }
 
-// pickShard samples up to d set bits from the nonempty bitmap and returns
-// the candidate with the largest backlog estimate, or -1 when no bit was
-// observed set.
+// pickChoices is d, the number of nonempty shards a guided attempt
+// samples before committing to the fullest.
+const pickChoices = 2
+
+// pickShard samples up to pickChoices set bits from the nonempty bitmap
+// and returns the candidate with the largest backlog estimate, or -1 when
+// no bit was observed set.
 func (h *Handle[T]) pickShard(t *topology[T]) int {
 	best := -1
 	var bestSize int64 = -1
-	for i := 0; i < h.q.cfg.choices; i++ {
+	for i := 0; i < pickChoices; i++ {
 		j := t.bitmap.randomSet(&h.rng)
 		if j < 0 {
 			break
@@ -444,32 +351,6 @@ func (h *Handle[T]) pickShard(t *topology[T]) int {
 		}
 	}
 	return best
-}
-
-// dequeueFrom attempts one sub-dequeue on shard j, maintaining the size
-// estimate and the nonempty bitmap.
-func (h *Handle[T]) dequeueFrom(t *topology[T], j int) (T, bool) {
-	if v, ok := h.sub[j].Dequeue(); ok {
-		h.deqs[j]++
-		return v, true
-	}
-	// The tree is empty, but an enqueuer may be parked at the exchange
-	// slots — exactly the regime elimination targets.
-	if h.q.cfg.pairing && len(t.shards) >= 2 {
-		if v, ok := h.takeParked(t, j); ok {
-			return v, true
-		}
-	}
-	// Observed empty: clear the bit, then re-set it if elements raced in
-	// between the failed dequeue and the clear (an enqueue reaches the
-	// root before its bitmap set — see Enqueue — so either this len read
-	// sees it, or the enqueuer's own set lands after the clear).
-	t.bitmap.clear(j)
-	if t.shards[j].len() > 0 {
-		t.bitmap.set(j)
-	}
-	var zero T
-	return zero, false
 }
 
 // Drain dequeues until the fabric certifies empty, calling fn for each

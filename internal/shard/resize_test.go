@@ -214,118 +214,160 @@ func TestResizeRehomeFIFO(t *testing.T) {
 	cons.Release()
 }
 
-// TestResizeChurnConservation runs producers and consumers through 100
-// concurrent resizes over a pseudo-random shard schedule and asserts exact
-// conservation: every enqueued value is dequeued exactly once, nothing is
-// lost in a migration and nothing is duplicated. Run with -race.
+// TestResizeChurnConservation runs producers and consumers through
+// concurrent resizes and asserts exact conservation: every enqueued value
+// is dequeued exactly once, nothing is lost in a migration and nothing is
+// duplicated, and once the leases are released the folded per-shard
+// tallies balance. Run with -race.
 func TestResizeChurnConservation(t *testing.T) {
-	const (
-		producers = 4
-		consumers = 4
-		perProd   = 5000
-		resizes   = 100
-	)
-	q, err := New[int](3, WithMaxHandles(producers+consumers+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		wg       sync.WaitGroup
-		consumed sync.Map
-		got      atomic.Int64
-		dups     atomic.Int64
-	)
-	for p := 0; p < producers; p++ {
-		h, err := q.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(p int, h *Handle[int]) {
-			defer wg.Done()
-			defer h.Release()
-			for s := 0; s < perProd; s++ {
-				if s%7 == 3 { // mix batch and single enqueues
-					end := min(s+3, perProd)
-					vs := make([]int, 0, end-s)
-					for ; s < end; s++ {
-						vs = append(vs, p*1_000_000+s)
-					}
-					s--
-					if err := h.EnqueueBatch(vs); err != nil {
-						t.Errorf("EnqueueBatch: %v", err)
-						return
-					}
-					continue
-				}
-				if err := h.Enqueue(p*1_000_000 + s); err != nil {
-					t.Errorf("Enqueue: %v", err)
-					return
-				}
+	for _, row := range []struct {
+		name                          string
+		k0                            int
+		producers, consumers, perProd int
+		// batches mixes EnqueueBatch(3) into the producers and has the
+		// consumers pull DequeueBatch(4); otherwise every op is a single.
+		batches bool
+		// schedule is cycled; resizes == 0 means keep resizing until the
+		// consumers have drained everything, so the number of epoch swaps
+		// under the workload adapts to machine speed.
+		schedule []int
+		resizes  int
+	}{
+		{name: "batches-random-k", k0: 3, producers: 4, consumers: 4, perProd: 5000, batches: true, schedule: randomShardCounts(7, 100, 8), resizes: 100},
+		{name: "singles-grow-shrink-cycle", k0: 2, producers: 2, consumers: 2, perProd: 4000, schedule: []int{4, 1, 2}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			total := int64(row.producers * row.perProd)
+			q, err := New[int](row.k0, WithMaxHandles(row.producers+row.consumers+1))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(p, h)
-	}
-	record := func(v int) {
-		if _, dup := consumed.LoadOrStore(v, true); dup {
-			dups.Add(1)
-		}
-		got.Add(1)
-	}
-	done := make(chan struct{})
-	for c := 0; c < consumers; c++ {
-		h, err := q.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(h *Handle[int]) {
-			defer wg.Done()
-			defer h.Release()
-			for {
-				vs, n := h.DequeueBatch(4)
-				for _, v := range vs {
-					record(v)
+			var (
+				wg       sync.WaitGroup
+				consumed sync.Map
+				got      atomic.Int64
+				dups     atomic.Int64
+			)
+			for p := 0; p < row.producers; p++ {
+				h, err := q.Acquire()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if n == 0 {
-					select {
-					case <-done:
-						return
-					default:
+				wg.Add(1)
+				go func(p int, h *Handle[int]) {
+					defer wg.Done()
+					defer h.Release()
+					for s := 0; s < row.perProd; s++ {
+						if row.batches && s%7 == 3 {
+							end := min(s+3, row.perProd)
+							vs := make([]int, 0, end-s)
+							for ; s < end; s++ {
+								vs = append(vs, p*1_000_000+s)
+							}
+							s--
+							if err := h.EnqueueBatch(vs); err != nil {
+								t.Errorf("EnqueueBatch: %v", err)
+								return
+							}
+							continue
+						}
+						if err := h.Enqueue(p*1_000_000 + s); err != nil {
+							t.Errorf("Enqueue: %v", err)
+							return
+						}
 					}
-				}
+				}(p, h)
 			}
-		}(h)
-	}
+			record := func(v int) {
+				if _, dup := consumed.LoadOrStore(v, true); dup {
+					dups.Add(1)
+				}
+				got.Add(1)
+			}
+			done := make(chan struct{})
+			for c := 0; c < row.consumers; c++ {
+				h, err := q.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func(h *Handle[int]) {
+					defer wg.Done()
+					defer h.Release()
+					for {
+						n := 0
+						if row.batches {
+							var vs []int
+							vs, n = h.DequeueBatch(4)
+							for _, v := range vs {
+								record(v)
+							}
+						} else if v, ok := h.Dequeue(); ok {
+							record(v)
+							n = 1
+						}
+						if n == 0 {
+							select {
+							case <-done:
+								return
+							default:
+							}
+						}
+					}
+				}(h)
+			}
 
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < resizes; i++ {
-		if err := q.Resize(1 + rng.Intn(8)); err != nil {
-			t.Fatalf("resize %d: %v", i, err)
-		}
+			deadline := time.Now().Add(30 * time.Second)
+			settled := func() bool {
+				return got.Load() >= total || dups.Load() != 0 || time.Now().After(deadline)
+			}
+			for i := 0; i < row.resizes || (row.resizes == 0 && !settled()); i++ {
+				if err := q.Resize(row.schedule[i%len(row.schedule)]); err != nil {
+					t.Fatalf("resize %d: %v", i, err)
+				}
+			}
+			// Let consumers finish accounting for everything the producers put in.
+			for !settled() {
+				time.Sleep(time.Millisecond)
+			}
+			close(done)
+			wg.Wait()
+			if d := dups.Load(); d != 0 {
+				t.Fatalf("%d values dequeued more than once", d)
+			}
+			if g := got.Load(); g != total {
+				t.Fatalf("consumed %d values, want %d (lost %d)", g, total, total-g)
+			}
+			if q.Len() != 0 {
+				t.Fatalf("Len = %d after full consumption", q.Len())
+			}
+			// The folded tallies count migrations too (a value drained out
+			// of a retiring shard tallies a dequeue there and an enqueue on
+			// its destination), so both sides read total+migrations — but
+			// they must read the SAME number.
+			var enqs, deqs int64
+			for _, s := range q.ShardStats() {
+				enqs += s.Enqueues
+				deqs += s.Dequeues
+			}
+			if enqs != deqs || enqs < total {
+				t.Fatalf("tally imbalance: enqueues %d, dequeues %d, workload %d", enqs, deqs, total)
+			}
+			if rs := q.ResizeStats(); row.resizes > 0 && rs.Epoch < uint64(row.resizes/2) { // some schedule entries repeat the current k
+				t.Errorf("epoch %d suspiciously low after %d resize calls", rs.Epoch, row.resizes)
+			}
+		})
 	}
-	// Let consumers finish accounting for everything the producers put in.
-	deadline := time.Now().Add(30 * time.Second)
-	for got.Load() < producers*perProd && dups.Load() == 0 {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+}
+
+// randomShardCounts returns n seeded shard counts in [1, maxK].
+func randomShardCounts(seed int64, n, maxK int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	ks := make([]int, n)
+	for i := range ks {
+		ks[i] = 1 + rng.Intn(maxK)
 	}
-	close(done)
-	wg.Wait()
-	if d := dups.Load(); d != 0 {
-		t.Fatalf("%d values dequeued more than once across %d resizes", d, resizes)
-	}
-	if g := got.Load(); g != producers*perProd {
-		t.Fatalf("consumed %d values, want %d (lost %d)", g, producers*perProd, producers*perProd-g)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after full consumption", q.Len())
-	}
-	rs := q.ResizeStats()
-	if rs.Epoch < resizes/2 { // some schedule entries repeat the current k
-		t.Errorf("epoch %d suspiciously low after %d resize calls", rs.Epoch, resizes)
-	}
+	return ks
 }
 
 // TestResizeSetCounterNilSurvivesRefresh: a lease's explicit

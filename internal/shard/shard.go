@@ -11,20 +11,18 @@
 // Because every handle routes all of its enqueues to a single home shard,
 // per-producer order is still preserved for the lifetime of a lease.
 //
-// When the fabric has k >= 2 shards, an enqueue whose home shard is empty
-// may additionally be *eliminated*: handed directly to a concurrent
-// dequeuer through a per-shard exchange slot without touching the ordering
-// tree at all (see exchange.go). The pair linearizes at the hand-off, which
-// is legal under exactly the relaxed cross-shard order above and never
-// reorders one producer's elements; WithPairing(false) restores strict
-// tree-only routing.
+// Every operation reaches a shard the way the paper's queue applies one:
+// as a block appended to a leaf and propagated to the root. A block carries
+// a set of operations, so the fabric has one path per direction —
+// EnqueueBatch and DequeueBatchAppend — and single ops are the n=1 case.
 //
-// Dequeues use d-random-choice guided by a lock-free nonempty-shard bitmap:
-// a dequeuer samples up to d set bits, takes the candidate with the largest
-// estimated backlog, and falls back to a deterministic full sweep before
-// reporting the fabric empty. Every sub-operation is wait-free and the sweep
-// is bounded by k, so fabric operations are wait-free with O(d + k)
-// sub-operations in the worst case and O(1) in the common case.
+// Dequeues use two-random-choice guided by a lock-free nonempty-shard
+// bitmap: a dequeuer tries its home shard, then samples up to two set bits
+// and takes the candidate with the larger estimated backlog, and falls back
+// to a deterministic full sweep before reporting the fabric empty. Every
+// sub-operation is wait-free and the sweep is bounded by k, so fabric
+// operations are wait-free with O(k) sub-operations in the worst case and
+// O(1) in the common case.
 //
 // Unlike the paper's model — a fixed set of p processes, each statically
 // bound to handle i — the fabric leases its fixed handle slots to arbitrary
@@ -83,7 +81,6 @@ const (
 var (
 	ErrBadShards     = errors.New("shard: shard count must be at least 1")
 	ErrBadHandles    = errors.New("shard: max handle count must be at least 1")
-	ErrBadChoices    = errors.New("shard: dequeue choice count must be at least 1")
 	ErrBadBackend    = errors.New("shard: unknown backend")
 	ErrNoFreeHandles = errors.New("shard: all handle slots are leased")
 	ErrClosed        = errors.New("shard: queue is closed")
@@ -92,12 +89,10 @@ var (
 // subHandle is the per-shard handle surface the fabric needs; both
 // core.Handle and bounded.Handle satisfy it. The batch methods install one
 // multi-op leaf block per call, which is what lets the fabric route a whole
-// client batch through a single O(log p) propagation pass.
+// client batch through a single O(log p) propagation pass; a batch of one
+// stores its element inline and is the same tree work as a single op.
 type subHandle[T any] interface {
-	Enqueue(v T)
 	EnqueueBatch(vs []T)
-	Dequeue() (T, bool)
-	DequeueBatch(n int) ([]T, int)
 	DequeueBatchAppend(dst []T, n int) ([]T, int)
 	SetCounter(c *metrics.Counter)
 }
@@ -139,16 +134,10 @@ type shardState[T any] struct {
 	// folds from handles that collected tallies against a retired shard
 	// follow the chain, so lifetime totals survive any resize schedule.
 	mergedInto atomic.Pointer[shardState[T]]
-	// pairs counts enqueue/dequeue pairs eliminated at this shard's
-	// exchange slots without touching the ordering tree.
-	pairs atomic.Int64
 	// Pad to a multiple of the cache line so neighbouring shards' tallies
 	// never false-share: cross-shard independence is the whole point of
 	// the fabric.
-	_ [128 - (16+8+8*2+8+8)%128]byte
-	// exch is the shard's elimination slot array; each slot is itself
-	// cache-line padded (exchange.go), so it rides after the pad.
-	exch [pairSlots]pairSlot[T]
+	_ [128 - (16+8+8*2+8)%128]byte
 }
 
 // len returns the shard's backlog as of its queue's last root propagation.
@@ -176,10 +165,8 @@ type config struct {
 	backend       Backend
 	maxHandles    int
 	maxHandlesSet bool
-	choices       int
 	gcInterval    int64
 	perShard      bool
-	pairing       bool
 }
 
 // WithBackend selects the per-shard queue implementation (default
@@ -194,12 +181,6 @@ func WithMaxHandles(n int) Option {
 	return func(c *config) { c.maxHandles, c.maxHandlesSet = n, true }
 }
 
-// WithDequeueChoices sets d, the number of nonempty shards a dequeue samples
-// before committing to the fullest (default 2).
-func WithDequeueChoices(d int) Option {
-	return func(c *config) { c.choices = d }
-}
-
 // WithGCInterval forwards a garbage-collection interval to BackendBounded
 // shards; it is ignored by BackendCore.
 func WithGCInterval(g int64) Option {
@@ -212,17 +193,6 @@ func WithGCInterval(g int64) Option {
 // shard. Handle.SetCounter overrides this for a given lease.
 func WithShardMetrics() Option {
 	return func(c *config) { c.perShard = true }
-}
-
-// WithPairing enables or disables the enqueue/dequeue elimination fast path
-// (exchange.go); it defaults to enabled. Elimination linearizes a matched
-// pair at the hand-off instant, which respects per-producer FIFO and the
-// fabric's documented relaxed cross-shard order, but not a strict global
-// FIFO over all shards — callers that certify the fabric against a strict
-// sequential queue model (or need exact cross-producer order at k >= 2)
-// should disable it. With k = 1 pairing never engages regardless.
-func WithPairing(enabled bool) Option {
-	return func(c *config) { c.pairing = enabled }
 }
 
 // Queue is a sharded queue fabric. It is safe for concurrent use; operate on
@@ -264,11 +234,7 @@ type Queue[T any] struct {
 // New creates a fabric of shards independent queues. Each of the
 // cfg.maxHandles handle slots owns one sub-handle in every shard.
 func New[T any](shards int, opts ...Option) (*Queue[T], error) {
-	cfg := config{
-		backend: BackendCore,
-		choices: 2,
-		pairing: true,
-	}
+	cfg := config{backend: BackendCore}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -283,9 +249,6 @@ func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 	}
 	if cfg.maxHandles < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadHandles, cfg.maxHandles)
-	}
-	if cfg.choices < 1 {
-		return nil, fmt.Errorf("%w (got %d)", ErrBadChoices, cfg.choices)
 	}
 	q := &Queue[T]{
 		cfg:        cfg,
@@ -376,11 +339,10 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 		}
 	}
 	h := &Handle[T]{
-		q:         q,
-		slot:      slot,
-		rng:       rngSeed(slot),
-		lastHome:  home,
-		pairEvery: 1,
+		q:        q,
+		slot:     slot,
+		rng:      rngSeed(slot),
+		lastHome: home,
 	}
 	h.refresh(t)
 	return h, nil
@@ -429,7 +391,7 @@ type ShardStat struct {
 	Len      int   `json:"len"`      // backlog as of the shard's last root propagation
 	Enqueues int64 `json:"enqueues"` // completed enqueues routed to this shard (migrations included)
 	Dequeues int64 `json:"dequeues"` // successful dequeues served by this shard (migrations included)
-	Pairs    int64 `json:"pairs"`    // enqueue/dequeue pairs eliminated at the exchange slots
+	Pairs    int64 `json:"pairs"`    // always 0: elimination is gone, bench/ still decodes the field
 }
 
 // ShardStats returns per-shard routing statistics, one entry per current
@@ -448,7 +410,6 @@ func (q *Queue[T]) ShardStats() []ShardStat {
 			Len:      s.len(),
 			Enqueues: s.enqueues.Load(),
 			Dequeues: s.dequeues.Load(),
-			Pairs:    s.pairs.Load(),
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -14,9 +15,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New[int](2, WithMaxHandles(-1)); !errors.Is(err, ErrBadHandles) {
 		t.Errorf("WithMaxHandles(-1) error = %v, want ErrBadHandles", err)
-	}
-	if _, err := New[int](2, WithDequeueChoices(0)); !errors.Is(err, ErrBadChoices) {
-		t.Errorf("WithDequeueChoices(0) error = %v, want ErrBadChoices", err)
 	}
 	if _, err := New[int](2, WithBackend("nope")); !errors.Is(err, ErrBadBackend) {
 		t.Errorf("WithBackend(nope) error = %v, want ErrBadBackend", err)
@@ -352,6 +350,46 @@ func TestBitmap(t *testing.T) {
 	}
 	if got := b.randomSet(&rng); got != -1 {
 		t.Errorf("randomSet after clearing all = %d, want -1", got)
+	}
+}
+
+// shardState's pad expression is written out by hand; a field added or
+// removed without recomputing it would let neighbouring shards' tallies
+// false-share.
+func TestShardStatePadded(t *testing.T) {
+	if sz := unsafe.Sizeof(shardState[int]{}); sz%128 != 0 {
+		t.Errorf("sizeof(shardState) = %d, want a multiple of 128", sz)
+	}
+}
+
+// TestAllocsFabricSingleOp is the fabric's counterpart of core's
+// TestAllocsEnqueueDequeue: Enqueue and Dequeue are batches of one handed
+// to the sub-queues through an interface, so a per-call slice would escape
+// and read >= 2 allocations per pair. The handle's one-slot scratch keeps
+// the pair at the tree's own amortized slab allocations (~0.3).
+func TestAllocsFabricSingleOp(t *testing.T) {
+	q, err := New[int](4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	pair := func() {
+		if err := h.Enqueue(7); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := h.Dequeue(); !ok {
+			t.Fatal("dequeue failed")
+		}
+	}
+	for i := 0; i < 300; i++ { // let the infarray directories and the first slab settle
+		pair()
+	}
+	if avg := testing.AllocsPerRun(2000, pair); avg > 1.0 {
+		t.Errorf("allocs per Enqueue+Dequeue pair = %.2f, want <= 1", avg)
 	}
 }
 

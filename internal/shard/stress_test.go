@@ -148,3 +148,79 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 		t.Errorf("free slots after churn = %d, want %d (leak or corruption)", got, slots)
 	}
 }
+
+// TestPerProducerOrderConcurrentConsumer checks the fabric's ordering claim
+// under concurrent consumption at k >= 2: three producers enqueue while one
+// consumer dequeues, and each producer's values must be consumed completely
+// and in its own enqueue order, whichever shards the dequeues roam over.
+func TestPerProducerOrderConcurrentConsumer(t *testing.T) {
+	const (
+		producers = 3
+		perProd   = 2000
+	)
+	q, err := New[uint64](2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	lastSeq := make([]int64, producers)
+	for i := range lastSeq {
+		lastSeq[i] = -1
+	}
+	var consumed sync.WaitGroup
+	consumed.Add(producers * perProd)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		h, err := q.Acquire()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer h.Release()
+		done := make(chan struct{})
+		go func() { consumed.Wait(); close(done) }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if v, ok := h.Dequeue(); ok {
+				p, seq := int(v>>32), int64(v&0xffffffff)
+				mu.Lock()
+				if seq <= lastSeq[p] {
+					t.Errorf("producer %d: seq %d after %d", p, seq, lastSeq[p])
+				}
+				lastSeq[p] = seq
+				mu.Unlock()
+				consumed.Done()
+			}
+		}
+	}()
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			h, err := q.Acquire()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer h.Release()
+			for i := 0; i < perProd; i++ {
+				if err := h.Enqueue(uint64(p)<<32 | uint64(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	for p, last := range lastSeq {
+		if last != perProd-1 {
+			t.Errorf("producer %d: last consumed seq %d, want %d", p, last, perProd-1)
+		}
+	}
+}

@@ -211,7 +211,7 @@ func (q *Queue[T]) Resize(k int) error {
 
 	// Re-sync the bitmap: enqueues that completed on the old epoch set only
 	// the old bitmap. Correctness never depends on this (dequeues fall back
-	// to a full sweep), it just keeps d-random-choice well guided.
+	// to a full sweep), it just keeps two-random-choice well guided.
 	for j, s := range nt.shards {
 		if s.len() > 0 {
 			nt.bitmap.set(j)
@@ -244,8 +244,9 @@ func (q *Queue[T]) awaitEpochRetired(e uint64) {
 // drainInto migrates every residual element of retired shard src into
 // nt.shards[dst], preserving the src stream's FIFO order, and returns the
 // element count. It runs with exclusive access to src (post grace period)
-// through the reserved maintenance slot, in bounded batches so one giant
-// backlog does not allocate a giant slice. The moved elements are tallied
+// through the reserved maintenance slot, in bounded batches through one
+// reused buffer (EnqueueBatch copies) so one giant backlog does not
+// allocate a giant slice. The moved elements are tallied
 // as dequeues on src and enqueues on dst, keeping each shard's
 // enqueues-dequeues == len audit exact.
 func (q *Queue[T]) drainInto(src *shardState[T], nt *topology[T], dst int) int64 {
@@ -258,9 +259,10 @@ func (q *Queue[T]) drainInto(src *shardState[T], nt *topology[T], dst int) int64
 		panic(fmt.Sprintf("shard: maintenance handle on shard %d: %v", dst, err))
 	}
 	const chunk = 256
+	buf := make([]T, 0, chunk)
 	var moved int64
 	for {
-		vs, got := srcH.DequeueBatch(chunk)
+		vs, got := srcH.DequeueBatchAppend(buf, chunk)
 		if got == 0 {
 			return moved
 		}

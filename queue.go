@@ -186,10 +186,6 @@ func WithShardBackend(b ShardBackend) ShardedOption { return shard.WithBackend(b
 // max(16, 4*GOMAXPROCS)).
 func WithShardMaxHandles(n int) ShardedOption { return shard.WithMaxHandles(n) }
 
-// WithShardDequeueChoices sets d, the number of nonempty shards a dequeue
-// samples before committing to the fullest (default 2).
-func WithShardDequeueChoices(d int) ShardedOption { return shard.WithDequeueChoices(d) }
-
 // WithShardGCInterval forwards a GC interval to ShardBackendBounded shards.
 func WithShardGCInterval(g int64) ShardedOption { return shard.WithGCInterval(g) }
 
