@@ -287,7 +287,8 @@ func allocImpls() []struct {
 // BenchmarkEnqueueDequeue (T17): single-handle enqueue+dequeue pairs with
 // allocation reporting. Run with -benchmem; the allocs/op column is the
 // regression gate the TestAllocs tests enforce (near-zero on the recycled
-// core path, pbst path copies only on the bounded path).
+// core path, one block and one store header per installed block on the
+// bounded path).
 func BenchmarkEnqueueDequeue(b *testing.B) {
 	for _, impl := range allocImpls() {
 		b.Run(impl.name, func(b *testing.B) {

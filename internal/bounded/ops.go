@@ -251,8 +251,9 @@ func (h *Handle[T]) addBlock(v *node[T], t *blockTree[T], prev, b *block[T]) *bl
 // --- instrumented shared-memory / tree accessors ---
 //
 // Tree searches, inserts and splits are charged ceil(log2(size))+1 steps:
-// the number of tree-node reads a balanced-BST operation performs, matching
-// the cost model of Theorem 32.
+// the number of tree-node reads an operation on the paper's balanced BST
+// performs, matching the cost model of Theorem 32 whatever persistent
+// structure pbst uses underneath.
 
 func treeOpCost[T any](t *blockTree[T]) int64 {
 	return int64(bits.Len64(uint64(t.Size()))) + 1
@@ -309,10 +310,10 @@ func (h *Handle[T]) treeGet(t *blockTree[T], index int64) (*block[T], error) {
 	return b, nil
 }
 
-// treeInsert returns t with b added.
+// treeInsert returns t with b, whose index follows t's largest, added.
 func (h *Handle[T]) treeInsert(t *blockTree[T], b *block[T]) *blockTree[T] {
 	h.counter.Read(treeOpCost(t))
-	return t.Insert(b.index, b)
+	return t.Append(b.index, b)
 }
 
 // treeDropBelow returns t without blocks of index < bound (the paper's
@@ -326,14 +327,6 @@ func (h *Handle[T]) treeDropBelow(t *blockTree[T], bound int64) *blockTree[T] {
 // predicate.
 func (h *Handle[T]) treeFindFirst(t *blockTree[T], pred func(*block[T]) bool) (*block[T], bool) {
 	h.counter.Read(treeOpCost(t))
-	_, b, ok := t.FindFirst(func(_ int64, b *block[T]) bool { return pred(b) })
-	return b, ok
-}
-
-// treeFindLast returns the highest-indexed block satisfying the monotone
-// predicate.
-func (h *Handle[T]) treeFindLast(t *blockTree[T], pred func(*block[T]) bool) (*block[T], bool) {
-	h.counter.Read(treeOpCost(t))
-	_, b, ok := t.FindLast(func(_ int64, b *block[T]) bool { return pred(b) })
+	_, b, ok := t.FindFirst(pred)
 	return b, ok
 }

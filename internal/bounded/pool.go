@@ -10,11 +10,14 @@ package bounded
 //
 // Only never-published blocks are recycled: a Refresh candidate whose
 // casTree lost stays private (the losing t2 tree is the only structure
-// referencing it and is discarded), so reuse cannot race with helpers or
-// searches. Blocks that were published are reclaimed by the Go GC once the
-// paper's GC phase drops them from every live tree — delegating that
-// reclamation to the runtime is what makes it safe without epochs or
-// hazard pointers.
+// referencing it and is discarded; pbst never writes to memory reachable
+// from the tree it was derived from, so the winner cannot see it), so reuse
+// cannot race with helpers or searches. Blocks that were published are
+// reclaimed by the Go GC once the paper's GC phase drops them from every
+// live tree — pbst's DropBelow clears the dropped slots, so they are
+// unreachable from the new tree and not merely uncounted. Delegating that
+// reclamation to the runtime is what makes it safe without epochs or hazard
+// pointers.
 
 // newBlock returns a zeroed block from the spare stack, the shared pool, or
 // the heap, in that order.

@@ -1,8 +1,10 @@
 // Package bounded implements the bounded-space variant of the Naderibeni-
 // Ruppert wait-free queue (paper Section 6 and Appendix B).
 //
-// Each ordering-tree node stores its blocks in a persistent balanced search
-// tree instead of an infinite array; a Refresh builds the next tree
+// Each ordering-tree node stores its blocks in a persistent search structure
+// instead of an infinite array (the paper's red-black tree; here
+// internal/pbst's sequence over the dense block indices, which the code
+// keeps calling the node's block tree); a Refresh builds the next tree
 // functionally and installs it with one CAS on the node's tree pointer.
 // Every G-th block added to a node triggers a garbage-collection phase: the
 // process determines the oldest block still needed (via the shared last
@@ -32,8 +34,9 @@ var ErrBadProcs = errors.New("bounded: process count must be at least 1")
 // and a dequeue reads its helped response.
 var errDiscarded = errors.New("bounded: block discarded by GC")
 
-// blockTree is the persistent tree of blocks each node stores.
-type blockTree[T any] = pbst.Tree[*block[T]]
+// blockTree is the persistent tree of blocks each node stores, keyed by
+// block index.
+type blockTree[T any] = pbst.Seq[*block[T]]
 
 // node is one node of the static ordering tree.
 type node[T any] struct {
@@ -152,7 +155,7 @@ func buildTree[T any](numLeaves int) (*node[T], []*node[T]) {
 	mk := func() *node[T] {
 		n := &node[T]{leafID: -1}
 		var t *blockTree[T]
-		t = t.Insert(0, &block[T]{})
+		t = t.Append(0, &block[T]{})
 		n.blocks.Store(t)
 		return n
 	}

@@ -53,12 +53,13 @@ func (h *Handle[T]) indexDequeue(v *node[T], b, i int64) (int64, int64, error) {
 		if !ok {
 			return 0, 0, errDiscarded
 		}
-		supPrev, ok := h.treeFindLast(pt, func(x *block[T]) bool { return x.end(dir) < b })
-		if !ok || supPrev.index != sup.index-1 {
-			// The true superblock or its predecessor was discarded; the
-			// prefix-only removal of GC means everything older is gone too
-			// and the operation has been helped.
-			return 0, 0, errDiscarded
+		// Block indices are dense, so the last block with end(dir) < b is
+		// sup's predecessor. A miss means the true superblock or its
+		// predecessor was discarded; the prefix-only removal of GC means
+		// everything older is gone too and the operation has been helped.
+		supPrev, err := h.treeGet(pt, sup.index-1)
+		if err != nil {
+			return 0, 0, err
 		}
 
 		vt := h.loadTree(v)

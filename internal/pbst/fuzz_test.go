@@ -1,76 +1,52 @@
 package pbst
 
-// Fuzz targets. Under plain `go test` they run their seed corpus; under
-// `go test -fuzz=Fuzz...` they explore the operation space. The oracle is a
-// map plus sorted iteration.
+// Fuzz target. Under plain `go test` it runs its seed corpus; under
+// `go test -fuzz=FuzzTreeOps` it explores the operation space. The oracle is
+// the slice model of pbst_test.go.
 
 import (
 	"bytes"
 	"testing"
 )
 
-// FuzzTreeOps interprets data as a little program over {Insert, DropBelow,
-// Get} and cross-checks the tree against a map oracle after every step.
+// FuzzTreeOps interprets data as a little program over {Append, DropBelow,
+// fork} and cross-checks the sequence against the slice model after every
+// step. A fork appends to the current version twice and keeps the second
+// result, then re-checks the first (the Refresh loser's candidate) and the
+// parent: neither may have seen the other's value.
 func FuzzTreeOps(f *testing.F) {
-	f.Add([]byte{1, 5, 1, 9, 2, 6, 3, 5})
-	f.Add([]byte{1, 0, 1, 1, 1, 2, 2, 1})
-	f.Add(bytes.Repeat([]byte{1, 7}, 40))
+	f.Add([]byte{0, 5, 0, 9, 2, 6, 3, 5})
+	f.Add([]byte{7, 0, 1, 1, 2, 1, 3, 200})
+	f.Add(bytes.Repeat([]byte{0, 7, 3, 1}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tr *Tree[int]
-		model := map[int64]int{}
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%3, int64(data[i+1])
+		if len(data) == 0 {
+			return
+		}
+		var s *Seq[int]
+		m := model{lo: int64(data[0]) << (data[0] % 40)}
+		for i := 1; i+1 < len(data); i += 2 {
+			op, arg := data[i]%4, int(data[i+1])
+			next := m.lo + int64(len(m.vals))
 			switch op {
-			case 0, 1: // insert (twice as likely)
-				tr = tr.Insert(arg, i)
-				model[arg] = i
-			case 2: // drop below
-				tr = tr.DropBelow(arg)
-				for k := range model {
-					if k < arg {
-						delete(model, k)
-					}
+			case 0, 1: // append a run, so that chunks fill and the trie grows
+				for j := 0; j <= arg%40; j++ {
+					s, m = s.Append(next+int64(j), arg+1), m.appendVal(arg+1)
+				}
+			case 2: // fork
+				parent, pm := s, m
+				loser := parent.Append(next, -1)
+				s, m = parent.Append(next, arg+1), pm.appendVal(arg+1)
+				check(t, loser, pm.appendVal(-1))
+				check(t, parent, pm)
+			case 3: // drop below, up to one past the end
+				bound := m.lo + int64(arg)%(int64(len(m.vals))+2)
+				lo := m.lo
+				s, m = s.DropBelow(bound), m.dropBelow(bound)
+				if s == nil {
+					m.lo = lo // the emptied sequence restarts where it began
 				}
 			}
-			if tr.Size() != int64(len(model)) {
-				t.Fatalf("step %d: size %d, model %d", i, tr.Size(), len(model))
-			}
-		}
-		// Full content check with ordered iteration.
-		var prev int64 = -1
-		count := 0
-		tr.Ascend(func(k int64, v int) bool {
-			if k <= prev {
-				t.Fatalf("iteration out of order: %d after %d", k, prev)
-			}
-			prev = k
-			want, ok := model[k]
-			if !ok || want != v {
-				t.Fatalf("key %d: val %d, model (%d, %v)", k, v, want, ok)
-			}
-			count++
-			return true
-		})
-		if count != len(model) {
-			t.Fatalf("iterated %d entries, model has %d", count, len(model))
-		}
-		// Min/Max agree with iteration extremes.
-		if len(model) > 0 {
-			var lo, hi int64 = 1 << 62, -1
-			for k := range model {
-				if k < lo {
-					lo = k
-				}
-				if k > hi {
-					hi = k
-				}
-			}
-			if k, _, _ := tr.Min(); k != lo {
-				t.Fatalf("Min = %d, want %d", k, lo)
-			}
-			if k, _, _ := tr.Max(); k != hi {
-				t.Fatalf("Max = %d, want %d", k, hi)
-			}
+			check(t, s, m)
 		}
 	})
 }

@@ -1,284 +1,236 @@
-// Package pbst provides the persistent balanced search tree that the
-// bounded-space queue (paper Section 6, Appendix B) stores each node's
-// blocks in.
+// Package pbst is the persistent block store of the bounded-space queue
+// (paper Section 6, Appendix B): the structure each ordering-tree node keeps
+// its blocks in.
 //
 // The paper uses a red-black tree made persistent with Driscoll et al.'s
-// node-copying; any balanced persistent BST with logarithmic insert, split
-// and search preserves the construction and its complexity accounting. We
-// use a treap with deterministic pseudo-random priorities derived from the
-// key by a splitmix64 hash: split and join are a few lines each and easy to
-// verify, updates copy only the search path (so existing trees are never
-// mutated and a reader holding an old root sees a consistent snapshot), and
-// expected depth is O(log n) — for the consecutive integer keys the queue
-// uses, the hashed priorities are fixed and behave like random draws, so the
-// depth bound is deterministic for any given size (and checked by tests).
+// node copying; any persistent structure with logarithmic insert, split and
+// search preserves the construction and its complexity accounting. The
+// queue's access pattern is far narrower than a general ordered map's: keys
+// are dense consecutive block indices, the only insert is at max+1, the only
+// delete is a prefix, and lookups are by index. Seq is specialised to
+// exactly that: a radix trie of full 16-slot chunks addressed by the key's
+// digits, with the partial last chunk held inline in the version header.
+// Appending copies one header and touches the trie once per 16 appends;
+// dropping a prefix copies the path to the new minimum and clears what lies
+// left of it, so a dropped value is unreachable from the new version and
+// the Go GC can reclaim it.
 //
-// All operations are pure: they return a new *Tree and never modify the
-// receiver. A nil *Tree is the empty tree.
+// All operations are pure: they return a new *Seq and never modify memory
+// reachable from the receiver, so a reader holding an old version sees a
+// consistent snapshot and two versions derived from one parent are
+// invisible to each other. A nil *Seq is the empty sequence.
 package pbst
 
-// Tree is an immutable ordered map from int64 keys to values of type V.
-// The zero value of *Tree (nil) is an empty tree. Min and Max are O(1), as
-// the bounded queue's MaxBlock/MinBlock require.
-type Tree[V any] struct {
-	root *treeNode[V]
-	min  *treeNode[V]
-	max  *treeNode[V]
+import "fmt"
+
+const (
+	chunkBits = 4
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// Seq is an immutable sequence of values at the consecutive keys lo..hi.
+// Keys are non-negative.
+type Seq[V any] struct {
+	lo, hi int64
+	first  V // the value at lo, so that Min is O(1) like Max
+
+	// root holds the chunks left of the tail, i.e. the keys
+	// lo .. hi&^chunkMask-1, and is nil when there are none. It is the
+	// subtree whose keys share every digit above shift+chunkBits with lo,
+	// not necessarily the one anchored at key 0: DropBelow lowers it as the
+	// live range narrows, so depth follows the live range, not the largest
+	// key ever appended.
+	root  *branch[V]
+	shift uint
+
+	// tail is the chunk containing hi; the value of key k sits in slot
+	// k&chunkMask, and slots outside lo..hi are zero.
+	tail [chunkLen]V
 }
 
-type treeNode[V any] struct {
-	key   int64
-	val   V
-	prio  uint64
-	size  int64
-	left  *treeNode[V]
-	right *treeNode[V]
-}
-
-// splitmix64 is the standard SplitMix64 finalizer, used to derive a fixed
-// pseudo-random priority from a key.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func size[V any](n *treeNode[V]) int64 {
-	if n == nil {
-		return 0
-	}
-	return n.size
-}
-
-func mkNode[V any](key int64, val V, left, right *treeNode[V]) *treeNode[V] {
-	return &treeNode[V]{
-		key:   key,
-		val:   val,
-		prio:  splitmix64(uint64(key)),
-		size:  1 + size(left) + size(right),
-		left:  left,
-		right: right,
-	}
-}
-
-// withChildren copies n with new children (path copying).
-func (n *treeNode[V]) withChildren(left, right *treeNode[V]) *treeNode[V] {
-	return &treeNode[V]{
-		key:   n.key,
-		val:   n.val,
-		prio:  n.prio,
-		size:  1 + size(left) + size(right),
-		left:  left,
-		right: right,
-	}
-}
-
-// splitNode partitions n into keys < k and keys >= k.
-func splitNode[V any](n *treeNode[V], k int64) (lt, ge *treeNode[V]) {
-	if n == nil {
-		return nil, nil
-	}
-	if n.key < k {
-		l, r := splitNode(n.right, k)
-		return n.withChildren(n.left, l), r
-	}
-	l, r := splitNode(n.left, k)
-	return l, n.withChildren(r, n.right)
-}
-
-// joinNode merges l and r assuming every key in l is less than every key in
-// r, choosing roots by priority (max-heap order).
-func joinNode[V any](l, r *treeNode[V]) *treeNode[V] {
-	switch {
-	case l == nil:
-		return r
-	case r == nil:
-		return l
-	case l.prio > r.prio:
-		return l.withChildren(l.left, joinNode(l.right, r))
-	default:
-		return r.withChildren(joinNode(l, r.left), r.right)
-	}
-}
-
-func minNode[V any](n *treeNode[V]) *treeNode[V] {
-	if n == nil {
-		return nil
-	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n
-}
-
-func maxNode[V any](n *treeNode[V]) *treeNode[V] {
-	if n == nil {
-		return nil
-	}
-	for n.right != nil {
-		n = n.right
-	}
-	return n
-}
-
-// wrap builds the Tree wrapper, locating min and max once so later calls are
-// O(1).
-func wrap[V any](root *treeNode[V]) *Tree[V] {
-	if root == nil {
-		return nil
-	}
-	return &Tree[V]{root: root, min: minNode(root), max: maxNode(root)}
+// branch is a trie node. At the bottom level (shift == chunkBits) its
+// children are chunks of values, above it further branches; the other array
+// stays nil.
+type branch[V any] struct {
+	sub  [chunkLen]*branch[V]
+	leaf [chunkLen]*[chunkLen]V
 }
 
 // Size returns the number of entries.
-func (t *Tree[V]) Size() int64 {
-	if t == nil {
+func (s *Seq[V]) Size() int64 {
+	if s == nil {
 		return 0
 	}
-	return size(t.root)
+	return s.hi - s.lo + 1
 }
 
-// Insert returns a tree with key bound to val, replacing any existing
-// binding. The receiver is unchanged.
-func (t *Tree[V]) Insert(key int64, val V) *Tree[V] {
-	var root *treeNode[V]
-	if t != nil {
-		root = t.root
+// Append returns the sequence extended by val at key, which must be the
+// successor of the largest key (any non-negative key if s is empty);
+// anything else is a caller bug and panics. The receiver is unchanged.
+func (s *Seq[V]) Append(key int64, val V) *Seq[V] {
+	if s == nil {
+		if key < 0 {
+			panic(fmt.Sprintf("pbst: negative key %d", key))
+		}
+		n := &Seq[V]{lo: key, hi: key, first: val}
+		n.tail[key&chunkMask] = val
+		return n
 	}
-	lt, ge := splitNode(root, key)
-	_, gt := splitNode(ge, key+1)
-	return wrap(joinNode(lt, joinNode(mkNode(key, val, nil, nil), gt)))
+	if key != s.hi+1 {
+		panic(fmt.Sprintf("pbst: Append key %d, want %d", key, s.hi+1))
+	}
+	n := *s
+	n.hi = key
+	if key&chunkMask == 0 {
+		n.root, n.shift = s.withTailPushed()
+		n.tail = [chunkLen]V{}
+	}
+	n.tail[key&chunkMask] = val
+	return &n
 }
 
-// DropBelow returns a tree without the entries whose key is less than
-// bound: the paper's Split(T, s) used by garbage collection.
-func (t *Tree[V]) DropBelow(bound int64) *Tree[V] {
-	if t == nil {
+// withTailPushed returns s's trie with its tail chunk added as a leaf,
+// raising the root until the chunk fits under it.
+func (s *Seq[V]) withTailPushed() (*branch[V], uint) {
+	chunk := s.tail
+	key := s.hi &^ chunkMask
+	root, shift := s.root, s.shift
+	if root == nil {
+		return root.withLeaf(chunkBits, key, &chunk), chunkBits
+	}
+	for key>>(shift+chunkBits) != s.lo>>(shift+chunkBits) {
+		shift += chunkBits
+		up := new(branch[V])
+		up.sub[(s.lo>>shift)&chunkMask] = root
+		root = up
+	}
+	return root.withLeaf(shift, key, &chunk), shift
+}
+
+// withLeaf returns a copy of b (a fresh branch if b is nil) at the given
+// shift with chunk installed for key, copying only the path to it.
+func (b *branch[V]) withLeaf(shift uint, key int64, chunk *[chunkLen]V) *branch[V] {
+	var c branch[V]
+	if b != nil {
+		c = *b
+	}
+	i := (key >> shift) & chunkMask
+	if shift == chunkBits {
+		c.leaf[i] = chunk
+	} else {
+		c.sub[i] = c.sub[i].withLeaf(shift-chunkBits, key, chunk)
+	}
+	return &c
+}
+
+// DropBelow returns the sequence without the entries whose key is less than
+// bound: the paper's Split(T, s) used by garbage collection. Nothing
+// dropped stays reachable from the result.
+func (s *Seq[V]) DropBelow(bound int64) *Seq[V] {
+	if s == nil || bound <= s.lo {
+		return s
+	}
+	if bound > s.hi {
 		return nil
 	}
-	_, ge := splitNode(t.root, bound)
-	return wrap(ge)
+	n := *s
+	n.lo = bound
+	n.first, _ = s.Get(bound)
+	tailStart := s.hi &^ chunkMask
+	if bound >= tailStart {
+		n.root, n.shift = nil, 0
+		clear(n.tail[:bound&chunkMask])
+		return &n
+	}
+	for n.shift > chunkBits && bound>>n.shift == (tailStart-1)>>n.shift {
+		n.root = n.root.sub[(bound>>n.shift)&chunkMask]
+		n.shift -= chunkBits
+	}
+	n.root = n.root.withoutBelow(n.shift, bound)
+	return &n
 }
 
-// Get returns the value bound to key.
-func (t *Tree[V]) Get(key int64) (V, bool) {
-	var zero V
-	if t == nil {
+// withoutBelow returns a copy of b at the given shift with everything left
+// of bound cleared, copying only the path to bound.
+func (b *branch[V]) withoutBelow(shift uint, bound int64) *branch[V] {
+	c := *b
+	i := (bound >> shift) & chunkMask
+	if shift > chunkBits {
+		clear(c.sub[:i])
+		c.sub[i] = c.sub[i].withoutBelow(shift-chunkBits, bound)
+		return &c
+	}
+	clear(c.leaf[:i])
+	if j := bound & chunkMask; j != 0 {
+		chunk := *c.leaf[i]
+		clear(chunk[:j])
+		c.leaf[i] = &chunk
+	}
+	return &c
+}
+
+// Get returns the value at key.
+func (s *Seq[V]) Get(key int64) (V, bool) {
+	if s == nil || key < s.lo || key > s.hi {
+		var zero V
 		return zero, false
 	}
-	n := t.root
-	for n != nil {
-		switch {
-		case key < n.key:
-			n = n.left
-		case key > n.key:
-			n = n.right
-		default:
-			return n.val, true
-		}
+	if key >= s.hi&^chunkMask {
+		return s.tail[key&chunkMask], true
 	}
-	return zero, false
+	b := s.root
+	for shift := s.shift; shift > chunkBits; shift -= chunkBits {
+		b = b.sub[(key>>shift)&chunkMask]
+	}
+	return b.leaf[(key>>chunkBits)&chunkMask][key&chunkMask], true
 }
 
 // Min returns the entry with the smallest key in O(1).
-func (t *Tree[V]) Min() (key int64, val V, ok bool) {
-	if t == nil {
-		var zero V
-		return 0, zero, false
+func (s *Seq[V]) Min() (key int64, val V, ok bool) {
+	if s == nil {
+		return 0, val, false
 	}
-	return t.min.key, t.min.val, true
+	return s.lo, s.first, true
 }
 
 // Max returns the entry with the largest key in O(1).
-func (t *Tree[V]) Max() (key int64, val V, ok bool) {
-	if t == nil {
-		var zero V
-		return 0, zero, false
+func (s *Seq[V]) Max() (key int64, val V, ok bool) {
+	if s == nil {
+		return 0, val, false
 	}
-	return t.max.key, t.max.val, true
+	return s.hi, s.tail[s.hi&chunkMask], true
 }
 
-// FindFirst returns the entry with the smallest key satisfying pred, which
-// must be monotone in key order (false on a prefix, true on the rest) — the
-// shape of all searches the queue performs (index, sumenq, endleft and
-// endright are non-decreasing in a node's block sequence, Invariant 7 and
-// Lemma 4').
-func (t *Tree[V]) FindFirst(pred func(key int64, val V) bool) (key int64, val V, ok bool) {
-	var zero V
-	if t == nil {
-		return 0, zero, false
+// FindFirst returns the entry with the smallest key whose value satisfies
+// pred, which must be monotone in key order (false on a prefix, true on the
+// rest) — the shape of all searches the queue performs (index, sumenq,
+// endleft and endright are non-decreasing in a node's block sequence,
+// Invariant 7 and Lemma 4'). It is a binary search over the keys.
+func (s *Seq[V]) FindFirst(pred func(val V) bool) (key int64, val V, ok bool) {
+	if s == nil {
+		return 0, val, false
 	}
-	var best *treeNode[V]
-	n := t.root
-	for n != nil {
-		if pred(n.key, n.val) {
-			best = n
-			n = n.left
+	lo, hi := s.lo, s.hi+1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if v, _ := s.Get(mid); pred(v) {
+			hi, val = mid, v
 		} else {
-			n = n.right
+			lo = mid + 1
 		}
 	}
-	if best == nil {
-		return 0, zero, false
+	if lo > s.hi {
+		return 0, val, false // pred held nowhere, so val is still zero
 	}
-	return best.key, best.val, true
-}
-
-// FindLast returns the entry with the largest key satisfying pred, which
-// must be monotone in key order (true on a prefix, false on the rest).
-func (t *Tree[V]) FindLast(pred func(key int64, val V) bool) (key int64, val V, ok bool) {
-	var zero V
-	if t == nil {
-		return 0, zero, false
-	}
-	var best *treeNode[V]
-	n := t.root
-	for n != nil {
-		if pred(n.key, n.val) {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	if best == nil {
-		return 0, zero, false
-	}
-	return best.key, best.val, true
+	return lo, val, true
 }
 
 // Ascend visits entries in increasing key order until fn returns false.
-func (t *Tree[V]) Ascend(fn func(key int64, val V) bool) {
-	if t == nil {
-		return
-	}
-	var walk func(n *treeNode[V]) bool
-	walk = func(n *treeNode[V]) bool {
-		if n == nil {
-			return true
+func (s *Seq[V]) Ascend(fn func(key int64, val V) bool) {
+	for k := int64(0); k < s.Size(); k++ {
+		if v, _ := s.Get(s.lo + k); !fn(s.lo+k, v) {
+			return
 		}
-		return walk(n.left) && fn(n.key, n.val) && walk(n.right)
 	}
-	walk(t.root)
-}
-
-// Height returns the tree height (empty tree has height 0); exported for
-// balance tests and space diagnostics.
-func (t *Tree[V]) Height() int {
-	if t == nil {
-		return 0
-	}
-	var h func(n *treeNode[V]) int
-	h = func(n *treeNode[V]) int {
-		if n == nil {
-			return 0
-		}
-		lh, rh := h(n.left), h(n.right)
-		if lh > rh {
-			return lh + 1
-		}
-		return rh + 1
-	}
-	return h(t.root)
 }
