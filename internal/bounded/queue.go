@@ -205,8 +205,10 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 	return h
 }
 
-// Len returns the queue's size as of the last block propagated to the root;
-// see core.Queue.Len for the caveat on concurrent use.
+// Len returns the size field of the newest block installed at the root. The
+// one CAS on the root's tree pointer installs a block, so Len is never older
+// than the root block of any operation that has returned and lags only those
+// in flight (TestLenCoversCompletedOps); see core.Queue.Len on reading 0.
 func (q *Queue[T]) Len() int {
 	_, b, ok := q.root.blocks.Load().Max()
 	if !ok {

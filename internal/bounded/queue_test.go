@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -318,5 +319,39 @@ func TestBoundedStepComplexityBound(t *testing.T) {
 		if sum.StepsPerOp > bound {
 			t.Errorf("procs=%d: %.1f steps/op exceeds guardrail %.0f", procs, sum.StepsPerOp, bound)
 		}
+	}
+}
+
+// TestLenCoversCompletedOps: p concurrent enqueuers, no dequeuers — whenever
+// an Enqueue has returned, a Len read that starts afterwards counts it. Len
+// reads the root's newest installed block and a block is installed by the
+// one CAS on the node's tree pointer, so there is no window between install
+// and visibility (core has one; see its test of the same name). The shard
+// fabric's root-read null relies on this.
+func TestLenCoversCompletedOps(t *testing.T) {
+	const p, perProc = 6, 3000
+	q, err := New[int](p, WithGCInterval(7)) // GC phases drop root blocks under the readers
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for proc := 0; proc < p; proc++ {
+		wg.Add(1)
+		go func(h *Handle[int]) {
+			defer wg.Done()
+			for i := 1; i <= perProc; i++ {
+				h.Enqueue(i)
+				completed.Add(1)
+				if want, got := completed.Load(), int64(q.Len()); got < want {
+					t.Errorf("after Enqueue %d: Len() = %d with %d enqueues returned", i, got, want)
+					return
+				}
+			}
+		}(q.MustHandle(proc))
+	}
+	wg.Wait()
+	if got := q.Len(); got != p*perProc {
+		t.Errorf("final Len() = %d, want %d", got, p*perProc)
 	}
 }

@@ -138,9 +138,12 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 	return h
 }
 
-// Len returns the queue's size as of the last block propagated to the root.
-// It is a linearizable-read-free estimate intended for monitoring: the value
-// was exact at some recent moment but may lag concurrent operations.
+// Len returns the size field of the root block below root.head. It is never
+// older than the root block of any operation that has returned — every
+// refresh ends in advance(v, hd), so head has passed an operation's block
+// before its propagate returns — and lags only operations still in flight.
+// A reader that sees 0 may answer "empty" like a null dequeue ordered right
+// after that block (package shard does; TestLenCoversCompletedOps).
 func (q *Queue[T]) Len() int {
 	root := &q.nodes[rootIdx]
 	h := root.head.Load()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -378,6 +379,92 @@ func TestAblationVariantsConcurrent(t *testing.T) {
 		}
 		if total != 4*800 {
 			t.Fatalf("dequeued %d values, want %d", total, 4*800)
+		}
+	}
+}
+
+// TestLenCoversCompletedOps pins what the shard fabric's root-read null
+// relies on: Len is never older than the root block of an operation that
+// has returned.
+func TestLenCoversCompletedOps(t *testing.T) {
+	t.Run("concurrent", lenCoversConcurrentEnqueues)
+	t.Run("stalled-installer", lenCoversStalledInstaller)
+}
+
+// lenCoversConcurrentEnqueues runs p enqueuers and no dequeuers: completed
+// is bumped after each Enqueue returns and read before each Len, so
+// Len() >= completed must hold at every check.
+func lenCoversConcurrentEnqueues(t *testing.T) {
+	const p, perProc = 6, 3000
+	q, err := New[int](p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for proc := 0; proc < p; proc++ {
+		wg.Add(1)
+		go func(h *Handle[int]) {
+			defer wg.Done()
+			for i := 1; i <= perProc; i++ {
+				h.Enqueue(i)
+				completed.Add(1)
+				if want, got := completed.Load(), int64(q.Len()); got < want {
+					t.Errorf("after Enqueue %d: Len() = %d with %d enqueues returned", i, got, want)
+					return
+				}
+			}
+		}(q.MustHandle(proc))
+	}
+	wg.Wait()
+	if got := q.Len(); got != p*perProc {
+		t.Errorf("final Len() = %d, want %d", got, p*perProc)
+	}
+}
+
+// lenCoversStalledInstaller is the schedule the concurrent run can only hope
+// to hit: process a installs a root block and stalls between that CAS and
+// its advance, so root.head still points below the newest block. Whoever
+// returns next must have moved head past a's block first (every refresh
+// ends in advance), whether its own enqueue rides in a's block or in the
+// next one.
+func lenCoversStalledInstaller(t *testing.T) {
+	for _, bInStalledBlock := range []bool{true, false} {
+		q, err := New[int](2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := q.MustHandle(0), q.MustHandle(1)
+		a.StepEnqueue(1)
+		if bInStalledBlock {
+			b.StepEnqueue(2)
+		}
+		// a's Refresh at the root, cut after line 32's CAS.
+		hd := a.readHead(rootIdx)
+		blk := a.createBlock(rootIdx, hd)
+		if blk == nil || !a.casBlock(rootIdx, hd, blk) {
+			t.Fatal("a could not install its root block")
+		}
+		if got := q.Len(); got != 0 {
+			t.Fatalf("Len() = %d before any enqueue returned, want 0 (head has not advanced)", got)
+		}
+		if bInStalledBlock {
+			b.StepPropagate() // the rest of b's Enqueue(2)
+		} else {
+			b.Enqueue(2)
+		}
+		if got := q.Len(); got != 2 {
+			t.Errorf("b in a's block = %v: Len() = %d after b's Enqueue returned, want 2", bInStalledBlock, got)
+		}
+		a.advance(rootIdx, hd) // a wakes up
+		a.StepPropagate()
+		if got := q.Len(); got != 2 {
+			t.Errorf("Len() = %d after a's Enqueue returned, want 2", got)
+		}
+		for want := 1; want <= 2; want++ {
+			if v, ok := a.Dequeue(); !ok || v != want {
+				t.Errorf("Dequeue = (%d, %v), want (%d, true)", v, ok, want)
+			}
 		}
 	}
 }

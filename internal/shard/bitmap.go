@@ -53,9 +53,14 @@ func (b *bitmap) set(j int) {
 	}
 }
 
-// clear marks shard j empty.
+// clear marks shard j empty, skipping the RMW when already clear (every
+// poll of an empty fabric); a skipped clear can only leave a bit set.
 func (b *bitmap) clear(j int) {
-	b.words[j>>6].v.And(^(uint64(1) << (uint(j) & 63)))
+	w := &b.words[j>>6].v
+	mask := uint64(1) << (uint(j) & 63)
+	if w.Load()&mask != 0 {
+		w.And(^mask)
+	}
 }
 
 // isSet reports whether shard j is marked nonempty.

@@ -242,10 +242,10 @@ func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 // dequeue in a loop (the server's reply path) reuse one scratch slice
 // across calls. It first drains the home shard (locality fast path), then
 // refills by two-random-choice over the nonempty bitmap, and finally
-// certifies emptiness with a deterministic sweep of all shards, each phase
-// issuing one multi-op sub-dequeue for everything still missing. Values
-// pulled from the same shard are contiguous and FIFO-ordered; values of
-// different shards may interleave in any order.
+// certifies emptiness with a deterministic sweep of all shards; each visit
+// is a root read, plus one multi-op sub-dequeue for everything still missing
+// if it read nonempty (batchFrom). Values pulled from the same shard are
+// contiguous and FIFO-ordered; values of different shards may interleave.
 //
 // A count below n is a true emptiness verdict — every shard was observed
 // empty after the batch's last successful pull — even across a Resize: if a
@@ -298,8 +298,8 @@ func (h *Handle[T]) batchSweep(t *topology[T], n int, out []T) []T {
 		out = h.batchFrom(t, j, n, out)
 	}
 	// Certification sweep: every shard, starting at home so concurrent
-	// dequeuers spread out. Each sub-dequeue is wait-free, so the whole
-	// operation is wait-free with at most k extra sub-operations.
+	// dequeuers spread out. An empty shard answers at its root read and a
+	// sub-dequeue is wait-free, so the whole operation is wait-free.
 	for i := 0; i < len(t.shards) && len(out) < n; i++ {
 		j := home + i
 		if j >= len(t.shards) {
@@ -310,18 +310,38 @@ func (h *Handle[T]) batchSweep(t *topology[T], n int, out []T) []T {
 	return out
 }
 
-// batchFrom issues one multi-op sub-dequeue on shard j for everything out
-// still lacks, appending the values and maintaining the nonempty bitmap.
+// batchFrom pulls what out still lacks from shard j and maintains the
+// nonempty bitmap. It reads the shard's root first and issues the multi-op
+// sub-dequeue only if the root holds elements: a root block of size 0 IS the
+// shard's null answer, so an empty shard costs a load — no block appended,
+// propagated, allocated or (on core) retained. The block read is the newest
+// installed one (bounded: the root's Max; core: blocks[head-1], and every
+// refresh ends in advance(v, hd) before propagate returns), hence at least
+// as new as the block of every operation that has returned: the null
+// linearizes right after it — after every operation that returned before
+// the read, before every one that starts later (TestLenCoversCompletedOps;
+// cross-shard order is relaxed anyway). It is charged as one null
+// sub-operation of two reads to the counter the sub-dequeue would have used.
+//
 // A shard that filled the whole request may well have more elements, so
-// only a short pull (the shard certified empty mid-batch) clears the bit —
-// and then re-sets it if elements raced in between the pull and the clear:
-// an enqueue reaches the root before its bitmap set (see EnqueueBatch), so
-// either this len read sees it, or the enqueuer's own set lands after the
-// clear.
+// only a short pull or an empty read clears the bit — and then re-sets it
+// if elements raced in between: an enqueue reaches the root before its
+// bitmap set (see EnqueueBatch), so either this len read sees it, or the
+// enqueuer's own set lands after the clear.
 func (h *Handle[T]) batchFrom(t *topology[T], j, n int, out []T) []T {
-	want := n - len(out)
-	out, got := h.sub[j].DequeueBatchAppend(out, want)
-	h.deqs[j] += int64(got)
+	want, got := n-len(out), 0
+	if t.shards[j].len() > 0 {
+		out, got = h.sub[j].DequeueBatchAppend(out, want)
+		h.deqs[j] += int64(got)
+	} else {
+		c := h.counter
+		if h.counters != nil {
+			c = h.counters[j]
+		}
+		c.BeginOp()
+		c.Read(2)
+		c.EndBatch(0, 0, int64(want))
+	}
 	if got < want {
 		t.bitmap.clear(j)
 		if t.shards[j].len() > 0 {

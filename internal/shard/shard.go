@@ -19,10 +19,11 @@
 // Dequeues use two-random-choice guided by a lock-free nonempty-shard
 // bitmap: a dequeuer tries its home shard, then samples up to two set bits
 // and takes the candidate with the larger estimated backlog, and falls back
-// to a deterministic full sweep before reporting the fabric empty. Every
-// sub-operation is wait-free and the sweep is bounded by k, so fabric
-// operations are wait-free with O(k) sub-operations in the worst case and
-// O(1) in the common case.
+// to a deterministic full sweep before reporting the fabric empty. A shard
+// is asked for elements only if its root reads nonempty (a root of size 0 is
+// that shard's null answer), so certifying the fabric empty costs k root
+// reads; sub-operations, each wait-free and at most k+3 per call, go only
+// where there was something to take.
 //
 // Unlike the paper's model — a fixed set of p processes, each statically
 // bound to handle i — the fabric leases its fixed handle slots to arbitrary

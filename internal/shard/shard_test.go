@@ -3,10 +3,16 @@ package shard
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"repro/internal/metrics"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -391,6 +397,188 @@ func TestAllocsFabricSingleOp(t *testing.T) {
 	if avg := testing.AllocsPerRun(2000, pair); avg > 1.0 {
 		t.Errorf("allocs per Enqueue+Dequeue pair = %.2f, want <= 1", avg)
 	}
+}
+
+// blocksInstalled sums the blocks the fabric's shards hold: every block ever
+// installed on core (its blocks are immortal), the live ones on bounded.
+func blocksInstalled[T any](q *Queue[T]) int64 {
+	var total int64
+	for _, s := range q.topo.Load().shards {
+		switch sq := s.q.(type) {
+		case coreShard[T]:
+			total += sq.q.BlocksInstalled()
+		case boundedShard[T]:
+			total += sq.q.TotalBlocks()
+		}
+	}
+	return total
+}
+
+// TestAllocsFabricNullDequeue pins what an empty answer costs: batchFrom
+// reads each shard's root and issues no sub-dequeue on a shard that reads
+// empty, so polling an empty fabric allocates nothing, issues no CAS,
+// installs no block (on core a block would be retained for ever) and is
+// charged two reads and one null sub-operation per shard.
+func TestAllocsFabricNullDequeue(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) { nullDequeueCosts(t, k) })
+	}
+}
+
+func nullDequeueCosts(t *testing.T, k int) {
+	backends(t, func(t *testing.T, b Backend) {
+		q, err := New[int](k, WithBackend(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		var c metrics.Counter
+		h.SetCounter(&c)
+		// Leave history behind, so the roots read "empty again", not "new".
+		for i := 0; i < 3*k; i++ {
+			h.Enqueue(i)
+		}
+		if n := h.Drain(nil); n != 3*k {
+			t.Fatalf("k=%d: drained %d, want %d", k, n, 3*k)
+		}
+		scratch := make([]int, 0, 16)
+		polls := []struct {
+			name string
+			n    int64 // dequeues asked for per poll
+			poll func() int
+		}{
+			{"Dequeue", 1, func() int {
+				if _, ok := h.Dequeue(); ok {
+					return 1
+				}
+				return 0
+			}},
+			{"DequeueBatch", 16, func() int { _, got := h.DequeueBatch(16); return got }},
+			{"DequeueBatchAppend", 16, func() int { _, got := h.DequeueBatchAppend(scratch, 16); return got }},
+		}
+		for _, p := range polls {
+			h.Dequeue() // clear whatever bits the last pull left set
+			before, blocks := c, blocksInstalled(q)
+			const runs = 10000
+			for i := 0; i < runs; i++ {
+				if got := p.poll(); got != 0 {
+					t.Fatalf("k=%d %s on an empty fabric returned %d values", k, p.name, got)
+				}
+			}
+			if d := blocksInstalled(q) - blocks; d != 0 {
+				t.Errorf("k=%d %s: %d empty polls installed %d blocks, want 0", k, p.name, runs, d)
+			}
+			if d := c.CASAttempts - before.CASAttempts; d != 0 {
+				t.Errorf("k=%d %s: %d CAS over %d empty polls, want 0", k, p.name, d, runs)
+			}
+			if d := c.Reads - before.Reads; d > runs*int64(2*k+6) {
+				t.Errorf("k=%d %s: %.1f reads per empty poll, want <= 2k+6", k, p.name, float64(d)/runs)
+			}
+			if d, want := c.NullDeqs-before.NullDeqs, runs*int64(k)*p.n; d != want {
+				t.Errorf("k=%d %s: %d null dequeues charged over %d polls, want %d (one per shard per dequeue asked for)",
+					k, p.name, d, runs, want)
+			}
+			if avg := testing.AllocsPerRun(1000, func() { p.poll() }); avg != 0 {
+				t.Errorf("k=%d %s: %.2f allocs per empty poll, want 0", k, p.name, avg)
+			}
+		}
+
+		// A stale bit (set, shard empty) is cleared by the root read alone.
+		tp := q.topo.Load()
+		for j := 0; j < k; j++ {
+			tp.bitmap.set(j)
+		}
+		before, blocks := c, blocksInstalled(q)
+		if v, ok := h.Dequeue(); ok {
+			t.Fatalf("k=%d: Dequeue on an empty fabric with stale bits returned %d", k, v)
+		}
+		for j := 0; j < k; j++ {
+			if tp.bitmap.isSet(j) {
+				t.Errorf("k=%d: stale bit %d survived an empty sweep", k, j)
+			}
+		}
+		if c.CASAttempts != before.CASAttempts || blocksInstalled(q) != blocks {
+			t.Errorf("k=%d: clearing stale bits cost %d CAS and %d blocks, want 0 and 0",
+				k, c.CASAttempts-before.CASAttempts, blocksInstalled(q)-blocks)
+		}
+	})
+}
+
+// TestNullDequeueRacesEnqueue polls a fabric that keeps crossing empty while
+// two producers fill it: every value must come out exactly once and in its
+// producer's order, and once the producers have stopped no shard may hold a
+// value with its nonempty bit clear (the clear-then-recheck after a root
+// read that found the shard empty).
+func TestNullDequeueRacesEnqueue(t *testing.T) {
+	backends(t, func(t *testing.T, b Backend) {
+		const producers, perProducer = 2, 4000
+		q, err := New[int](4, WithBackend(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var producing atomic.Int32
+		producing.Store(producers)
+		for p := 0; p < producers; p++ {
+			h, err := q.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(p int, h *Handle[int]) {
+				defer wg.Done()
+				defer h.Release()
+				for i := 0; i < perProducer; i++ {
+					h.Enqueue(p*perProducer + i)
+					if i%3 == 0 {
+						runtime.Gosched()
+					}
+				}
+				producing.Add(-1)
+			}(p, h)
+		}
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		next := make([]int, producers)
+		take := func(v int) {
+			p := v / perProducer
+			if v%perProducer != next[p] {
+				t.Fatalf("producer %d: got value %d, want %d", p, v%perProducer, next[p])
+			}
+			next[p]++
+		}
+		nulls := 0
+		for producing.Load() > 0 {
+			if v, ok := h.Dequeue(); ok {
+				take(v)
+			} else if nulls++; nulls%8 == 0 {
+				runtime.Gosched()
+			}
+		}
+		wg.Wait()
+		tp := q.topo.Load()
+		for j, s := range tp.shards {
+			if s.len() > 0 && !tp.bitmap.isSet(j) {
+				t.Errorf("shard %d holds %d values with its nonempty bit clear", j, s.len())
+			}
+		}
+		h.Drain(take)
+		for p, n := range next {
+			if n != perProducer {
+				t.Errorf("producer %d: %d of %d values delivered", p, n, perProducer)
+			}
+		}
+		if nulls == 0 {
+			t.Error("the consumer never polled the fabric empty: the race was not exercised")
+		}
+	})
 }
 
 func TestRegistryPacking(t *testing.T) {
