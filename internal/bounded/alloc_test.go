@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestAllocsBoundedPair(t *testing.T) {
@@ -46,6 +48,66 @@ func TestAllocsBoundedPair(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAllocsBoundedBatchPair pins what one EnqueueBatch(m) +
+// DequeueBatchAppend(m) pair costs at p=16, depth 1024. Steps are counted
+// per value, each enqueued or dequeued value being one op. Measured at m=32:
+// 29 allocs and 87.83 steps per value while every value ran its own
+// FindResponse, 24 and 7.43 now that a batch reads its values leaf block by
+// leaf block. m=1 keeps the paper's FindResponse, and a single goroutine
+// makes its count exact: 645,579 steps over 2,000 values, recorded before
+// the walk.
+func TestAllocsBoundedBatchPair(t *testing.T) {
+	h, pair := batchPair(t, 32)
+	avg := testing.AllocsPerRun(1000, pair)
+	t.Logf("m=32: %.2f allocs per pair", avg)
+	if avg > 26 {
+		t.Errorf("allocs per bounded batch pair at m=32 = %.2f, want <= 26", avg)
+	}
+	if steps, vals := countSteps(h, pair); steps > 12*vals {
+		t.Errorf("steps per value at m=32 = %.2f, want <= 12", float64(steps)/float64(vals))
+	}
+	if steps, vals := countSteps(batchPair(t, 1)); steps != 645579 || vals != 2000 {
+		t.Errorf("m=1: %d steps over %d values, want 645579 over 2000", steps, vals)
+	}
+}
+
+// batchPair returns handle 0 of a p=16 queue prefilled to depth 1024 and
+// its EnqueueBatch(m) + DequeueBatchAppend(m) pair, warmed by 100 pairs.
+func batchPair(t *testing.T, m int) (*Handle[int], func()) {
+	q, err := New[int](16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := q.MustHandle(0)
+	es := make([]int, m)
+	for i := 0; i < 1024/m; i++ {
+		h.EnqueueBatch(es)
+	}
+	dst := make([]int, 0, m)
+	pair := func() {
+		h.EnqueueBatch(es)
+		if dst, _ = h.DequeueBatchAppend(dst[:0], m); len(dst) != m {
+			t.Fatalf("dequeued %d values, want %d", len(dst), m)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		pair()
+	}
+	return h, pair
+}
+
+// countSteps runs 1000 pairs with a counter attached to h and returns the
+// steps and values it counted.
+func countSteps(h *Handle[int], pair func()) (steps, vals int64) {
+	var c metrics.Counter
+	h.SetCounter(&c)
+	defer h.SetCounter(nil)
+	for i := 0; i < 1000; i++ {
+		pair()
+	}
+	return c.TotalSteps(), c.TotalOps()
 }
 
 // TestAllocsArenaReuse checks the arena mechanics deterministically:

@@ -8,6 +8,7 @@ package bounded
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -72,14 +73,18 @@ func TestBatchSpaceStaysBounded(t *testing.T) {
 	}
 }
 
+// TestBatchConcurrentConservationWithGC runs producers/consumers with
+// batches of up to 40 values, plus one handle that only drains 64 at a time,
+// at G=7: helpers constantly publish whole-batch responses, each computed by
+// a walk over leaf blocks that other handles are still appending to.
 func TestBatchConcurrentConservationWithGC(t *testing.T) {
 	const procs = 5
 	const perProc = 600
-	q, err := New[int64](procs, WithGCInterval(7))
+	q, err := New[int64](procs+1, WithGCInterval(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]int64, procs)
+	got := make([][]int64, procs+1)
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
@@ -89,7 +94,7 @@ func TestBatchConcurrentConservationWithGC(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(p) + 41))
 			enq := int64(0)
 			for enq < perProc {
-				m := 1 + rng.Intn(6)
+				m := 1 + rng.Intn(40)
 				if rng.Intn(2) == 0 {
 					es := make([]int64, 0, m)
 					for i := 0; i < m && enq < perProc; i++ {
@@ -104,7 +109,19 @@ func TestBatchConcurrentConservationWithGC(t *testing.T) {
 			}
 		}(p)
 	}
+	var done atomic.Bool
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		h := q.MustHandle(procs)
+		for !done.Load() {
+			vs, _ := h.DequeueBatch(64)
+			got[procs] = append(got[procs], vs...)
+		}
+	}()
 	wg.Wait()
+	done.Store(true)
+	<-drained
 	h := q.MustHandle(0)
 	for {
 		vs, n := h.DequeueBatch(32)

@@ -68,6 +68,9 @@ func (b *block[T]) enqAt(i int64) T {
 	return b.element
 }
 
+// numEnq returns the number of enqueues an enqueue leaf block carries.
+func (b *block[T]) numEnq() int64 { return max(int64(len(b.elems)), 1) }
+
 // end returns endLeft or endRight according to dir.
 func (b *block[T]) end(dir direction) int64 {
 	if dir == left {

@@ -1,7 +1,8 @@
 package bounded
 
-// Garbage collection (paper Section 6, Appendix B): every G-th block added
-// to a node triggers a GC phase that (1) determines the oldest block the
+// Garbage collection (paper Section 6, Appendix B): a block whose install
+// carries a node's cumulative operation count across a multiple of G (see
+// addBlock) triggers a GC phase that (1) determines the oldest block the
 // node must keep, by tracing the last array's maximum down from the root
 // along endleft/endright indices, (2) helps every pending propagated dequeue
 // compute its response so discarded blocks can no longer be needed, and

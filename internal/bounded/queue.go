@@ -6,11 +6,13 @@
 // internal/pbst's sequence over the dense block indices, which the code
 // keeps calling the node's block tree); a Refresh builds the next tree
 // functionally and installs it with one CAS on the node's tree pointer.
-// Every G-th block added to a node triggers a garbage-collection phase: the
-// process determines the oldest block still needed (via the shared last
-// array), helps every pending dequeue that has reached the root compute its
-// response, and then splits the obsolete prefix off the tree. Live blocks
-// per node stay O(q_max + p^2 log p) (Theorem 31) and amortized step
+// A block whose install carries a node's cumulative operation count
+// (sumEnq+sumDeq) across a multiple of G triggers a garbage-collection
+// phase: the process determines the oldest block still needed (via the
+// shared last array), helps every pending dequeue that has reached the root
+// compute its response, and then splits the obsolete prefix off the tree
+// (the paper counts blocks; addBlock says why this counts operations). Live
+// blocks per node stay O(q_max + p^2 log p) (Theorem 31) and amortized step
 // complexity is O(log p log(p+q_max)) per operation (Theorem 32).
 package bounded
 
@@ -98,9 +100,10 @@ type config struct {
 }
 
 // WithGCInterval overrides the garbage-collection interval G (a GC phase
-// runs when a block whose index is a multiple of G is added to a node). The
-// default is the paper's G = p^2 * ceil(log2 p). Small values stress GC in
-// tests; non-positive values are rejected.
+// runs when a block added to a node carries the node's cumulative operation
+// count sumEnq+sumDeq across a multiple of G). The default is the paper's
+// G = p^2 * ceil(log2 p). Small values stress GC in tests; non-positive
+// values are rejected.
 func WithGCInterval(g int64) Option {
 	return func(c *config) { c.gcEvery = g }
 }

@@ -11,9 +11,13 @@ package bounded
 // completeDeqN computes the response of the n-dequeue batch block stored in
 // leaf.blocks[idx], which must have been propagated to the root
 // (CompleteDeq, lines 212-217, generalized to multi-op blocks). The batch
-// is located in the root once; each op rank then resolves with its own
-// FindResponse. n == 1 responses carry the value inline (no slice); batch
-// responses collect the successful prefix into vals.
+// is located in the root once. n == 1 resolves with FindResponse and carries
+// the value inline (no slice). A batch's dequeues are consecutive in one
+// root block, so its k successful ones take the consecutive enqueue ranks
+// e..e+k-1, and consecutive ranks sit side by side in a leaf block: the
+// batch walks them leaf block by leaf block, one GetEnqueue descent per
+// block it spans and one root search per root block, collecting the
+// successful prefix into vals.
 func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], error) {
 	b, i, err := h.indexDequeue(leaf, idx, 1)
 	if err != nil {
@@ -22,18 +26,51 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 	if n == 1 {
 		return h.findResponse(b, i)
 	}
+	rt := h.loadTree(h.queue.root)
+	blkB, err := h.treeGet(rt, b)
+	if err != nil {
+		return response[T]{}, err
+	}
+	prevB, err := h.treeGet(rt, b-1)
+	if err != nil {
+		return response[T]{}, err
+	}
+	// FindResponse's null test holds from the block's dequeue rank
+	// prevB.size+numEnq+1 on: the rest of the batch is null.
+	k := max(0, min(n, prevB.size+blkB.sumEnq-prevB.sumEnq-i+1))
+	e := i + prevB.sumEnq - prevB.size
 	var res response[T]
-	for j := int64(0); j < n; j++ {
-		r, err := h.findResponse(b, i+j)
+	if k > 0 {
+		res.vals = make([]T, 0, k)
+	}
+	var be, bePrev *block[T]
+	for got := int64(0); got < k; {
+		if be == nil || e > be.sumEnq {
+			if be, bePrev, err = h.findEnqueue(rt, e); err != nil {
+				return response[T]{}, err
+			}
+		}
+		lb, ie, err := h.getEnqueue(h.queue.root, be, bePrev, e-bePrev.sumEnq)
 		if err != nil {
 			return response[T]{}, err
 		}
-		if !r.ok {
-			break // within one root block, nulls are a suffix
+		take := min(k-got, lb.numEnq()-ie+1)
+		if lb.elems != nil {
+			res.vals = append(res.vals, lb.elems[ie-1:ie-1+take]...)
+		} else {
+			res.vals = append(res.vals, lb.element)
 		}
-		res.vals = append(res.vals, r.val)
+		got += take
+		e += take
 	}
-	if len(res.vals) > 0 {
+	// last gets what FindResponse on each rank would record: b once a null
+	// was answered, otherwise the newest root block an enqueue came from.
+	if k < n {
+		h.updateLast(b)
+	} else {
+		h.updateLast(be.index)
+	}
+	if k > 0 {
 		res.val, res.ok = res.vals[0], true
 	}
 	return res, nil
@@ -115,41 +152,51 @@ func (h *Handle[T]) findResponse(b, i int64) (response[T], error) {
 	}
 	// Rank (among all enqueues) of the enqueue to return (line 333).
 	e := i + prevB.sumEnq - prevB.size
-	beBlk, ok := h.treeFindFirst(rt, func(x *block[T]) bool { return x.sumEnq >= e })
-	if !ok {
-		return response[T]{}, errDiscarded
-	}
-	bePrev, err := h.treeGet(rt, beBlk.index-1)
+	beBlk, bePrev, err := h.findEnqueue(rt, e)
 	if err != nil {
 		return response[T]{}, err
 	}
-	if bePrev.sumEnq >= e {
-		// The true block holding the e-th enqueue was discarded and the
-		// search slid to a later block.
-		return response[T]{}, errDiscarded
-	}
-	ie := e - bePrev.sumEnq
-	val, err := h.getEnqueue(h.queue.root, beBlk, bePrev, ie)
+	lb, ie, err := h.getEnqueue(h.queue.root, beBlk, bePrev, e-bePrev.sumEnq)
 	if err != nil {
 		return response[T]{}, err
 	}
 	h.updateLast(beBlk.index)
-	return response[T]{val: val, ok: true}, nil
+	return response[T]{val: lb.enqAt(ie), ok: true}, nil
 }
 
-// getEnqueue returns the argument of the i-th enqueue in E(blkB), where
-// blkB and prevB are consecutive blocks of node v (GetEnqueue, Figure 6).
-func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (T, error) {
-	var zero T
+// findEnqueue returns the root block holding the e-th enqueue and its
+// predecessor, searching the root snapshot rt.
+func (h *Handle[T]) findEnqueue(rt *blockTree[T], e int64) (*block[T], *block[T], error) {
+	be, ok := h.treeFindFirst(rt, func(x *block[T]) bool { return x.sumEnq >= e })
+	if !ok {
+		return nil, nil, errDiscarded
+	}
+	bePrev, err := h.treeGet(rt, be.index-1)
+	if err != nil {
+		return nil, nil, err
+	}
+	if bePrev.sumEnq >= e {
+		// The true block holding the e-th enqueue was discarded and the
+		// search slid to a later block.
+		return nil, nil, errDiscarded
+	}
+	return be, bePrev, nil
+}
+
+// getEnqueue locates the i-th enqueue in E(blkB), where blkB and prevB are
+// consecutive blocks of node v (GetEnqueue, Figure 6). Instead of the
+// argument it returns the leaf block holding that enqueue and the enqueue's
+// rank within it, so a batch can read the block's later enqueues too.
+func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*block[T], int64, error) {
 	for !v.isLeaf() {
 		lt := h.loadTree(v.left)
 		lastL, err := h.treeGet(lt, blkB.endLeft)
 		if err != nil {
-			return zero, err
+			return nil, 0, err
 		}
 		prevL, err := h.treeGet(lt, prevB.endLeft)
 		if err != nil {
-			return zero, err
+			return nil, 0, err
 		}
 		fromLeft := lastL.sumEnq - prevL.sumEnq
 
@@ -165,7 +212,7 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (T, e
 			rt := h.loadTree(v.right)
 			prevR, err := h.treeGet(rt, prevB.endRight)
 			if err != nil {
-				return zero, err
+				return nil, 0, err
 			}
 			child, childT, prevChild = v.right, rt, prevR.sumEnq
 		}
@@ -179,21 +226,21 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (T, e
 		target := i + prevChild
 		cand, ok := h.treeFindFirst(childT, func(x *block[T]) bool { return x.sumEnq >= target })
 		if !ok {
-			return zero, errDiscarded
+			return nil, 0, errDiscarded
 		}
 		candPrev, err := h.treeGet(childT, cand.index-1)
 		if err != nil {
-			return zero, err
+			return nil, 0, err
 		}
 		if candPrev.sumEnq >= target {
-			return zero, errDiscarded
+			return nil, 0, errDiscarded
 		}
 		i -= candPrev.sumEnq - prevChild
 		v, blkB, prevB = child, cand, candPrev
 	}
 	// A leaf block carries one enqueue (element) or a whole batch (elems);
 	// i survived the descent as the rank within this block.
-	return blkB.enqAt(i), nil
+	return blkB, i, nil
 }
 
 // propagated reports whether v.blocks[b] has been propagated to the root
