@@ -55,9 +55,9 @@ func TestAllocsBoundedPair(t *testing.T) {
 // per value, each enqueued or dequeued value being one op. Measured at m=32:
 // 29 allocs and 87.83 steps per value while every value ran its own
 // FindResponse, 24 and 7.43 now that a batch reads its values leaf block by
-// leaf block. m=1 keeps the paper's FindResponse, and a single goroutine
-// makes its count exact: 645,579 steps over 2,000 values, recorded before
-// the walk.
+// leaf block. At m=1 the walk makes FindResponse's calls exactly, and a
+// single goroutine makes the count exact: 645,579 steps over 2,000 values,
+// recorded before the walk.
 func TestAllocsBoundedBatchPair(t *testing.T) {
 	h, pair := batchPair(t, 32)
 	avg := testing.AllocsPerRun(1000, pair)

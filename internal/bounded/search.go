@@ -10,21 +10,19 @@ package bounded
 
 // completeDeqN computes the response of the n-dequeue batch block stored in
 // leaf.blocks[idx], which must have been propagated to the root
-// (CompleteDeq, lines 212-217, generalized to multi-op blocks). The batch
-// is located in the root once. n == 1 resolves with FindResponse and carries
-// the value inline (no slice). A batch's dequeues are consecutive in one
-// root block, so its k successful ones take the consecutive enqueue ranks
-// e..e+k-1, and consecutive ranks sit side by side in a leaf block: the
-// batch walks them leaf block by leaf block, one GetEnqueue descent per
-// block it spans and one root search per root block, collecting the
+// (CompleteDeq, lines 212-217, generalized to multi-op blocks), and records
+// progress in the last array (FindResponse, lines 325-341). The batch is
+// located in the root once. Its dequeues are consecutive in one root block,
+// so its k successful ones take the consecutive enqueue ranks e..e+k-1, and
+// consecutive ranks sit side by side in a leaf block: the walk reads them
+// leaf block by leaf block, one GetEnqueue descent per block it spans and
+// one root search per root block. For n == 1 this is FindResponse call for
+// call, and the value is carried inline (no slice); a batch collects its
 // successful prefix into vals.
 func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], error) {
 	b, i, err := h.indexDequeue(leaf, idx, 1)
 	if err != nil {
 		return response[T]{}, err
-	}
-	if n == 1 {
-		return h.findResponse(b, i)
 	}
 	rt := h.loadTree(h.queue.root)
 	blkB, err := h.treeGet(rt, b)
@@ -35,19 +33,29 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 	if err != nil {
 		return response[T]{}, err
 	}
-	// FindResponse's null test holds from the block's dequeue rank
-	// prevB.size+numEnq+1 on: the rest of the batch is null.
+	// Null test (line 331): every dequeue from the block's dequeue rank
+	// prevB.size+numEnq+1 on finds the queue empty, so the rest is null.
 	k := max(0, min(n, prevB.size+blkB.sumEnq-prevB.sumEnq-i+1))
+	// Rank (among all enqueues) of the first enqueue to return (line 333).
 	e := i + prevB.sumEnq - prevB.size
 	var res response[T]
-	if k > 0 {
+	if n > 1 && k > 0 {
 		res.vals = make([]T, 0, k)
 	}
 	var be, bePrev *block[T]
 	for got := int64(0); got < k; {
 		if be == nil || e > be.sumEnq {
-			if be, bePrev, err = h.findEnqueue(rt, e); err != nil {
+			var ok bool
+			if be, ok = h.treeFindFirst(rt, func(x *block[T]) bool { return x.sumEnq >= e }); !ok {
+				return response[T]{}, errDiscarded
+			}
+			if bePrev, err = h.treeGet(rt, be.index-1); err != nil {
 				return response[T]{}, err
+			}
+			if bePrev.sumEnq >= e {
+				// The true block holding the e-th enqueue was discarded and
+				// the search slid to a later block.
+				return response[T]{}, errDiscarded
 			}
 		}
 		lb, ie, err := h.getEnqueue(h.queue.root, be, bePrev, e-bePrev.sumEnq)
@@ -55,9 +63,12 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 			return response[T]{}, err
 		}
 		take := min(k-got, lb.numEnq()-ie+1)
-		if lb.elems != nil {
+		switch {
+		case n == 1:
+			res.val = lb.enqAt(ie)
+		case lb.elems != nil:
 			res.vals = append(res.vals, lb.elems[ie-1:ie-1+take]...)
-		} else {
+		default:
 			res.vals = append(res.vals, lb.element)
 		}
 		got += take
@@ -70,9 +81,7 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 	} else {
 		h.updateLast(be.index)
 	}
-	if k > 0 {
-		res.val, res.ok = res.vals[0], true
-	}
+	res.ok = k > 0
 	return res, nil
 }
 
@@ -129,58 +138,6 @@ func (h *Handle[T]) indexDequeue(v *node[T], b, i int64) (int64, int64, error) {
 		v, b = v.parent, sup.index
 	}
 	return b, i, nil
-}
-
-// findResponse computes the response of the i-th dequeue in
-// D(root.blocks[b]) and records progress in the last array (FindResponse,
-// lines 325-341).
-func (h *Handle[T]) findResponse(b, i int64) (response[T], error) {
-	rt := h.loadTree(h.queue.root)
-	blkB, err := h.treeGet(rt, b)
-	if err != nil {
-		return response[T]{}, err
-	}
-	prevB, err := h.treeGet(rt, b-1)
-	if err != nil {
-		return response[T]{}, err
-	}
-	numEnq := blkB.sumEnq - prevB.sumEnq
-	if prevB.size+numEnq < i {
-		// Null dequeue: the queue is empty at the linearization point.
-		h.updateLast(b)
-		return response[T]{ok: false}, nil
-	}
-	// Rank (among all enqueues) of the enqueue to return (line 333).
-	e := i + prevB.sumEnq - prevB.size
-	beBlk, bePrev, err := h.findEnqueue(rt, e)
-	if err != nil {
-		return response[T]{}, err
-	}
-	lb, ie, err := h.getEnqueue(h.queue.root, beBlk, bePrev, e-bePrev.sumEnq)
-	if err != nil {
-		return response[T]{}, err
-	}
-	h.updateLast(beBlk.index)
-	return response[T]{val: lb.enqAt(ie), ok: true}, nil
-}
-
-// findEnqueue returns the root block holding the e-th enqueue and its
-// predecessor, searching the root snapshot rt.
-func (h *Handle[T]) findEnqueue(rt *blockTree[T], e int64) (*block[T], *block[T], error) {
-	be, ok := h.treeFindFirst(rt, func(x *block[T]) bool { return x.sumEnq >= e })
-	if !ok {
-		return nil, nil, errDiscarded
-	}
-	bePrev, err := h.treeGet(rt, be.index-1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if bePrev.sumEnq >= e {
-		// The true block holding the e-th enqueue was discarded and the
-		// search slid to a later block.
-		return nil, nil, errDiscarded
-	}
-	return be, bePrev, nil
 }
 
 // getEnqueue locates the i-th enqueue in E(blkB), where blkB and prevB are
