@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -80,14 +81,17 @@ func putCall(cl *call) {
 
 // Client speaks the wire protocol over one TCP connection. All methods are
 // safe for concurrent use; requests issued concurrently are pipelined on
-// the single connection and matched to replies by id. A Client holds one
-// server-side session — and so one fabric handle lease — for its lifetime.
+// the single connection and matched to replies by id, and they share
+// socket writes: one caller at a time writes, and it ships every frame
+// queued behind it (see flush). A Client holds one server-side session —
+// and so one fabric handle lease — for its lifetime.
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes writers on bw
-	bw  *bufio.Writer
-	enc []byte // reusable frame-encode scratch, guarded by wmu
+	wmu     sync.Mutex // guards out, spare, writing
+	out     []byte     // frames encoded but not yet written
+	spare   []byte     // the last written buffer, reused as the next out
+	writing bool       // a flush is writing; it ships whatever lands in out
 
 	mu      sync.Mutex // guards pending, nextID, err
 	pending map[uint64]*call
@@ -116,15 +120,19 @@ func DialMaxFrame(addr string, maxFrame int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, maxFrame), nil
+}
+
+// newClient starts a client over an established connection.
+func newClient(conn net.Conn, maxFrame int) *Client {
 	c := &Client{
 		conn:       conn,
-		bw:         bufio.NewWriter(conn),
 		pending:    make(map[uint64]*call),
 		readerDone: make(chan struct{}),
 		maxFrame:   maxFrame,
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Close tears down the connection; the server releases the session's
@@ -188,8 +196,8 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// start registers a new call and writes its request frame (without
-// flushing — see flush).
+// start registers a new call and queues its request frame (without
+// writing it — see flush).
 func (c *Client) start(op byte, payload []byte, done chan *call, tag any) (*call, error) {
 	return c.startParts(op, done, tag, payload)
 }
@@ -209,27 +217,11 @@ func (c *Client) register(cl *call) (uint64, error) {
 	return id, nil
 }
 
-// unregister removes a call whose request frame never made it onto the
-// wire. The call itself is not recycled: a concurrent fail may already
-// hold a reference from its pending-table snapshot.
-func (c *Client) unregister(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-}
-
-// trimEnc bounds the retained encode scratch (wmu held). Mirrors the
-// server's frameWriter retention policy.
-func (c *Client) trimEnc() {
-	if cap(c.enc) > fwRetain {
-		c.enc = nil
-	}
-}
-
 // startParts is start with the request payload in pieces: the parts are
-// concatenated into the client's reusable encode scratch, so pipelined
-// senders pay no per-frame encode allocation — a trace stamp or queue-id
-// prefix can live in a caller's stack array.
+// appended to the connection's pending frames, so pipelined senders pay no
+// per-frame encode allocation — a trace stamp or queue-id prefix can live
+// in a caller's stack array. It fails only on a dead client; a failed
+// write reaches the call through fail (see flush).
 func (c *Client) startParts(op byte, done chan *call, tag any, parts ...[]byte) (*call, error) {
 	cl := getCall(done, tag)
 	id, err := c.register(cl)
@@ -238,20 +230,14 @@ func (c *Client) startParts(op byte, done chan *call, tag any, parts ...[]byte) 
 		return nil, err
 	}
 	c.wmu.Lock()
-	c.enc = appendFrame(c.enc[:0], id, op, parts...)
-	_, werr := c.bw.Write(c.enc)
-	c.trimEnc()
+	c.out = appendFrame(c.out, id, op, parts...)
 	c.wmu.Unlock()
-	if werr != nil {
-		c.unregister(id)
-		return nil, werr
-	}
 	return cl, nil
 }
 
 // startBatch is startParts for batch-encoded requests: prefix (trace
 // stamp and/or queue id, possibly empty) then the batch encoding of vals,
-// all built in the encode scratch — the callers' equivalent of the
+// all built in the pending frames — the callers' equivalent of the
 // server's batchFrame, avoiding encodeBatch's intermediate allocation.
 func (c *Client) startBatch(op byte, prefix []byte, vals [][]byte, done chan *call, tag any) (*call, error) {
 	cl := getCall(done, tag)
@@ -262,7 +248,7 @@ func (c *Client) startBatch(op byte, prefix []byte, vals [][]byte, done chan *ca
 	}
 	n := frameHeader + len(prefix) + encodedBatchSize(vals)
 	c.wmu.Lock()
-	buf := c.enc[:0]
+	buf := c.out
 	var hdr [4 + frameHeader]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
 	binary.BigEndian.PutUint64(hdr[4:12], id)
@@ -277,24 +263,66 @@ func (c *Client) startBatch(op byte, prefix []byte, vals [][]byte, done chan *ca
 		buf = append(buf, word[:]...)
 		buf = append(buf, v...)
 	}
-	c.enc = buf
-	_, werr := c.bw.Write(buf)
-	c.trimEnc()
+	c.out = buf
 	c.wmu.Unlock()
-	if werr != nil {
-		c.unregister(id)
-		return nil, werr
-	}
 	return cl, nil
 }
 
-// flush pushes buffered request frames onto the wire. Pipelined callers
-// write several requests and flush once, mirroring the server's batched
-// replies.
+// flush gets the pending frames onto the wire, one writer at a time: a
+// flush that finds a writer active, or nothing pending, returns at once,
+// because the active writer ships those frames. The writer yields once
+// before its first write so that callers already runnable queue their
+// frames behind it — at GOMAXPROCS 1 nobody else runs during the syscall,
+// so without the yield nothing would coalesce — then writes until nothing
+// is pending. A failed write fails the whole client with its error, which
+// completes every call whose frame it lost.
 func (c *Client) flush() error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.bw.Flush()
+	if c.writing || len(c.out) == 0 {
+		c.wmu.Unlock()
+		return nil
+	}
+	c.writing = true
+	c.wmu.Unlock()
+	runtime.Gosched()
+	var err error
+	c.wmu.Lock()
+	for len(c.out) > 0 && err == nil {
+		// The buffer being written must never share a backing array with
+		// out: spare is cleared as out takes it over, and the written buffer
+		// becomes the next spare only under the server's retention mark.
+		buf := c.out
+		c.out, c.spare = c.spare[:0], nil
+		c.wmu.Unlock()
+		_, err = c.conn.Write(buf)
+		c.wmu.Lock()
+		if cap(buf) <= fwRetain {
+			c.spare = buf[:0]
+		}
+	}
+	c.writing = false
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+		c.conn.Close()
+	}
+	return err
+}
+
+// wait gets a started call's frame written and blocks until the call
+// completes, then recycles it: the reply frame (whose payload the caller
+// may keep — reply payloads are never pooled on the client) and the read
+// loop's receive stamp are copied out first. It takes start's results, so
+// a failed start passes straight through.
+func (c *Client) wait(cl *call, err error) (frame, int64, error) {
+	if err != nil {
+		return frame{}, 0, err
+	}
+	_ = c.flush() // a failed write completes cl with its error through fail
+	<-cl.done
+	f, recvNs, err := cl.f, cl.recvNs, cl.err // a failed call has neither frame nor stamp
+	putCall(cl)
+	return f, recvNs, err
 }
 
 // roundTrip issues one request synchronously.
@@ -302,44 +330,17 @@ func (c *Client) roundTrip(op byte, payload []byte) (frame, error) {
 	return c.roundTripParts(op, payload)
 }
 
-// roundTripParts issues one request synchronously from payload parts. The
-// completed call is recycled: its frame (whose payload the caller may
-// keep — reply payloads are never pooled on the client) is copied out
-// first.
+// roundTripParts issues one request synchronously from payload parts.
 func (c *Client) roundTripParts(op byte, parts ...[]byte) (frame, error) {
-	cl, err := c.startParts(op, nil, nil, parts...)
-	if err != nil {
-		return frame{}, err
-	}
-	if err := c.flush(); err != nil {
-		return frame{}, err // call still pending; completed later by reply or fail
-	}
-	<-cl.done
-	f, cerr := cl.f, cl.err
-	putCall(cl)
-	if cerr != nil {
-		return frame{}, cerr
-	}
-	return f, nil
+	f, _, err := c.wait(c.startParts(op, nil, nil, parts...))
+	return f, err
 }
 
 // roundTripBatch issues one batch-encoded request synchronously (see
 // startBatch).
 func (c *Client) roundTripBatch(op byte, prefix []byte, vals [][]byte) (frame, error) {
-	cl, err := c.startBatch(op, prefix, vals, nil, nil)
-	if err != nil {
-		return frame{}, err
-	}
-	if err := c.flush(); err != nil {
-		return frame{}, err
-	}
-	<-cl.done
-	f, cerr := cl.f, cl.err
-	putCall(cl)
-	if cerr != nil {
-		return frame{}, cerr
-	}
-	return f, nil
+	f, _, err := c.wait(c.startBatch(op, prefix, vals, nil, nil))
+	return f, err
 }
 
 // statusErr maps non-OK reply statuses shared by all ops to errors.

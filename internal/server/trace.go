@@ -78,18 +78,9 @@ func (c *Client) tracedRoundTrip(baseOp byte, opName string, qid uint32, payload
 		binary.BigEndian.PutUint32(prefix[traceStampLen:], qid)
 		pre = prefix[:]
 	}
-	cl, err := c.startParts(op, nil, nil, pre, payload)
+	rf, recvNs, err := c.wait(c.startParts(op, nil, nil, pre, payload))
 	if err != nil {
 		return frame{}, TraceStages{}, err
-	}
-	if err := c.flush(); err != nil {
-		return frame{}, TraceStages{}, err
-	}
-	<-cl.done
-	rf, cerr, recvNs := cl.f, cl.err, cl.recvNs
-	putCall(cl)
-	if cerr != nil {
-		return frame{}, TraceStages{}, cerr
 	}
 	if recvNs == 0 {
 		recvNs = time.Now().UnixNano() // plain reply: the read loop didn't stamp
