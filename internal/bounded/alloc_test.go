@@ -1,18 +1,22 @@
 package bounded
 
 // Allocation regression gates for the bounded variant. Every block a node
-// installs costs one version header of the block store (internal/pbst: the
-// header carries the partial last chunk inline, so an append copies it and
-// nothing else) plus an amortised 1/16 of a chunk push; published blocks are
-// heap objects of their own, and only Refresh candidates that lost their CAS
-// come back through the arena (pool.go). An Enqueue;Dequeue pair installs
-// one block per level per op, so the floor is 2 allocations per level per op
-// and grows with log2 p. The AllocsPerRun gate pins that floor at two tree
-// heights, which catches a second header copy per install or a per-op block
-// allocation creeping in; the white-box tests check recycling fires at all.
+// installs costs one 56-byte version header of the block store
+// (internal/pbst: lo, hi, the first and last values, the trie root and
+// shift, and a pointer to the tail chunk, whose slots the versions share)
+// plus an amortised 1/16 of a chunk push, which allocates the next tail
+// chunk and copies the trie path; published blocks are heap objects of
+// their own, and only Refresh candidates that lost their CAS come back
+// through the arena (pool.go). An Enqueue;Dequeue pair installs one block
+// per level per op, so the floor is 2 allocations per level per op and grows
+// with log2 p. The gate pins that floor at two tree heights, which catches a
+// second header copy per install or a per-op block allocation creeping in,
+// and pins the bytes, which catch a header or chunk growing; the white-box
+// tests check recycling fires at all.
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -20,12 +24,15 @@ import (
 )
 
 func TestAllocsBoundedPair(t *testing.T) {
-	// Measured 12 and 21 allocs per pair: 3 and 5 levels x 2 ops x (block +
-	// header), the rest chunk pushes.
+	// Measured 13 and 21 allocs per pair: 3 and 5 levels x 2 ops x (block +
+	// header), the rest chunk pushes and, at p=4, the tail chunk a GC phase's
+	// DropBelow copies when it cuts inside the tail. Measured 1,249 and
+	// 2,199 bytes per pair (1,918 and 3,319 while the header carried a
+	// 16-slot tail inline); the byte ceilings are those +10%.
 	for _, c := range []struct {
-		procs   int
-		ceiling float64
-	}{{4, 13}, {16, 22}} {
+		procs          int
+		ceiling, bytes float64
+	}{{4, 13, 1374}, {16, 22, 2419}} {
 		t.Run(fmt.Sprintf("p%d", c.procs), func(t *testing.T) {
 			q, err := New[int](c.procs)
 			if err != nil {
@@ -36,18 +43,37 @@ func TestAllocsBoundedPair(t *testing.T) {
 				h.Enqueue(i)
 				h.Dequeue()
 			}
-			avg := testing.AllocsPerRun(2000, func() {
+			pair := func() {
 				h.Enqueue(7)
 				if _, ok := h.Dequeue(); !ok {
 					t.Fatal("dequeue failed")
 				}
-			})
-			t.Logf("p=%d: %.2f allocs per Enqueue+Dequeue pair", c.procs, avg)
+			}
+			avg := testing.AllocsPerRun(2000, pair)
+			bytes := bytesPerRun(2000, pair)
+			t.Logf("p=%d: %.2f allocs, %.0f bytes per Enqueue+Dequeue pair", c.procs, avg, bytes)
 			if avg > c.ceiling {
 				t.Errorf("allocs per bounded Enqueue+Dequeue pair at p=%d = %.2f, want <= %.0f", c.procs, avg, c.ceiling)
 			}
+			if bytes > c.bytes {
+				t.Errorf("bytes per bounded Enqueue+Dequeue pair at p=%d = %.0f, want <= %.0f", c.procs, bytes, c.bytes)
+			}
 		})
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 // TestAllocsBoundedBatchPair pins what one EnqueueBatch(m) +

@@ -6,6 +6,7 @@ package bounded
 // the dequeue read path in search.go.
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 
@@ -324,9 +325,15 @@ func (h *Handle[T]) treeDropBelow(t *blockTree[T], bound int64) *blockTree[T] {
 }
 
 // treeFindFirst returns the lowest-indexed block satisfying the monotone
-// predicate.
-func (h *Handle[T]) treeFindFirst(t *blockTree[T], pred func(*block[T]) bool) (*block[T], bool) {
+// predicate, searching from hint, the index the caller expects the answer
+// at or near (any hint gives the same answer; newest starts at the tree's
+// largest index). It is charged the paper's search cost whatever the hint.
+func (h *Handle[T]) treeFindFirst(t *blockTree[T], hint int64, pred func(*block[T]) bool) (*block[T], bool) {
 	h.counter.Read(treeOpCost(t))
-	_, b, ok := t.FindFirst(pred)
+	_, b, ok := t.FindFirst(hint, pred)
 	return b, ok
 }
+
+// newest is the search hint for the block with the largest index:
+// pbst.Seq.FindFirst clamps a hint to the tree's range.
+const newest = math.MaxInt64

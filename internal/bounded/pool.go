@@ -9,15 +9,18 @@ package bounded
 // spare stack and a per-queue sync.Pool.
 //
 // Only never-published blocks are recycled: a Refresh candidate whose
-// casTree lost stays private (the losing t2 tree is the only structure
-// referencing it and is discarded; pbst never writes to memory reachable
-// from the tree it was derived from, so the winner cannot see it), so reuse
-// cannot race with helpers or searches. Blocks that were published are
-// reclaimed by the Go GC once the paper's GC phase drops them from every
-// live tree — pbst's DropBelow clears the dropped slots, so they are
-// unreachable from the new tree and not merely uncounted. Delegating that
-// reclamation to the runtime is what makes it safe without epochs or hazard
-// pointers.
+// casTree lost stays private, so reuse cannot race with helpers or
+// searches. The losing t2 tree is the only structure referencing it and is
+// discarded: building t2 wrote into memory shared with the winner only t's
+// newest block, which t had already published (pbst.Seq's contract: an
+// append stores the receiver's largest value in the shared tail slot and
+// keeps the new one in its own header). The candidate itself sits in t2's
+// header alone, and a losing t2 is never extended. Blocks that were
+// published are reclaimed by the Go GC once the paper's GC phase drops them
+// from every live tree — pbst's DropBelow copies the chunk it cuts and
+// clears what lies left of it, so they are unreachable from the new tree
+// and not merely uncounted. Delegating that reclamation to the runtime is
+// what makes it safe without epochs or hazard pointers.
 
 // newBlock returns a zeroed block from the spare stack, the shared pool, or
 // the heap, in that order.

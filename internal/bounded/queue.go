@@ -38,7 +38,7 @@ var errDiscarded = errors.New("bounded: block discarded by GC")
 
 // blockTree is the persistent tree of blocks each node stores, keyed by
 // block index.
-type blockTree[T any] = pbst.Seq[*block[T]]
+type blockTree[T any] = pbst.Seq[block[T]]
 
 // node is one node of the static ordering tree.
 type node[T any] struct {
@@ -255,6 +255,11 @@ type Handle[T any] struct {
 	// spare stacks recycled candidate blocks private to this handle; see
 	// pool.go.
 	spare []*block[T]
+
+	// rootHint is the index of the root block this handle's previous root
+	// search found, where its next one starts (completeDeqN). It is the
+	// handle's own memory, so reading it costs no shared-memory step.
+	rootHint int64
 }
 
 // SetCounter attaches a step/CAS counter to the handle (nil disables).

@@ -45,10 +45,13 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 	var be, bePrev *block[T]
 	for got := int64(0); got < k; {
 		if be == nil || e > be.sumEnq {
+			// Successive dequeues take successive ranks, so the search
+			// starts at the root block the handle's previous one found.
 			var ok bool
-			if be, ok = h.treeFindFirst(rt, func(x *block[T]) bool { return x.sumEnq >= e }); !ok {
+			if be, ok = h.treeFindFirst(rt, h.rootHint, func(x *block[T]) bool { return x.sumEnq >= e }); !ok {
 				return response[T]{}, errDiscarded
 			}
+			h.rootHint = be.index
 			if bePrev, err = h.treeGet(rt, be.index-1); err != nil {
 				return response[T]{}, err
 			}
@@ -90,12 +93,13 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 // lines 281-297). The superblock at each level is found by searching the
 // parent's tree: endleft/endright are non-decreasing in block index
 // (Lemma 4'), so the superblock of block b is the lowest-indexed parent
-// block whose end(dir) reaches b.
+// block whose end(dir) reaches b. The block was just propagated, so the
+// search starts at the parent's newest block.
 func (h *Handle[T]) indexDequeue(v *node[T], b, i int64) (int64, int64, error) {
 	for !v.isRoot() {
 		dir := v.childDir()
 		pt := h.loadTree(v.parent)
-		sup, ok := h.treeFindFirst(pt, func(x *block[T]) bool { return x.end(dir) >= b })
+		sup, ok := h.treeFindFirst(pt, newest, func(x *block[T]) bool { return x.end(dir) >= b })
 		if !ok {
 			return 0, 0, errDiscarded
 		}
@@ -158,12 +162,12 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*blo
 		fromLeft := lastL.sumEnq - prevL.sumEnq
 
 		var (
-			child     *node[T]
-			childT    *blockTree[T]
-			prevChild int64
+			child           *node[T]
+			childT          *blockTree[T]
+			prevChild, last int64
 		)
 		if i <= fromLeft {
-			child, childT, prevChild = v.left, lt, prevL.sumEnq
+			child, childT, prevChild, last = v.left, lt, prevL.sumEnq, blkB.endLeft
 		} else {
 			i -= fromLeft
 			rt := h.loadTree(v.right)
@@ -171,17 +175,17 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*blo
 			if err != nil {
 				return nil, 0, err
 			}
-			child, childT, prevChild = v.right, rt, prevR.sumEnq
+			child, childT, prevChild, last = v.right, rt, prevR.sumEnq, blkB.endRight
 		}
 
 		// The direct subblock holding the enqueue is the lowest-indexed
 		// block reaching i+prevChild enqueues (line 356); sumEnq is
-		// monotone in index (Invariant 7), so a tree search finds it. The
-		// predecessor check detects a discarded true target: if the found
-		// block's predecessor already reaches the target, the search slid
-		// past a GC'd block.
+		// monotone in index (Invariant 7), so a tree search finds it, from
+		// blkB's last direct subblock in the child. The predecessor check
+		// detects a discarded true target: if the found block's predecessor
+		// already reaches the target, the search slid past a GC'd block.
 		target := i + prevChild
-		cand, ok := h.treeFindFirst(childT, func(x *block[T]) bool { return x.sumEnq >= target })
+		cand, ok := h.treeFindFirst(childT, last, func(x *block[T]) bool { return x.sumEnq >= target })
 		if !ok {
 			return nil, 0, errDiscarded
 		}
@@ -210,7 +214,7 @@ func (h *Handle[T]) propagated(v *node[T], b int64) bool {
 		if maxB.end(dir) < b {
 			return false
 		}
-		sup, ok := h.treeFindFirst(pt, func(x *block[T]) bool { return x.end(dir) >= b })
+		sup, ok := h.treeFindFirst(pt, maxB.index, func(x *block[T]) bool { return x.end(dir) >= b })
 		if !ok {
 			return false
 		}

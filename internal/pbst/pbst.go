@@ -9,19 +9,28 @@
 // are dense consecutive block indices, the only insert is at max+1, the only
 // delete is a prefix, and lookups are by index. Seq is specialised to
 // exactly that: a radix trie of full 16-slot chunks addressed by the key's
-// digits, with the partial last chunk held inline in the version header.
-// Appending copies one header and touches the trie once per 16 appends;
-// dropping a prefix copies the path to the new minimum and clears what lies
-// left of it, so a dropped value is unreachable from the new version and
-// the Go GC can reclaim it.
+// digits, plus the chunk containing the largest key (the tail), which the
+// version header points at. The largest value itself lives only in the
+// header. Appending copies a 7-word header, writes the previous largest
+// value into its tail slot, and touches the trie once per 16 appends;
+// dropping a prefix copies the chunk at the new minimum and the path to it
+// and clears what lies left of it, so a dropped value is unreachable from
+// the new version and the Go GC can reclaim it.
 //
-// All operations are pure: they return a new *Seq and never modify memory
-// reachable from the receiver, so a reader holding an old version sees a
-// consistent snapshot and two versions derived from one parent are
-// invisible to each other. A nil *Seq is the empty sequence.
+// Versions are persistent: a reader holding an old version sees a
+// consistent snapshot, and two versions derived from one parent are
+// invisible to each other. Chunk slots are the one piece of memory versions
+// share and write: each slot is written once and is shared by every version
+// whose range covers it. A version only reads slots below its own largest
+// key, and each of those was written before the version was created. The
+// contract that keeps this consistent is on Seq. A nil *Seq is the empty
+// sequence.
 package pbst
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 const (
 	chunkBits = 4
@@ -29,11 +38,26 @@ const (
 	chunkMask = chunkLen - 1
 )
 
-// Seq is an immutable sequence of values at the consecutive keys lo..hi.
+// Seq is a persistent sequence of values *E at the consecutive keys lo..hi.
 // Keys are non-negative.
-type Seq[V any] struct {
-	lo, hi int64
-	first  V // the value at lo, so that Min is O(1) like Max
+//
+// Extending a version (Append) writes its largest value into a tail slot
+// that every version extended from it shares. That is safe under one
+// contract, which the queue's Refresh meets by construction:
+//   - every builder on one version writes the same value into the same slot
+//     (its largest value, already part of that version);
+//   - of two versions appended to one parent, at most one is ever extended:
+//     the CAS winner. A CAS loser is discarded. Extending a loser after its
+//     sibling was extended finds the sibling's value in their shared slot
+//     and panics. (Siblings whose key starts a chunk share no slot: each
+//     has a fresh tail.)
+//
+// Shared memory therefore only ever receives the receiver's already
+// published largest value; the value an Append adds lives in the new header
+// alone until that header is extended in turn.
+type Seq[E any] struct {
+	lo, hi      int64
+	first, last *E // the values at lo and hi, so that Min and Max are O(1)
 
 	// root holds the chunks left of the tail, i.e. the keys
 	// lo .. hi&^chunkMask-1, and is nil when there are none. It is the
@@ -41,24 +65,28 @@ type Seq[V any] struct {
 	// not necessarily the one anchored at key 0: DropBelow lowers it as the
 	// live range narrows, so depth follows the live range, not the largest
 	// key ever appended.
-	root  *branch[V]
+	root  *branch[E]
 	shift uint
 
-	// tail is the chunk containing hi; the value of key k sits in slot
-	// k&chunkMask, and slots outside lo..hi are zero.
-	tail [chunkLen]V
+	// tail is the chunk containing hi: the value of key k < hi sits in slot
+	// k&chunkMask, and slots below lo are nil. The slots from hi&chunkMask
+	// up are written by the versions extended from this one.
+	tail *chunk[E]
 }
+
+// chunk holds the values of 16 consecutive keys. Each slot is written once.
+type chunk[E any] [chunkLen]atomic.Pointer[E]
 
 // branch is a trie node. At the bottom level (shift == chunkBits) its
 // children are chunks of values, above it further branches; the other array
 // stays nil.
-type branch[V any] struct {
-	sub  [chunkLen]*branch[V]
-	leaf [chunkLen]*[chunkLen]V
+type branch[E any] struct {
+	sub  [chunkLen]*branch[E]
+	leaf [chunkLen]*chunk[E]
 }
 
 // Size returns the number of entries.
-func (s *Seq[V]) Size() int64 {
+func (s *Seq[E]) Size() int64 {
 	if s == nil {
 		return 0
 	}
@@ -67,67 +95,67 @@ func (s *Seq[V]) Size() int64 {
 
 // Append returns the sequence extended by val at key, which must be the
 // successor of the largest key (any non-negative key if s is empty);
-// anything else is a caller bug and panics. The receiver is unchanged.
-func (s *Seq[V]) Append(key int64, val V) *Seq[V] {
+// anything else is a caller bug and panics, as does extending a CAS loser
+// (see Seq). The values s reads are unchanged.
+func (s *Seq[E]) Append(key int64, val *E) *Seq[E] {
 	if s == nil {
 		if key < 0 {
 			panic(fmt.Sprintf("pbst: negative key %d", key))
 		}
-		n := &Seq[V]{lo: key, hi: key, first: val}
-		n.tail[key&chunkMask] = val
-		return n
+		return &Seq[E]{lo: key, hi: key, first: val, last: val, tail: new(chunk[E])}
 	}
 	if key != s.hi+1 {
 		panic(fmt.Sprintf("pbst: Append key %d, want %d", key, s.hi+1))
 	}
+	if slot := &s.tail[s.hi&chunkMask]; !slot.CompareAndSwap(nil, s.last) && slot.Load() != s.last {
+		panic(fmt.Sprintf("pbst: Append at key %d extends a version whose sibling was extended first", key))
+	}
 	n := *s
-	n.hi = key
+	n.hi, n.last = key, val
 	if key&chunkMask == 0 {
 		n.root, n.shift = s.withTailPushed()
-		n.tail = [chunkLen]V{}
+		n.tail = new(chunk[E])
 	}
-	n.tail[key&chunkMask] = val
 	return &n
 }
 
-// withTailPushed returns s's trie with its tail chunk added as a leaf,
-// raising the root until the chunk fits under it.
-func (s *Seq[V]) withTailPushed() (*branch[V], uint) {
-	chunk := s.tail
+// withTailPushed returns s's trie with its (now full) tail chunk added as a
+// leaf, raising the root until the chunk fits under it.
+func (s *Seq[E]) withTailPushed() (*branch[E], uint) {
 	key := s.hi &^ chunkMask
 	root, shift := s.root, s.shift
 	if root == nil {
-		return root.withLeaf(chunkBits, key, &chunk), chunkBits
+		return root.withLeaf(chunkBits, key, s.tail), chunkBits
 	}
 	for key>>(shift+chunkBits) != s.lo>>(shift+chunkBits) {
 		shift += chunkBits
-		up := new(branch[V])
+		up := new(branch[E])
 		up.sub[(s.lo>>shift)&chunkMask] = root
 		root = up
 	}
-	return root.withLeaf(shift, key, &chunk), shift
+	return root.withLeaf(shift, key, s.tail), shift
 }
 
 // withLeaf returns a copy of b (a fresh branch if b is nil) at the given
-// shift with chunk installed for key, copying only the path to it.
-func (b *branch[V]) withLeaf(shift uint, key int64, chunk *[chunkLen]V) *branch[V] {
-	var c branch[V]
+// shift with c installed for key, copying only the path to it.
+func (b *branch[E]) withLeaf(shift uint, key int64, c *chunk[E]) *branch[E] {
+	var n branch[E]
 	if b != nil {
-		c = *b
+		n = *b
 	}
 	i := (key >> shift) & chunkMask
 	if shift == chunkBits {
-		c.leaf[i] = chunk
+		n.leaf[i] = c
 	} else {
-		c.sub[i] = c.sub[i].withLeaf(shift-chunkBits, key, chunk)
+		n.sub[i] = n.sub[i].withLeaf(shift-chunkBits, key, c)
 	}
-	return &c
+	return &n
 }
 
 // DropBelow returns the sequence without the entries whose key is less than
 // bound: the paper's Split(T, s) used by garbage collection. Nothing
 // dropped stays reachable from the result.
-func (s *Seq[V]) DropBelow(bound int64) *Seq[V] {
+func (s *Seq[E]) DropBelow(bound int64) *Seq[E] {
 	if s == nil || bound <= s.lo {
 		return s
 	}
@@ -136,11 +164,13 @@ func (s *Seq[V]) DropBelow(bound int64) *Seq[V] {
 	}
 	n := *s
 	n.lo = bound
-	n.first, _ = s.Get(bound)
+	n.first = s.at(bound)
 	tailStart := s.hi &^ chunkMask
 	if bound >= tailStart {
 		n.root, n.shift = nil, 0
-		clear(n.tail[:bound&chunkMask])
+		if j := bound & chunkMask; j != 0 {
+			n.tail = s.tail.slice(j, s.hi&chunkMask)
+		}
 		return &n
 	}
 	for n.shift > chunkBits && bound>>n.shift == (tailStart-1)>>n.shift {
@@ -153,83 +183,123 @@ func (s *Seq[V]) DropBelow(bound int64) *Seq[V] {
 
 // withoutBelow returns a copy of b at the given shift with everything left
 // of bound cleared, copying only the path to bound.
-func (b *branch[V]) withoutBelow(shift uint, bound int64) *branch[V] {
-	c := *b
+func (b *branch[E]) withoutBelow(shift uint, bound int64) *branch[E] {
+	n := *b
 	i := (bound >> shift) & chunkMask
 	if shift > chunkBits {
-		clear(c.sub[:i])
-		c.sub[i] = c.sub[i].withoutBelow(shift-chunkBits, bound)
-		return &c
+		clear(n.sub[:i])
+		n.sub[i] = n.sub[i].withoutBelow(shift-chunkBits, bound)
+		return &n
 	}
-	clear(c.leaf[:i])
+	clear(n.leaf[:i])
 	if j := bound & chunkMask; j != 0 {
-		chunk := *c.leaf[i]
-		clear(chunk[:j])
-		c.leaf[i] = &chunk
+		n.leaf[i] = n.leaf[i].slice(j, chunkLen)
 	}
-	return &c
+	return &n
+}
+
+// slice returns a fresh chunk holding c's slots from..to-1 and nil elsewhere.
+func (c *chunk[E]) slice(from, to int64) *chunk[E] {
+	n := new(chunk[E])
+	for k := from; k < to; k++ {
+		n[k].Store(c[k].Load())
+	}
+	return n
 }
 
 // Get returns the value at key.
-func (s *Seq[V]) Get(key int64) (V, bool) {
+func (s *Seq[E]) Get(key int64) (*E, bool) {
 	if s == nil || key < s.lo || key > s.hi {
-		var zero V
-		return zero, false
+		return nil, false
+	}
+	return s.at(key), true
+}
+
+// at returns the value at key, which must lie in lo..hi.
+func (s *Seq[E]) at(key int64) *E {
+	if key == s.hi {
+		return s.last
 	}
 	if key >= s.hi&^chunkMask {
-		return s.tail[key&chunkMask], true
+		return s.tail[key&chunkMask].Load()
 	}
 	b := s.root
 	for shift := s.shift; shift > chunkBits; shift -= chunkBits {
 		b = b.sub[(key>>shift)&chunkMask]
 	}
-	return b.leaf[(key>>chunkBits)&chunkMask][key&chunkMask], true
+	return b.leaf[(key>>chunkBits)&chunkMask][key&chunkMask].Load()
 }
 
 // Min returns the entry with the smallest key in O(1).
-func (s *Seq[V]) Min() (key int64, val V, ok bool) {
+func (s *Seq[E]) Min() (key int64, val *E, ok bool) {
 	if s == nil {
-		return 0, val, false
+		return 0, nil, false
 	}
 	return s.lo, s.first, true
 }
 
 // Max returns the entry with the largest key in O(1).
-func (s *Seq[V]) Max() (key int64, val V, ok bool) {
+func (s *Seq[E]) Max() (key int64, val *E, ok bool) {
 	if s == nil {
-		return 0, val, false
+		return 0, nil, false
 	}
-	return s.hi, s.tail[s.hi&chunkMask], true
+	return s.hi, s.last, true
 }
 
 // FindFirst returns the entry with the smallest key whose value satisfies
 // pred, which must be monotone in key order (false on a prefix, true on the
 // rest) — the shape of all searches the queue performs (index, sumenq,
 // endleft and endright are non-decreasing in a node's block sequence,
-// Invariant 7 and Lemma 4'). It is a binary search over the keys.
-func (s *Seq[V]) FindFirst(pred func(val V) bool) (key int64, val V, ok bool) {
+// Invariant 7 and Lemma 4'). It starts at hint, clamped to lo..hi, gallops
+// toward the answer with doubling strides and binary-searches the last
+// stride, so it evaluates pred O(log d) times, d being the distance from the
+// hint to the answer. Every hint gives the same answer.
+func (s *Seq[E]) FindFirst(hint int64, pred func(val *E) bool) (key int64, val *E, ok bool) {
 	if s == nil {
-		return 0, val, false
+		return 0, nil, false
 	}
-	lo, hi := s.lo, s.hi+1
+	hint = min(max(hint, s.lo), s.hi)
+	// The answer lies in lo..hi, and pred holds at hi; hi == s.hi+1 stands
+	// for "pred held nowhere".
+	var lo, hi int64
+	if v := s.at(hint); pred(v) {
+		lo, hi, val = s.lo, hint, v
+		for step := int64(1); hint-step >= s.lo; step *= 2 {
+			v := s.at(hint - step)
+			if !pred(v) {
+				lo = hint - step + 1
+				break
+			}
+			hi, val = hint-step, v
+		}
+	} else {
+		lo, hi = hint+1, s.hi+1
+		for step := int64(1); hint+step <= s.hi; step *= 2 {
+			if v := s.at(hint + step); pred(v) {
+				hi, val = hint+step, v
+				break
+			}
+			lo = hint + step + 1
+		}
+	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if v, _ := s.Get(mid); pred(v) {
+		if v := s.at(mid); pred(v) {
 			hi, val = mid, v
 		} else {
 			lo = mid + 1
 		}
 	}
 	if lo > s.hi {
-		return 0, val, false // pred held nowhere, so val is still zero
+		return 0, nil, false
 	}
 	return lo, val, true
 }
 
 // Ascend visits entries in increasing key order until fn returns false.
-func (s *Seq[V]) Ascend(fn func(key int64, val V) bool) {
+func (s *Seq[E]) Ascend(fn func(key int64, val *E) bool) {
 	for k := int64(0); k < s.Size(); k++ {
-		if v, _ := s.Get(s.lo + k); !fn(s.lo+k, v) {
+		if !fn(s.lo+k, s.at(s.lo+k)) {
 			return
 		}
 	}
