@@ -48,13 +48,11 @@ type node[T any] struct {
 	// only by CAS; readers operate on an immutable snapshot.
 	blocks atomic.Pointer[blockTree[T]]
 
-	leafID int
-
 	// Pad to 128 bytes (two cache lines): the hot tree pointer above takes
 	// a CAS from every Refresh, and without padding nodes allocated
 	// back-to-back false-share under concurrent propagation. 3 pointers +
-	// atomic.Pointer + int = 40 bytes.
-	_ [128 - 40]byte
+	// atomic.Pointer = 32 bytes.
+	_ [128 - 32]byte
 }
 
 func (n *node[T]) isLeaf() bool { return n.left == nil }
@@ -120,11 +118,7 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	if cfg.gcEvery < 1 {
 		return nil, fmt.Errorf("bounded: GC interval must be positive (got %d)", cfg.gcEvery)
 	}
-	numLeaves := nextPow2(procs)
-	if numLeaves < 2 {
-		numLeaves = 2
-	}
-	root, leaves := buildTree[T](numLeaves)
+	root, leaves := buildTree[T](max(procs, 2))
 	q := &Queue[T]{
 		root:    root,
 		leaves:  leaves,
@@ -152,36 +146,24 @@ func defaultGCInterval(procs int) int64 {
 	return g
 }
 
-// buildTree constructs a complete binary tree with numLeaves leaves, each
-// node's tree initialized with the empty block at index 0.
+// buildTree constructs the ordering tree with numLeaves leaves in 1-indexed
+// heap shape, as core lays it out flat: node i's children are 2i and 2i+1,
+// the leaves are nodes numLeaves..2*numLeaves-1, and leaves[k] is node
+// numLeaves+k. Every leaf sits at depth floor or ceil of log2 numLeaves.
+// Each node's tree starts with the empty block at index 0.
 func buildTree[T any](numLeaves int) (*node[T], []*node[T]) {
-	mk := func() *node[T] {
-		n := &node[T]{leafID: -1}
+	nodes := make([]*node[T], 2*numLeaves)
+	for i := len(nodes) - 1; i >= 1; i-- {
+		n := &node[T]{}
 		var t *blockTree[T]
-		t = t.Append(0, &block[T]{})
-		n.blocks.Store(t)
-		return n
-	}
-	level := make([]*node[T], 0, numLeaves)
-	for i := 0; i < numLeaves; i++ {
-		leaf := mk()
-		leaf.leafID = i
-		level = append(level, leaf)
-	}
-	leaves := level
-	for len(level) > 1 {
-		next := make([]*node[T], 0, len(level)/2)
-		for i := 0; i < len(level); i += 2 {
-			parent := mk()
-			parent.left = level[i]
-			parent.right = level[i+1]
-			level[i].parent = parent
-			level[i+1].parent = parent
-			next = append(next, parent)
+		n.blocks.Store(t.Append(0, &block[T]{}))
+		if i < numLeaves {
+			n.left, n.right = nodes[2*i], nodes[2*i+1]
+			n.left.parent, n.right.parent = n, n
 		}
-		level = next
+		nodes[i] = n
 	}
-	return level[0], leaves
+	return nodes[1], nodes[numLeaves:]
 }
 
 // Procs returns the process count the queue was built for.
@@ -267,11 +249,3 @@ func (h *Handle[T]) SetCounter(c *metrics.Counter) { h.counter = c }
 
 // Counter returns the handle's current counter (possibly nil).
 func (h *Handle[T]) Counter() *metrics.Counter { return h.counter }
-
-// nextPow2 returns the smallest power of two >= n, for n >= 1.
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}

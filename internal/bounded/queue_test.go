@@ -2,6 +2,7 @@ package bounded
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,50 @@ func TestNewValidation(t *testing.T) {
 	}
 	if q.GCInterval() != 32 { // p^2 * ceil(log2 p) = 16*2
 		t.Errorf("default GC interval = %d, want 32", q.GCInterval())
+	}
+}
+
+// TestTreeShape pins the ordering tree's shape: exactly max(p, 2) leaves in
+// 1-indexed heap order (node i's children are 2i and 2i+1), every leaf at
+// depth floor or ceil of log2 of the leaf count, so the height is
+// ceil(log2 max(p, 2)), and handle i on node max(p, 2)+i.
+func TestTreeShape(t *testing.T) {
+	for p := 1; p <= 70; p++ {
+		q, err := New[int](p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := max(p, 2)
+		lo, hi := bits.Len(uint(leaves))-1, bits.Len(uint(leaves-1))
+		heap, height := map[*node[int]]int{}, 0
+		var walk func(n *node[int], v, depth int)
+		walk = func(n *node[int], v, depth int) {
+			heap[n] = v
+			if !n.isLeaf() {
+				if n.left.parent != n || n.right.parent != n {
+					t.Errorf("p=%d: node %d's children do not point back at it", p, v)
+				}
+				walk(n.left, 2*v, depth+1)
+				walk(n.right, 2*v+1, depth+1)
+				return
+			}
+			if depth < lo || depth > hi {
+				t.Errorf("p=%d: leaf %d at depth %d, want %d..%d", p, v, depth, lo, hi)
+			}
+			height = max(height, depth)
+		}
+		walk(q.root, 1, 0)
+		if len(heap) != 2*leaves-1 {
+			t.Errorf("p=%d: %d nodes, want %d", p, len(heap), 2*leaves-1)
+		}
+		if height != hi {
+			t.Errorf("p=%d: height %d, want %d", p, height, hi)
+		}
+		for i := range p {
+			if got := heap[q.handles[i].leaf]; got != leaves+i {
+				t.Errorf("p=%d: handle %d on node %d, want %d", p, i, got, leaves+i)
+			}
+		}
 	}
 }
 

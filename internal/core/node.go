@@ -10,6 +10,10 @@ import (
 // 1-indexed heap order. Node v's parent is v/2, its children are 2v and
 // 2v+1, its sibling is v^1, and the leaves occupy indices
 // [numLeaves, 2*numLeaves) with leaf i at numLeaves+i. Index 0 is unused.
+// numLeaves is max(p, 2), not rounded up to a power of two: every leaf of
+// a heap of that size sits at depth floor or ceil of log2 numLeaves, so the
+// height is the paper's ceil(log2 p), and the deeper leaves are the
+// highest-numbered ones.
 //
 // Flattening replaces the three pointer dereferences per level of a
 // pointer-linked tree (parent/left/right) with shift-and-add arithmetic on
@@ -57,10 +61,9 @@ type node[T any] struct {
 // isLeaf reports whether index v names a leaf of q's tree.
 func (q *Queue[T]) isLeaf(v int) bool { return v >= q.numLeaves }
 
-// newTree builds the flat node slice for a complete binary tree with
-// numLeaves leaves (a power of two, at least two). Using at least two leaves
-// removes any root==leaf special case; extra leaves beyond p simply never
-// receive blocks and contribute zero sums.
+// newTree builds the flat node slice for a tree with numLeaves leaves, at
+// least two, which removes any root==leaf special case; with p = 1 the
+// second leaf never receives blocks and contributes zero sums.
 func newTree[T any](numLeaves int) []node[T] {
 	nodes := make([]node[T], 2*numLeaves)
 	// One shared slab for the index-zero dummy blocks; see the blocks field

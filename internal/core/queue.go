@@ -24,7 +24,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/metrics"
 )
@@ -97,10 +96,7 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	numLeaves := nextPow2(procs)
-	if numLeaves < 2 {
-		numLeaves = 2
-	}
+	numLeaves := max(procs, 2)
 	q := &Queue[T]{
 		nodes:           newTree[T](numLeaves),
 		numLeaves:       numLeaves,
@@ -171,11 +167,3 @@ func (h *Handle[T]) SetCounter(c *metrics.Counter) { h.counter = c }
 
 // Counter returns the handle's current counter (possibly nil).
 func (h *Handle[T]) Counter() *metrics.Counter { return h.counter }
-
-// nextPow2 returns the smallest power of two >= n, for n >= 1.
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}

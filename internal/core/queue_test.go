@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,48 @@ func TestNewValidation(t *testing.T) {
 		}
 		if got := q.Procs(); got != p {
 			t.Errorf("Procs() = %d, want %d", got, p)
+		}
+	}
+}
+
+// TestTreeShape pins the ordering tree's shape: exactly max(p, 2) leaves in
+// 1-indexed heap order, every leaf at depth floor or ceil of log2 of the
+// leaf count, so the height is ceil(log2 max(p, 2)) (Prop 19 prices
+// 5*ceil(log2 p) CASes per operation on it), and handle i on node
+// max(p, 2)+i.
+func TestTreeShape(t *testing.T) {
+	for p := 1; p <= 70; p++ {
+		q, err := New[int](p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := max(p, 2)
+		lo, hi := bits.Len(uint(leaves))-1, bits.Len(uint(leaves-1))
+		nodes, height := 0, 0
+		var walk func(v, depth int)
+		walk = func(v, depth int) {
+			nodes++
+			if !q.isLeaf(v) {
+				walk(2*v, depth+1)
+				walk(2*v+1, depth+1)
+				return
+			}
+			if depth < lo || depth > hi {
+				t.Errorf("p=%d: leaf %d at depth %d, want %d..%d", p, v, depth, lo, hi)
+			}
+			height = max(height, depth)
+		}
+		walk(rootIdx, 0)
+		if nodes != 2*leaves-1 || len(q.nodes)-1 != nodes {
+			t.Errorf("p=%d: %d nodes reachable, %d allocated, want %d", p, nodes, len(q.nodes)-1, 2*leaves-1)
+		}
+		if height != hi {
+			t.Errorf("p=%d: height %d, want %d", p, height, hi)
+		}
+		for i := range p {
+			if got := q.handles[i].leaf; got != leaves+i {
+				t.Errorf("p=%d: handle %d on node %d, want %d", p, i, got, leaves+i)
+			}
 		}
 	}
 }

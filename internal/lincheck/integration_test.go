@@ -37,15 +37,26 @@ func mixedScript(p int, h queues.Handle) {
 	}
 }
 
+// nullsPerBurst is how many null answers the pollers must give after an
+// enqueuer's burst before it starts the next one. An enqueuer in the bursty
+// row enqueues 1250 values in bursts of at most 4, so it waits at least 313
+// times, and its waits are disjoint: the row records at least 4*313 = 1252
+// nulls against 2500 successful dequeues, a null fraction of at least 0.33.
+// The steady row waits 2500 times, for at least 0.8.
+const nullsPerBurst = 4
+
 // pollingScript is a null-heavy workload: the first `enqueuers` processes
-// enqueue 2500 values between them, yielding after every value (steady) or
-// after every burst of 1-4 values (bursty); the others poll — Dequeue in a
-// spin for as long as an enqueuer is still running (at most 20000 polls
-// each), yielding only on every 8th empty answer so the enqueuers get a
-// turn on a small machine — and then drain. The queue crosses empty about
-// once per value or burst while dequeues are in flight on it.
+// enqueue 2500 values between them, one value at a time (steady) or in
+// bursts of 1-4 values (bursty); the others poll, calling Dequeue in a spin
+// until every enqueuer is done, and then drain. The row crosses empty by
+// contract, not by scheduling: after each burst an enqueuer waits until the
+// pollers have answered null nullsPerBurst times since the burst, which
+// they must, because the queue drains while every enqueuer waits. Pollers
+// yield on every 8th null and waiting enqueuers on every check, so each
+// gets a turn on a small machine.
 func pollingScript(enqueuers int, bursty bool) script {
 	var enqueuing atomic.Int32
+	var nulls atomic.Int64
 	enqueuing.Store(int32(enqueuers))
 	return func(p int, h queues.Handle) {
 		if p < enqueuers {
@@ -59,12 +70,14 @@ func pollingScript(enqueuers int, bursty bool) script {
 					h.Enqueue(int64(p)<<32 | next)
 					next++
 				}
-				runtime.Gosched()
+				for mark := nulls.Load(); nulls.Load()-mark < nullsPerBurst; {
+					runtime.Gosched()
+				}
 			}
 			enqueuing.Add(-1)
 			return
 		}
-		for s, nulls := 0, 0; s < 20000; s++ {
+		for {
 			racing := enqueuing.Load() > 0
 			if _, ok := h.Dequeue(); ok {
 				continue
@@ -72,7 +85,7 @@ func pollingScript(enqueuers int, bursty bool) script {
 			if !racing {
 				return // drained after the last enqueuer finished
 			}
-			if nulls++; nulls%8 == 0 {
+			if nulls.Add(1)%8 == 0 {
 				runtime.Gosched()
 			}
 		}
@@ -91,7 +104,8 @@ func pollingScript(enqueuers int, bursty bool) script {
 // fabric's root-read null): such an answer is only sound if it is never
 // older than an enqueue that returned before the dequeue began, which is
 // the impossible-empty pattern. Each of those rows fails if fewer than 30%
-// of its dequeues were null, so it cannot silently stop covering the race.
+// of its dequeues were null, so it cannot silently stop covering the race;
+// pollingScript guarantees the fraction by construction.
 func TestRealQueuesPassLinearizabilityCheck(t *testing.T) {
 	sharded1 := func(b shard.Backend) func(int) (queues.Queue, error) {
 		return func(p int) (queues.Queue, error) { return queues.NewSharded(p, 1, b) }

@@ -1,7 +1,10 @@
 package treeviz_test
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -158,5 +161,89 @@ func TestLinearizationAfterConcurrentRun(t *testing.T) {
 	}
 	if count != procs*opsPerProc {
 		t.Fatalf("linearization has %d operations, want %d", count, procs*opsPerProc)
+	}
+}
+
+// TestRenderNonPowerOfTwo pins the rendering of a tree whose process count
+// is not a power of two. At p=5 the tree has exactly five leaves, so Render
+// prints leaf rows P0-P4 and no empty ones, and every internal row holds
+// exactly the operations of its two children's rows.
+func TestRenderNonPowerOfTwo(t *testing.T) {
+	const procs = 5
+	q, err := core.New[int](procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		for p := 0; p < procs; p++ {
+			h := q.MustHandle(p)
+			h.Enqueue(10*p + r)
+			if (p+r)%2 == 0 {
+				h.Dequeue()
+			}
+		}
+	}
+	snap := q.Snapshot()
+	out := treeviz.Render(snap, nil)
+
+	// Each line is a row name followed by its blocks, "[.]" or
+	// "[E:<labels> D:<labels>]" with "-" for none.
+	rows := map[string]map[string]bool{}
+	var leaves []string
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		fields := strings.Fields(line)
+		ops := map[string]bool{}
+		for _, f := range fields[1:] {
+			f = strings.Trim(f, "[]")
+			for _, side := range []string{"E:", "D:"} {
+				if labels, ok := strings.CutPrefix(f, side); ok && labels != "-" {
+					for _, l := range strings.Split(labels, ",") {
+						ops[l] = true
+					}
+				}
+			}
+		}
+		rows[fields[0]] = ops
+		if strings.HasPrefix(fields[0], "P") {
+			leaves = append(leaves, fields[0])
+		}
+	}
+	sort.Strings(leaves)
+	if got := strings.Join(leaves, " "); got != "P0 P1 P2 P3 P4" {
+		t.Fatalf("leaf rows %q, want P0-P4:\n%s", got, out)
+	}
+	if len(rows) != 2*procs-1 {
+		t.Fatalf("Render has %d rows, want %d:\n%s", len(rows), 2*procs-1, out)
+	}
+
+	name := map[string]string{}
+	for _, n := range snap.Nodes {
+		switch {
+		case n.IsRoot:
+			name[n.Path] = "root"
+		case n.IsLeaf:
+			name[n.Path] = fmt.Sprintf("P%d", n.LeafID)
+		default:
+			name[n.Path] = n.Path
+		}
+	}
+	for _, n := range snap.Nodes {
+		row := rows[name[n.Path]]
+		if len(row) == 0 {
+			t.Errorf("row %s is empty:\n%s", name[n.Path], out)
+		}
+		if n.IsLeaf {
+			continue
+		}
+		union := map[string]bool{}
+		for l := range rows[name[n.Path+"L"]] {
+			union[l] = true
+		}
+		for l := range rows[name[n.Path+"R"]] {
+			union[l] = true
+		}
+		if !maps.Equal(row, union) {
+			t.Errorf("row %s holds %v, want its children's %v", name[n.Path], row, union)
+		}
 	}
 }

@@ -106,31 +106,25 @@ func New[T any](procs int) (*Vector[T], error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadProcs, procs)
 	}
-	numLeaves := 1
-	for numLeaves < procs || numLeaves < 2 {
-		numLeaves *= 2
-	}
-	level := make([]*node[T], 0, numLeaves)
-	for i := 0; i < numLeaves; i++ {
-		leaf := newNode[T]()
-		leaf.leafID = i
-		level = append(level, leaf)
-	}
-	leaves := level
-	for len(level) > 1 {
-		next := make([]*node[T], 0, len(level)/2)
-		for i := 0; i < len(level); i += 2 {
-			parent := newNode[T]()
-			parent.left, parent.right = level[i], level[i+1]
-			level[i].parent, level[i+1].parent = parent, parent
-			next = append(next, parent)
+	// The queue's tree shape (core, bounded): max(procs, 2) leaves in
+	// 1-indexed heap order, node i's children 2i and 2i+1, leaf k at node
+	// numLeaves+k, every leaf at depth floor or ceil of log2 numLeaves.
+	numLeaves := max(procs, 2)
+	nodes := make([]*node[T], 2*numLeaves)
+	for i := len(nodes) - 1; i >= 1; i-- {
+		n := newNode[T]()
+		if i < numLeaves {
+			n.left, n.right = nodes[2*i], nodes[2*i+1]
+			n.left.parent, n.right.parent = n, n
+		} else {
+			n.leafID = i - numLeaves
 		}
-		level = next
+		nodes[i] = n
 	}
-	v := &Vector[T]{root: level[0], leaves: leaves, procs: procs}
+	v := &Vector[T]{root: nodes[1], leaves: nodes[numLeaves:], procs: procs}
 	v.handles = make([]Handle[T], procs)
 	for i := 0; i < procs; i++ {
-		v.handles[i] = Handle[T]{vec: v, leaf: leaves[i]}
+		v.handles[i] = Handle[T]{vec: v, leaf: v.leaves[i]}
 	}
 	return v, nil
 }
