@@ -28,9 +28,10 @@ func TestAllocsBoundedPair(t *testing.T) {
 	// header), the rest chunk pushes and, at p=4, the tail chunk a GC phase's
 	// DropBelow copies when it cuts inside the tail. Measured 1,249 and
 	// 2,199 bytes per pair (1,918 and 3,319 while the header carried a
-	// 16-slot tail inline); the byte ceilings are those +10%. p=17 is the
-	// fabric's default (16 leasable slots plus the maintenance slot): handle
-	// 0 sits at depth 4, as at p=16, and measures 21 allocs and 2,166 bytes
+	// 16-slot tail inline); the byte ceilings are those +10%. p=4 is the
+	// tree a shard fabric starts with, and p=17 the one it grows to at its
+	// default cap (16 leasable slots plus the maintenance slot): handle 0
+	// sits at depth 4, as at p=16, and measures 21 allocs and 2,166 bytes
 	// (26 and 2,599 while the tree rounded up to 32 leaves), so it gets
 	// p=16's ceilings.
 	for _, c := range []struct {

@@ -111,7 +111,7 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadProcs, procs)
 	}
-	cfg := config{gcEvery: defaultGCInterval(procs)}
+	cfg := config{gcEvery: DefaultGCInterval(procs)}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -133,11 +133,13 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	return q, nil
 }
 
-// defaultGCInterval is the paper's G = p^2 ceil(log2 p), floored at 16: the
+// DefaultGCInterval is the paper's G = p^2 ceil(log2 p), floored at 16: the
 // formula targets large p and degenerates to G <= 4 for p <= 2, where a GC
 // phase per couple of operations would dominate the cost without any space
-// benefit (the bound already includes a +G slack).
-func defaultGCInterval(procs int) int64 {
+// benefit (the bound already includes a +G slack). New uses it for procs; a
+// caller that sizes a queue below the process count it is provisioned for
+// (the shard fabric's growing trees) passes that count's value explicitly.
+func DefaultGCInterval(procs int) int64 {
 	logP := int64(bits.Len(uint(procs - 1)))
 	g := int64(procs) * int64(procs) * logP
 	if g < 16 {

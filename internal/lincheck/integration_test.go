@@ -180,17 +180,111 @@ func recordAndCheck(t *testing.T, name string, newQueue func(procs int) (queues.
 			t.Errorf("%d of %d dequeues were null (%.2f), want at least %.2f: the row no longer crosses empty",
 				nulls, deqs, frac, minNullFrac)
 		}
-		if vs := lincheck.Check(events); len(vs) > 0 {
-			for i, v := range vs {
-				if i >= 5 {
-					t.Errorf("... and %d more", len(vs)-5)
-					break
-				}
-				t.Errorf("violation: %v", v)
-			}
-		}
+		reportViolations(t, events)
 	})
 }
+
+// reportViolations fails t with the first few violations the checker finds
+// in events.
+func reportViolations(t *testing.T, events []lincheck.Event) {
+	t.Helper()
+	for i, v := range lincheck.Check(events) {
+		if i >= 5 {
+			t.Errorf("... and more")
+			return
+		}
+		t.Errorf("violation: %v", v)
+	}
+}
+
+// TestFabricHistoryAcrossGrowth records a k=1 fabric history during which
+// the shards' trees grow: three processes run on the fabric's first
+// 4-leaf trees (slots 0-2), and once each has run 500 operations two more
+// lease slots 3 and 4. The first of those leases grows every tree to 8
+// leaves, migrating the backlog into the new shard while the three keep
+// operating; they stop only after the growth and their 2500 operations.
+// A k=1 fabric is a FIFO queue, so the whole history, growth included,
+// must be linearizable.
+func TestFabricHistoryAcrossGrowth(t *testing.T) {
+	for _, b := range []shard.Backend{shard.BackendCore, shard.BackendBounded} {
+		t.Run(string(b), func(t *testing.T) {
+			const early, late = 3, 2
+			q, err := shard.New[int64](1, shard.WithBackend(b), shard.WithMaxHandles(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := lincheck.NewRecorder(early + late)
+			var (
+				wg      sync.WaitGroup
+				started atomic.Int32 // early processes 500 operations in
+				grown   atomic.Bool
+			)
+			for p := 0; p < early; p++ {
+				h, err := q.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func(p int, h *shard.Handle[int64]) {
+					defer wg.Done()
+					defer h.Release()
+					lh := rec.Wrap(lease{h}, p)
+					rng := rand.New(rand.NewSource(int64(p)))
+					next := int64(0)
+					for s := 0; s < 2500 || !grown.Load(); s++ {
+						if s == 500 {
+							started.Add(1)
+						}
+						if rng.Intn(2) == 0 {
+							lh.Enqueue(int64(p)<<32 | next)
+							next++
+						} else {
+							lh.Dequeue()
+						}
+					}
+				}(p, h)
+			}
+			if rs := q.ResizeStats(); rs.Leaves != 4 {
+				t.Fatalf("%d leases: %d leaves, want 4", early, rs.Leaves)
+			}
+			for started.Load() < early {
+				runtime.Gosched()
+			}
+			for p := early; p < early+late; p++ {
+				h, err := q.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.Slot() != p {
+					t.Fatalf("late lease got slot %d, want %d", h.Slot(), p)
+				}
+				grown.Store(true)
+				wg.Add(1)
+				go func(p int, h *shard.Handle[int64]) {
+					defer wg.Done()
+					defer h.Release()
+					mixedScript(p, rec.Wrap(lease{h}, p))
+				}(p, h)
+			}
+			wg.Wait()
+			if rs := q.ResizeStats(); rs.Leaves != 8 || rs.LeafGrowths != 1 {
+				t.Fatalf("ResizeStats = %+v, want one growth to 8 leaves", rs)
+			}
+			reportViolations(t, rec.Events())
+		})
+	}
+}
+
+// lease presents a fabric handle as a queues.Handle.
+type lease struct{ h *shard.Handle[int64] }
+
+func (l lease) Enqueue(v int64) {
+	if err := l.h.Enqueue(v); err != nil {
+		panic(err)
+	}
+}
+func (l lease) Dequeue() (int64, bool)        { return l.h.Dequeue() }
+func (l lease) SetCounter(c *metrics.Counter) { l.h.SetCounter(c) }
 
 // TestCheckerCatchesBrokenQueue sanity-checks the whole pipeline by running
 // it against a deliberately broken queue (a LIFO stack masquerading as a

@@ -262,12 +262,15 @@ type QueueStat struct {
 
 	// Elastic-topology state of this queue's fabric: the current shard
 	// count, its topology epoch, lifetime grow/shrink counts (autoscaler
-	// and wire-level Resize combined), elements moved by shrink
+	// and wire-level Resize combined), the leaves of every shard's
+	// ordering tree and how many times leases grew them, elements moved by
 	// migrations, and the null-dequeue tally the autoscaler shrinks on.
 	Shards        int    `json:"shards"`
 	Epoch         uint64 `json:"epoch"`
 	Grows         int64  `json:"grows"`
 	Shrinks       int64  `json:"shrinks"`
+	Leaves        int    `json:"leaves"`
+	LeafGrowths   int64  `json:"leaf_growths"`
 	Migrated      int64  `json:"migrated"`
 	EmptyDequeues int64  `json:"empty_dequeues"`
 
@@ -299,6 +302,8 @@ func (ns *namespace) queueStats() []QueueStat {
 			Epoch:         rs.Epoch,
 			Grows:         rs.Grows,
 			Shrinks:       rs.Shrinks,
+			Leaves:        rs.Leaves,
+			LeafGrowths:   rs.LeafGrowths,
 			Migrated:      rs.Migrated,
 			EmptyDequeues: t.emptyDeqs.Load(),
 		}

@@ -467,9 +467,14 @@ func TestSnapshotQueueJSONRoundTrip(t *testing.T) {
 	if audit.Shards != 2 || audit.Epoch != 1 || audit.Grows != 0 || audit.Shrinks != 0 {
 		t.Fatalf("audit elastic stats = %+v, want 2 shards at epoch 1, no resizes", audit)
 	}
+	// One session leases one handle: the trees are still the 4-leaf ones
+	// a fabric starts with.
+	if audit.Leaves != 4 || audit.LeafGrowths != 0 {
+		t.Fatalf("audit tree stats = %+v, want 4 leaves, no growth", audit)
+	}
 	// The raw JSON must use the stable field names.
 	for _, key := range []string{`"queues_open"`, `"queues_opened"`, `"queues_deleted"`, `"queues_expired"`,
-		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"grows"`, `"shrinks"`, `"migrated"`,
+		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"grows"`, `"shrinks"`, `"leaves"`, `"leaf_growths"`, `"migrated"`,
 		`"empty_dequeues"`, `"autoscale_grows"`, `"autoscale_shrinks"`, `"wire_resizes"`,
 		`"min_shards"`, `"max_shards"`} {
 		if !bytes.Contains(data, []byte(key)) {

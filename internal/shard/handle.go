@@ -1,6 +1,10 @@
 package shard
 
-import "repro/internal/metrics"
+import (
+	"slices"
+
+	"repro/internal/metrics"
+)
 
 // Handle is a leased capability to operate on the fabric. A handle may be
 // used by one goroutine at a time; per operation it loads the current
@@ -28,8 +32,8 @@ type Handle[T any] struct {
 	sub  []subHandle[T]
 	deqs []int64 // per-shard successful-dequeue tally, folded on refresh/Release
 
-	enq      int64 // home-shard enqueue tally
-	lastHome int   // home shard of the last enqueue path, for re-home detection
+	enq      int64          // home-shard enqueue tally
+	lastHome *shardState[T] // home shard of the last enqueue path (nil: none yet), for re-home detection
 
 	// one is the batch of one that Enqueue and Dequeue hand to the batch
 	// path: it lives in the handle so a single op allocates no slice, and
@@ -95,6 +99,11 @@ func (h *Handle[T]) refresh(t *topology[T]) {
 	if h.topo != nil {
 		h.fold()
 	}
+	if !slices.Contains(t.shards, h.lastHome) {
+		// Retired: do not pin its queue. The next enqueue finds no last
+		// home and waits on the barrier a changed home would have.
+		h.lastHome = nil
+	}
 	old := h.sub
 	var oldT *topology[T] = h.topo
 	h.topo = t
@@ -107,7 +116,8 @@ func (h *Handle[T]) refresh(t *topology[T]) {
 		}
 		sh, err := t.shards[j].q.handle(h.slot)
 		if err != nil {
-			// Slots are always < maxHandles+1, so this is unreachable.
+			// Acquire grows the trees before it returns a slot they have no
+			// leaf for, and trees never shrink, so this is unreachable.
 			panic("shard: " + err.Error())
 		}
 		// Sub-handles are recycled across leases; clear (or set) whatever
@@ -131,14 +141,12 @@ func (h *Handle[T]) refresh(t *topology[T]) {
 // loses recorded traffic.
 func (h *Handle[T]) fold() {
 	if h.enq != 0 {
-		h.topo.shards[h.lastHome%len(h.topo.shards)].sink().enqueues.Add(h.enq)
+		addTally(h.lastHome, h.enq, enqueuesOf[T])
 		h.enq = 0
 	}
 	for j := range h.deqs {
-		if h.deqs[j] != 0 {
-			h.topo.shards[j].sink().dequeues.Add(h.deqs[j])
-			h.deqs[j] = 0
-		}
+		addTally(h.topo.shards[j], h.deqs[j], dequeuesOf[T])
+		h.deqs[j] = 0
 	}
 	if h.counters != nil {
 		h.q.mergeShardCounters(h.topo.shards, h.counters)
@@ -146,13 +154,17 @@ func (h *Handle[T]) fold() {
 	}
 }
 
-// syncHome resolves the handle's home shard under topology t, and — when a
-// shrink has re-homed this handle since its last enqueue — blocks until
-// the topology's migration drains complete, so the handle's residual
-// elements reach the new home shard before the element about to be
-// enqueued. This wait is the enqueue path's only blocking point (the
-// other is the dequeue path's empty-certification wait), it arises only on
-// the first enqueue after a re-homing, and the Resize that owns the drain
+// syncHome resolves the handle's home shard under topology t, and — when
+// that is not the shard the handle last enqueued to — blocks until the
+// topology's migration drains complete, so the handle's residual elements
+// reach the new home shard before the element about to be enqueued. The
+// comparison is by shard, not index: a shrink re-homes a handle to another
+// index, while a tree growth keeps the index and replaces the shard behind
+// it, and a fresh lease has no last shard at all (it may arrive while a
+// growth is still moving older elements into the shard it is about to
+// use). This wait is the enqueue path's only blocking point (the other is
+// the dequeue path's empty-certification wait), it is a no-op unless a
+// migration is in flight, and the resize or growth that owns the drain
 // never waits on new-epoch operations, so it cannot deadlock.
 //
 // ok == false means the observed home change was written by a resize
@@ -163,15 +175,15 @@ func (h *Handle[T]) fold() {
 // must restart the operation, which re-enters on the current topology.
 func (h *Handle[T]) syncHome(t *topology[T]) (home int, ok bool) {
 	home = h.q.effHome(h.slot, t)
-	if home != h.lastHome {
+	if s := t.shards[home]; s != h.lastHome {
 		if h.q.topo.Load() != t {
 			return 0, false
 		}
-		// The rewrite belongs to t's own install (or an older, fully
+		// The change belongs to t's own install (or an older, fully
 		// migrated one), so t.migrationsDone is the barrier that orders
 		// this handle's residual elements ahead of its next enqueue.
 		<-t.migrationsDone
-		h.lastHome = home
+		h.lastHome = s
 	}
 	return home, true
 }
@@ -249,12 +261,13 @@ func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 //
 // A count below n is a true emptiness verdict — every shard was observed
 // empty after the batch's last successful pull — even across a Resize: if a
-// shrink migration is still draining retired shards when the sweep comes up
-// short, the call waits for the drain to complete (elements in flight are
-// owed to the survivors) and sweeps again. That wait — bounded by the
-// retired backlog, outside the epoch-publication window — is the dequeue
-// path's only blocking point (the enqueue path's is syncHome's re-home
-// barrier) and arises only mid-shrink on an otherwise drained fabric.
+// migration (a shrink's or a tree growth's) is still draining retired
+// shards when the sweep comes up short, the call waits for the drain to
+// complete (elements in flight are owed to the survivors) and sweeps
+// again. That wait — bounded by the retired backlog, outside the
+// epoch-publication window — is the dequeue path's only blocking point
+// (the enqueue path's is syncHome's re-home barrier) and arises only
+// mid-migration on an otherwise drained fabric.
 func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	h.check()
 	if n <= 0 {

@@ -97,9 +97,10 @@ func TestResizeGrowShrinkConservation(t *testing.T) {
 	if got := q.Shards(); got != 2 {
 		t.Fatalf("Shards after shrink = %d, want 2", got)
 	}
+	// The 4th lease grew the trees from 4 to 8 leaves: one epoch more.
 	rs := q.ResizeStats()
-	if rs.Epoch != 3 || rs.Grows != 1 || rs.Shrinks != 1 {
-		t.Errorf("ResizeStats = %+v, want epoch 3, 1 grow, 1 shrink", rs)
+	if rs.Epoch != 4 || rs.Grows != 1 || rs.Shrinks != 1 || rs.LeafGrowths != 1 || rs.Leaves != 8 {
+		t.Errorf("ResizeStats = %+v, want epoch 4, 1 grow, 1 shrink, 1 growth to 8 leaves", rs)
 	}
 	if rs.Migrated == 0 {
 		t.Errorf("shrink from 4 occupied shards migrated 0 elements")
@@ -454,7 +455,7 @@ func TestResizeShardSummariesSurviveShrink(t *testing.T) {
 }
 
 // TestResizeSnapshotJSONRoundTrip pins the fabric Snapshot's new
-// epoch/resize fields to their stable JSON encoding.
+// epoch/resize fields to their stable JSON encoding, tree growth included.
 func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 	q, err := New[int](2, WithMaxHandles(4))
 	if err != nil {
@@ -481,20 +482,42 @@ func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 	if snap.Shards != 1 {
 		t.Fatalf("Snapshot.Shards = %d, want 1", snap.Shards)
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"epoch":3`, `"grows":1`, `"shrinks":1`, `"migrated":`} {
-		if !strings.Contains(string(data), key) {
-			t.Errorf("snapshot JSON missing %s: %s", key, data)
+	roundTrip := func(snap Snapshot, keys ...string) {
+		t.Helper()
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if !strings.Contains(string(data), key) {
+				t.Errorf("snapshot JSON missing %s: %s", key, data)
+			}
+		}
+		var back Snapshot
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snap, back) {
+			t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", back, snap)
 		}
 	}
-	var back Snapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
+	roundTrip(snap, `"epoch":3`, `"grows":1`, `"shrinks":1`, `"migrated":`, `"leaves":4`, `"leaf_growths":0`)
+
+	// The 4th concurrent lease grows the trees: one more epoch.
+	var hs []*Handle[int]
+	for i := 0; i < 4; i++ {
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
 	}
-	if !reflect.DeepEqual(snap, back) {
-		t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", back, snap)
+	for _, h := range hs {
+		h.Release()
 	}
+	snap = q.Snapshot()
+	if snap.Resize.Epoch != 4 || snap.Resize.Leaves != 5 || snap.Resize.LeafGrowths != 1 {
+		t.Fatalf("Snapshot.Resize = %+v, want epoch 4 / 5 leaves (the cap) / 1 leaf growth", snap.Resize)
+	}
+	roundTrip(snap, `"epoch":4`, `"leaves":5`, `"leaf_growths":1`)
 }

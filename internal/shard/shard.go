@@ -35,8 +35,23 @@
 //	h.Enqueue("job")
 //	v, ok := h.Dequeue()
 //
-// The registry is a CAS-claimed free list, so Acquire and Release are
-// lock-free and safe to call from any goroutine at any time.
+// The registry is a CAS-claimed free list, so Release is lock-free and
+// safe to call from any goroutine at any time, and so is Acquire except
+// when it grows the ordering trees (below).
+//
+// # Trees sized to the leases
+//
+// The paper prices every operation by the height of the ordering tree,
+// which has one leaf per process. The fabric does not build its shards for
+// every slot it could lease: each shard starts with min(4, maxHandles+1)
+// leaves (the last one is the fabric's maintenance slot), and the Acquire
+// that pops a slot the current trees cannot hold installs a successor
+// epoch whose shards have twice the leaves, or as many as the slot needs,
+// capped at maxHandles+1 — 4 → 8 → 16 → 17 with the default 16 slots. The
+// registry hands out its lowest never-used slot only when every used one
+// is leased, so the trees track the high-water lease count. They never
+// shrink. A growth is a migration like a shrink's (below), with every
+// shard retired into its successor at the same index.
 //
 // # Elasticity
 //
@@ -47,12 +62,14 @@
 // producers that lived there under the deterministic home-mod-k rule, and
 // drains the retired shards' residual elements into the survivors in their
 // shard-FIFO order — exact conservation, per-producer FIFO intact across
-// the epoch boundary. Exactly two operations can block, both only while a
-// shrink's migration is in flight: the first enqueue of a re-homed
-// producer (waiting for its old shard's drain so its old elements stay
-// ahead of its new ones), and a dequeue whose sweep found nothing
-// (waiting for the drain rather than falsely certifying an occupied
-// fabric empty). Everything else stays wait-free through the swap.
+// the epoch boundary. Three operations can block, each only while a
+// migration is in flight: the first enqueue of a producer whose home shard
+// changed (waiting for its old shard's drain so its old elements stay
+// ahead of its new ones), a dequeue whose sweep found nothing (waiting for
+// the drain rather than falsely certifying an occupied fabric empty), and
+// an Acquire that grows the trees (it runs the growth's migration itself).
+// Acquire blocks at most ⌈log₂((maxHandles+1)/4)⌉ times per fabric, 3 with
+// the default 16 slots. Everything else stays wait-free through the swap.
 package shard
 
 import (
@@ -159,6 +176,24 @@ func (s *shardState[T]) sink() *shardState[T] {
 	}
 }
 
+// addTally adds n to the tally pick selects on s's sink. A retirement may
+// hand the sink's tallies over between the lookup and the add; the add
+// then finds the state merged and hands the residue on itself, so a fold
+// racing a migration is never lost.
+func addTally[T any](s *shardState[T], n int64, pick func(*shardState[T]) *atomic.Int64) {
+	for n != 0 {
+		s = s.sink()
+		pick(s).Add(n)
+		if s.mergedInto.Load() == nil {
+			return
+		}
+		n = pick(s).Swap(0)
+	}
+}
+
+func enqueuesOf[T any](s *shardState[T]) *atomic.Int64 { return &s.enqueues }
+func dequeuesOf[T any](s *shardState[T]) *atomic.Int64 { return &s.dequeues }
+
 // Option configures New.
 type Option func(*config)
 
@@ -176,14 +211,17 @@ func WithBackend(b Backend) Option {
 	return func(c *config) { c.backend = b }
 }
 
-// WithMaxHandles sets the number of leasable handle slots (default
-// max(16, 4*GOMAXPROCS)). Each slot owns one handle in every shard.
+// WithMaxHandles caps the number of leasable handle slots (default
+// max(16, 4*GOMAXPROCS)): Acquire refuses a lease beyond it, and each
+// shard's ordering tree grows with the leases up to maxHandles+1 leaves,
+// never past. Every leased slot owns one handle in every shard.
 func WithMaxHandles(n int) Option {
 	return func(c *config) { c.maxHandles, c.maxHandlesSet = n, true }
 }
 
 // WithGCInterval forwards a garbage-collection interval to BackendBounded
-// shards; it is ignored by BackendCore.
+// shards; it is ignored by BackendCore. The default is the paper's G for
+// the cap, maxHandles+1 processes, whatever size the trees have grown to.
 func WithGCInterval(g int64) Option {
 	return func(c *config) { c.gcInterval = g }
 }
@@ -223,17 +261,19 @@ type Queue[T any] struct {
 	// resizeMu serializes Resize calls; the data plane never takes it.
 	resizeMu sync.Mutex
 
-	grows    atomic.Int64 // Resize calls that added shards
-	shrinks  atomic.Int64 // Resize calls that removed shards
-	migrated atomic.Int64 // elements drained from retired shards
+	grows       atomic.Int64 // Resize calls that added shards
+	shrinks     atomic.Int64 // Resize calls that removed shards
+	leafGrowths atomic.Int64 // Acquire calls that grew the trees
+	migrated    atomic.Int64 // elements drained from retired shards
 
 	// mu guards the per-shard counter totals that released handles merge
 	// into (only when WithShardMetrics is set). Release is cold path.
 	mu sync.Mutex
 }
 
-// New creates a fabric of shards independent queues. Each of the
-// cfg.maxHandles handle slots owns one sub-handle in every shard.
+// New creates a fabric of shards independent queues, each with an ordering
+// tree of min(4, maxHandles+1) leaves; Acquire grows the trees as leases
+// need it.
 func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 	cfg := config{backend: BackendCore}
 	for _, opt := range opts {
@@ -256,42 +296,36 @@ func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 		homes:      make([]padInt64, cfg.maxHandles),
 		slotEpochs: make([]slotEpoch, cfg.maxHandles),
 	}
-	t := &topology[T]{
-		epoch:          1,
-		shards:         make([]*shardState[T], shards),
-		migrationsDone: make(chan struct{}),
+	// Epoch 1 succeeds an empty epoch 0, so every shard is built fresh.
+	t, err := q.successor(&topology[T]{}, shards, min(4, cfg.maxHandles+1))
+	if err != nil {
+		return nil, err
 	}
 	close(t.migrationsDone) // nothing to migrate in the first epoch
-	for j := range t.shards {
-		sub, err := newSubQueue[T](cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.shards[j] = &shardState[T]{q: sub, counter: &metrics.Counter{}}
-	}
-	t.bitmap.init(shards)
 	q.topo.Store(t)
 	q.reg.init(cfg.maxHandles)
 	return q, nil
 }
 
-// newSubQueue builds one shard's backing queue with one handle slot beyond
-// the leasable ones, reserved for the fabric's own maintenance operations
-// (migration drains during Resize).
-func newSubQueue[T any](cfg config) (subQueue[T], error) {
+// newSubQueue builds one shard's backing queue with the given number of
+// leaves; the last is reserved for the fabric's own maintenance operations
+// (migration drains). A bounded shard's G is the one for the cap, so
+// growing the trees changes neither how often GC phases run nor
+// Theorem 31's space bound.
+func newSubQueue[T any](cfg config, leaves int) (subQueue[T], error) {
 	switch cfg.backend {
 	case BackendCore:
-		cq, err := core.New[T](cfg.maxHandles + 1)
+		cq, err := core.New[T](leaves)
 		if err != nil {
 			return nil, err
 		}
 		return coreShard[T]{q: cq}, nil
 	case BackendBounded:
-		var opts []bounded.Option
-		if cfg.gcInterval > 0 {
-			opts = append(opts, bounded.WithGCInterval(cfg.gcInterval))
+		g := cfg.gcInterval
+		if g <= 0 {
+			g = bounded.DefaultGCInterval(cfg.maxHandles + 1)
 		}
-		bq, err := bounded.New[T](cfg.maxHandles+1, opts...)
+		bq, err := bounded.New[T](leaves, bounded.WithGCInterval(g))
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +339,7 @@ func newSubQueue[T any](cfg config) (subQueue[T], error) {
 // calls; read it as a point-in-time value.
 func (q *Queue[T]) Shards() int { return len(q.topo.Load().shards) }
 
-// MaxHandles returns the number of leasable handle slots.
+// MaxHandles returns the cap on leasable handle slots.
 func (q *Queue[T]) MaxHandles() int { return q.cfg.maxHandles }
 
 // Backend returns the per-shard queue implementation in use.
@@ -313,12 +347,22 @@ func (q *Queue[T]) Backend() Backend { return q.cfg.backend }
 
 // Acquire leases a handle slot to the calling goroutine. The returned handle
 // must be used by one goroutine at a time and returned with Release; until
-// then the slot is unavailable to other callers. Acquire is lock-free and
-// returns ErrNoFreeHandles when every slot is leased.
+// then the slot is unavailable to other callers. Acquire returns
+// ErrNoFreeHandles when every slot is leased. It is lock-free unless the
+// slot it pops is one the shards' trees do not have a leaf for: then it
+// grows the trees (see growFor) before it returns, which waits for any
+// Resize in flight and for the growth's own migration. A closed fabric
+// grows too, because consumers lease handles to drain it.
 func (q *Queue[T]) Acquire() (*Handle[T], error) {
 	slot, ok := q.reg.acquire()
 	if !ok {
 		return nil, ErrNoFreeHandles
+	}
+	if slot >= q.topo.Load().maintSlot() {
+		if err := q.growFor(slot); err != nil {
+			q.reg.release(slot)
+			return nil, err
+		}
 	}
 	base := q.nextHome.Add(1) - 1
 	// Publish-then-recheck, mirroring Handle.enter: if a Resize installs a
@@ -340,10 +384,9 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 		}
 	}
 	h := &Handle[T]{
-		q:        q,
-		slot:     slot,
-		rng:      rngSeed(slot),
-		lastHome: home,
+		q:    q,
+		slot: slot,
+		rng:  rngSeed(slot),
 	}
 	h.refresh(t)
 	return h, nil
@@ -353,9 +396,12 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 // Dequeue and Drain keep working, so consumers can drain the backlog.
 // Enqueues that began before Close completed may still be admitted. Close is
 // idempotent. It serializes with Resize (waiting out an in-flight
-// migration, which is bounded by the retired backlog), so once Close
-// returns, no further topology change can move elements underneath the
-// consumers' drain.
+// migration, which is bounded by the retired backlog), and once it returns
+// Resize refuses. An Acquire may still grow the trees, since consumers
+// lease handles in order to drain: a growth moves each shard's elements,
+// in order, into its successor at the same index, and a consumer's sweep
+// that comes up short waits for that move, so Drain still returns every
+// element.
 func (q *Queue[T]) Close() {
 	q.resizeMu.Lock()
 	q.closed.Store(true)

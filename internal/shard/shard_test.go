@@ -372,30 +372,44 @@ func TestShardStatePadded(t *testing.T) {
 // TestAllocsEnqueueDequeue: Enqueue and Dequeue are batches of one handed
 // to the sub-queues through an interface, so a per-call slice would escape
 // and read >= 2 allocations per pair. The handle's one-slot scratch keeps
-// the pair at the tree's own amortized slab allocations (~0.3).
+// the pair at the tree's own amortized slab allocations (~0.3), both on
+// the trees a fabric starts with and on trees grown to the cap.
 func TestAllocsFabricSingleOp(t *testing.T) {
-	q, err := New[int](4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := q.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	pair := func() {
-		if err := h.Enqueue(7); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := h.Dequeue(); !ok {
-			t.Fatal("dequeue failed")
-		}
-	}
-	for i := 0; i < 300; i++ { // let the infarray directories and the first slab settle
-		pair()
-	}
-	if avg := testing.AllocsPerRun(2000, pair); avg > 1.0 {
-		t.Errorf("allocs per Enqueue+Dequeue pair = %.2f, want <= 1", avg)
+	for _, row := range []struct {
+		name           string
+		leases, leaves int
+	}{{"start", 1, 4}, {"cap", 16, 17}} {
+		t.Run(row.name, func(t *testing.T) {
+			q, err := New[int](4, WithMaxHandles(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := make([]*Handle[int], row.leases)
+			for i := range hs {
+				if hs[i], err = q.Acquire(); err != nil {
+					t.Fatal(err)
+				}
+				defer hs[i].Release()
+			}
+			if got := q.ResizeStats().Leaves; got != row.leaves {
+				t.Fatalf("%d leases: %d leaves, want %d", row.leases, got, row.leaves)
+			}
+			h := hs[0]
+			pair := func() {
+				if err := h.Enqueue(7); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := h.Dequeue(); !ok {
+					t.Fatal("dequeue failed")
+				}
+			}
+			for i := 0; i < 300; i++ { // let the infarray directories and the first slab settle
+				pair()
+			}
+			if avg := testing.AllocsPerRun(2000, pair); avg > 1.0 {
+				t.Errorf("allocs per Enqueue+Dequeue pair = %.2f, want <= 1", avg)
+			}
+		})
 	}
 }
 

@@ -12,18 +12,24 @@ import (
 // holds exactly one live topology behind an atomic pointer; every fabric
 // operation loads it once and works against that snapshot, so an operation
 // never observes a half-installed shard set. Resize installs a successor
-// (epoch+1) rather than mutating the current one.
+// (epoch+1) rather than mutating the current one, and so does an Acquire
+// that grows the shards' trees.
 //
-// Shard identity is positional and prefix-stable: a grow appends fresh
-// shards after the survivors, a shrink truncates the suffix, so
-// shards[j] of epoch e+1 is the same *shardState as shards[j] of epoch e
-// for every j < min(k_old, k_new). Handles exploit this to reuse their
+// Shard identity is positional and prefix-stable across Resize: a grow
+// appends fresh shards after the survivors, a shrink truncates the suffix,
+// so shards[j] of epoch e+1 is the same *shardState as shards[j] of epoch
+// e for every j < min(k_old, k_new). Handles exploit this to reuse their
 // per-shard sub-handles across a refresh instead of re-deriving all of
-// them.
+// them. A tree growth keeps k and replaces every shard.
 type topology[T any] struct {
 	// epoch numbers topologies from 1 (0 is the "idle" sentinel published
 	// by handles between operations, see Queue.slotEpochs).
 	epoch uint64
+
+	// leaves is the leaf count of every shard's ordering tree: slots
+	// 0..leaves-2 are leasable, leaves-1 is the maintenance slot. It never
+	// decreases from one epoch to the next.
+	leaves int
 
 	// shards is the live shard set; its length is the fabric's current k.
 	shards []*shardState[T]
@@ -34,8 +40,9 @@ type topology[T any] struct {
 	// never depends on the bitmap (there is always a full-sweep fallback).
 	bitmap bitmap
 
-	// retired holds the shards a shrink removed from service, until their
-	// residual elements are migrated into the survivors. They are invisible
+	// retired holds the shards this epoch removed from service (a shrink's
+	// suffix, or every shard of a tree growth), until their residual
+	// elements are migrated into their successors. They are invisible
 	// to dequeues of this epoch — only the migration drain (which runs
 	// after the grace period, so it has exclusive access) touches them;
 	// Len reads them so the backlog owed to the survivors stays counted.
@@ -46,10 +53,11 @@ type topology[T any] struct {
 
 	// migrationsDone is closed once every retired shard has been drained
 	// into its destination (immediately at install when there is nothing to
-	// migrate). A producer whose home moved blocks its next enqueue on this
-	// channel, so its residual elements reach the new home shard before any
-	// of its new ones — the ordering that keeps per-producer FIFO intact
-	// across epochs.
+	// migrate). A producer whose home shard changed — re-homed by a shrink,
+	// replaced by a growth, or never used by a fresh lease — blocks its
+	// next enqueue on this channel, so its residual elements reach the new
+	// home shard before any of its new ones: the ordering that keeps
+	// per-producer FIFO intact across epochs.
 	migrationsDone chan struct{}
 }
 
@@ -75,31 +83,37 @@ func (q *Queue[T]) effHome(slot int, t *topology[T]) int {
 }
 
 // maintSlot is the sub-queue handle slot reserved for the fabric's own
-// maintenance operations (migration drains). Sub-queues are built with one
-// slot beyond cfg.maxHandles so maintenance never competes with leases.
-func (q *Queue[T]) maintSlot() int { return q.cfg.maxHandles }
+// maintenance operations (migration drains): the last leaf of t's trees.
+// Acquire grows the trees before it hands out this slot, so maintenance
+// never competes with leases.
+func (t *topology[T]) maintSlot() int { return t.leaves - 1 }
 
 // ResizeStats counts topology changes over the fabric's lifetime. The JSON
 // field names are a stable encoding consumed by the service layer's
 // /statsz endpoint.
 type ResizeStats struct {
-	Epoch    uint64 `json:"epoch"`    // current topology epoch (1 = as built)
-	Grows    int64  `json:"grows"`    // completed Resize calls that added shards
-	Shrinks  int64  `json:"shrinks"`  // completed Resize calls that removed shards
-	Migrated int64  `json:"migrated"` // elements drained from retired shards into survivors
+	Epoch       uint64 `json:"epoch"`        // current topology epoch (1 = as built)
+	Grows       int64  `json:"grows"`        // completed Resize calls that added shards
+	Shrinks     int64  `json:"shrinks"`      // completed Resize calls that removed shards
+	Leaves      int    `json:"leaves"`       // leaves of every shard's ordering tree now
+	LeafGrowths int64  `json:"leaf_growths"` // Acquire calls that grew the trees
+	Migrated    int64  `json:"migrated"`     // elements drained from retired shards into their successors
 }
 
 // Epoch returns the current topology epoch. It starts at 1 and increments
-// with every effective Resize.
+// with every effective Resize and every tree growth.
 func (q *Queue[T]) Epoch() uint64 { return q.topo.Load().epoch }
 
 // ResizeStats returns the fabric's topology-change counters.
 func (q *Queue[T]) ResizeStats() ResizeStats {
+	t := q.topo.Load()
 	return ResizeStats{
-		Epoch:    q.topo.Load().epoch,
-		Grows:    q.grows.Load(),
-		Shrinks:  q.shrinks.Load(),
-		Migrated: q.migrated.Load(),
+		Epoch:       t.epoch,
+		Grows:       q.grows.Load(),
+		Shrinks:     q.shrinks.Load(),
+		Leaves:      t.leaves,
+		LeafGrowths: q.leafGrowths.Load(),
+		Migrated:    q.migrated.Load(),
 	}
 }
 
@@ -134,30 +148,88 @@ func (q *Queue[T]) Resize(k int) error {
 	if k == kOld {
 		return nil
 	}
+	nt, err := q.successor(old, k, old.leaves)
+	if err != nil {
+		return err
+	}
+	q.install(old, nt)
+	if k > kOld {
+		q.grows.Add(1)
+	} else {
+		q.shrinks.Add(1)
+	}
+	return nil
+}
 
+// growFor grows every shard's tree so that it has a leaf for slot, which
+// Acquire has just popped: to twice the current leaves, or slot+2 if that
+// is more, capped at maxHandles+1. Like Resize it serializes on resizeMu;
+// unlike Resize it runs on a closed fabric. It is a no-op when a
+// concurrent Acquire grew the trees far enough first.
+func (q *Queue[T]) growFor(slot int) error {
+	q.resizeMu.Lock()
+	defer q.resizeMu.Unlock()
+	old := q.topo.Load()
+	if slot < old.maintSlot() {
+		return nil
+	}
+	leaves := min(max(2*old.leaves, slot+2), q.cfg.maxHandles+1)
+	nt, err := q.successor(old, len(old.shards), leaves)
+	if err != nil {
+		return err
+	}
+	q.install(old, nt)
+	q.leafGrowths.Add(1)
+	return nil
+}
+
+// successor builds, without installing it, the topology after old with k
+// shards of the given leaf count: old's shards carry over by index while
+// the leaf count stays, and every other shard is built fresh. It is the
+// one place shards are built, so a backend failure leaves the current
+// topology fully intact.
+func (q *Queue[T]) successor(old *topology[T], k, leaves int) (*topology[T], error) {
 	nt := &topology[T]{
 		epoch:          old.epoch + 1,
+		leaves:         leaves,
+		shards:         make([]*shardState[T], k),
 		migrationsDone: make(chan struct{}),
 	}
-	var retired []*shardState[T]
-	if k > kOld {
-		// Build the new shards before installing anything, so a backend
-		// failure leaves the old topology fully intact.
-		fresh := make([]*shardState[T], 0, k-kOld)
-		for j := kOld; j < k; j++ {
-			sub, err := newSubQueue[T](q.cfg)
-			if err != nil {
-				return err
-			}
-			fresh = append(fresh, &shardState[T]{q: sub, counter: &metrics.Counter{}})
+	for j := range nt.shards {
+		if leaves == old.leaves && j < len(old.shards) {
+			nt.shards[j] = old.shards[j]
+			continue
 		}
-		nt.shards = append(append(make([]*shardState[T], 0, k), old.shards...), fresh...)
-	} else {
-		nt.shards = old.shards[:k:k]
-		retired = old.shards[k:]
-		nt.retired.Store(&retired)
+		sub, err := newSubQueue[T](q.cfg, leaves)
+		if err != nil {
+			return nil, err
+		}
+		nt.shards[j] = &shardState[T]{q: sub, counter: &metrics.Counter{}}
 	}
 	nt.bitmap.init(k)
+	return nt, nil
+}
+
+// install makes nt, built by successor from old, the current topology and
+// completes the move onto it; the caller holds resizeMu. Every shard of
+// old that nt does not carry over at its index (a shrink's suffix, or all
+// of them when the trees grew) is retired into nt.shards[j mod k], where j
+// is its old index: producers homed past the new k are re-homed under the
+// same mod rule, and after the grace period each retired shard is drained,
+// in its FIFO order, into its successor, which also inherits its tallies.
+// Shrinks and tree growths share this routine; a Resize grow retires
+// nothing.
+func (q *Queue[T]) install(old, nt *topology[T]) {
+	k := len(nt.shards)
+	var retired []*shardState[T]
+	for j, s := range old.shards {
+		if j >= k || nt.shards[j] != s {
+			retired = append(retired, s)
+		}
+	}
+	if retired != nil {
+		nt.retired.Store(&retired)
+	}
 	for j, s := range nt.shards {
 		if s.len() > 0 {
 			nt.bitmap.set(j)
@@ -171,7 +243,7 @@ func (q *Queue[T]) Resize(k int) error {
 	// starts only after the grace period, so those stragglers are captured
 	// in order.
 	q.topo.Store(nt)
-	if k < kOld {
+	if k < len(old.shards) {
 		for i := range q.homes {
 			if h := q.homes[i].v.Load(); h >= int64(k) {
 				q.homes[i].v.Store(h % int64(k))
@@ -186,16 +258,25 @@ func (q *Queue[T]) Resize(k int) error {
 	q.awaitEpochRetired(old.epoch)
 
 	var moved int64
-	for i, s := range retired {
-		oldIdx := k + i
-		dst := nt.shards[oldIdx%k]
-		moved += q.drainInto(s, nt, oldIdx%k)
+	for j, s := range old.shards {
+		if j < k && nt.shards[j] == s {
+			continue
+		}
+		dst := nt.shards[j%k]
+		n := q.drainInto(s, old, nt, j%k)
+		moved += n
+		if j >= k {
+			// A shrink moves elements to another shard: that is traffic on
+			// both, and keeps each shard's enqueues-dequeues == len audit
+			// exact. A growth's successor is the same shard continued.
+			s.dequeues.Add(n)
+			dst.enqueues.Add(n)
+		}
 		// The destination inherits the retired shard's recorded history —
 		// traffic tallies and cost-model counters — and the merged-into
 		// pointer routes any tallies still buffered in live handles there
-		// too, so lifetime totals survive the shrink. (A fold that resolved
-		// its sink just before this store may still land on the retired
-		// state; that sliver is bounded by one in-flight fold per handle.)
+		// too (addTally hands over a fold that lands after this), so
+		// lifetime totals survive the migration exactly.
 		s.mergedInto.Store(dst)
 		dst.enqueues.Add(s.enqueues.Swap(0))
 		dst.dequeues.Add(s.dequeues.Swap(0))
@@ -217,14 +298,7 @@ func (q *Queue[T]) Resize(k int) error {
 			nt.bitmap.set(j)
 		}
 	}
-
-	if k > kOld {
-		q.grows.Add(1)
-	} else {
-		q.shrinks.Add(1)
-		q.migrated.Add(moved)
-	}
-	return nil
+	q.migrated.Add(moved)
 }
 
 // awaitEpochRetired spins until no handle slot publishes epoch e anymore.
@@ -241,20 +315,18 @@ func (q *Queue[T]) awaitEpochRetired(e uint64) {
 	}
 }
 
-// drainInto migrates every residual element of retired shard src into
-// nt.shards[dst], preserving the src stream's FIFO order, and returns the
-// element count. It runs with exclusive access to src (post grace period)
-// through the reserved maintenance slot, in bounded batches through one
-// reused buffer (EnqueueBatch copies) so one giant backlog does not
-// allocate a giant slice. The moved elements are tallied
-// as dequeues on src and enqueues on dst, keeping each shard's
-// enqueues-dequeues == len audit exact.
-func (q *Queue[T]) drainInto(src *shardState[T], nt *topology[T], dst int) int64 {
-	srcH, err := src.q.handle(q.maintSlot())
+// drainInto migrates every residual element of src, a shard of old that
+// nt retires, into nt.shards[dst], preserving the src stream's FIFO order,
+// and returns the element count. It runs with exclusive access to src
+// (post grace period) through each topology's reserved maintenance slot,
+// in bounded batches through one reused buffer (EnqueueBatch copies) so
+// one giant backlog does not allocate a giant slice.
+func (q *Queue[T]) drainInto(src *shardState[T], old, nt *topology[T], dst int) int64 {
+	srcH, err := src.q.handle(old.maintSlot())
 	if err != nil {
 		panic(fmt.Sprintf("shard: maintenance handle on retired shard: %v", err))
 	}
-	dstH, err := nt.shards[dst].q.handle(q.maintSlot())
+	dstH, err := nt.shards[dst].q.handle(nt.maintSlot())
 	if err != nil {
 		panic(fmt.Sprintf("shard: maintenance handle on shard %d: %v", dst, err))
 	}
@@ -268,8 +340,6 @@ func (q *Queue[T]) drainInto(src *shardState[T], nt *topology[T], dst int) int64
 		}
 		dstH.EnqueueBatch(vs)
 		nt.bitmap.set(dst)
-		src.dequeues.Add(int64(got))
-		nt.shards[dst].enqueues.Add(int64(got))
 		moved += int64(got)
 	}
 }

@@ -182,8 +182,10 @@ var ErrNoFreeHandles = shard.ErrNoFreeHandles
 // ShardBackendCore).
 func WithShardBackend(b ShardBackend) ShardedOption { return shard.WithBackend(b) }
 
-// WithShardMaxHandles sets the number of leasable handle slots (default
-// max(16, 4*GOMAXPROCS)).
+// WithShardMaxHandles caps the number of leasable handle slots (default
+// max(16, 4*GOMAXPROCS)): Acquire refuses a lease beyond it. The shards'
+// ordering trees start at 4 leaves and grow with the leases up to n+1,
+// never past.
 func WithShardMaxHandles(n int) ShardedOption { return shard.WithMaxHandles(n) }
 
 // WithShardGCInterval forwards a GC interval to ShardBackendBounded shards.
