@@ -5,39 +5,47 @@ package bounded
 // (internal/pbst: lo, hi, the first and last values, the trie root and
 // shift, and a pointer to the tail chunk, whose slots the versions share)
 // plus an amortised 1/16 of a chunk push, which allocates the next tail
-// chunk and copies the trie path; published blocks are heap objects of
-// their own, and only Refresh candidates that lost their CAS come back
-// through the arena (pool.go). An Enqueue;Dequeue pair installs one block
-// per level per op, so the floor is 2 allocations per level per op and grows
-// with log2 p. The gate pins that floor at two tree heights, which catches a
-// second header copy per install or a per-op block allocation creeping in,
-// and pins the bytes, which catch a header or chunk growing; the white-box
-// tests check recycling fires at all.
+// chunk and copies the trie path in 128-byte branches. Published blocks are
+// heap objects of their own: a pointer-free 48-byte block at an internal
+// node, which the Go collector never scans, and a leafBlock at a leaf (112
+// bytes for an int payload). Only internal Refresh candidates that lost
+// their CAS come back through the arena (pool.go). An Enqueue;Dequeue pair
+// installs one block per level per op, so the floor is 2 allocations per
+// level per op and grows with log2 p. The gate pins that floor at two tree
+// heights, which catches a second header copy per install or a per-op block
+// allocation creeping in, and pins the bytes, which catch a header, chunk,
+// branch or internal block growing; TestBlockPointerFree keeps internal
+// blocks out of the scanned size classes, and the white-box tests check
+// recycling fires at all.
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 )
 
 func TestAllocsBoundedPair(t *testing.T) {
-	// Measured 13 and 21 allocs per pair: 3 and 5 levels x 2 ops x (block +
-	// header), the rest chunk pushes and, at p=4, the tail chunk a GC phase's
-	// DropBelow copies when it cuts inside the tail. Measured 1,249 and
-	// 2,199 bytes per pair (1,918 and 3,319 while the header carried a
-	// 16-slot tail inline); the byte ceilings are those +10%. p=4 is the
-	// tree a shard fabric starts with, and p=17 the one it grows to at its
-	// default cap (16 leasable slots plus the maintenance slot): handle 0
-	// sits at depth 4, as at p=16, and measures 21 allocs and 2,166 bytes
-	// (26 and 2,599 while the tree rounded up to 32 leaves), so it gets
-	// p=16's ceilings.
+	// Measured 13, 17 and 21 allocs per pair at p = 4, 8 and 16: 3, 4 and 5
+	// levels x 2 ops x (block + header), the rest chunk pushes and, at p=4,
+	// the tail chunk a GC phase's DropBelow copies when it cuts inside the
+	// tail. Measured 939, 1,194 and 1,509 bytes per pair: a 48-byte block
+	// per internal level, a leafBlock at the leaf, a 56-byte header per
+	// install and the amortised chunk push. The byte ceilings are those
+	// +10%. p=4 is the tree a shard fabric starts with, p=8 the one
+	// lib-bounded-prodcons's shards grow to, and p=17 the one a fabric
+	// grows to at its default cap (16 leasable slots plus the maintenance
+	// slot): handle 0 sits at depth 4, as at p=16, and measures 21 allocs
+	// and 1,491 bytes, so it gets p=16's ceilings.
 	for _, c := range []struct {
 		procs          int
 		ceiling, bytes float64
-	}{{4, 13, 1374}, {16, 22, 2419}, {17, 22, 2419}} {
+	}{{4, 13, 1033}, {8, 17, 1313}, {16, 22, 1660}, {17, 22, 1660}} {
 		t.Run(fmt.Sprintf("p%d", c.procs), func(t *testing.T) {
 			q, err := New[int](c.procs)
 			if err != nil {
@@ -64,6 +72,30 @@ func TestAllocsBoundedPair(t *testing.T) {
 				t.Errorf("bytes per bounded Enqueue+Dequeue pair at p=%d = %.0f, want <= %.0f", c.procs, bytes, c.bytes)
 			}
 		})
+	}
+}
+
+// TestBlockPointerFree keeps internal-node blocks in the size classes the Go
+// collector never scans: a field that holds a pointer, in any guise, would
+// put every internal block an install allocates back on the mark queue.
+func TestBlockPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: internal blocks must hold no pointers", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("block", reflect.TypeFor[block]())
+	if n := unsafe.Sizeof(block{}); n != 48 {
+		t.Errorf("sizeof(block) = %d bytes, want 48", n)
 	}
 }
 
@@ -142,8 +174,8 @@ func countSteps(h *Handle[int], pair func()) (steps, vals int64) {
 }
 
 // TestAllocsArenaReuse checks the arena mechanics deterministically:
-// recycled blocks are reused, fully reset, and overflow the spare stack
-// into the shared pool.
+// recycled internal blocks are reused, fully reset, and overflow the spare
+// stack into the shared pool.
 func TestAllocsArenaReuse(t *testing.T) {
 	q, err := New[int](2)
 	if err != nil {
@@ -151,32 +183,88 @@ func TestAllocsArenaReuse(t *testing.T) {
 	}
 	h := q.MustHandle(0)
 	b1 := h.newBlock()
-	b1.index = 9
-	b1.sumEnq = 5
-	b1.isDeq = true
-	b1.deqCount = 3
-	b1.elems = []int{1}
-	b1.response.Store(&response[int]{ok: true})
+	*b1 = block{index: 9, sumEnq: 5, sumDeq: 4, endLeft: 3, endRight: 2, size: 1}
 	h.recycle(b1)
 	b2 := h.newBlock()
 	if b2 != b1 {
 		t.Fatal("recycled block not reused")
 	}
-	if b2.index != 0 || b2.sumEnq != 0 || b2.isDeq || b2.deqCount != 0 ||
-		b2.elems != nil || b2.response.Load() != nil {
-		t.Fatalf("recycled block not reset: index=%d sumEnq=%d isDeq=%v deqCount=%d",
-			b2.index, b2.sumEnq, b2.isDeq, b2.deqCount)
+	if *b2 != (block{}) {
+		t.Fatalf("recycled block not reset: %+v", *b2)
 	}
-	// Overflow: beyond spareCap the excess must reach the shared pool.
-	for i := 0; i < spareCap+4; i++ {
-		h.recycle(&block[int]{index: int64(i)})
+	// Overflow: beyond spareCap the excess must reach the shared pool, and
+	// the pool must hand back one of those very blocks, reset. Under -race
+	// sync.Pool drops a random quarter of what is Put, so many blocks
+	// spill, and the collector is held off so the pool keeps the rest.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spilled := make(map[*block]bool)
+	for i := 0; i < spareCap+64; i++ {
+		b := &block{index: int64(i + 1), size: 7}
+		if i >= spareCap {
+			spilled[b] = true
+		}
+		h.recycle(b)
 	}
 	if len(h.spare) != spareCap {
 		t.Fatalf("spare stack holds %d blocks, want %d", len(h.spare), spareCap)
 	}
-	if q.arena.Get() == nil {
+	h.spare = h.spare[:0]
+	b := h.newBlock()
+	if !spilled[b] {
 		t.Fatal("spare overflow did not reach the shared pool")
 	}
+	if *b != (block{}) {
+		t.Fatalf("block from the shared pool not reset: %+v", *b)
+	}
+}
+
+// TestLeafOfRoundTrip checks leafOf's invariant on every kind of block a
+// leaf's store holds: each leaf's index-0 sentinel, and the blocks an
+// Enqueue, an EnqueueBatch, a Dequeue and a DequeueBatch install. leafOf
+// must give back the leafBlock whose head the stored block is, with the
+// fields its operation wrote. Under -race, checkptr also checks that each
+// conversion stays inside one allocation.
+func TestLeafOfRoundTrip(t *testing.T) {
+	q, err := New[int](4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := q.MustHandle(1)
+	// check converts leaf i's newest block and tests it with ok.
+	check := func(what string, i int, ok func(*leafBlock[int]) bool) {
+		t.Helper()
+		_, b, _ := q.leaves[i].blocks.Load().Max()
+		lb := leafOf[int](b)
+		if &lb.block != b || !ok(lb) {
+			t.Fatalf("leaf %d's %s: %+v element=%d elems=%v isDeq=%v deqCount=%d", i, what,
+				lb.block, lb.element, lb.elems, lb.isDeq, lb.deqCount)
+		}
+	}
+	for i := range q.leaves {
+		check("sentinel", i, func(lb *leafBlock[int]) bool {
+			return lb.block == block{} && !lb.isDeq && lb.elems == nil && lb.response.Load() == nil
+		})
+	}
+	h.Enqueue(5)
+	check("enqueue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.index == 1 && lb.element == 5 && lb.numEnq() == 1 && !lb.isDeq
+	})
+	h.EnqueueBatch([]int{6, 7, 8})
+	check("batch enqueue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumEnq == 4 && lb.numEnq() == 3 && lb.enqAt(1) == 6 && lb.enqAt(3) == 8
+	})
+	if v, ok := h.Dequeue(); !ok || v != 5 {
+		t.Fatalf("Dequeue = (%d, %v), want (5, true)", v, ok)
+	}
+	check("dequeue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumDeq == 1 && lb.isDeq && lb.deqCount == 1
+	})
+	if vals, n := h.DequeueBatch(4); n != 3 || vals[0] != 6 || vals[2] != 8 {
+		t.Fatalf("DequeueBatch(4) = %v, %d; want [6 7 8], 3", vals, n)
+	}
+	check("batch dequeue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumDeq == 5 && lb.isDeq && lb.deqCount == 4
+	})
 }
 
 // TestAllocsRefreshFailureRecycles drives refresh's CAS-failure path, which

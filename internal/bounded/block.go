@@ -1,15 +1,22 @@
 package bounded
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // block is one entry of a node's persistent block tree (Figure 5 of the
 // paper). Compared with the unbounded version it carries an explicit index
 // (its position in the conceptual blocks array, which is also its tree key)
 // and drops the super field: superblocks are found by searching the parent's
-// tree on endleft/endright. Leaf blocks representing a dequeue additionally
-// carry a response slot so that helpers can complete the operation during
-// garbage collection (Appendix B).
-type block[T any] struct {
+// tree on endleft/endright.
+//
+// block holds only the fields internal nodes use, and none of them is a
+// pointer: at 48 bytes it lands in a size class the Go collector never
+// scans, and internal-node blocks are most of what a Refresh allocates.
+// Leaf blocks extend it with their operations (leafBlock), so every node's
+// store is one pbst.Seq[block].
+type block struct {
 	index int64
 
 	// sumEnq and sumDeq are the prefix sums of Invariant 7: operations in
@@ -23,6 +30,15 @@ type block[T any] struct {
 
 	// size is the queue length after this block's operations (root only).
 	size int64
+}
+
+// leafBlock is a leaf node's block: the common fields plus the operations
+// it carries. Leaf blocks representing a dequeue carry a response slot so
+// that helpers can complete the operation during garbage collection
+// (Appendix B). The embedded block must stay the first field: a leaf's
+// store holds &lb.block, and leafOf turns it back into lb.
+type leafBlock[T any] struct {
+	block
 
 	// element is the enqueued value (leaf blocks carrying a single
 	// enqueue). Multi-op enqueue blocks store their values in elems, so the
@@ -48,6 +64,16 @@ type block[T any] struct {
 	response atomic.Pointer[response[T]]
 }
 
+// leafOf returns the leaf block whose first field b is. Invariant: every
+// block in a leaf node's store, the index-0 sentinel buildTree makes
+// included, is the head of a leafBlock[T] allocation, so the conversion
+// only ever widens b to the object it was allocated as. b must come from a
+// leaf's store; an internal node's block is a bare 48-byte allocation, and
+// the race detector's checkptr instrumentation rejects widening one.
+func leafOf[T any](b *block) *leafBlock[T] {
+	return (*leafBlock[T])(unsafe.Pointer(b))
+}
+
 // response is a dequeue result: ok is false for a null dequeue. For batch
 // dequeue blocks, vals holds the values of every successful dequeue of the
 // batch (always a prefix of the block's dequeues, since the batch occupies
@@ -61,7 +87,7 @@ type response[T any] struct {
 
 // enqAt returns the i-th (1-based) enqueue argument of a leaf block, which
 // must contain at least i enqueues.
-func (b *block[T]) enqAt(i int64) T {
+func (b *leafBlock[T]) enqAt(i int64) T {
 	if b.elems != nil {
 		return b.elems[i-1]
 	}
@@ -69,10 +95,10 @@ func (b *block[T]) enqAt(i int64) T {
 }
 
 // numEnq returns the number of enqueues an enqueue leaf block carries.
-func (b *block[T]) numEnq() int64 { return max(int64(len(b.elems)), 1) }
+func (b *leafBlock[T]) numEnq() int64 { return max(int64(len(b.elems)), 1) }
 
 // end returns endLeft or endRight according to dir.
-func (b *block[T]) end(dir direction) int64 {
+func (b *block) end(dir direction) int64 {
 	if dir == left {
 		return b.endLeft
 	}

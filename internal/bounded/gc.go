@@ -12,7 +12,7 @@ package bounded
 // splitIndex returns the index of the oldest block node v must keep; blocks
 // with smaller indices are discarded by the caller (SplitBlock, lines
 // 234-248, which returns the block whose index the caller splits at).
-func (h *Handle[T]) splitIndex(v *node[T]) int64 {
+func (h *Handle[T]) splitIndex(v *node) int64 {
 	return h.splitBlock(v).index
 }
 
@@ -21,7 +21,7 @@ func (h *Handle[T]) splitIndex(v *node[T]) int64 {
 // lookup on the way finds the block already discarded by another GC phase,
 // the node's oldest surviving block is used instead (line 247): that GC
 // already determined everything older is disposable.
-func (h *Handle[T]) splitBlock(v *node[T]) *block[T] {
+func (h *Handle[T]) splitBlock(v *node) *block {
 	t := h.loadTree(v)
 	if v.isRoot() {
 		var m int64
@@ -63,15 +63,16 @@ func (h *Handle[T]) help() {
 	for _, leaf := range h.queue.leaves {
 		t := h.loadTree(leaf)
 		_, b := h.treeMax(t)
-		if !b.isDeq || b.index == 0 || !h.propagated(leaf, b.index) {
+		lb := leafOf[T](b)
+		if !lb.isDeq || b.index == 0 || !h.propagated(leaf, b.index) {
 			continue
 		}
-		res, err := h.completeDeqN(leaf, b.index, b.deqCount)
+		res, err := h.completeDeqN(leaf, b.index, lb.deqCount)
 		if err != nil {
 			// Another GC already discarded this dequeue's blocks, so its
 			// response was published then.
 			continue
 		}
-		h.counter.CAS(b.response.CompareAndSwap(nil, &res))
+		h.counter.CAS(lb.response.CompareAndSwap(nil, &res))
 	}
 }

@@ -145,8 +145,8 @@ func TestHelpWritesResponses(t *testing.T) {
 	helped := 0
 	for _, leaf := range q.leaves {
 		tr := leaf.blocks.Load()
-		tr.Ascend(func(_ int64, b *block[int]) bool {
-			if b.isDeq && b.response.Load() != nil {
+		tr.Ascend(func(_ int64, b *block) bool {
+			if lb := leafOf[int](b); lb.isDeq && lb.response.Load() != nil {
 				helped++
 			}
 			return true

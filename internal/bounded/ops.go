@@ -15,17 +15,16 @@ import (
 
 // Enqueue adds e to the back of the queue. It is the m=1 case of
 // EnqueueBatch: both install one leaf block through the same append path.
-// The block is built inline (no transient slice) and drawn from the arena.
+// The block is built inline, with no transient slice.
 func (h *Handle[T]) Enqueue(e T) {
 	h.counter.BeginOp()
 	t := h.loadTree(h.leaf)
 	_, prev := h.treeMax(t)
-	b := h.newBlock()
-	b.index = prev.index + 1
-	b.sumEnq = prev.sumEnq + 1
-	b.sumDeq = prev.sumDeq
-	b.element = e
-	h.append(t, prev, b)
+	lb := &leafBlock[T]{
+		block:   block{index: prev.index + 1, sumEnq: prev.sumEnq + 1, sumDeq: prev.sumDeq},
+		element: e,
+	}
+	h.append(t, prev, &lb.block)
 	h.counter.EndOp(metrics.OpEnqueue)
 }
 
@@ -47,16 +46,15 @@ func (h *Handle[T]) EnqueueBatch(es []T) {
 func (h *Handle[T]) enqueueBlock(es []T) {
 	t := h.loadTree(h.leaf)
 	_, prev := h.treeMax(t)
-	b := h.newBlock()
-	b.index = prev.index + 1
-	b.sumEnq = prev.sumEnq + int64(len(es))
-	b.sumDeq = prev.sumDeq
-	if len(es) == 1 {
-		b.element = es[0]
-	} else {
-		b.elems = append([]T(nil), es...)
+	lb := &leafBlock[T]{
+		block: block{index: prev.index + 1, sumEnq: prev.sumEnq + int64(len(es)), sumDeq: prev.sumDeq},
 	}
-	h.append(t, prev, b)
+	if len(es) == 1 {
+		lb.element = es[0]
+	} else {
+		lb.elems = append([]T(nil), es...)
+	}
+	h.append(t, prev, &lb.block)
 }
 
 // Dequeue removes and returns the element at the front of the queue; ok is
@@ -122,22 +120,21 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 func (h *Handle[T]) dequeueBlock(n int64) response[T] {
 	t := h.loadTree(h.leaf)
 	_, prev := h.treeMax(t)
-	b := h.newBlock()
-	b.index = prev.index + 1
-	b.isDeq = true
-	b.deqCount = n
-	b.sumEnq = prev.sumEnq
-	b.sumDeq = prev.sumDeq + n
-	h.append(t, prev, b)
+	lb := &leafBlock[T]{
+		block:    block{index: prev.index + 1, sumEnq: prev.sumEnq, sumDeq: prev.sumDeq + n},
+		isDeq:    true,
+		deqCount: n,
+	}
+	h.append(t, prev, &lb.block)
 
-	res, err := h.completeDeqN(h.leaf, b.index, n)
+	res, err := h.completeDeqN(h.leaf, lb.index, n)
 	if err != nil {
 		// A needed block was garbage collected, which (Invariant 27 /
 		// Lemma 28) implies a helper already computed our response and
 		// wrote it into our leaf block. The loop guards against the
 		// tiny window between the GC's helping pass and its tree install
 		// becoming visible to us.
-		res = h.awaitResponse(b)
+		res = h.awaitResponse(lb)
 	}
 	return res
 }
@@ -147,7 +144,7 @@ func (h *Handle[T]) dequeueBlock(n int64) response[T] {
 // installed, so the fast path is a single load; the bounded spin tolerates
 // nothing and exists purely to convert an algorithmic bug into a clear
 // failure rather than a wrong answer.
-func (h *Handle[T]) awaitResponse(b *block[T]) response[T] {
+func (h *Handle[T]) awaitResponse(b *leafBlock[T]) response[T] {
 	for spin := 0; ; spin++ {
 		h.counter.Read(1)
 		if r := b.response.Load(); r != nil {
@@ -163,7 +160,7 @@ func (h *Handle[T]) awaitResponse(b *block[T]) response[T] {
 // append installs b as the next block of the handle's leaf (single writer)
 // and propagates it to the root (Append, lines 218-221). t is the leaf tree
 // the block was built against, prev its current max block.
-func (h *Handle[T]) append(t *blockTree[T], prev, b *block[T]) {
+func (h *Handle[T]) append(t *blockTree, prev, b *block) {
 	t2 := h.addBlock(h.leaf, t, prev, b)
 	h.storeTree(h.leaf, t2)
 	h.propagate(h.leaf.parent)
@@ -171,7 +168,7 @@ func (h *Handle[T]) append(t *blockTree[T], prev, b *block[T]) {
 
 // propagate ensures blocks in v's children reach the root via double
 // Refresh (Propagate, lines 249-257).
-func (h *Handle[T]) propagate(v *node[T]) {
+func (h *Handle[T]) propagate(v *node) {
 	for v != nil {
 		if !h.refresh(v) {
 			h.refresh(v)
@@ -183,7 +180,7 @@ func (h *Handle[T]) propagate(v *node[T]) {
 // refresh tries to install a new block tree on v containing one new block
 // that represents the children's unpropagated operations (Refresh, lines
 // 258-267).
-func (h *Handle[T]) refresh(v *node[T]) bool {
+func (h *Handle[T]) refresh(v *node) bool {
 	t := h.loadTree(v)
 	_, last := h.treeMax(t)
 	b := h.createBlock(v, t, last)
@@ -204,7 +201,7 @@ func (h *Handle[T]) refresh(v *node[T]) bool {
 // (CreateBlock, lines 307-324). It returns nil if the children hold no new
 // operations. Each child's tree is loaded once so the max lookup and the
 // prefix-sum reads see one consistent snapshot.
-func (h *Handle[T]) createBlock(v *node[T], t *blockTree[T], prev *block[T]) *block[T] {
+func (h *Handle[T]) createBlock(v *node, t *blockTree, prev *block) *block {
 	lt := h.loadTree(v.left)
 	rt := h.loadTree(v.right)
 	_, lastLeft := h.treeMax(lt)
@@ -239,7 +236,7 @@ func (h *Handle[T]) createBlock(v *node[T], t *blockTree[T], prev *block[T]) *bl
 // counts operations (sumEnq+sumDeq) instead. For single-op histories the
 // two rules coincide at the leaves (index == op count there), and the
 // Theorem 31 space bound keeps the same +G slack either way.
-func (h *Handle[T]) addBlock(v *node[T], t *blockTree[T], prev, b *block[T]) *blockTree[T] {
+func (h *Handle[T]) addBlock(v *node, t *blockTree, prev, b *block) *blockTree {
 	g := h.queue.gcEvery
 	if (b.sumEnq+b.sumDeq)/g > (prev.sumEnq+prev.sumDeq)/g {
 		s := h.splitIndex(v)
@@ -256,24 +253,24 @@ func (h *Handle[T]) addBlock(v *node[T], t *blockTree[T], prev, b *block[T]) *bl
 // performs, matching the cost model of Theorem 32 whatever persistent
 // structure pbst uses underneath.
 
-func treeOpCost[T any](t *blockTree[T]) int64 {
+func treeOpCost(t *blockTree) int64 {
 	return int64(bits.Len64(uint64(t.Size()))) + 1
 }
 
 // loadTree reads v's current block tree pointer.
-func (h *Handle[T]) loadTree(v *node[T]) *blockTree[T] {
+func (h *Handle[T]) loadTree(v *node) *blockTree {
 	h.counter.Read(1)
 	return v.blocks.Load()
 }
 
 // storeTree publishes t on the handle's own leaf (single writer).
-func (h *Handle[T]) storeTree(v *node[T], t *blockTree[T]) {
+func (h *Handle[T]) storeTree(v *node, t *blockTree) {
 	h.counter.Write()
 	v.blocks.Store(t)
 }
 
 // casTree tries to swing v's tree pointer from old to new.
-func (h *Handle[T]) casTree(v *node[T], old, new *blockTree[T]) bool {
+func (h *Handle[T]) casTree(v *node, old, new *blockTree) bool {
 	ok := v.blocks.CompareAndSwap(old, new)
 	h.counter.CAS(ok)
 	return ok
@@ -281,7 +278,7 @@ func (h *Handle[T]) casTree(v *node[T], old, new *blockTree[T]) bool {
 
 // treeMax returns the block with the largest index (never absent: trees
 // always contain at least one block, Corollary 25).
-func (h *Handle[T]) treeMax(t *blockTree[T]) (int64, *block[T]) {
+func (h *Handle[T]) treeMax(t *blockTree) (int64, *block) {
 	h.counter.Read(1)
 	k, b, ok := t.Max()
 	if !ok {
@@ -291,7 +288,7 @@ func (h *Handle[T]) treeMax(t *blockTree[T]) (int64, *block[T]) {
 }
 
 // treeMin returns the block with the smallest index.
-func (h *Handle[T]) treeMin(t *blockTree[T]) (int64, *block[T]) {
+func (h *Handle[T]) treeMin(t *blockTree) (int64, *block) {
 	h.counter.Read(1)
 	k, b, ok := t.Min()
 	if !ok {
@@ -302,7 +299,7 @@ func (h *Handle[T]) treeMin(t *blockTree[T]) (int64, *block[T]) {
 
 // treeGet looks up the block with the given index; a miss means GC
 // discarded it.
-func (h *Handle[T]) treeGet(t *blockTree[T], index int64) (*block[T], error) {
+func (h *Handle[T]) treeGet(t *blockTree, index int64) (*block, error) {
 	h.counter.Read(treeOpCost(t))
 	b, ok := t.Get(index)
 	if !ok {
@@ -312,14 +309,14 @@ func (h *Handle[T]) treeGet(t *blockTree[T], index int64) (*block[T], error) {
 }
 
 // treeInsert returns t with b, whose index follows t's largest, added.
-func (h *Handle[T]) treeInsert(t *blockTree[T], b *block[T]) *blockTree[T] {
+func (h *Handle[T]) treeInsert(t *blockTree, b *block) *blockTree {
 	h.counter.Read(treeOpCost(t))
 	return t.Append(b.index, b)
 }
 
 // treeDropBelow returns t without blocks of index < bound (the paper's
 // Split).
-func (h *Handle[T]) treeDropBelow(t *blockTree[T], bound int64) *blockTree[T] {
+func (h *Handle[T]) treeDropBelow(t *blockTree, bound int64) *blockTree {
 	h.counter.Read(treeOpCost(t))
 	return t.DropBelow(bound)
 }
@@ -328,7 +325,7 @@ func (h *Handle[T]) treeDropBelow(t *blockTree[T], bound int64) *blockTree[T] {
 // predicate, searching from hint, the index the caller expects the answer
 // at or near (any hint gives the same answer; newest starts at the tree's
 // largest index). It is charged the paper's search cost whatever the hint.
-func (h *Handle[T]) treeFindFirst(t *blockTree[T], hint int64, pred func(*block[T]) bool) (*block[T], bool) {
+func (h *Handle[T]) treeFindFirst(t *blockTree, hint int64, pred func(*block) bool) (*block, bool) {
 	h.counter.Read(treeOpCost(t))
 	_, b, ok := t.FindFirst(hint, pred)
 	return b, ok

@@ -8,6 +8,13 @@ package bounded
 // are therefore individual heap objects, recycled through a per-handle
 // spare stack and a per-queue sync.Pool.
 //
+// The arena holds internal-node blocks only: the pointer-free 48-byte block
+// of block.go, which recycling resets by clearing six words. Refresh runs
+// on internal nodes alone, so every candidate it can lose is one. Leaf
+// blocks (leafBlock) are allocated fresh by the operation that installs
+// them and published by a plain store to the handle's own leaf, which
+// cannot lose.
+//
 // Only never-published blocks are recycled: a Refresh candidate whose
 // casTree lost stays private, so reuse cannot race with helpers or
 // searches. The losing t2 tree is the only structure referencing it and is
@@ -22,26 +29,26 @@ package bounded
 // and not merely uncounted. Delegating that reclamation to the runtime is
 // what makes it safe without epochs or hazard pointers.
 
-// newBlock returns a zeroed block from the spare stack, the shared pool, or
-// the heap, in that order.
-func (h *Handle[T]) newBlock() *block[T] {
+// newBlock returns a zeroed internal-node block from the spare stack, the
+// shared pool, or the heap, in that order.
+func (h *Handle[T]) newBlock() *block {
 	if n := len(h.spare) - 1; n >= 0 {
 		b := h.spare[n]
 		h.spare[n] = nil
 		h.spare = h.spare[:n]
-		b.reset()
+		*b = block{}
 		return b
 	}
-	if b, _ := h.queue.arena.Get().(*block[T]); b != nil {
-		b.reset()
+	if b, _ := h.queue.arena.Get().(*block); b != nil {
+		*b = block{}
 		return b
 	}
-	return &block[T]{}
+	return &block{}
 }
 
 // recycle takes back a block obtained from newBlock that was never
 // published (never reachable from a tree installed by storeTree/casTree).
-func (h *Handle[T]) recycle(b *block[T]) {
+func (h *Handle[T]) recycle(b *block) {
 	if len(h.spare) < spareCap {
 		h.spare = append(h.spare, b)
 		return
@@ -51,19 +58,3 @@ func (h *Handle[T]) recycle(b *block[T]) {
 
 // spareCap bounds the per-handle spare stack before spilling to the pool.
 const spareCap = 16
-
-// reset zeroes a recycled block field by field; a struct-literal assignment
-// would copy the atomic response field and trip go vet's copylocks check.
-// The block is private here, so the plain stores are race-free.
-func (b *block[T]) reset() {
-	var zero T
-	b.index = 0
-	b.sumEnq, b.sumDeq = 0, 0
-	b.endLeft, b.endRight = 0, 0
-	b.size = 0
-	b.element = zero
-	b.elems = nil
-	b.isDeq = false
-	b.deqCount = 0
-	b.response.Store(nil)
-}

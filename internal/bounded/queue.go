@@ -37,16 +37,16 @@ var ErrBadProcs = errors.New("bounded: process count must be at least 1")
 var errDiscarded = errors.New("bounded: block discarded by GC")
 
 // blockTree is the persistent tree of blocks each node stores, keyed by
-// block index.
-type blockTree[T any] = pbst.Seq[block[T]]
+// block index. A leaf's blocks are the heads of leafBlock allocations.
+type blockTree = pbst.Seq[block]
 
 // node is one node of the static ordering tree.
-type node[T any] struct {
-	left, right, parent *node[T]
+type node struct {
+	left, right, parent *node
 
 	// blocks points at the node's current persistent block tree. Updated
 	// only by CAS; readers operate on an immutable snapshot.
-	blocks atomic.Pointer[blockTree[T]]
+	blocks atomic.Pointer[blockTree]
 
 	// Pad to 128 bytes (two cache lines): the hot tree pointer above takes
 	// a CAS from every Refresh, and without padding nodes allocated
@@ -55,18 +55,18 @@ type node[T any] struct {
 	_ [128 - 32]byte
 }
 
-func (n *node[T]) isLeaf() bool { return n.left == nil }
+func (n *node) isLeaf() bool { return n.left == nil }
 
-func (n *node[T]) isRoot() bool { return n.parent == nil }
+func (n *node) isRoot() bool { return n.parent == nil }
 
-func (n *node[T]) childDir() direction {
+func (n *node) childDir() direction {
 	if n.parent.left == n {
 		return left
 	}
 	return right
 }
 
-func (n *node[T]) sibling() *node[T] {
+func (n *node) sibling() *node {
 	if n.parent.left == n {
 		return n.parent.right
 	}
@@ -75,8 +75,8 @@ func (n *node[T]) sibling() *node[T] {
 
 // Queue is the bounded-space wait-free FIFO queue.
 type Queue[T any] struct {
-	root   *node[T]
-	leaves []*node[T]
+	root   *node
+	leaves []*node
 	// last[k] is the largest root-block index process k has observed to
 	// contain a null dequeue or an enqueue whose value was dequeued; GC uses
 	// the maximum entry to find the oldest block still needed (Appendix B).
@@ -152,13 +152,18 @@ func DefaultGCInterval(procs int) int64 {
 // heap shape, as core lays it out flat: node i's children are 2i and 2i+1,
 // the leaves are nodes numLeaves..2*numLeaves-1, and leaves[k] is node
 // numLeaves+k. Every leaf sits at depth floor or ceil of log2 numLeaves.
-// Each node's tree starts with the empty block at index 0.
-func buildTree[T any](numLeaves int) (*node[T], []*node[T]) {
-	nodes := make([]*node[T], 2*numLeaves)
+// Each node's tree starts with the empty block at index 0, a leafBlock at
+// the leaves (leafOf's invariant).
+func buildTree[T any](numLeaves int) (*node, []*node) {
+	nodes := make([]*node, 2*numLeaves)
 	for i := len(nodes) - 1; i >= 1; i-- {
-		n := &node[T]{}
-		var t *blockTree[T]
-		n.blocks.Store(t.Append(0, &block[T]{}))
+		n := &node{}
+		sentinel := &block{}
+		if i >= numLeaves {
+			sentinel = &new(leafBlock[T]).block
+		}
+		var t *blockTree
+		n.blocks.Store(t.Append(0, sentinel))
 		if i < numLeaves {
 			n.left, n.right = nodes[2*i], nodes[2*i+1]
 			n.left.parent, n.right.parent = n, n
@@ -208,8 +213,8 @@ func (q *Queue[T]) Len() int {
 // tree, in preorder. It drives the Theorem 31 space experiments.
 func (q *Queue[T]) BlockCounts() []int64 {
 	var out []int64
-	var walk func(n *node[T])
-	walk = func(n *node[T]) {
+	var walk func(n *node)
+	walk = func(n *node) {
 		out = append(out, n.blocks.Load().Size())
 		if !n.isLeaf() {
 			walk(n.left)
@@ -232,13 +237,13 @@ func (q *Queue[T]) TotalBlocks() int64 {
 // Handle is a process's capability to operate on the queue.
 type Handle[T any] struct {
 	queue   *Queue[T]
-	leaf    *node[T]
+	leaf    *node
 	id      int
 	counter *metrics.Counter
 
 	// spare stacks recycled candidate blocks private to this handle; see
 	// pool.go.
-	spare []*block[T]
+	spare []*block
 
 	// rootHint is the index of the root block this handle's previous root
 	// search found, where its next one starts (completeDeqN). It is the

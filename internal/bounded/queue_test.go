@@ -40,9 +40,9 @@ func TestTreeShape(t *testing.T) {
 		}
 		leaves := max(p, 2)
 		lo, hi := bits.Len(uint(leaves))-1, bits.Len(uint(leaves-1))
-		heap, height := map[*node[int]]int{}, 0
-		var walk func(n *node[int], v, depth int)
-		walk = func(n *node[int], v, depth int) {
+		heap, height := map[*node]int{}, 0
+		var walk func(n *node, v, depth int)
+		walk = func(n *node, v, depth int) {
 			heap[n] = v
 			if !n.isLeaf() {
 				if n.left.parent != n || n.right.parent != n {

@@ -17,38 +17,34 @@ import (
 
 // stepAppendEnq appends an enqueue block to the handle's leaf without
 // propagating. Returns the block.
-func (h *Handle[T]) stepAppendEnq(e T) *block[T] {
+func (h *Handle[T]) stepAppendEnq(e T) *leafBlock[T] {
 	t := h.loadTree(h.leaf)
 	_, prev := h.treeMax(t)
-	b := &block[T]{
-		index:   prev.index + 1,
+	b := &leafBlock[T]{
+		block:   block{index: prev.index + 1, sumEnq: prev.sumEnq + 1, sumDeq: prev.sumDeq},
 		element: e,
-		sumEnq:  prev.sumEnq + 1,
-		sumDeq:  prev.sumDeq,
 	}
-	t2 := h.addBlock(h.leaf, t, prev, b)
+	t2 := h.addBlock(h.leaf, t, prev, &b.block)
 	h.storeTree(h.leaf, t2)
 	return b
 }
 
 // stepAppendDeq appends a dequeue block without propagating or resolving.
-func (h *Handle[T]) stepAppendDeq() *block[T] {
+func (h *Handle[T]) stepAppendDeq() *leafBlock[T] {
 	t := h.loadTree(h.leaf)
 	_, prev := h.treeMax(t)
-	b := &block[T]{
-		index:    prev.index + 1,
+	b := &leafBlock[T]{
+		block:    block{index: prev.index + 1, sumEnq: prev.sumEnq, sumDeq: prev.sumDeq + 1},
 		isDeq:    true,
 		deqCount: 1,
-		sumEnq:   prev.sumEnq,
-		sumDeq:   prev.sumDeq + 1,
 	}
-	t2 := h.addBlock(h.leaf, t, prev, b)
+	t2 := h.addBlock(h.leaf, t, prev, &b.block)
 	h.storeTree(h.leaf, t2)
 	return b
 }
 
 // stepFinish resolves a previously appended dequeue (must be propagated).
-func (h *Handle[T]) stepFinish(b *block[T]) (T, bool) {
+func (h *Handle[T]) stepFinish(b *leafBlock[T]) (T, bool) {
 	res, err := h.completeDeqN(h.leaf, b.index, 1)
 	if err != nil {
 		res = h.awaitResponse(b)
@@ -60,7 +56,7 @@ type boundedSchedOp struct {
 	proc  int
 	isEnq bool
 	value int
-	block *block[int]
+	block *leafBlock[int]
 }
 
 func TestBoundedScheduleExploration(t *testing.T) {
@@ -104,9 +100,9 @@ func exploreBoundedSchedule(t *testing.T, rng *rand.Rand, procs, opsPerProc int,
 	}
 
 	// Internal nodes for refresh actions.
-	var internals []*node[int]
-	var walk func(n *node[int])
-	walk = func(n *node[int]) {
+	var internals []*node
+	var walk func(n *node)
+	walk = func(n *node) {
 		if n.isLeaf() {
 			return
 		}

@@ -19,7 +19,7 @@ package bounded
 // one root search per root block. For n == 1 this is FindResponse call for
 // call, and the value is carried inline (no slice); a batch collects its
 // successful prefix into vals.
-func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], error) {
+func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) {
 	b, i, err := h.indexDequeue(leaf, idx, 1)
 	if err != nil {
 		return response[T]{}, err
@@ -42,13 +42,13 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 	if n > 1 && k > 0 {
 		res.vals = make([]T, 0, k)
 	}
-	var be, bePrev *block[T]
+	var be, bePrev *block
 	for got := int64(0); got < k; {
 		if be == nil || e > be.sumEnq {
 			// Successive dequeues take successive ranks, so the search
 			// starts at the root block the handle's previous one found.
 			var ok bool
-			if be, ok = h.treeFindFirst(rt, h.rootHint, func(x *block[T]) bool { return x.sumEnq >= e }); !ok {
+			if be, ok = h.treeFindFirst(rt, h.rootHint, func(x *block) bool { return x.sumEnq >= e }); !ok {
 				return response[T]{}, errDiscarded
 			}
 			h.rootHint = be.index
@@ -61,10 +61,11 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 				return response[T]{}, errDiscarded
 			}
 		}
-		lb, ie, err := h.getEnqueue(h.queue.root, be, bePrev, e-bePrev.sumEnq)
+		eb, ie, err := h.getEnqueue(h.queue.root, be, bePrev, e-bePrev.sumEnq)
 		if err != nil {
 			return response[T]{}, err
 		}
+		lb := leafOf[T](eb)
 		take := min(k-got, lb.numEnq()-ie+1)
 		switch {
 		case n == 1:
@@ -95,11 +96,11 @@ func (h *Handle[T]) completeDeqN(leaf *node[T], idx, n int64) (response[T], erro
 // (Lemma 4'), so the superblock of block b is the lowest-indexed parent
 // block whose end(dir) reaches b. The block was just propagated, so the
 // search starts at the parent's newest block.
-func (h *Handle[T]) indexDequeue(v *node[T], b, i int64) (int64, int64, error) {
+func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
 	for !v.isRoot() {
 		dir := v.childDir()
 		pt := h.loadTree(v.parent)
-		sup, ok := h.treeFindFirst(pt, newest, func(x *block[T]) bool { return x.end(dir) >= b })
+		sup, ok := h.treeFindFirst(pt, newest, func(x *block) bool { return x.end(dir) >= b })
 		if !ok {
 			return 0, 0, errDiscarded
 		}
@@ -148,7 +149,7 @@ func (h *Handle[T]) indexDequeue(v *node[T], b, i int64) (int64, int64, error) {
 // consecutive blocks of node v (GetEnqueue, Figure 6). Instead of the
 // argument it returns the leaf block holding that enqueue and the enqueue's
 // rank within it, so a batch can read the block's later enqueues too.
-func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*block[T], int64, error) {
+func (h *Handle[T]) getEnqueue(v *node, blkB, prevB *block, i int64) (*block, int64, error) {
 	for !v.isLeaf() {
 		lt := h.loadTree(v.left)
 		lastL, err := h.treeGet(lt, blkB.endLeft)
@@ -162,8 +163,8 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*blo
 		fromLeft := lastL.sumEnq - prevL.sumEnq
 
 		var (
-			child           *node[T]
-			childT          *blockTree[T]
+			child           *node
+			childT          *blockTree
 			prevChild, last int64
 		)
 		if i <= fromLeft {
@@ -185,7 +186,7 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*blo
 		// detects a discarded true target: if the found block's predecessor
 		// already reaches the target, the search slid past a GC'd block.
 		target := i + prevChild
-		cand, ok := h.treeFindFirst(childT, last, func(x *block[T]) bool { return x.sumEnq >= target })
+		cand, ok := h.treeFindFirst(childT, last, func(x *block) bool { return x.sumEnq >= target })
 		if !ok {
 			return nil, 0, errDiscarded
 		}
@@ -206,7 +207,7 @@ func (h *Handle[T]) getEnqueue(v *node[T], blkB, prevB *block[T], i int64) (*blo
 
 // propagated reports whether v.blocks[b] has been propagated to the root
 // (Propagated, lines 268-280).
-func (h *Handle[T]) propagated(v *node[T], b int64) bool {
+func (h *Handle[T]) propagated(v *node, b int64) bool {
 	for !v.isRoot() {
 		pt := h.loadTree(v.parent)
 		dir := v.childDir()
@@ -214,7 +215,7 @@ func (h *Handle[T]) propagated(v *node[T], b int64) bool {
 		if maxB.end(dir) < b {
 			return false
 		}
-		sup, ok := h.treeFindFirst(pt, maxB.index, func(x *block[T]) bool { return x.end(dir) >= b })
+		sup, ok := h.treeFindFirst(pt, maxB.index, func(x *block) bool { return x.end(dir) >= b })
 		if !ok {
 			return false
 		}

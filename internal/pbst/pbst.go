@@ -11,11 +11,13 @@
 // exactly that: a radix trie of full 16-slot chunks addressed by the key's
 // digits, plus the chunk containing the largest key (the tail), which the
 // version header points at. The largest value itself lives only in the
-// header. Appending copies a 7-word header, writes the previous largest
-// value into its tail slot, and touches the trie once per 16 appends;
-// dropping a prefix copies the chunk at the new minimum and the path to it
-// and clears what lies left of it, so a dropped value is unreachable from
-// the new version and the Go GC can reclaim it.
+// header. A trie branch is 16 untyped child pointers (128 bytes): its level
+// says whether they are branches or chunks, so copying a path moves one
+// 128-byte branch per level. Appending copies a 7-word header, writes the
+// previous largest value into its tail slot, and touches the trie once per
+// 16 appends; dropping a prefix copies the chunk at the new minimum and the
+// path to it and clears what lies left of it, so a dropped value is
+// unreachable from the new version and the Go GC can reclaim it.
 //
 // Versions are persistent: a reader holding an old version sees a
 // consistent snapshot, and two versions derived from one parent are
@@ -30,6 +32,7 @@ package pbst
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -78,12 +81,18 @@ type Seq[E any] struct {
 type chunk[E any] [chunkLen]atomic.Pointer[E]
 
 // branch is a trie node. At the bottom level (shift == chunkBits) its
-// children are chunks of values, above it further branches; the other array
-// stays nil.
+// children are chunks of values, above it further branches. Every walk knows
+// its level, so one untyped array holds either kind and the level picks the
+// accessor; a path copy moves 16 words.
 type branch[E any] struct {
-	sub  [chunkLen]*branch[E]
-	leaf [chunkLen]*chunk[E]
+	kids [chunkLen]unsafe.Pointer
 }
+
+// sub returns child i of a branch above the bottom level.
+func (b *branch[E]) sub(i int64) *branch[E] { return (*branch[E])(b.kids[i]) }
+
+// leaf returns child i of a branch at the bottom level.
+func (b *branch[E]) leaf(i int64) *chunk[E] { return (*chunk[E])(b.kids[i]) }
 
 // Size returns the number of entries.
 func (s *Seq[E]) Size() int64 {
@@ -130,7 +139,7 @@ func (s *Seq[E]) withTailPushed() (*branch[E], uint) {
 	for key>>(shift+chunkBits) != s.lo>>(shift+chunkBits) {
 		shift += chunkBits
 		up := new(branch[E])
-		up.sub[(s.lo>>shift)&chunkMask] = root
+		up.kids[(s.lo>>shift)&chunkMask] = unsafe.Pointer(root)
 		root = up
 	}
 	return root.withLeaf(shift, key, s.tail), shift
@@ -145,9 +154,9 @@ func (b *branch[E]) withLeaf(shift uint, key int64, c *chunk[E]) *branch[E] {
 	}
 	i := (key >> shift) & chunkMask
 	if shift == chunkBits {
-		n.leaf[i] = c
+		n.kids[i] = unsafe.Pointer(c)
 	} else {
-		n.sub[i] = n.sub[i].withLeaf(shift-chunkBits, key, c)
+		n.kids[i] = unsafe.Pointer(n.sub(i).withLeaf(shift-chunkBits, key, c))
 	}
 	return &n
 }
@@ -174,7 +183,7 @@ func (s *Seq[E]) DropBelow(bound int64) *Seq[E] {
 		return &n
 	}
 	for n.shift > chunkBits && bound>>n.shift == (tailStart-1)>>n.shift {
-		n.root = n.root.sub[(bound>>n.shift)&chunkMask]
+		n.root = n.root.sub((bound >> n.shift) & chunkMask)
 		n.shift -= chunkBits
 	}
 	n.root = n.root.withoutBelow(n.shift, bound)
@@ -186,14 +195,11 @@ func (s *Seq[E]) DropBelow(bound int64) *Seq[E] {
 func (b *branch[E]) withoutBelow(shift uint, bound int64) *branch[E] {
 	n := *b
 	i := (bound >> shift) & chunkMask
+	clear(n.kids[:i])
 	if shift > chunkBits {
-		clear(n.sub[:i])
-		n.sub[i] = n.sub[i].withoutBelow(shift-chunkBits, bound)
-		return &n
-	}
-	clear(n.leaf[:i])
-	if j := bound & chunkMask; j != 0 {
-		n.leaf[i] = n.leaf[i].slice(j, chunkLen)
+		n.kids[i] = unsafe.Pointer(n.sub(i).withoutBelow(shift-chunkBits, bound))
+	} else if j := bound & chunkMask; j != 0 {
+		n.kids[i] = unsafe.Pointer(n.leaf(i).slice(j, chunkLen))
 	}
 	return &n
 }
@@ -225,9 +231,9 @@ func (s *Seq[E]) at(key int64) *E {
 	}
 	b := s.root
 	for shift := s.shift; shift > chunkBits; shift -= chunkBits {
-		b = b.sub[(key>>shift)&chunkMask]
+		b = b.sub((key >> shift) & chunkMask)
 	}
-	return b.leaf[(key>>chunkBits)&chunkMask][key&chunkMask].Load()
+	return b.leaf((key >> chunkBits) & chunkMask)[key&chunkMask].Load()
 }
 
 // Min returns the entry with the smallest key in O(1).

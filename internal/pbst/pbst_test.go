@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // entry is the test value: it remembers the key it was appended at, so that
@@ -70,19 +71,22 @@ func reachableBelow(s *Seq[entry]) int {
 			}
 		}
 	}
-	var walk func(b *branch[entry])
-	walk = func(b *branch[entry]) {
-		if b == nil {
-			return
-		}
-		for i := range b.sub {
-			walk(b.sub[i])
-			if b.leaf[i] != nil {
-				count(b.leaf[i])
+	// The level says what a branch's children are, as in Seq's own walks.
+	var walk func(b *branch[entry], shift uint)
+	walk = func(b *branch[entry], shift uint) {
+		for i := range int64(chunkLen) {
+			switch {
+			case b.kids[i] == nil:
+			case shift == chunkBits:
+				count(b.leaf(i))
+			default:
+				walk(b.sub(i), shift-chunkBits)
 			}
 		}
 	}
-	walk(s.root)
+	if s.root != nil {
+		walk(s.root, s.shift)
+	}
 	count(s.tail)
 	n := 0
 	for v := range seen {
@@ -94,12 +98,20 @@ func reachableBelow(s *Seq[entry]) int {
 }
 
 // depth is the number of nodes a lookup of s's smallest key visits: the
-// branches above it plus its chunk.
+// branches above it plus its chunk. It walks the path level by level, as at
+// does, and fails the lookup if the chunk it ends at is missing.
 func depth(s *Seq[entry]) int {
 	if s.root == nil {
 		return 1
 	}
-	return int(s.shift/chunkBits) + 1
+	d, b := 1, s.root
+	for shift := s.shift; shift > chunkBits; shift -= chunkBits {
+		b, d = b.sub((s.lo>>shift)&chunkMask), d+1
+	}
+	if b.leaf((s.lo>>chunkBits)&chunkMask) == nil {
+		panic("pbst: the trie path to the smallest key ends without its chunk")
+	}
+	return d + 1
 }
 
 // logw returns ceil(log_chunkLen(n)) for n >= 1.
@@ -544,6 +556,14 @@ func TestReclamation(t *testing.T) {
 	for _, bound := range []int64{1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 4975, 4976, 4990, 4999} {
 		s, m = s.DropBelow(bound), m.dropBelow(bound)
 		check(t, s, m)
+	}
+}
+
+// TestBranchSize pins a trie branch at 16 words: one child array, typed by
+// level, so a path copy moves 128 bytes per level.
+func TestBranchSize(t *testing.T) {
+	if n := unsafe.Sizeof(branch[entry]{}); n != 128 {
+		t.Fatalf("sizeof(branch) = %d bytes, want 128", n)
 	}
 }
 
