@@ -116,11 +116,10 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestAllocsBoundedBatchPair pins what one EnqueueBatch(m) +
 // DequeueBatchAppend(m) pair costs at p=16, depth 1024. Steps are counted
 // per value, each enqueued or dequeued value being one op. Measured at m=32:
-// 29 allocs and 87.83 steps per value while every value ran its own
-// FindResponse, 24 and 7.43 now that a batch reads its values leaf block by
-// leaf block. At m=1 the walk makes FindResponse's calls exactly, and a
-// single goroutine makes the count exact: 645,579 steps over 2,000 values,
-// recorded before the walk.
+// 24 allocs and 7.42 steps per value, because a batch reads its values leaf
+// block by leaf block. At m=1 the walk makes FindResponse's calls exactly,
+// and a single goroutine makes the count exact: 645,579 steps over 2,000
+// values.
 func TestAllocsBoundedBatchPair(t *testing.T) {
 	h, pair := batchPair(t, 32)
 	avg := testing.AllocsPerRun(1000, pair)

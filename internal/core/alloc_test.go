@@ -7,6 +7,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestAllocsEnqueueDequeue(t *testing.T) {
@@ -37,28 +39,64 @@ func TestAllocsEnqueueDequeue(t *testing.T) {
 }
 
 func TestAllocsEnqueueBatch(t *testing.T) {
-	q, err := New[int](4)
+	h, pair := batchPair(t, 32)
+	avg := testing.AllocsPerRun(500, pair)
+	t.Logf("m=32: %.2f allocs per pair", avg)
+	// A batch pair inherently allocates the defensive elems copy (1 alloc;
+	// the DequeueBatchAppend result slice is reused); the gate catches the
+	// return of per-block or per-element allocation on top of that.
+	if avg > 4.0 {
+		t.Errorf("allocs per EnqueueBatch+DequeueBatchAppend pair = %.2f, want <= 4", avg)
+	}
+	// A batch reads its values leaf block by leaf block: one root search
+	// per root block and one GetEnqueue descent per leaf block it spans,
+	// 3.02 steps per value at m=32. The ceiling catches any return to
+	// resolving each value on its own, ~22 steps per value.
+	if steps, vals := countSteps(h, pair); steps > 5*vals {
+		t.Errorf("steps per value at m=32 = %.2f, want <= 5", float64(steps)/float64(vals))
+	}
+	// At m=1 the walk makes the paper's FindResponse calls exactly, so the
+	// single-op step count is pinned to the digit.
+	if steps, vals := countSteps(batchPair(t, 1)); steps != 200522 || vals != 2000 {
+		t.Errorf("m=1: %d steps over %d values, want 200522 over 2000", steps, vals)
+	}
+}
+
+// batchPair returns handle 0 of a p=16 queue prefilled to depth 1024 and
+// its EnqueueBatch(m) + DequeueBatchAppend(m) pair, warmed by 100 pairs.
+func batchPair(t *testing.T, m int) (*Handle[int], func()) {
+	q, err := New[int](16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := q.MustHandle(0)
-	buf := make([]int, 16)
-	for i := 0; i < 100; i++ {
-		h.EnqueueBatch(buf)
-		h.DequeueBatch(len(buf))
+	es := make([]int, m)
+	for i := 0; i < 1024/m; i++ {
+		h.EnqueueBatch(es)
 	}
-	avg := testing.AllocsPerRun(500, func() {
-		h.EnqueueBatch(buf)
-		if _, n := h.DequeueBatch(len(buf)); n != len(buf) {
-			t.Fatalf("drained %d of %d", n, len(buf))
+	dst := make([]int, 0, m)
+	pair := func() {
+		h.EnqueueBatch(es)
+		if dst, _ = h.DequeueBatchAppend(dst[:0], m); len(dst) != m {
+			t.Fatalf("dequeued %d values, want %d", len(dst), m)
 		}
-	})
-	// A batch pair inherently allocates the defensive elems copy and the
-	// DequeueBatch result slice (2 allocs); the gate catches the return of
-	// per-block or per-element allocation on top of that.
-	if avg > 4.0 {
-		t.Errorf("allocs per EnqueueBatch+DequeueBatch pair = %.2f, want <= 4", avg)
 	}
+	for i := 0; i < 100; i++ {
+		pair()
+	}
+	return h, pair
+}
+
+// countSteps runs 1000 pairs with a counter attached to h and returns the
+// steps and values it counted.
+func countSteps(h *Handle[int], pair func()) (steps, vals int64) {
+	var c metrics.Counter
+	h.SetCounter(&c)
+	defer h.SetCounter(nil)
+	for i := 0; i < 1000; i++ {
+		pair()
+	}
+	return c.TotalSteps(), c.TotalOps()
 }
 
 // TestAllocsArenaRecyclesCandidates checks the recycling path directly:

@@ -1,11 +1,12 @@
 package core
 
 // Tests for the multi-op batch path: one leaf block carrying m operations,
-// one propagation pass, responses resolved per op rank.
+// one propagation pass, responses read leaf block by leaf block.
 
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/metrics"
@@ -127,15 +128,17 @@ func TestBatchAmortizesBlocks(t *testing.T) {
 
 // TestBatchConcurrentConservation hammers the batch path from many handles
 // under the race detector and checks exact conservation plus per-producer
-// FIFO order of the dequeued values.
+// FIFO order of the dequeued values. Batches of up to 40 values and one
+// handle that only drains 64 at a time make concurrent walks cross several
+// leaf blocks and root blocks.
 func TestBatchConcurrentConservation(t *testing.T) {
 	const procs = 6
-	const perProc = 900 // ops per handle, mixed batch sizes
-	q, err := New[int64](procs)
+	const perProc = 900 // values enqueued per producing handle
+	q, err := New[int64](procs + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]int64, procs)
+	got := make([][]int64, procs+1)
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
@@ -145,7 +148,7 @@ func TestBatchConcurrentConservation(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(p) + 77))
 			enq := int64(0)
 			for enq < perProc {
-				m := 1 + rng.Intn(8)
+				m := 1 + rng.Intn(40)
 				if rng.Intn(2) == 0 {
 					es := make([]int64, 0, m)
 					for i := 0; i < m && enq < perProc; i++ {
@@ -160,7 +163,19 @@ func TestBatchConcurrentConservation(t *testing.T) {
 			}
 		}(p)
 	}
+	var done atomic.Bool
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		h := q.MustHandle(procs)
+		for !done.Load() {
+			vs, _ := h.DequeueBatch(64)
+			got[procs] = append(got[procs], vs...)
+		}
+	}()
 	wg.Wait()
+	done.Store(true)
+	<-drained
 	h := q.MustHandle(0)
 	for {
 		vs, n := h.DequeueBatch(64)

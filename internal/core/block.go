@@ -65,6 +65,9 @@ func (b *block[T]) enqAt(i int64) T {
 	return b.element
 }
 
+// numEnq returns the number of enqueues an enqueue leaf block carries.
+func (b *block[T]) numEnq() int64 { return max(int64(len(b.elems)), 1) }
+
 // numEnqueues returns |E(B)| given the previous block in the same node.
 func (b *block[T]) numEnqueues(prev *block[T]) int64 {
 	return b.sumEnq - prev.sumEnq

@@ -53,8 +53,7 @@ type node[T any] struct {
 	// Pad each node to two cache lines (the adjacent-line prefetcher's
 	// granularity) so one node's hot head atomic never false-shares with a
 	// neighbouring node's: in the flat layout, tree neighbours are array
-	// neighbours, which is exactly the adjacency that used to be broken up
-	// by separate heap allocations.
+	// neighbours.
 	_ [128 - 16]byte
 }
 

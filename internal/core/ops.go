@@ -66,14 +66,13 @@ func (h *Handle[T]) enqueueBlock(es []T) {
 // result is the zero value of T. Dequeue is the n=1 case of DequeueBatch.
 func (h *Handle[T]) Dequeue() (T, bool) {
 	h.counter.BeginOp()
-	rootBlk, rank := h.dequeueBlock(1)
-	v, ok := h.findResponse(rootBlk, rank)
-	if ok {
+	v, _, k := h.completeDeqN(h.dequeueBlock(1), 1, nil)
+	if k > 0 {
 		h.counter.EndOp(metrics.OpDequeue)
 	} else {
 		h.counter.EndOp(metrics.OpNullDequeue)
 	}
-	return v, ok
+	return v, k > 0
 }
 
 // DequeueBatch removes up to n elements from the front of the queue in one
@@ -83,9 +82,8 @@ func (h *Handle[T]) Dequeue() (T, bool) {
 //
 // All n dequeues linearize consecutively (they are one block, so they land
 // in one root block), which has two useful consequences: the batch's null
-// dequeues are always a suffix, and response resolution can locate the
-// batch in the root once (one IndexDequeue walk) and then resolve each op
-// rank with its own doubling search.
+// dequeues are always a suffix, and its values are consecutive enqueue
+// ranks, read leaf block by leaf block after one IndexDequeue walk.
 func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 	return h.DequeueBatchAppend(nil, n)
 }
@@ -99,37 +97,24 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 		return dst, 0
 	}
 	h.counter.BeginOp()
-	rootBlk, rank := h.dequeueBlock(int64(n))
-	base := len(dst)
-	out := dst
-	for j := int64(0); j < int64(n); j++ {
-		v, ok := h.findResponse(rootBlk, rank+j)
-		if !ok {
-			break // within one root block, nulls are a suffix
-		}
-		if out == nil {
-			out = make([]T, 0, n)
-		}
-		out = append(out, v)
+	v, dst, k := h.completeDeqN(h.dequeueBlock(int64(n)), int64(n), dst)
+	if n == 1 && k == 1 {
+		dst = append(dst, v) // n == 1 responses carry the value inline
 	}
-	got := len(out) - base
-	h.counter.EndBatch(0, int64(got), int64(n-got))
-	return out, got
+	h.counter.EndBatch(0, k, int64(n)-k)
+	return dst, int(k)
 }
 
 // dequeueBlock installs one leaf block carrying n dequeues, propagates it,
-// and returns the root location (block index, dequeue rank) of the batch's
-// first dequeue. The i-th dequeue of the batch is rank+i-1 in the same
-// root block: IndexDequeue's walk is independent of the rank argument,
-// which only accumulates additive offsets.
-func (h *Handle[T]) dequeueBlock(n int64) (int64, int64) {
+// and returns its index in the handle's leaf.
+func (h *Handle[T]) dequeueBlock(n int64) int64 {
 	hd := h.readHead(h.leaf)
 	prev := h.readBlock(h.leaf, hd-1)
 	b := h.newBlock()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + n
 	h.append(b)
-	return h.indexDequeue(h.leaf, hd, 1)
+	return hd
 }
 
 // append installs b in the next slot of the handle's leaf and propagates it

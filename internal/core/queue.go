@@ -70,10 +70,10 @@ type options struct {
 	spinningRefresh bool
 }
 
-// WithPlainRootSearch replaces FindResponse's doubling search (line 91,
-// Lemma 20) with a plain binary search over the entire root history. The
-// ablation shows why the doubling search matters: the plain search costs
-// O(log(total operations ever)) instead of O(log q).
+// WithPlainRootSearch replaces the dequeue walk's doubling root search
+// (FindResponse line 91, Lemma 20) with a plain binary search over the
+// entire root history. The ablation shows why the doubling search matters:
+// the plain search costs O(log(total operations ever)) instead of O(log q).
 func WithPlainRootSearch() Option {
 	return func(o *options) { o.plainRootSearch = true }
 }

@@ -1,11 +1,14 @@
 package core
 
 // This file implements the read path of a dequeue: locating the dequeue's
-// block in the root (IndexDequeue, task T2), deciding emptiness and the rank
-// of the enqueue to return (FindResponse, task T3), and tracing that enqueue
-// down to the leaf that stores it (GetEnqueue, task T4). Lines 65-118 of
-// Figure 4 in the paper. Tree nodes are heap indices (node.go): parent v>>1,
-// children 2v/2v+1, sibling v^1.
+// block in the root (IndexDequeue, task T2), deciding emptiness and the
+// ranks of the enqueues to return (FindResponse, task T3), and tracing those
+// enqueues down to the leaf blocks that store them (GetEnqueue, task T4).
+// Lines 65-118 of Figure 4 in the paper. One walk, completeDeqN, answers a
+// single dequeue and a batch alike. Tree nodes are heap indices (node.go):
+// parent v>>1, children 2v/2v+1, sibling v^1.
+
+import "slices"
 
 // indexDequeue returns (b', i') such that the i-th dequeue of
 // D(v.blocks[b]) is the (i')-th dequeue of D(root.blocks[b']).
@@ -45,27 +48,58 @@ func (h *Handle[T]) indexDequeue(v int, b, i int64) (int64, int64) {
 	return b, i
 }
 
-// findResponse computes the response of the i-th dequeue in
-// D(root.blocks[b]) (lines 83-96). The boolean result is false for a null
-// dequeue (queue empty at its linearization point).
-func (h *Handle[T]) findResponse(b, i int64) (T, bool) {
+// completeDeqN computes the responses of the n-dequeue batch block stored in
+// the handle's leaf at index idx, which must have been propagated to the
+// root (FindResponse, lines 83-96, generalized to multi-op blocks). The
+// batch is located in the root once. Its dequeues are consecutive in one
+// root block, so its k successful ones take the consecutive enqueue ranks
+// e..e+k-1, and consecutive ranks sit side by side in a leaf block: the
+// walk reads them leaf block by leaf block, one GetEnqueue descent per
+// block it spans and one root search per root block. For n == 1 this is
+// FindResponse call for call, and the value is returned inline (no slice);
+// a batch appends its successful prefix to dst. The last result is k.
+func (h *Handle[T]) completeDeqN(idx, n int64, dst []T) (T, []T, int64) {
+	b, i := h.indexDequeue(h.leaf, idx, 1)
 	blkB := h.readBlock(rootIdx, b)
 	prevB := h.readBlock(rootIdx, b-1)
-	numEnq := blkB.numEnqueues(prevB)
-	if prevB.size+numEnq < i {
-		// The queue is empty when this dequeue takes effect: within a block
-		// all enqueues are linearized before all dequeues, so the i-th
-		// dequeue sees prevB.size+numEnq elements at most.
-		var zero T
-		return zero, false
-	}
-	// e is the rank (among all enqueues in L) of the enqueue whose value we
-	// must return: prevB.sumEnq - prevB.size counts the non-null dequeues in
-	// blocks 1..b-1 (line 89).
+	// Null test (line 87): within a block all enqueues are linearized
+	// before all dequeues, so every dequeue from the block's dequeue rank
+	// prevB.size+numEnq+1 on finds the queue empty, and the rest is null.
+	k := max(0, min(n, prevB.size+blkB.numEnqueues(prevB)-i+1))
+	// Rank (among all enqueues) of the first enqueue to return:
+	// prevB.sumEnq - prevB.size counts the non-null dequeues in root blocks
+	// 1..b-1 (line 89).
 	e := i + prevB.sumEnq - prevB.size
-	be := h.searchRootForEnqueue(b, e)
-	ie := e - h.readBlock(rootIdx, be-1).sumEnq
-	return h.getEnqueue(rootIdx, be, ie), true
+	var val T
+	if n > 1 {
+		dst = slices.Grow(dst, int(k))
+	}
+	var be int64 // root block holding rank e; 0 until the first search
+	var beBlk, bePrev *block[T]
+	for got := int64(0); got < k; {
+		if be == 0 || e > beBlk.sumEnq {
+			be, beBlk = h.searchRootForEnqueue(b, e), nil
+			bePrev = h.readBlock(rootIdx, be-1)
+		}
+		lb, ie := h.getEnqueue(rootIdx, be, e-bePrev.sumEnq)
+		take := min(k-got, lb.numEnq()-ie+1)
+		switch {
+		case n == 1:
+			val = lb.enqAt(ie)
+		case lb.elems != nil:
+			dst = append(dst, lb.elems[ie-1:ie-1+take]...)
+		default:
+			dst = append(dst, lb.element)
+		}
+		got += take
+		e += take
+		if got < k && beBlk == nil {
+			// Ranks remain, so the next one may leave root block be. Only
+			// then is be read: n == 1 reads exactly what FindResponse does.
+			beBlk = h.readBlock(rootIdx, be)
+		}
+	}
+	return val, dst, k
 }
 
 // searchRootForEnqueue finds the minimum index be <= b with
@@ -101,12 +135,14 @@ func (h *Handle[T]) searchRootForEnqueue(b, e int64) int64 {
 	return hi
 }
 
-// getEnqueue returns the argument of the i-th enqueue in E(v.blocks[b])
-// (lines 97-118).
+// getEnqueue locates the i-th enqueue in E(v.blocks[b]) (GetEnqueue, lines
+// 97-118). Instead of the argument it returns the leaf block holding that
+// enqueue and the enqueue's rank within it, so a batch can read the block's
+// later enqueues too.
 //
 // Preconditions: i >= 1, v.blocks[b] is non-nil and contains at least i
 // enqueues.
-func (h *Handle[T]) getEnqueue(v int, b, i int64) T {
+func (h *Handle[T]) getEnqueue(v int, b, i int64) (*block[T], int64) {
 	for !h.queue.isLeaf(v) {
 		lc, rc := 2*v, 2*v+1
 		blkB := h.readBlock(v, b)
@@ -151,5 +187,5 @@ func (h *Handle[T]) getEnqueue(v int, b, i int64) T {
 	}
 	// A leaf block carries one enqueue (element) or a whole batch (elems);
 	// i survived the descent as the rank within this block.
-	return h.readBlock(v, b).enqAt(i)
+	return h.readBlock(v, b), i
 }

@@ -46,8 +46,8 @@ func (h *Handle[T]) StepDequeue() int64 {
 // at position idx of the handle's leaf. The dequeue must have been
 // propagated to the root (e.g. via StepRefresh calls or a full Propagate).
 func (h *Handle[T]) StepFinishDequeue(idx int64) (T, bool) {
-	b, i := h.indexDequeue(h.leaf, idx, 1)
-	return h.findResponse(b, i)
+	v, _, k := h.completeDeqN(idx, 1, nil)
+	return v, k > 0
 }
 
 // StepPropagate runs the standard double-Refresh propagation from the
