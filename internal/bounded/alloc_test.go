@@ -22,10 +22,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"repro/internal/metrics"
 )
@@ -173,8 +173,8 @@ func countSteps(h *Handle[int], pair func()) (steps, vals int64) {
 }
 
 // TestAllocsArenaReuse checks the arena mechanics deterministically:
-// recycled internal blocks are reused, fully reset, and overflow the spare
-// stack into the shared pool.
+// recycled internal blocks are reused and fully reset, the spare stack
+// keeps at most spareCap of them, and what it drops never comes back.
 func TestAllocsArenaReuse(t *testing.T) {
 	q, err := New[int](2)
 	if err != nil {
@@ -191,29 +191,28 @@ func TestAllocsArenaReuse(t *testing.T) {
 	if *b2 != (block{}) {
 		t.Fatalf("recycled block not reset: %+v", *b2)
 	}
-	// Overflow: beyond spareCap the excess must reach the shared pool, and
-	// the pool must hand back one of those very blocks, reset. Under -race
-	// sync.Pool drops a random quarter of what is Put, so many blocks
-	// spill, and the collector is held off so the pool keeps the rest.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	spilled := make(map[*block]bool)
+	// Overflow: beyond spareCap the excess is dropped for the Go collector,
+	// so once the kept blocks are drained newBlock hands out a fresh one.
+	overflowed := make(map[*block]bool)
 	for i := 0; i < spareCap+64; i++ {
 		b := &block{index: int64(i + 1), size: 7}
 		if i >= spareCap {
-			spilled[b] = true
+			overflowed[b] = true
 		}
 		h.recycle(b)
 	}
 	if len(h.spare) != spareCap {
 		t.Fatalf("spare stack holds %d blocks, want %d", len(h.spare), spareCap)
 	}
-	h.spare = h.spare[:0]
+	for range spareCap {
+		h.newBlock()
+	}
 	b := h.newBlock()
-	if !spilled[b] {
-		t.Fatal("spare overflow did not reach the shared pool")
+	if overflowed[b] {
+		t.Fatal("a block recycled past spareCap came back")
 	}
 	if *b != (block{}) {
-		t.Fatalf("block from the shared pool not reset: %+v", *b)
+		t.Fatalf("fresh block not zeroed: %+v", *b)
 	}
 }
 
@@ -264,6 +263,30 @@ func TestLeafOfRoundTrip(t *testing.T) {
 	check("batch dequeue block", 1, func(lb *leafBlock[int]) bool {
 		return lb.sumDeq == 5 && lb.isDeq && lb.deqCount == 4
 	})
+}
+
+// TestDroppedQueueCollected checks that nothing outside a queue keeps it
+// alive once its last reference is dropped: one collection must free it.
+// The rounds draw internal blocks from the arena, so a per-queue structure
+// the arena registers with the runtime, such as a pool field, shows up as a
+// queue that survives.
+func TestDroppedQueueCollected(t *testing.T) {
+	wp := func() weak.Pointer[Queue[int]] {
+		q, err := New[int](4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 1000 {
+			q.MustHandle(i % 4).Enqueue(i)
+			q.MustHandle((i + 1) % 4).Enqueue(i)
+			q.MustHandle((i + 2) % 4).Dequeue()
+		}
+		return weak.Make(q)
+	}()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a dropped queue survived one runtime.GC()")
+	}
 }
 
 // TestAllocsRefreshFailureRecycles drives refresh's CAS-failure path, which

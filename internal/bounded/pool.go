@@ -1,12 +1,11 @@
 package bounded
 
-// Block arena for the bounded variant, mirroring internal/core/pool.go with
-// one structural difference: no bump slab. The bounded queue's GC
+// Block arena for the bounded variant. Internal-node blocks come from the
+// handle's spare stack first, then from the heap, one object each. Unlike
+// internal/core/pool.go there is no bump slab: the bounded queue's GC
 // repeatedly discards old blocks, and carving blocks out of shared 64-block
 // slabs would pin a whole slab in memory for as long as any one of its
-// blocks is live — exactly the space behaviour Theorem 31 bounds. Blocks
-// are therefore individual heap objects, recycled through a per-handle
-// spare stack and a per-queue sync.Pool.
+// blocks is live — exactly the space behaviour Theorem 31 bounds.
 //
 // The arena holds internal-node blocks only: the pointer-free 48-byte block
 // of block.go, which recycling resets by clearing six words. Refresh runs
@@ -22,24 +21,21 @@ package bounded
 // newest block, which t had already published (pbst.Seq's contract: an
 // append stores the receiver's largest value in the shared tail slot and
 // keeps the new one in its own header). The candidate itself sits in t2's
-// header alone, and a losing t2 is never extended. Blocks that were
-// published are reclaimed by the Go GC once the paper's GC phase drops them
-// from every live tree — pbst's DropBelow copies the chunk it cuts and
-// clears what lies left of it, so they are unreachable from the new tree
-// and not merely uncounted. Delegating that reclamation to the runtime is
-// what makes it safe without epochs or hazard pointers.
+// header alone, and a losing t2 is never extended. recycle keeps up to
+// spareCap candidates and drops the rest, which the Go GC frees. Blocks
+// that were published are reclaimed by the Go GC once the paper's GC phase
+// drops them from every live tree — pbst's DropBelow copies the chunk it
+// cuts and clears what lies left of it, so they are unreachable from the
+// new tree and not merely uncounted. Delegating that reclamation to the
+// runtime is what makes it safe without epochs or hazard pointers.
 
-// newBlock returns a zeroed internal-node block from the spare stack, the
-// shared pool, or the heap, in that order.
+// newBlock returns a zeroed internal-node block from the spare stack or the
+// heap, in that order.
 func (h *Handle[T]) newBlock() *block {
 	if n := len(h.spare) - 1; n >= 0 {
 		b := h.spare[n]
 		h.spare[n] = nil
 		h.spare = h.spare[:n]
-		*b = block{}
-		return b
-	}
-	if b, _ := h.queue.arena.Get().(*block); b != nil {
 		*b = block{}
 		return b
 	}
@@ -51,10 +47,8 @@ func (h *Handle[T]) newBlock() *block {
 func (h *Handle[T]) recycle(b *block) {
 	if len(h.spare) < spareCap {
 		h.spare = append(h.spare, b)
-		return
 	}
-	h.queue.arena.Put(b)
 }
 
-// spareCap bounds the per-handle spare stack before spilling to the pool.
+// spareCap bounds the per-handle spare stack.
 const spareCap = 16

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -84,10 +83,6 @@ type Queue[T any] struct {
 	handles []Handle[T]
 	procs   int
 	gcEvery int64
-
-	// arena recycles never-published Refresh candidate blocks across
-	// handles; see pool.go.
-	arena sync.Pool
 }
 
 // Option configures a Queue.

@@ -3,10 +3,20 @@ package core
 // Allocation regression gates for the block arena (pool.go). CI runs these
 // via `go test -run TestAllocs`: a change that reintroduces per-op block
 // allocation shows up as allocs/op jumping from ~0.1 back to ~depth.
+// Internal-node blocks are pointer-free 48-byte blocks and leaf blocks
+// leafBlocks, each carved from its own per-handle slab;
+// TestBlockPointerFree keeps internal blocks out of the scanned size
+// classes, and TestDroppedQueueCollected checks the arena holds nothing
+// that outlives its queue.
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/metrics"
 )
@@ -29,7 +39,7 @@ func TestAllocsEnqueueDequeue(t *testing.T) {
 		}
 	})
 	// One Enqueue+Dequeue pair appends 2 leaf blocks and installs O(depth)
-	// internal blocks, all drawn from the 64-block bump slab: ~3 blocks per
+	// internal blocks, all drawn from the 64-block bump slabs: ~3 blocks per
 	// pair is one malloc every ~21 pairs, plus amortized infarray segment
 	// growth. Anything near 1.0 means blocks are being heap-allocated
 	// per op again.
@@ -57,8 +67,142 @@ func TestAllocsEnqueueBatch(t *testing.T) {
 	}
 	// At m=1 the walk makes the paper's FindResponse calls exactly, so the
 	// single-op step count is pinned to the digit.
-	if steps, vals := countSteps(batchPair(t, 1)); steps != 200522 || vals != 2000 {
+	h1, pair1 := batchPair(t, 1)
+	if steps, vals := countSteps(h1, pair1); steps != 200522 || vals != 2000 {
 		t.Errorf("m=1: %d steps over %d values, want 200522 over 2000", steps, vals)
+	}
+	// A pair installs two leaf blocks and a 48-byte block per internal
+	// level it propagates through: measured 632.6 bytes per pair, against
+	// 920.6 when every block carried the leaf-only fields. The ceiling
+	// catches those fields coming back to internal blocks.
+	bytes := bytesPerRun(2000, pair1)
+	t.Logf("m=1: %.1f bytes per pair", bytes)
+	if bytes > 750 {
+		t.Errorf("bytes per m=1 pair = %.1f, want <= 750", bytes)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call, at GOMAXPROCS
+// 1 and with the collector off.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
+// TestBlockPointerFree keeps internal-node blocks in the size classes the Go
+// collector never scans: a field that holds a pointer, in any guise, would
+// put every internal block an operation installs back on the mark queue.
+func TestBlockPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: internal blocks must hold no pointers", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("block", reflect.TypeFor[block]())
+	if n := unsafe.Sizeof(block{}); n != 48 {
+		t.Errorf("sizeof(block) = %d bytes, want 48", n)
+	}
+}
+
+// TestLeafOfRoundTrip checks leafOf's invariant on every kind of block a
+// leaf's array holds: each leaf's index-0 dummy, and the blocks an Enqueue,
+// an EnqueueBatch, a Dequeue, a DequeueBatch and a StepEnqueue install.
+// leafOf must give back the leafBlock whose head the stored block is, with
+// the fields its operation wrote. Under -race, checkptr also checks that
+// each conversion stays inside one allocation.
+func TestLeafOfRoundTrip(t *testing.T) {
+	q, err := New[int](4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := q.MustHandle(1)
+	// check converts leaf i's newest block and tests it with ok.
+	check := func(what string, i int, ok func(*leafBlock[int]) bool) {
+		t.Helper()
+		n := &q.nodes[q.numLeaves+i]
+		b := n.blocks.Get(n.head.Load() - 1)
+		lb := leafOf[int](b)
+		if &lb.block != b || !ok(lb) {
+			t.Fatalf("leaf %d's %s: sums (%d, %d) element=%d elems=%v", i, what,
+				lb.sumEnq, lb.sumDeq, lb.element, lb.elems)
+		}
+	}
+	for i := range q.numLeaves {
+		check("dummy", i, func(lb *leafBlock[int]) bool {
+			return lb.sumEnq == 0 && lb.sumDeq == 0 && lb.super.Load() == 0 &&
+				lb.element == 0 && lb.elems == nil
+		})
+	}
+	h.Enqueue(5)
+	check("enqueue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumEnq == 1 && lb.element == 5 && lb.numEnq() == 1 && lb.elems == nil
+	})
+	h.EnqueueBatch([]int{6, 7, 8})
+	check("batch enqueue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumEnq == 4 && lb.numEnq() == 3 && lb.enqAt(1) == 6 && lb.enqAt(3) == 8
+	})
+	if v, ok := h.Dequeue(); !ok || v != 5 {
+		t.Fatalf("Dequeue = (%d, %v), want (5, true)", v, ok)
+	}
+	check("dequeue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumEnq == 4 && lb.sumDeq == 1 && lb.elems == nil
+	})
+	if vals, n := h.DequeueBatch(4); n != 3 || vals[0] != 6 || vals[2] != 8 {
+		t.Fatalf("DequeueBatch(4) = %v, %d; want [6 7 8], 3", vals, n)
+	}
+	check("batch dequeue block", 1, func(lb *leafBlock[int]) bool {
+		return lb.sumEnq == 4 && lb.sumDeq == 5 && lb.elems == nil
+	})
+	h2 := q.MustHandle(2)
+	h2.StepEnqueue(9)
+	check("step enqueue block", 2, func(lb *leafBlock[int]) bool {
+		return lb.sumEnq == 1 && lb.element == 9 && lb.numEnq() == 1
+	})
+	h2.StepPropagate()
+	if v, ok := h.Dequeue(); !ok || v != 9 {
+		t.Fatalf("Dequeue after StepEnqueue = (%d, %v), want (9, true)", v, ok)
+	}
+}
+
+// TestDroppedQueueCollected checks that nothing outside a queue keeps it
+// alive once its last reference is dropped: one collection must free it.
+// The rounds draw leaf and internal blocks from the arena, so a per-queue
+// structure the arena registers with the runtime, such as a pool field,
+// shows up as a queue that survives.
+func TestDroppedQueueCollected(t *testing.T) {
+	wp := func() weak.Pointer[Queue[int]] {
+		q, err := New[int](4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 1000 {
+			q.MustHandle(i % 4).Enqueue(i)
+			q.MustHandle((i + 1) % 4).Enqueue(i)
+			q.MustHandle((i + 2) % 4).Dequeue()
+		}
+		return weak.Make(q)
+	}()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a dropped queue survived one runtime.GC()")
 	}
 }
 

@@ -52,7 +52,7 @@ func runConcurrent(t *testing.T, procs, opsPerProc int, seed int64) *Queue[int] 
 }
 
 // forEachNode visits every tree node by heap index.
-func forEachNode[T any](q *Queue[T], fn func(v int, n *node[T])) {
+func forEachNode[T any](q *Queue[T], fn func(v int, n *node)) {
 	for v := rootIdx; v < len(q.nodes); v++ {
 		fn(v, &q.nodes[v])
 	}
@@ -60,7 +60,7 @@ func forEachNode[T any](q *Queue[T], fn func(v int, n *node[T])) {
 
 func TestInvariant3HeadAndSuper(t *testing.T) {
 	q := runConcurrent(t, 7, 800, 3)
-	forEachNode(q, func(v int, n *node[int]) {
+	forEachNode(q, func(v int, n *node) {
 		head := n.head.Load()
 		for i := int64(0); i < head; i++ {
 			if n.blocks.Get(i) == nil {
@@ -83,7 +83,7 @@ func TestInvariant3HeadAndSuper(t *testing.T) {
 
 func TestLemma4EndsNonDecreasing(t *testing.T) {
 	q := runConcurrent(t, 8, 800, 4)
-	forEachNode(q, func(v int, n *node[int]) {
+	forEachNode(q, func(v int, n *node) {
 		if q.isLeaf(v) {
 			return
 		}
@@ -129,7 +129,7 @@ func expandCounts[T any](q *Queue[T], v int, b int64) (enqs, deqs int64) {
 
 func TestInvariant7PrefixSums(t *testing.T) {
 	q := runConcurrent(t, 6, 600, 5)
-	forEachNode(q, func(v int, n *node[int]) {
+	forEachNode(q, func(v int, n *node) {
 		var sumE, sumD int64
 		for i := int64(1); ; i++ {
 			blk := n.blocks.Get(i)
@@ -152,7 +152,7 @@ func TestInvariant7PrefixSums(t *testing.T) {
 
 func TestLemma12SuperAccuracy(t *testing.T) {
 	q := runConcurrent(t, 8, 600, 6)
-	forEachNode(q, func(v int, n *node[int]) {
+	forEachNode(q, func(v int, n *node) {
 		if v == rootIdx {
 			return
 		}

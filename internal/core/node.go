@@ -35,15 +35,15 @@ func childDir(v int) direction {
 }
 
 // node is one node of the static ordering tree.
-type node[T any] struct {
+type node struct {
 	// blocks is the node's logically infinite array of blocks. blocks[0] is
 	// a pre-installed empty block whose integer fields are all zero, so the
 	// code never needs an index-zero special case. The index-zero blocks
-	// come from a construction-time slab that is never handed to the block
-	// arena, so no amount of pooling or recycling can ever reuse (and
-	// rewrite) a dummy block out from under a reader that relies on its
-	// all-zero sums.
-	blocks *infarray.Array[block[T]]
+	// come from construction-time slabs that are never handed to the block
+	// arena, so no amount of recycling can ever reuse (and rewrite) a dummy
+	// block out from under a reader that relies on its all-zero sums. At a
+	// leaf every block, the dummy included, is the head of a leafBlock.
+	blocks *infarray.Array[block]
 
 	// head is the position to use for the next append attempt: blocks[i] is
 	// non-nil for all i < head, and blocks[i] is nil for all i > head
@@ -63,14 +63,19 @@ func (q *Queue[T]) isLeaf(v int) bool { return v >= q.numLeaves }
 // newTree builds the flat node slice for a tree with numLeaves leaves, at
 // least two, which removes any root==leaf special case; with p = 1 the
 // second leaf never receives blocks and contributes zero sums.
-func newTree[T any](numLeaves int) []node[T] {
-	nodes := make([]node[T], 2*numLeaves)
-	// One shared slab for the index-zero dummy blocks; see the blocks field
-	// comment for why these must never enter the arena.
-	dummies := make([]block[T], len(nodes))
+func newTree[T any](numLeaves int) []node {
+	nodes := make([]node, 2*numLeaves)
+	// Shared slabs for the index-zero dummy blocks, one per kind; see the
+	// blocks field comment for why these must never enter the arena.
+	dummies := make([]block, numLeaves)
+	leafDummies := make([]leafBlock[T], numLeaves)
 	for v := rootIdx; v < len(nodes); v++ {
-		nodes[v].blocks = infarray.New[block[T]]()
-		nodes[v].blocks.Store(0, &dummies[v])
+		nodes[v].blocks = infarray.New[block]()
+		if v < numLeaves {
+			nodes[v].blocks.Store(0, &dummies[v])
+		} else {
+			nodes[v].blocks.Store(0, &leafDummies[v-numLeaves].block)
+		}
 		nodes[v].head.Store(1)
 	}
 	return nodes

@@ -17,12 +17,12 @@ import "repro/internal/metrics"
 // shared-memory steps and O(log p) CAS instructions regardless of
 // scheduling. Enqueue is the m=1 case of EnqueueBatch: both install one
 // leaf block through the same append/propagate path. The block comes from
-// the handle's arena and the element is stored inline, so the allocation-
-// free fast path of pool.go applies.
+// the handle's leaf slab and the element is stored inline, so the
+// allocation-free fast path of pool.go applies.
 func (h *Handle[T]) Enqueue(e T) {
 	h.counter.BeginOp()
 	prev := h.readBlock(h.leaf, h.readHead(h.leaf)-1)
-	b := h.newBlock()
+	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
 	b.element = e
@@ -49,7 +49,7 @@ func (h *Handle[T]) EnqueueBatch(es []T) {
 // of es and propagates it to the root.
 func (h *Handle[T]) enqueueBlock(es []T) {
 	prev := h.readBlock(h.leaf, h.readHead(h.leaf)-1)
-	b := h.newBlock()
+	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq + int64(len(es))
 	b.sumDeq = prev.sumDeq
 	if len(es) == 1 {
@@ -110,7 +110,7 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 func (h *Handle[T]) dequeueBlock(n int64) int64 {
 	hd := h.readHead(h.leaf)
 	prev := h.readBlock(h.leaf, hd-1)
-	b := h.newBlock()
+	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + n
 	h.append(b)
@@ -122,10 +122,10 @@ func (h *Handle[T]) dequeueBlock(n int64) int64 {
 // store suffices for the install; the head advance still goes through
 // advance so that the block's super field is set before the head moves past
 // it, which Invariant 3 and Lemma 12 rely on.
-func (h *Handle[T]) append(b *block[T]) {
+func (h *Handle[T]) append(b *leafBlock[T]) {
 	leaf := h.leaf
 	hd := h.readHead(leaf)
-	h.storeBlock(leaf, hd, b)
+	h.storeBlock(leaf, hd, &b.block)
 	h.advance(leaf, hd)
 	h.propagate(leaf >> 1)
 }
@@ -180,7 +180,7 @@ func (h *Handle[T]) refresh(v int) bool {
 // operations that are not already in v. The child sums are read *before*
 // any block is allocated so the frequent nothing-to-do case touches the
 // arena not at all.
-func (h *Handle[T]) createBlock(v int, i int64) *block[T] {
+func (h *Handle[T]) createBlock(v int, i int64) *block {
 	endLeft := h.readHead(2*v) - 1
 	endRight := h.readHead(2*v+1) - 1
 	lastLeft := h.readBlock(2*v, endLeft)
@@ -230,27 +230,27 @@ func (h *Handle[T]) readHead(v int) int64 {
 
 // readBlock loads nodes[v].blocks[i], which the caller asserts is non-nil
 // (Invariant 3 guarantees this for all i < v.head).
-func (h *Handle[T]) readBlock(v int, i int64) *block[T] {
+func (h *Handle[T]) readBlock(v int, i int64) *block {
 	h.counter.Read(1)
 	return h.nodes[v].blocks.Get(i)
 }
 
 // readBlockOrNil loads nodes[v].blocks[i] where nil is an expected outcome.
-func (h *Handle[T]) readBlockOrNil(v int, i int64) *block[T] {
+func (h *Handle[T]) readBlockOrNil(v int, i int64) *block {
 	h.counter.Read(1)
 	return h.nodes[v].blocks.Get(i)
 }
 
 // storeBlock publishes b at nodes[v].blocks[i]. Only used on the handle's
 // own leaf, which has a single writer.
-func (h *Handle[T]) storeBlock(v int, i int64, b *block[T]) {
+func (h *Handle[T]) storeBlock(v int, i int64, b *block) {
 	h.counter.Write()
 	h.nodes[v].blocks.Store(i, b)
 }
 
 // casBlock tries to install b at nodes[v].blocks[i], expecting the slot to
 // be nil.
-func (h *Handle[T]) casBlock(v int, i int64, b *block[T]) bool {
+func (h *Handle[T]) casBlock(v int, i int64, b *block) bool {
 	ok := h.nodes[v].blocks.CompareAndSwap(i, nil, b)
 	h.counter.CAS(ok)
 	return ok
@@ -263,13 +263,13 @@ func (h *Handle[T]) casHead(v int, hd int64) {
 }
 
 // casSuper sets b.super from 0 to val once.
-func (h *Handle[T]) casSuper(b *block[T], val int64) {
+func (h *Handle[T]) casSuper(b *block, val int64) {
 	ok := b.super.CompareAndSwap(0, val)
 	h.counter.CAS(ok)
 }
 
 // readSuper loads b.super.
-func (h *Handle[T]) readSuper(b *block[T]) int64 {
+func (h *Handle[T]) readSuper(b *block) int64 {
 	h.counter.Read(1)
 	return b.super.Load()
 }

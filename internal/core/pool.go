@@ -1,23 +1,22 @@
 package core
 
-import "sync"
-
 // Block arena.
 //
-// The original implementation allocated a fresh &block[T]{} for every append
-// and for every Refresh candidate — O(log p) allocations per operation, which
-// T10 showed dominates per-op cost well before root contention does. The
-// arena removes almost all of them with a three-level scheme, fastest first:
+// Every block comes from a per-handle source, with no synchronization:
 //
-//  1. per-handle spare stack: recycled candidate blocks that were never
-//     published (a Refresh whose CAS lost, or was never attempted). Single
-//     owner, no synchronization.
-//  2. per-queue sync.Pool: overflow from spare stacks, so a handle that
-//     mostly loses CASes feeds one that mostly wins, and recycled capacity
-//     survives handle churn (the pool belongs to the queue, not the handle).
-//  3. per-handle slab: a bump allocator over a 64-block chunk, refilled from
-//     make when exhausted. This turns the worst case — nothing recyclable —
-//     into 1 allocation per 64 blocks instead of 1 per block.
+//   - leaf blocks (newLeaf) from a bump slab of leafBlocks. A leaf block is
+//     published by a plain store to the handle's own leaf, which cannot
+//     lose, so none is ever handed back.
+//   - internal blocks (newBlock) from the spare stack first, then from a
+//     bump slab of 48-byte blocks. The spare stack holds Refresh
+//     candidates whose CAS lost; recycle keeps up to spareCap of them and
+//     drops the rest. A dropped block was never referenced by anyone else,
+//     so it is only 48 unused bytes of its slab.
+//
+// A slab is one 64-block allocation, so the worst case (nothing to reuse)
+// is 1 allocation per 64 blocks instead of 1 per block. Because published
+// blocks are immortal (below), carving them out of shared slabs pins no
+// memory that would otherwise be freed.
 //
 // Only never-published blocks are ever recycled. A block becomes shared the
 // instant casBlock/storeBlock installs it; from then on concurrent readers
@@ -28,31 +27,31 @@ import "sync"
 // against a pointer to a block that was never published.
 const (
 	slabBlocks = 64 // blocks per bump-allocator chunk
-	spareCap   = 16 // max blocks parked on a handle before spilling to the pool
+	spareCap   = 16 // max recycled blocks parked on a handle
 )
 
-// blockArena is the per-queue level of the scheme: a sync.Pool of
-// never-published blocks shared by all handles.
-type blockArena[T any] struct {
-	pool sync.Pool // holds *block[T]
+// newLeaf returns a zeroed leaf block from the handle's leaf slab.
+func (h *Handle[T]) newLeaf() *leafBlock[T] {
+	if len(h.leafSlab) == 0 {
+		h.leafSlab = make([]leafBlock[T], slabBlocks)
+	}
+	b := &h.leafSlab[0]
+	h.leafSlab = h.leafSlab[1:]
+	return b
 }
 
-// newBlock returns a block whose fields are all zero, drawn from the spare
-// stack, the shared pool, or the bump slab, in that order.
-func (h *Handle[T]) newBlock() *block[T] {
+// newBlock returns a zeroed internal-node block from the spare stack or the
+// bump slab, in that order.
+func (h *Handle[T]) newBlock() *block {
 	if n := len(h.spare) - 1; n >= 0 {
 		b := h.spare[n]
 		h.spare[n] = nil
 		h.spare = h.spare[:n]
-		b.reset()
-		return b
-	}
-	if b, _ := h.queue.arena.pool.Get().(*block[T]); b != nil {
-		b.reset()
+		*b = block{}
 		return b
 	}
 	if len(h.slab) == 0 {
-		h.slab = make([]block[T], slabBlocks)
+		h.slab = make([]block, slabBlocks)
 	}
 	b := &h.slab[0]
 	h.slab = h.slab[1:]
@@ -60,27 +59,12 @@ func (h *Handle[T]) newBlock() *block[T] {
 }
 
 // recycle takes back a block obtained from newBlock that was never
-// published (never passed to storeBlock or casBlock, whether the CAS won or
-// lost — a lost casBlock leaves the candidate private: advance works on the
-// block that actually got installed). Publishing a block and then recycling
-// it would hand a live shared block to a future writer; don't.
-func (h *Handle[T]) recycle(b *block[T]) {
+// published (never passed to casBlock, or passed to it and lost — a lost
+// casBlock leaves the candidate private: advance works on the block that
+// actually got installed). Publishing a block and then recycling it would
+// hand a live shared block to a future writer; don't.
+func (h *Handle[T]) recycle(b *block) {
 	if len(h.spare) < spareCap {
 		h.spare = append(h.spare, b)
-		return
 	}
-	h.queue.arena.pool.Put(b)
-}
-
-// reset zeroes a recycled block field by field. A struct-literal assignment
-// would copy the atomic super field and trip go vet's copylocks check; the
-// Store is fine because the block is private to the caller here.
-func (b *block[T]) reset() {
-	var zero T
-	b.sumEnq, b.sumDeq = 0, 0
-	b.endLeft, b.endRight = 0, 0
-	b.size = 0
-	b.element = zero
-	b.elems = nil
-	b.super.Store(0)
 }

@@ -35,11 +35,10 @@ var ErrBadProcs = errors.New("core: process count must be at least 1")
 type Queue[T any] struct {
 	// nodes holds the ordering tree flat in 1-indexed heap order; see
 	// node.go for the layout. nodes[0] is unused.
-	nodes     []node[T]
+	nodes     []node
 	numLeaves int
 	handles   []Handle[T]
 	procs     int
-	arena     blockArena[T]
 
 	// Ablation switches (see Option). Both default to the paper's design.
 	plainRootSearch bool
@@ -52,13 +51,14 @@ type Queue[T any] struct {
 type Handle[T any] struct {
 	queue *Queue[T]
 	// nodes aliases queue.nodes so the hot accessors skip one indirection.
-	nodes   []node[T]
+	nodes   []node
 	leaf    int // heap index of this handle's leaf
 	counter *metrics.Counter
 
 	// Block arena state private to this handle; see pool.go.
-	slab  []block[T]
-	spare []*block[T]
+	slab     []block
+	leafSlab []leafBlock[T]
+	spare    []*block
 }
 
 // Option configures a Queue; the zero configuration is the paper's design.

@@ -75,7 +75,7 @@ func (h *Handle[T]) completeDeqN(idx, n int64, dst []T) (T, []T, int64) {
 		dst = slices.Grow(dst, int(k))
 	}
 	var be int64 // root block holding rank e; 0 until the first search
-	var beBlk, bePrev *block[T]
+	var beBlk, bePrev *block
 	for got := int64(0); got < k; {
 		if be == 0 || e > beBlk.sumEnq {
 			be, beBlk = h.searchRootForEnqueue(b, e), nil
@@ -142,7 +142,7 @@ func (h *Handle[T]) searchRootForEnqueue(b, e int64) int64 {
 //
 // Preconditions: i >= 1, v.blocks[b] is non-nil and contains at least i
 // enqueues.
-func (h *Handle[T]) getEnqueue(v int, b, i int64) (*block[T], int64) {
+func (h *Handle[T]) getEnqueue(v int, b, i int64) (*leafBlock[T], int64) {
 	for !h.queue.isLeaf(v) {
 		lc, rc := 2*v, 2*v+1
 		blkB := h.readBlock(v, b)
@@ -187,5 +187,5 @@ func (h *Handle[T]) getEnqueue(v int, b, i int64) (*block[T], int64) {
 	}
 	// A leaf block carries one enqueue (element) or a whole batch (elems);
 	// i survived the descent as the rank within this block.
-	return h.readBlock(v, b), i
+	return leafOf[T](h.readBlock(v, b)), i
 }

@@ -91,11 +91,11 @@ func (q *Queue[T]) Snapshot() TreeSnapshot {
 				prev := n.blocks.Get(i - 1)
 				if b.sumEnq > prev.sumEnq {
 					bs.Kind = KindEnqueue
-					if b.elems != nil {
+					if lb := leafOf[T](b); lb.elems != nil {
 						// Multi-op batch block: expose the whole value set.
-						bs.Element = b.elems
+						bs.Element = lb.elems
 					} else {
-						bs.Element = b.element
+						bs.Element = lb.element
 					}
 				} else {
 					bs.Kind = KindDequeue

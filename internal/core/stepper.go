@@ -19,11 +19,11 @@ import "fmt"
 func (h *Handle[T]) StepEnqueue(e T) int64 {
 	hd := h.readHead(h.leaf)
 	prev := h.readBlock(h.leaf, hd-1)
-	b := h.newBlock()
+	b := h.newLeaf()
 	b.element = e
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
-	h.storeBlock(h.leaf, hd, b)
+	h.storeBlock(h.leaf, hd, &b.block)
 	h.advance(h.leaf, hd)
 	return hd
 }
@@ -34,10 +34,10 @@ func (h *Handle[T]) StepEnqueue(e T) int64 {
 func (h *Handle[T]) StepDequeue() int64 {
 	hd := h.readHead(h.leaf)
 	prev := h.readBlock(h.leaf, hd-1)
-	b := h.newBlock()
+	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + 1
-	h.storeBlock(h.leaf, hd, b)
+	h.storeBlock(h.leaf, hd, &b.block)
 	h.advance(h.leaf, hd)
 	return hd
 }
