@@ -3,11 +3,12 @@ package core
 // Allocation regression gates for the block arena (pool.go). CI runs these
 // via `go test -run TestAllocs`: a change that reintroduces per-op block
 // allocation shows up as allocs/op jumping from ~0.1 back to ~depth.
-// Internal-node blocks are pointer-free 48-byte blocks and leaf blocks
-// leafBlocks, each carved from its own per-handle slab;
-// TestBlockPointerFree keeps internal blocks out of the scanned size
-// classes, and TestDroppedQueueCollected checks the arena holds nothing
-// that outlives its queue.
+// Internal-node blocks are pointer-free 40-byte innerBlocks, enqueue leaf
+// blocks leafBlocks and dequeue leaf blocks bare 24-byte headers, each kind
+// carved from its own per-handle slab; TestBlockPointerFree keeps the
+// header and internal blocks out of the scanned size classes, and
+// TestDroppedQueueCollected checks the arena holds nothing that outlives
+// its queue.
 
 import (
 	"reflect"
@@ -71,14 +72,15 @@ func TestAllocsEnqueueBatch(t *testing.T) {
 	if steps, vals := countSteps(h1, pair1); steps != 200522 || vals != 2000 {
 		t.Errorf("m=1: %d steps over %d values, want 200522 over 2000", steps, vals)
 	}
-	// A pair installs two leaf blocks and a 48-byte block per internal
-	// level it propagates through: measured 632.6 bytes per pair, against
-	// 920.6 when every block carried the leaf-only fields. The ceiling
-	// catches those fields coming back to internal blocks.
+	// A pair installs an enqueue block, a 24-byte dequeue block and a
+	// 40-byte block per internal level it propagates through: measured
+	// 505.3 bytes per pair, against 632.6 when every block carried all six
+	// words and 920.6 when every block also carried the leaf-only fields.
+	// The ceiling catches any of those fields coming back.
 	bytes := bytesPerRun(2000, pair1)
 	t.Logf("m=1: %.1f bytes per pair", bytes)
-	if bytes > 750 {
-		t.Errorf("bytes per m=1 pair = %.1f, want <= 750", bytes)
+	if bytes > 560 {
+		t.Errorf("bytes per m=1 pair = %.1f, want <= 560", bytes)
 	}
 }
 
@@ -98,16 +100,18 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
-// TestBlockPointerFree keeps internal-node blocks in the size classes the Go
-// collector never scans: a field that holds a pointer, in any guise, would
-// put every internal block an operation installs back on the mark queue.
+// TestBlockPointerFree keeps the header and internal-node blocks in the
+// size classes the Go collector never scans: a field that holds a pointer,
+// in any guise, would put every internal block and dequeue block an
+// operation installs back on the mark queue. The sizes pin the split: a
+// header of three words, and an internal block of the header plus two.
 func TestBlockPointerFree(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
 		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
 			reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
-			t.Errorf("%s is a %s: internal blocks must hold no pointers", path, typ.Kind())
+			t.Errorf("%s is a %s: headers and internal blocks must hold no pointers", path, typ.Kind())
 		case reflect.Array:
 			walk(path+"[i]", typ.Elem())
 		case reflect.Struct:
@@ -117,39 +121,63 @@ func TestBlockPointerFree(t *testing.T) {
 		}
 	}
 	walk("block", reflect.TypeFor[block]())
-	if n := unsafe.Sizeof(block{}); n != 48 {
-		t.Errorf("sizeof(block) = %d bytes, want 48", n)
+	walk("innerBlock", reflect.TypeFor[innerBlock]())
+	if n := unsafe.Sizeof(block{}); n != 24 {
+		t.Errorf("sizeof(block) = %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(innerBlock{}); n != 40 {
+		t.Errorf("sizeof(innerBlock) = %d bytes, want 40", n)
 	}
 }
 
-// TestLeafOfRoundTrip checks leafOf's invariant on every kind of block a
-// leaf's array holds: each leaf's index-0 dummy, and the blocks an Enqueue,
-// an EnqueueBatch, a Dequeue, a DequeueBatch and a StepEnqueue install.
-// leafOf must give back the leafBlock whose head the stored block is, with
-// the fields its operation wrote. Under -race, checkptr also checks that
-// each conversion stays inside one allocation.
+// TestLeafOfRoundTrip checks leafOf's invariant on the blocks an Enqueue,
+// an EnqueueBatch and a StepEnqueue install: leafOf must give back the
+// leafBlock whose head the stored block is, with the fields its operation
+// wrote. Only enqueue blocks are leafBlocks, so each leaf's index-0 dummy
+// and the blocks a Dequeue and a DequeueBatch install are checked by their
+// sums alone: widening a bare header is exactly what checkptr rejects.
+// Under -race, checkptr also checks that each conversion stays inside one
+// allocation.
 func TestLeafOfRoundTrip(t *testing.T) {
 	q, err := New[int](4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := q.MustHandle(1)
-	// check converts leaf i's newest block and tests it with ok.
+	// newest returns leaf i's newest block and its predecessor.
+	newest := func(i int) (b, prev *block) {
+		n := &q.nodes[q.numLeaves+i]
+		hd := n.head.Load()
+		return n.blocks.Get(hd - 1), n.blocks.Get(max(hd-2, 0))
+	}
+	// check converts leaf i's newest block, which must be an enqueue
+	// block, and tests it with ok.
 	check := func(what string, i int, ok func(*leafBlock[int]) bool) {
 		t.Helper()
-		n := &q.nodes[q.numLeaves+i]
-		b := n.blocks.Get(n.head.Load() - 1)
+		b, prev := newest(i)
+		if b.sumEnq <= prev.sumEnq {
+			t.Fatalf("leaf %d's %s: sums (%d, %d) after (%d, %d) are not an enqueue's",
+				i, what, b.sumEnq, b.sumDeq, prev.sumEnq, prev.sumDeq)
+		}
 		lb := leafOf[int](b)
 		if &lb.block != b || !ok(lb) {
 			t.Fatalf("leaf %d's %s: sums (%d, %d) element=%d elems=%v", i, what,
 				lb.sumEnq, lb.sumDeq, lb.element, lb.elems)
 		}
 	}
+	// checkSums tests leaf i's newest block, a bare header, by its sums.
+	checkSums := func(what string, i int, sumEnq, sumDeq int64) {
+		t.Helper()
+		if b, _ := newest(i); b.sumEnq != sumEnq || b.sumDeq != sumDeq {
+			t.Fatalf("leaf %d's %s: sums (%d, %d), want (%d, %d)", i, what,
+				b.sumEnq, b.sumDeq, sumEnq, sumDeq)
+		}
+	}
 	for i := range q.numLeaves {
-		check("dummy", i, func(lb *leafBlock[int]) bool {
-			return lb.sumEnq == 0 && lb.sumDeq == 0 && lb.super.Load() == 0 &&
-				lb.element == 0 && lb.elems == nil
-		})
+		checkSums("dummy", i, 0, 0)
+		if b, _ := newest(i); b.sizeOrSuper.Load() != 0 {
+			t.Fatalf("leaf %d's dummy has super %d, want 0", i, b.sizeOrSuper.Load())
+		}
 	}
 	h.Enqueue(5)
 	check("enqueue block", 1, func(lb *leafBlock[int]) bool {
@@ -162,15 +190,11 @@ func TestLeafOfRoundTrip(t *testing.T) {
 	if v, ok := h.Dequeue(); !ok || v != 5 {
 		t.Fatalf("Dequeue = (%d, %v), want (5, true)", v, ok)
 	}
-	check("dequeue block", 1, func(lb *leafBlock[int]) bool {
-		return lb.sumEnq == 4 && lb.sumDeq == 1 && lb.elems == nil
-	})
+	checkSums("dequeue block", 1, 4, 1)
 	if vals, n := h.DequeueBatch(4); n != 3 || vals[0] != 6 || vals[2] != 8 {
 		t.Fatalf("DequeueBatch(4) = %v, %d; want [6 7 8], 3", vals, n)
 	}
-	check("batch dequeue block", 1, func(lb *leafBlock[int]) bool {
-		return lb.sumEnq == 4 && lb.sumDeq == 5 && lb.elems == nil
-	})
+	checkSums("batch dequeue block", 1, 4, 5)
 	h2 := q.MustHandle(2)
 	h2.StepEnqueue(9)
 	check("step enqueue block", 2, func(lb *leafBlock[int]) bool {
@@ -179,6 +203,44 @@ func TestLeafOfRoundTrip(t *testing.T) {
 	h2.StepPropagate()
 	if v, ok := h.Dequeue(); !ok || v != 9 {
 		t.Fatalf("Dequeue after StepEnqueue = (%d, %v), want (9, true)", v, ok)
+	}
+}
+
+// TestInnerOfRoundTrip checks innerOf's invariant on every block of every
+// internal node after a short 4-process run, the index-0 dummies included:
+// innerOf must give back the innerBlock whose head the stored block is,
+// and its ends must satisfy Lemma 4 against the previous block's while
+// staying inside the children's installed blocks. Under -race, checkptr
+// checks that each conversion stays inside one allocation.
+func TestInnerOfRoundTrip(t *testing.T) {
+	q := runConcurrent(t, 4, 300, 9)
+	for v := rootIdx; v < q.numLeaves; v++ {
+		n := &q.nodes[v]
+		var prev *innerBlock
+		for i := int64(0); ; i++ {
+			b := n.blocks.Get(i)
+			if b == nil {
+				break
+			}
+			ib := innerOf(b)
+			switch {
+			case &ib.block != b:
+				t.Fatalf("node %d block %d: innerOf moved the header", v, i)
+			case i == 0 && (ib.endLeft != 0 || ib.endRight != 0):
+				t.Fatalf("node %d dummy: ends (%d, %d), want (0, 0)", v, ib.endLeft, ib.endRight)
+			case i > 0 && (ib.endLeft < prev.endLeft || ib.endRight < prev.endRight):
+				t.Fatalf("node %d block %d: ends (%d, %d) below previous (%d, %d)",
+					v, i, ib.endLeft, ib.endRight, prev.endLeft, prev.endRight)
+			case q.nodes[2*v].blocks.Get(ib.endLeft) == nil ||
+				q.nodes[2*v+1].blocks.Get(ib.endRight) == nil:
+				t.Fatalf("node %d block %d: ends (%d, %d) past the children's blocks",
+					v, i, ib.endLeft, ib.endRight)
+			}
+			prev = ib
+		}
+		if n.head.Load() < 2 {
+			t.Fatalf("node %d: no block installed", v)
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func TestInvariant3HeadAndSuper(t *testing.T) {
 		}
 		if v != rootIdx {
 			for i := int64(1); i < head; i++ {
-				if n.blocks.Get(i).super.Load() == 0 {
+				if n.blocks.Get(i).sizeOrSuper.Load() == 0 {
 					t.Fatalf("blocks[%d].super unset below head %d", i, head)
 				}
 			}
@@ -88,11 +88,10 @@ func TestLemma4EndsNonDecreasing(t *testing.T) {
 			return
 		}
 		for i := int64(1); ; i++ {
-			cur := n.blocks.Get(i)
-			if cur == nil {
+			if n.blocks.Get(i) == nil {
 				break
 			}
-			prev := n.blocks.Get(i - 1)
+			cur, prev := innerOf(n.blocks.Get(i)), innerOf(n.blocks.Get(i-1))
 			if cur.endLeft < prev.endLeft || cur.endRight < prev.endRight {
 				t.Fatalf("block %d ends (%d,%d) below previous (%d,%d)",
 					i, cur.endLeft, cur.endRight, prev.endLeft, prev.endRight)
@@ -113,13 +112,13 @@ func expandCounts[T any](q *Queue[T], v int, b int64) (enqs, deqs int64) {
 		prev := n.blocks.Get(b - 1)
 		return blk.sumEnq - prev.sumEnq, blk.sumDeq - prev.sumDeq
 	}
-	prev := n.blocks.Get(b - 1)
-	for i := prev.endLeft + 1; i <= blk.endLeft; i++ {
+	ib, prev := innerOf(blk), innerOf(n.blocks.Get(b-1))
+	for i := prev.endLeft + 1; i <= ib.endLeft; i++ {
 		e, d := expandCounts(q, 2*v, i)
 		enqs += e
 		deqs += d
 	}
-	for i := prev.endRight + 1; i <= blk.endRight; i++ {
+	for i := prev.endRight + 1; i <= ib.endRight; i++ {
 		e, d := expandCounts(q, 2*v+1, i)
 		enqs += e
 		deqs += d
@@ -170,7 +169,7 @@ func TestLemma12SuperAccuracy(t *testing.T) {
 				if pb == nil {
 					break
 				}
-				if pb.end(dir) >= b {
+				if innerOf(pb).end(dir) >= b {
 					trueSup = s
 					break
 				}
@@ -178,7 +177,7 @@ func TestLemma12SuperAccuracy(t *testing.T) {
 			if trueSup < 0 {
 				continue // not yet propagated (possible only for the newest block)
 			}
-			sup := blk.super.Load()
+			sup := blk.sizeOrSuper.Load()
 			if sup == 0 {
 				continue // not yet advanced past; Invariant 3 checks cover the rest
 			}
@@ -199,12 +198,12 @@ func TestLemma16RootSizes(t *testing.T) {
 			break
 		}
 		prev := root.blocks.Get(i - 1)
-		size = prev.size + blk.numEnqueues(prev) - blk.numDequeues(prev)
+		size = prev.size() + blk.numEnqueues(prev) - blk.numDequeues(prev)
 		if size < 0 {
 			size = 0
 		}
-		if blk.size != size {
-			t.Fatalf("root block %d size %d, recurrence gives %d", i, blk.size, size)
+		if blk.size() != size {
+			t.Fatalf("root block %d size %d, recurrence gives %d", i, blk.size(), size)
 		}
 	}
 }
@@ -228,8 +227,7 @@ func TestCorollary6EachOpInOneRootBlock(t *testing.T) {
 			counts[key{v - q.numLeaves, b}]++
 			return
 		}
-		blk := n.blocks.Get(b)
-		prev := n.blocks.Get(b - 1)
+		blk, prev := innerOf(n.blocks.Get(b)), innerOf(n.blocks.Get(b-1))
 		for i := prev.endLeft + 1; i <= blk.endLeft; i++ {
 			collect(2*v, i)
 		}

@@ -41,8 +41,10 @@ type node struct {
 	// code never needs an index-zero special case. The index-zero blocks
 	// come from construction-time slabs that are never handed to the block
 	// arena, so no amount of recycling can ever reuse (and rewrite) a dummy
-	// block out from under a reader that relies on its all-zero sums. At a
-	// leaf every block, the dummy included, is the head of a leafBlock.
+	// block out from under a reader that relies on its all-zero sums. At an
+	// internal node every block, the dummy included, is the head of an
+	// innerBlock; at a leaf, enqueue blocks are the heads of leafBlocks and
+	// the dummy and dequeue blocks are bare headers (block.go).
 	blocks *infarray.Array[block]
 
 	// head is the position to use for the next append attempt: blocks[i] is
@@ -63,18 +65,18 @@ func (q *Queue[T]) isLeaf(v int) bool { return v >= q.numLeaves }
 // newTree builds the flat node slice for a tree with numLeaves leaves, at
 // least two, which removes any root==leaf special case; with p = 1 the
 // second leaf never receives blocks and contributes zero sums.
-func newTree[T any](numLeaves int) []node {
+func newTree(numLeaves int) []node {
 	nodes := make([]node, 2*numLeaves)
 	// Shared slabs for the index-zero dummy blocks, one per kind; see the
 	// blocks field comment for why these must never enter the arena.
-	dummies := make([]block, numLeaves)
-	leafDummies := make([]leafBlock[T], numLeaves)
+	dummies := make([]innerBlock, numLeaves)
+	leafDummies := make([]block, numLeaves)
 	for v := rootIdx; v < len(nodes); v++ {
 		nodes[v].blocks = infarray.New[block]()
 		if v < numLeaves {
-			nodes[v].blocks.Store(0, &dummies[v])
+			nodes[v].blocks.Store(0, &dummies[v].block)
 		} else {
-			nodes[v].blocks.Store(0, &leafDummies[v-numLeaves].block)
+			nodes[v].blocks.Store(0, &leafDummies[v-numLeaves])
 		}
 		nodes[v].head.Store(1)
 	}

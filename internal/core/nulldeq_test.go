@@ -40,8 +40,8 @@ func TestNullDequeueWithinBlock(t *testing.T) {
 		t.Fatalf("root block has (%d enq, %d deq), want (1, 3)",
 			blk.numEnqueues(root.blocks.Get(0)), blk.numDequeues(root.blocks.Get(0)))
 	}
-	if blk.size != 0 {
-		t.Fatalf("block size = %d, want 0 (clamped)", blk.size)
+	if blk.size() != 0 {
+		t.Fatalf("block size = %d, want 0 (clamped)", blk.size())
 	}
 
 	// D(B) orders leaves left to right: P1's dequeue is first and wins.

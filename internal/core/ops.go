@@ -26,7 +26,7 @@ func (h *Handle[T]) Enqueue(e T) {
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
 	b.element = e
-	h.append(b)
+	h.append(&b.block)
 	h.counter.EndOp(metrics.OpEnqueue)
 }
 
@@ -57,7 +57,7 @@ func (h *Handle[T]) enqueueBlock(es []T) {
 	} else {
 		b.elems = append([]T(nil), es...)
 	}
-	h.append(b)
+	h.append(&b.block)
 }
 
 // Dequeue removes and returns the element at the front of the queue. The
@@ -105,12 +105,12 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	return dst, int(k)
 }
 
-// dequeueBlock installs one leaf block carrying n dequeues, propagates it,
-// and returns its index in the handle's leaf.
+// dequeueBlock installs one leaf block carrying n dequeues, a bare header,
+// propagates it, and returns its index in the handle's leaf.
 func (h *Handle[T]) dequeueBlock(n int64) int64 {
 	hd := h.readHead(h.leaf)
 	prev := h.readBlock(h.leaf, hd-1)
-	b := h.newLeaf()
+	b := h.newHeader()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + n
 	h.append(b)
@@ -122,10 +122,10 @@ func (h *Handle[T]) dequeueBlock(n int64) int64 {
 // store suffices for the install; the head advance still goes through
 // advance so that the block's super field is set before the head moves past
 // it, which Invariant 3 and Lemma 12 rely on.
-func (h *Handle[T]) append(b *leafBlock[T]) {
+func (h *Handle[T]) append(b *block) {
 	leaf := h.leaf
 	hd := h.readHead(leaf)
-	h.storeBlock(leaf, hd, &b.block)
+	h.storeBlock(leaf, hd, b)
 	h.advance(leaf, hd)
 	h.propagate(leaf >> 1)
 }
@@ -167,7 +167,7 @@ func (h *Handle[T]) refresh(v int) bool {
 	if b == nil {
 		return true
 	}
-	ok := h.casBlock(v, hd, b)
+	ok := h.casBlock(v, hd, &b.block)
 	if !ok {
 		h.recycle(b)
 	}
@@ -180,7 +180,7 @@ func (h *Handle[T]) refresh(v int) bool {
 // operations that are not already in v. The child sums are read *before*
 // any block is allocated so the frequent nothing-to-do case touches the
 // arena not at all.
-func (h *Handle[T]) createBlock(v int, i int64) *block {
+func (h *Handle[T]) createBlock(v int, i int64) *innerBlock {
 	endLeft := h.readHead(2*v) - 1
 	endRight := h.readHead(2*v+1) - 1
 	lastLeft := h.readBlock(2*v, endLeft)
@@ -197,10 +197,8 @@ func (h *Handle[T]) createBlock(v int, i int64) *block {
 	b.sumEnq = sumEnq
 	b.sumDeq = sumDeq
 	if v == rootIdx {
-		b.size = prev.size + (sumEnq - prev.sumEnq) - (sumDeq - prev.sumDeq)
-		if b.size < 0 {
-			b.size = 0
-		}
+		size := prev.size() + (sumEnq - prev.sumEnq) - (sumDeq - prev.sumDeq)
+		b.sizeOrSuper.Store(max(size, 0))
 	}
 	return b
 }
@@ -235,6 +233,14 @@ func (h *Handle[T]) readBlock(v int, i int64) *block {
 	return h.nodes[v].blocks.Get(i)
 }
 
+// readInner loads nodes[v].blocks[i] of an internal node v as the
+// innerBlock it is, which the caller asserts is non-nil. One read, exactly
+// as readBlock.
+func (h *Handle[T]) readInner(v int, i int64) *innerBlock {
+	h.counter.Read(1)
+	return innerOf(h.nodes[v].blocks.Get(i))
+}
+
 // readBlockOrNil loads nodes[v].blocks[i] where nil is an expected outcome.
 func (h *Handle[T]) readBlockOrNil(v int, i int64) *block {
 	h.counter.Read(1)
@@ -262,14 +268,15 @@ func (h *Handle[T]) casHead(v int, hd int64) {
 	h.counter.CAS(ok)
 }
 
-// casSuper sets b.super from 0 to val once.
+// casSuper sets the super field of b, a non-root block, from 0 to val
+// once.
 func (h *Handle[T]) casSuper(b *block, val int64) {
-	ok := b.super.CompareAndSwap(0, val)
+	ok := b.sizeOrSuper.CompareAndSwap(0, val)
 	h.counter.CAS(ok)
 }
 
-// readSuper loads b.super.
+// readSuper loads the super field of b, a non-root block.
 func (h *Handle[T]) readSuper(b *block) int64 {
 	h.counter.Read(1)
-	return b.super.Load()
+	return b.sizeOrSuper.Load()
 }

@@ -4,14 +4,15 @@ package core
 //
 // Every block comes from a per-handle source, with no synchronization:
 //
-//   - leaf blocks (newLeaf) from a bump slab of leafBlocks. A leaf block is
-//     published by a plain store to the handle's own leaf, which cannot
-//     lose, so none is ever handed back.
+//   - enqueue leaf blocks (newLeaf) from a bump slab of leafBlocks, and
+//     dequeue leaf blocks (newHeader) from a bump slab of bare 24-byte
+//     headers. A leaf block is published by a plain store to the handle's
+//     own leaf, which cannot lose, so none is ever handed back.
 //   - internal blocks (newBlock) from the spare stack first, then from a
-//     bump slab of 48-byte blocks. The spare stack holds Refresh
+//     bump slab of 40-byte innerBlocks. The spare stack holds Refresh
 //     candidates whose CAS lost; recycle keeps up to spareCap of them and
 //     drops the rest. A dropped block was never referenced by anyone else,
-//     so it is only 48 unused bytes of its slab.
+//     so it is only 40 unused bytes of its slab.
 //
 // A slab is one 64-block allocation, so the worst case (nothing to reuse)
 // is 1 allocation per 64 blocks instead of 1 per block. Because published
@@ -30,7 +31,7 @@ const (
 	spareCap   = 16 // max recycled blocks parked on a handle
 )
 
-// newLeaf returns a zeroed leaf block from the handle's leaf slab.
+// newLeaf returns a zeroed enqueue block from the handle's leaf slab.
 func (h *Handle[T]) newLeaf() *leafBlock[T] {
 	if len(h.leafSlab) == 0 {
 		h.leafSlab = make([]leafBlock[T], slabBlocks)
@@ -40,18 +41,29 @@ func (h *Handle[T]) newLeaf() *leafBlock[T] {
 	return b
 }
 
+// newHeader returns a zeroed bare header, a dequeue leaf block, from the
+// handle's header slab.
+func (h *Handle[T]) newHeader() *block {
+	if len(h.deqSlab) == 0 {
+		h.deqSlab = make([]block, slabBlocks)
+	}
+	b := &h.deqSlab[0]
+	h.deqSlab = h.deqSlab[1:]
+	return b
+}
+
 // newBlock returns a zeroed internal-node block from the spare stack or the
 // bump slab, in that order.
-func (h *Handle[T]) newBlock() *block {
+func (h *Handle[T]) newBlock() *innerBlock {
 	if n := len(h.spare) - 1; n >= 0 {
 		b := h.spare[n]
 		h.spare[n] = nil
 		h.spare = h.spare[:n]
-		*b = block{}
+		*b = innerBlock{}
 		return b
 	}
 	if len(h.slab) == 0 {
-		h.slab = make([]block, slabBlocks)
+		h.slab = make([]innerBlock, slabBlocks)
 	}
 	b := &h.slab[0]
 	h.slab = h.slab[1:]
@@ -63,7 +75,7 @@ func (h *Handle[T]) newBlock() *block {
 // casBlock leaves the candidate private: advance works on the block that
 // actually got installed). Publishing a block and then recycling it would
 // hand a live shared block to a future writer; don't.
-func (h *Handle[T]) recycle(b *block) {
+func (h *Handle[T]) recycle(b *innerBlock) {
 	if len(h.spare) < spareCap {
 		h.spare = append(h.spare, b)
 	}

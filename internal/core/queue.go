@@ -56,9 +56,10 @@ type Handle[T any] struct {
 	counter *metrics.Counter
 
 	// Block arena state private to this handle; see pool.go.
-	slab     []block
+	slab     []innerBlock
 	leafSlab []leafBlock[T]
-	spare    []*block
+	deqSlab  []block
+	spare    []*innerBlock
 }
 
 // Option configures a Queue; the zero configuration is the paper's design.
@@ -98,7 +99,7 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	}
 	numLeaves := max(procs, 2)
 	q := &Queue[T]{
-		nodes:           newTree[T](numLeaves),
+		nodes:           newTree(numLeaves),
 		numLeaves:       numLeaves,
 		procs:           procs,
 		plainRootSearch: o.plainRootSearch,
@@ -134,7 +135,8 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 	return h
 }
 
-// Len returns the size field of the root block below root.head. It is never
+// Len returns the size of the root block below root.head, which a root
+// block keeps in the header word a non-root block uses for super. It is never
 // older than the root block of any operation that has returned — every
 // refresh ends in advance(v, hd), so head has passed an operation's block
 // before its propagate returns — and lags only operations still in flight.
@@ -144,7 +146,7 @@ func (q *Queue[T]) Len() int {
 	root := &q.nodes[rootIdx]
 	h := root.head.Load()
 	// blocks[h-1] is always non-nil (Invariant 3).
-	return int(root.blocks.Get(h - 1).size)
+	return int(root.blocks.Get(h - 1).size())
 }
 
 // BlocksInstalled returns the total number of blocks installed across all

@@ -485,7 +485,7 @@ func lenCoversStalledInstaller(t *testing.T) {
 		// a's Refresh at the root, cut after line 32's CAS.
 		hd := a.readHead(rootIdx)
 		blk := a.createBlock(rootIdx, hd)
-		if blk == nil || !a.casBlock(rootIdx, hd, blk) {
+		if blk == nil || !a.casBlock(rootIdx, hd, &blk.block) {
 			t.Fatal("a could not install its root block")
 		}
 		if got := q.Len(); got != 0 {

@@ -45,13 +45,13 @@ func expandLeafOps[T any](q *Queue[T], v int, b int64) (enqs, deqs [][2]int64) {
 		}
 		return nil, [][2]int64{ref}
 	}
-	prev := n.blocks.Get(b - 1)
-	for i := prev.endLeft + 1; i <= blk.endLeft; i++ {
+	ib, prev := innerOf(blk), innerOf(n.blocks.Get(b-1))
+	for i := prev.endLeft + 1; i <= ib.endLeft; i++ {
 		e, d := expandLeafOps(q, 2*v, i)
 		enqs = append(enqs, e...)
 		deqs = append(deqs, d...)
 	}
-	for i := prev.endRight + 1; i <= blk.endRight; i++ {
+	for i := prev.endRight + 1; i <= ib.endRight; i++ {
 		e, d := expandLeafOps(q, 2*v+1, i)
 		enqs = append(enqs, e...)
 		deqs = append(deqs, d...)
@@ -268,7 +268,7 @@ func propagatedToRoot[T any](q *Queue[T], v int, b int64) bool {
 		parent := &q.nodes[v>>1]
 		found := int64(-1)
 		for s := int64(1); parent.blocks.Get(s) != nil; s++ {
-			if parent.blocks.Get(s).end(dir) >= b {
+			if innerOf(parent.blocks.Get(s)).end(dir) >= b {
 				found = s
 				break
 			}

@@ -24,12 +24,12 @@ func (h *Handle[T]) indexDequeue(v int, b, i int64) (int64, int64) {
 		// checking whether block b is within the candidate's range resolves
 		// the ambiguity (line 73).
 		sup := h.readSuper(blk)
-		supBlk := h.readBlock(parent, sup)
+		supBlk := h.readInner(parent, sup)
 		if b > supBlk.end(dir) {
 			sup++
-			supBlk = h.readBlock(parent, sup)
+			supBlk = h.readInner(parent, sup)
 		}
-		prevSup := h.readBlock(parent, sup-1)
+		prevSup := h.readInner(parent, sup-1)
 
 		// Dequeues contributed by earlier subblocks of the superblock that
 		// live in v (line 76): blocks prevSup.end(dir)+1 .. b-1.
@@ -65,11 +65,11 @@ func (h *Handle[T]) completeDeqN(idx, n int64, dst []T) (T, []T, int64) {
 	// Null test (line 87): within a block all enqueues are linearized
 	// before all dequeues, so every dequeue from the block's dequeue rank
 	// prevB.size+numEnq+1 on finds the queue empty, and the rest is null.
-	k := max(0, min(n, prevB.size+blkB.numEnqueues(prevB)-i+1))
+	k := max(0, min(n, prevB.size()+blkB.numEnqueues(prevB)-i+1))
 	// Rank (among all enqueues) of the first enqueue to return:
 	// prevB.sumEnq - prevB.size counts the non-null dequeues in root blocks
 	// 1..b-1 (line 89).
-	e := i + prevB.sumEnq - prevB.size
+	e := i + prevB.sumEnq - prevB.size()
 	var val T
 	if n > 1 {
 		dst = slices.Grow(dst, int(k))
@@ -145,8 +145,8 @@ func (h *Handle[T]) searchRootForEnqueue(b, e int64) int64 {
 func (h *Handle[T]) getEnqueue(v int, b, i int64) (*leafBlock[T], int64) {
 	for !h.queue.isLeaf(v) {
 		lc, rc := 2*v, 2*v+1
-		blkB := h.readBlock(v, b)
-		prevB := h.readBlock(v, b-1)
+		blkB := h.readInner(v, b)
+		prevB := h.readInner(v, b-1)
 		// Number of enqueues of E(blkB) contributed by the left child: the
 		// left child's subblocks span prevB.endLeft+1 .. blkB.endLeft.
 		sumLeft := h.readBlock(lc, blkB.endLeft).sumEnq
@@ -186,6 +186,8 @@ func (h *Handle[T]) getEnqueue(v int, b, i int64) (*leafBlock[T], int64) {
 		v, b = child, bp
 	}
 	// A leaf block carries one enqueue (element) or a whole batch (elems);
-	// i survived the descent as the rank within this block.
+	// i survived the descent as the rank within this block. The descent
+	// lands only on blocks whose sumEnq exceeds their predecessor's, so
+	// the block is an enqueue block and leafOf may widen it.
 	return leafOf[T](h.readBlock(v, b)), i
 }

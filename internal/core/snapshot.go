@@ -73,14 +73,15 @@ func (q *Queue[T]) Snapshot() TreeSnapshot {
 			if b == nil {
 				break
 			}
-			bs := BlockSnapshot{
-				Index:    i,
-				SumEnq:   b.sumEnq,
-				SumDeq:   b.sumDeq,
-				EndLeft:  b.endLeft,
-				EndRight: b.endRight,
-				Size:     b.size,
-				Super:    b.super.Load(),
+			bs := BlockSnapshot{Index: i, SumEnq: b.sumEnq, SumDeq: b.sumDeq}
+			if v == rootIdx {
+				bs.Size = b.size()
+			} else {
+				bs.Super = b.sizeOrSuper.Load()
+			}
+			if !q.isLeaf(v) {
+				ib := innerOf(b)
+				bs.EndLeft, bs.EndRight = ib.endLeft, ib.endRight
 			}
 			switch {
 			case i == 0:
@@ -88,6 +89,8 @@ func (q *Queue[T]) Snapshot() TreeSnapshot {
 			case !q.isLeaf(v):
 				bs.Kind = KindInternal
 			default:
+				// Only an enqueue block is a leafBlock; a dequeue block
+				// is a bare header, so the sums decide before leafOf.
 				prev := n.blocks.Get(i - 1)
 				if b.sumEnq > prev.sumEnq {
 					bs.Kind = KindEnqueue

@@ -34,10 +34,10 @@ func (h *Handle[T]) StepEnqueue(e T) int64 {
 func (h *Handle[T]) StepDequeue() int64 {
 	hd := h.readHead(h.leaf)
 	prev := h.readBlock(h.leaf, hd-1)
-	b := h.newLeaf()
+	b := h.newHeader()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + 1
-	h.storeBlock(h.leaf, hd, &b.block)
+	h.storeBlock(h.leaf, hd, b)
 	h.advance(h.leaf, hd)
 	return hd
 }

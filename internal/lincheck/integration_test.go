@@ -202,7 +202,8 @@ func reportViolations(t *testing.T, events []lincheck.Event) {
 // 4-leaf trees (slots 0-2), and once each has run 500 operations two more
 // lease slots 3 and 4. The first of those leases grows every tree to 8
 // leaves, migrating the backlog into the new shard while the three keep
-// operating; they stop only after the growth and their 2500 operations.
+// operating; they stop only after both late leases are taken and their
+// 2500 operations are done.
 // A k=1 fabric is a FIFO queue, so the whole history, growth included,
 // must be linearizable.
 func TestFabricHistoryAcrossGrowth(t *testing.T) {
@@ -217,8 +218,9 @@ func TestFabricHistoryAcrossGrowth(t *testing.T) {
 			var (
 				wg      sync.WaitGroup
 				started atomic.Int32 // early processes 500 operations in
-				grown   atomic.Bool
+				grown   atomic.Bool  // both late leases taken
 			)
+			defer grown.Store(true) // a failed late Acquire still stops the early processes
 			for p := 0; p < early; p++ {
 				h, err := q.Acquire()
 				if err != nil {
@@ -258,7 +260,6 @@ func TestFabricHistoryAcrossGrowth(t *testing.T) {
 				if h.Slot() != p {
 					t.Fatalf("late lease got slot %d, want %d", h.Slot(), p)
 				}
-				grown.Store(true)
 				wg.Add(1)
 				go func(p int, h *shard.Handle[int64]) {
 					defer wg.Done()
@@ -266,6 +267,10 @@ func TestFabricHistoryAcrossGrowth(t *testing.T) {
 					mixedScript(p, rec.Wrap(lease{h}, p))
 				}(p, h)
 			}
+			// Only now may the early processes stop: a slot they released
+			// before every late lease was taken would be handed out first
+			// by the free list, and a late lease would miss its slot.
+			grown.Store(true)
 			wg.Wait()
 			if rs := q.ResizeStats(); rs.Leaves != 8 || rs.LeafGrowths != 1 {
 				t.Fatalf("ResizeStats = %+v, want one growth to 8 leaves", rs)
