@@ -172,9 +172,8 @@ func countSteps(h *Handle[int], pair func()) (steps, vals int64) {
 	return c.TotalSteps(), c.TotalOps()
 }
 
-// TestAllocsArenaReuse checks the arena mechanics deterministically:
-// recycled internal blocks are reused and fully reset, the spare stack
-// keeps at most spareCap of them, and what it drops never comes back.
+// TestAllocsArenaReuse checks the arena mechanics deterministically: a
+// recycled internal block is reused and fully reset.
 func TestAllocsArenaReuse(t *testing.T) {
 	q, err := New[int](2)
 	if err != nil {
@@ -191,28 +190,8 @@ func TestAllocsArenaReuse(t *testing.T) {
 	if *b2 != (block{}) {
 		t.Fatalf("recycled block not reset: %+v", *b2)
 	}
-	// Overflow: beyond spareCap the excess is dropped for the Go collector,
-	// so once the kept blocks are drained newBlock hands out a fresh one.
-	overflowed := make(map[*block]bool)
-	for i := 0; i < spareCap+64; i++ {
-		b := &block{index: int64(i + 1), size: 7}
-		if i >= spareCap {
-			overflowed[b] = true
-		}
-		h.recycle(b)
-	}
-	if len(h.spare) != spareCap {
-		t.Fatalf("spare stack holds %d blocks, want %d", len(h.spare), spareCap)
-	}
-	for range spareCap {
-		h.newBlock()
-	}
-	b := h.newBlock()
-	if overflowed[b] {
-		t.Fatal("a block recycled past spareCap came back")
-	}
-	if *b != (block{}) {
-		t.Fatalf("fresh block not zeroed: %+v", *b)
+	if b3 := h.newBlock(); b3 == b1 || *b3 != (block{}) {
+		t.Fatalf("empty spare slot handed out %p (%+v), want a fresh zeroed block", b3, *b3)
 	}
 }
 
@@ -303,7 +282,6 @@ func TestAllocsRefreshFailureRecycles(t *testing.T) {
 	h0.Enqueue(1) // seed so both root children have history
 
 	var wg sync.WaitGroup
-	spares := len(h0.spare)
 	// Stage the race: h1 appends at its leaf but we pause it before root
 	// refresh by doing the steps manually — bounded has no stepper, so
 	// instead make h0's view stale: load the root tree, let h1 run a full
@@ -329,8 +307,8 @@ func TestAllocsRefreshFailureRecycles(t *testing.T) {
 		t.Fatal("stale CAS unexpectedly succeeded")
 	}
 	h0.recycle(b)
-	if len(h0.spare) != spares+1 {
-		t.Fatalf("candidate not recycled: spare %d, want %d", len(h0.spare), spares+1)
+	if h0.spare != b {
+		t.Fatal("candidate not recycled into the spare slot")
 	}
 	// The queue must still be fully functional with the recycled candidate
 	// back in circulation.

@@ -1,7 +1,7 @@
 package bounded
 
 // Block arena for the bounded variant. Internal-node blocks come from the
-// handle's spare stack first, then from the heap, one object each. Unlike
+// handle's spare slot first, then from the heap, one object each. Unlike
 // internal/core/pool.go there is no bump slab: the bounded queue's GC
 // repeatedly discards old blocks, and carving blocks out of shared 64-block
 // slabs would pin a whole slab in memory for as long as any one of its
@@ -21,21 +21,21 @@ package bounded
 // newest block, which t had already published (pbst.Seq's contract: an
 // append stores the receiver's largest value in the shared tail slot and
 // keeps the new one in its own header). The candidate itself sits in t2's
-// header alone, and a losing t2 is never extended. recycle keeps up to
-// spareCap candidates and drops the rest, which the Go GC frees. Blocks
+// header alone, and a losing t2 is never extended. recycle parks the
+// candidate in the spare slot: a handle recycles only the candidate it just
+// drew, and its next newBlock hands that one out again, so the slot is
+// empty whenever recycle fills it. Blocks
 // that were published are reclaimed by the Go GC once the paper's GC phase
 // drops them from every live tree — pbst's DropBelow copies the chunk it
 // cuts and clears what lies left of it, so they are unreachable from the
 // new tree and not merely uncounted. Delegating that reclamation to the
 // runtime is what makes it safe without epochs or hazard pointers.
 
-// newBlock returns a zeroed internal-node block from the spare stack or the
+// newBlock returns a zeroed internal-node block from the spare slot or the
 // heap, in that order.
 func (h *Handle[T]) newBlock() *block {
-	if n := len(h.spare) - 1; n >= 0 {
-		b := h.spare[n]
-		h.spare[n] = nil
-		h.spare = h.spare[:n]
+	if b := h.spare; b != nil {
+		h.spare = nil
 		*b = block{}
 		return b
 	}
@@ -44,11 +44,4 @@ func (h *Handle[T]) newBlock() *block {
 
 // recycle takes back a block obtained from newBlock that was never
 // published (never reachable from a tree installed by storeTree/casTree).
-func (h *Handle[T]) recycle(b *block) {
-	if len(h.spare) < spareCap {
-		h.spare = append(h.spare, b)
-	}
-}
-
-// spareCap bounds the per-handle spare stack.
-const spareCap = 16
+func (h *Handle[T]) recycle(b *block) { h.spare = b }

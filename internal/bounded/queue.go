@@ -236,9 +236,9 @@ type Handle[T any] struct {
 	id      int
 	counter *metrics.Counter
 
-	// spare stacks recycled candidate blocks private to this handle; see
+	// spare holds a recycled candidate block private to this handle; see
 	// pool.go.
-	spare []*block
+	spare *block
 
 	// rootHint is the index of the root block this handle's previous root
 	// search found, where its next one starts (completeDeqN). It is the

@@ -13,8 +13,9 @@ import (
 
 // FuzzBatchResponses interprets data as a script over 1-4 handles. data[0]
 // picks the handle count (1+data[0]%4), data[1] the root search (odd: the
-// plain binary search of WithPlainRootSearch, even: the paper's doubling
-// search); then each pair (op, arg) runs on handle (op/3)%procs:
+// plain binary search of WithPlainRootSearch, even: the search from the
+// handle's hint, with the paper's doubling search behind it); then each
+// pair (op, arg) runs on handle (op/3)%procs:
 //
 //	op%3 == 0: Enqueue of one value
 //	op%3 == 1: EnqueueBatch of 1+arg%40 values
@@ -23,8 +24,9 @@ import (
 // Every dequeue batch must return the model's first min(n, len) values and
 // that count, so a short count (the null suffix) is checked too. The corpus
 // covers batches spanning several leaf blocks of different leaves, batches
-// starting and ending mid-block, batches running past the queue's end, and
-// dequeues on an empty queue.
+// starting and ending mid-block, batches running past the queue's end,
+// dequeues on an empty queue, and two handles whose dequeues alternate
+// across root blocks, so each one's root-search hint goes stale.
 func FuzzBatchResponses(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

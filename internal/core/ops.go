@@ -4,6 +4,11 @@ package core
 // Append, Propagate, Refresh, CreateBlock and Advance (Figure 4 of the
 // paper, lines 1-64).
 //
+// The write path, like the read path, does not read back what it holds: an
+// operation reads its leaf's head once, advance takes the block its caller
+// just stored, installed or found in Refresh's help check, and Refresh
+// hands createBlock the child heads its help check read.
+//
 // Tree nodes are heap indices into Queue.nodes (see node.go): parent is
 // v>>1, children are 2v and 2v+1, the root is rootIdx.
 //
@@ -21,12 +26,13 @@ import "repro/internal/metrics"
 // allocation-free fast path of pool.go applies.
 func (h *Handle[T]) Enqueue(e T) {
 	h.counter.BeginOp()
-	prev := h.readBlock(h.leaf, h.readHead(h.leaf)-1)
+	hd := h.readHead(h.leaf)
+	prev := h.readBlock(h.leaf, hd-1)
 	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
 	b.element = e
-	h.append(&b.block)
+	h.append(hd, &b.block)
 	h.counter.EndOp(metrics.OpEnqueue)
 }
 
@@ -48,7 +54,8 @@ func (h *Handle[T]) EnqueueBatch(es []T) {
 // enqueueBlock installs one leaf block carrying the len(es) >= 1 enqueues
 // of es and propagates it to the root.
 func (h *Handle[T]) enqueueBlock(es []T) {
-	prev := h.readBlock(h.leaf, h.readHead(h.leaf)-1)
+	hd := h.readHead(h.leaf)
+	prev := h.readBlock(h.leaf, hd-1)
 	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq + int64(len(es))
 	b.sumDeq = prev.sumDeq
@@ -57,7 +64,7 @@ func (h *Handle[T]) enqueueBlock(es []T) {
 	} else {
 		b.elems = append([]T(nil), es...)
 	}
-	h.append(&b.block)
+	h.append(hd, &b.block)
 }
 
 // Dequeue removes and returns the element at the front of the queue. The
@@ -113,20 +120,21 @@ func (h *Handle[T]) dequeueBlock(n int64) int64 {
 	b := h.newHeader()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + n
-	h.append(b)
+	h.append(hd, b)
 	return hd
 }
 
-// append installs b in the next slot of the handle's leaf and propagates it
-// to the root (Append, lines 11-15). The leaf is single-writer, so a plain
-// store suffices for the install; the head advance still goes through
-// advance so that the block's super field is set before the head moves past
-// it, which Invariant 3 and Lemma 12 rely on.
-func (h *Handle[T]) append(b *block) {
+// append installs b in slot hd of the handle's leaf, the leaf's head the
+// caller read, and propagates it to the root (Append, lines 11-15). The
+// leaf is single-writer, and its head moves past a slot only once this
+// handle has stored there, so the head still reads hd. A plain store
+// suffices for the install; the head advance still goes through advance so
+// that the block's super field is set before the head moves past it, which
+// Invariant 3 and Lemma 12 rely on.
+func (h *Handle[T]) append(hd int64, b *block) {
 	leaf := h.leaf
-	hd := h.readHead(leaf)
 	h.storeBlock(leaf, hd, b)
-	h.advance(leaf, hd)
+	h.advance(leaf, hd, b)
 	h.propagate(leaf >> 1)
 }
 
@@ -151,38 +159,55 @@ func (h *Handle[T]) propagate(v int) {
 // refresh tries to append to v a new block representing all blocks in v's
 // children not yet in v (Refresh, lines 24-39). It returns true if no new
 // block was needed or its CAS succeeded. A candidate whose CAS lost is
-// still private — advance operates on whichever block actually got
+// still private — advance then reads the block that actually got
 // installed — so it goes back to the arena.
 func (h *Handle[T]) refresh(v int) bool {
 	hd := h.readHead(v)
 	// Help advance a child whose head lags behind an installed block, so
 	// that createBlock sees up-to-date child heads (lines 26-31).
-	for child := 2 * v; child <= 2*v+1; child++ {
+	//
+	// createBlock's reads of the child heads (lines 41-42) are taken here:
+	// a child with nothing to help passes on the head this check just
+	// read, and a child that was helped is read again after the help. Lemma
+	// 10's double-Refresh argument uses two facts about those reads: each
+	// follows this Refresh's read of v.head, and each follows the moment
+	// the caller's own block reached the child (propagate refreshes v only
+	// after that). An early read keeps both. Between it and the paper's
+	// read point this process writes nothing to that child: the only write
+	// in between is the other child's help.
+	var heads [2]int64
+	for c := range heads {
+		child := 2*v + c
 		childHead := h.readHead(child)
-		if h.readBlockOrNil(child, childHead) != nil {
-			h.advance(child, childHead)
+		if blk := h.readBlockOrNil(child, childHead); blk != nil {
+			h.advance(child, childHead, blk)
+			childHead = h.readHead(child)
 		}
+		heads[c] = childHead
 	}
-	b := h.createBlock(v, hd)
+	b := h.createBlock(v, hd, heads[0], heads[1])
 	if b == nil {
 		return true
 	}
-	ok := h.casBlock(v, hd, &b.block)
-	if !ok {
+	var installed *block
+	if h.casBlock(v, hd, &b.block) {
+		installed = &b.block
+	} else {
 		h.recycle(b)
 	}
-	h.advance(v, hd)
-	return ok
+	h.advance(v, hd, installed)
+	return installed != nil
 }
 
 // createBlock builds the block a Refresh will try to install in v.blocks[i]
-// (CreateBlock, lines 40-57). It returns nil if the children contain no
+// (CreateBlock, lines 40-57), given the heads of v's left and right child
+// that the Refresh read. It returns nil if the children contain no
 // operations that are not already in v. The child sums are read *before*
 // any block is allocated so the frequent nothing-to-do case touches the
 // arena not at all.
-func (h *Handle[T]) createBlock(v int, i int64) *innerBlock {
-	endLeft := h.readHead(2*v) - 1
-	endRight := h.readHead(2*v+1) - 1
+func (h *Handle[T]) createBlock(v int, i, headLeft, headRight int64) *innerBlock {
+	endLeft := headLeft - 1
+	endRight := headRight - 1
 	lastLeft := h.readBlock(2*v, endLeft)
 	lastRight := h.readBlock(2*v+1, endRight)
 	sumEnq := lastLeft.sumEnq + lastRight.sumEnq
@@ -206,10 +231,15 @@ func (h *Handle[T]) createBlock(v int, i int64) *innerBlock {
 // advance sets v.blocks[hd].super (so the block can be traced to its
 // superblock) and then moves v.head from hd to hd+1 (Advance, lines 58-64).
 // Both CASes are idempotent: concurrent helpers agree on the transition.
-func (h *Handle[T]) advance(v int, hd int64) {
+// b is v.blocks[hd] when the caller holds it — it just stored or installed
+// it there, or read it there — and nil to have advance read the slot. A
+// slot never changes once set, so the two are the same block.
+func (h *Handle[T]) advance(v int, hd int64, b *block) {
 	if v != rootIdx {
 		parentHead := h.readHead(v >> 1)
-		b := h.readBlock(v, hd)
+		if b == nil {
+			b = h.readBlock(v, hd)
+		}
 		h.casSuper(b, parentHead)
 	}
 	h.casHead(v, hd)

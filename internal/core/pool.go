@@ -8,11 +8,11 @@ package core
 //     dequeue leaf blocks (newHeader) from a bump slab of bare 24-byte
 //     headers. A leaf block is published by a plain store to the handle's
 //     own leaf, which cannot lose, so none is ever handed back.
-//   - internal blocks (newBlock) from the spare stack first, then from a
-//     bump slab of 40-byte innerBlocks. The spare stack holds Refresh
-//     candidates whose CAS lost; recycle keeps up to spareCap of them and
-//     drops the rest. A dropped block was never referenced by anyone else,
-//     so it is only 40 unused bytes of its slab.
+//   - internal blocks (newBlock) from the spare slot first, then from a
+//     bump slab of 40-byte innerBlocks. The spare slot holds the Refresh
+//     candidate whose CAS lost. A handle recycles only the candidate it
+//     just drew, and its next newBlock hands that one out again, so the
+//     slot is empty whenever recycle fills it.
 //
 // A slab is one 64-block allocation, so the worst case (nothing to reuse)
 // is 1 allocation per 64 blocks instead of 1 per block. Because published
@@ -26,10 +26,7 @@ package core
 // paper's GC'd-memory model. Because recycled blocks were never reachable by
 // any other process, reuse cannot cause ABA: no CAS anywhere compares
 // against a pointer to a block that was never published.
-const (
-	slabBlocks = 64 // blocks per bump-allocator chunk
-	spareCap   = 16 // max recycled blocks parked on a handle
-)
+const slabBlocks = 64 // blocks per bump-allocator chunk
 
 // newLeaf returns a zeroed enqueue block from the handle's leaf slab.
 func (h *Handle[T]) newLeaf() *leafBlock[T] {
@@ -52,13 +49,11 @@ func (h *Handle[T]) newHeader() *block {
 	return b
 }
 
-// newBlock returns a zeroed internal-node block from the spare stack or the
+// newBlock returns a zeroed internal-node block from the spare slot or the
 // bump slab, in that order.
 func (h *Handle[T]) newBlock() *innerBlock {
-	if n := len(h.spare) - 1; n >= 0 {
-		b := h.spare[n]
-		h.spare[n] = nil
-		h.spare = h.spare[:n]
+	if b := h.spare; b != nil {
+		h.spare = nil
 		*b = innerBlock{}
 		return b
 	}
@@ -75,8 +70,4 @@ func (h *Handle[T]) newBlock() *innerBlock {
 // casBlock leaves the candidate private: advance works on the block that
 // actually got installed). Publishing a block and then recycling it would
 // hand a live shared block to a future writer; don't.
-func (h *Handle[T]) recycle(b *innerBlock) {
-	if len(h.spare) < spareCap {
-		h.spare = append(h.spare, b)
-	}
-}
+func (h *Handle[T]) recycle(b *innerBlock) { h.spare = b }

@@ -59,7 +59,12 @@ type Handle[T any] struct {
 	slab     []innerBlock
 	leafSlab []leafBlock[T]
 	deqSlab  []block
-	spare    []*innerBlock
+	spare    *innerBlock
+
+	// rootHint is the index of the root block this handle's previous root
+	// search found, where its next one starts (searchRootForEnqueue). It is
+	// the handle's own memory, so reading it costs no shared-memory step.
+	rootHint int64
 }
 
 // Option configures a Queue; the zero configuration is the paper's design.
@@ -71,10 +76,12 @@ type options struct {
 	spinningRefresh bool
 }
 
-// WithPlainRootSearch replaces the dequeue walk's doubling root search
-// (FindResponse line 91, Lemma 20) with a plain binary search over the
-// entire root history. The ablation shows why the doubling search matters:
-// the plain search costs O(log(total operations ever)) instead of O(log q).
+// WithPlainRootSearch replaces the dequeue walk's root search (FindResponse
+// line 91, Lemma 20) — the gallop from the handle's hint and the doubling
+// search from the dequeue's root block — with a plain binary search over
+// the entire root history. The ablation shows why the bounded search
+// matters: the plain search costs O(log(total operations ever)) instead of
+// O(log q).
 func WithPlainRootSearch() Option {
 	return func(o *options) { o.plainRootSearch = true }
 }

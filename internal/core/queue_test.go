@@ -484,7 +484,7 @@ func lenCoversStalledInstaller(t *testing.T) {
 		}
 		// a's Refresh at the root, cut after line 32's CAS.
 		hd := a.readHead(rootIdx)
-		blk := a.createBlock(rootIdx, hd)
+		blk := a.createBlock(rootIdx, hd, a.readHead(2), a.readHead(3))
 		if blk == nil || !a.casBlock(rootIdx, hd, &blk.block) {
 			t.Fatal("a could not install its root block")
 		}
@@ -499,7 +499,7 @@ func lenCoversStalledInstaller(t *testing.T) {
 		if got := q.Len(); got != 2 {
 			t.Errorf("b in a's block = %v: Len() = %d after b's Enqueue returned, want 2", bInStalledBlock, got)
 		}
-		a.advance(rootIdx, hd) // a wakes up
+		a.advance(rootIdx, hd, &blk.block) // a wakes up
 		a.StepPropagate()
 		if got := q.Len(); got != 2 {
 			t.Errorf("Len() = %d after a's Enqueue returned, want 2", got)

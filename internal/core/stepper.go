@@ -24,7 +24,7 @@ func (h *Handle[T]) StepEnqueue(e T) int64 {
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
 	h.storeBlock(h.leaf, hd, &b.block)
-	h.advance(h.leaf, hd)
+	h.advance(h.leaf, hd, &b.block)
 	return hd
 }
 
@@ -38,7 +38,7 @@ func (h *Handle[T]) StepDequeue() int64 {
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + 1
 	h.storeBlock(h.leaf, hd, b)
-	h.advance(h.leaf, hd)
+	h.advance(h.leaf, hd, b)
 	return hd
 }
 

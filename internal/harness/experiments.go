@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bounded"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/queues"
 	"repro/internal/stats"
 )
@@ -179,14 +180,21 @@ func ExpDequeueStepsVsP(ps []int, prefill, opsPerProc int, seed int64) (*Table, 
 }
 
 // ExpDequeueStepsVsQ (T3b, Theorem 22): dequeue steps vs queue size at fixed
-// p; the log q term comes from the root's doubling search (Lemma 20).
+// p; the log q term comes from the root's doubling search (Lemma 20). The
+// pairs rows run warm handles, whose root search starts at the block their
+// previous search found, so the term is what the cold column shows: the
+// first dequeue of a fresh handle, which has no hint.
 func ExpDequeueStepsVsQ(p int, prefills []int, opsPerProc int, seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "T3b",
 		Title:   fmt.Sprintf("Dequeue steps per operation vs queue size (p=%d)", p),
-		Columns: []string{"q", "steps/op", "delta vs prev"},
+		Columns: []string{"q", "steps/op", "delta vs prev", "cold deq steps"},
+		Notes: []string{
+			"steps/op: Enqueue;Dequeue pairs on warm handles. Each handle's root search starts at the root block its previous search found, so the doubling search rarely runs and the column need not grow with q.",
+			"cold deq steps: the first Dequeue of a fresh handle after the prefill. It has no hint, so the doubling search runs back from its root block to the oldest value's, and the column grows with log2 q (Lemma 20).",
+		},
 	}
-	var xs, ys []float64
+	var xs, ys, cold []float64
 	prev := 0.0
 	for _, prefill := range prefills {
 		q, err := queues.NewNR(p)
@@ -200,22 +208,55 @@ func ExpDequeueStepsVsQ(p int, prefills []int, opsPerProc int, seed int64) (*Tab
 		if err != nil {
 			return nil, err
 		}
+		c, err := coldDequeueSteps(p, prefill)
+		if err != nil {
+			return nil, err
+		}
 		steps := res.Summary.StepsPerOp
 		if prev == 0 {
-			t.AddRow(prefill, steps, "-")
+			t.AddRow(prefill, steps, "-", c)
 		} else {
-			t.AddRow(prefill, steps, steps-prev)
+			t.AddRow(prefill, steps, steps-prev, c)
 		}
 		prev = steps
 		xs = append(xs, float64(prefill))
 		ys = append(ys, steps)
+		cold = append(cold, float64(c))
 	}
-	if fit, err := stats.FitAgainst(xs, ys, stats.Log2); err == nil {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"fit steps = %.1f + %.2f*log2(q), R^2=%.3f (paper: O(log^2 p + log q))",
-			fit.Intercept, fit.Slope, fit.R2))
+	for _, fit := range []struct {
+		name string
+		ys   []float64
+	}{{"steps/op", ys}, {"cold", cold}} {
+		if f, err := stats.FitAgainst(xs, fit.ys, stats.Log2); err == nil {
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"fit %s = %.1f + %.2f*log2(q), R^2=%.3f (paper: O(log^2 p + log q))",
+				fit.name, f.Intercept, f.Slope, f.R2))
+		}
 	}
 	return t, nil
+}
+
+// coldDequeueSteps prefills a fresh p-process queue with n values and
+// returns the steps of one Dequeue by handle p-1, whose root search has no
+// hint yet.
+func coldDequeueSteps(p, n int) (int64, error) {
+	q, err := queues.NewNR(p)
+	if err != nil {
+		return 0, err
+	}
+	if err := Prefill(q, n); err != nil {
+		return 0, err
+	}
+	h, err := q.Handle(p - 1)
+	if err != nil {
+		return 0, err
+	}
+	var c metrics.Counter
+	h.SetCounter(&c)
+	if _, ok := h.Dequeue(); !ok && n > 0 {
+		return 0, fmt.Errorf("harness: cold dequeue on a queue of %d values found it empty", n)
+	}
+	return c.TotalSteps(), nil
 }
 
 // ExpRetryProblem (T4, Sections 1-2): amortized steps per operation across
