@@ -5,8 +5,8 @@
 // steps (Theorem 32), a wall-clock throughput comparison, the sharded
 // fabric's throughput scaling with shard count, the network queue
 // service's latency under open-loop load, batch amortization, multi-tenant
-// per-queue isolation, elastic autoscaling, the observability layer's
-// overhead budget, and the request-trace stage decomposition.
+// per-queue isolation, the observability layer's overhead budget, and the
+// request-trace stage decomposition.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@
 //
 // Experiments: casbound, enqsteps, deqsteps, retry, adversary, space,
 // boundedsteps, throughput, waitfree, ablation, sharded, service, batch,
-// multitenant, elastic, obs, trace, memwall, netwall, all.
+// multitenant, obs, trace, memwall, netwall, all.
 package main
 
 import (
@@ -47,7 +47,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (casbound enqsteps deqsteps retry adversary space boundedsteps throughput waitfree ablation sharded service batch multitenant elastic obs trace memwall netwall all)")
+		exp       = flag.String("exp", "all", "experiment to run (casbound enqsteps deqsteps retry adversary space boundedsteps throughput waitfree ablation sharded service batch multitenant obs trace memwall netwall all)")
 		ops       = flag.Int("ops", 2000, "operations per process per measurement")
 		procs     = flag.Int("procs", 8, "process count for single-p experiments (space, deqsteps q-sweep)")
 		psFlag    = flag.String("ps", "1,2,4,8,16,32,64", "comma-separated process counts for sweeps")
@@ -219,13 +219,6 @@ func runners() map[string]runner {
 			return one(harness.ExpMultiTenant([]int{1, 2, 4},
 				harness.MultiTenantConfig{Shards: cfg.shards, Backend: cfg.backend}))
 		},
-		"elastic": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
-			// T14: the autoscaler tracking a grow -> shrink -> grow load
-			// ramp, conservation-checked per phase; cmd/qload -ramp drives
-			// the full-knob version against an external autoscaling queued.
-			return one(harness.ExpElasticScaling([]int{8000, 400, 8000},
-				harness.ElasticConfig{Backend: cfg.backend}))
-		},
 		"obs": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
 			// T15: the observability layer's CPU cost per operation, obs-on
 			// vs obs-off servers under identical paced open-loop load. All
@@ -282,7 +275,7 @@ func run(exp string, cfg runConfig) error {
 	if exp == "all" {
 		names = []string{"casbound", "enqsteps", "deqsteps", "retry", "adversary",
 			"space", "boundedsteps", "throughput", "waitfree", "ablation", "sharded", "batch", "service",
-			"multitenant", "elastic", "obs", "trace", "memwall", "netwall"}
+			"multitenant", "obs", "trace", "memwall", "netwall"}
 	}
 	for _, name := range names {
 		r, ok := reg[name]

@@ -1,8 +1,7 @@
 // Command qload drives a queued instance with open-loop load and reports
-// end-to-end latency percentiles per offered rate (experiment T11), per-
+// end-to-end latency percentiles per offered rate (experiment T11), or per-
 // queue throughput isolation as the tenant count grows (multi-tenant
-// sweep mode, experiment T13), or the autoscaler's tracking of a phased
-// load ramp (ramp mode, experiment T14).
+// sweep mode, experiment T13).
 //
 // The generator is open-loop: enqueue send times follow the target rate
 // regardless of how fast the service responds, and every latency is
@@ -22,7 +21,6 @@
 //	qload -addr 127.0.0.1:7474 -rates 20000 -batch 16   # native batch frames
 //	qload -addr 127.0.0.1:7474 -rates 8000 -queue jobs  # one named queue
 //	qload -addr 127.0.0.1:7474 -rates 16000 -tenants 1,2,4 -json bench_results
-//	qload -addr 127.0.0.1:7474 -ramp 16000,500,16000     # T14 (autoscaling queued)
 //	qload -addr 127.0.0.1:7474 -rates 8000 -scrape       # + server-side percentiles
 //	qload -addr 127.0.0.1:7474 -rates 8000 -trace 16     # + stage decomposition
 //
@@ -30,12 +28,7 @@
 // default queue. -tenants switches to the T13 sweep: for each tenant
 // count N, N concurrent open-loop runs each drive their own named queue
 // at 1/N of the single -rates value, so rows compare at equal aggregate
-// offered load; conservation is checked per queue. -ramp switches to the
-// T14 elastic-scaling ramp: the comma-separated phase rates run back to
-// back against the default queue of a queued started with
-// -autoscale-interval, and each phase reports the fabric's shard count,
-// topology epoch, and cumulative resize counters alongside throughput
-// and conservation.
+// offered load; conservation is checked per queue.
 //
 // -scrape (sweep mode only) fetches the server's own latency histograms
 // after the sweep and prints the server-side per-queue percentiles next
@@ -53,8 +46,7 @@
 // /metricsz stage histograms for the server-side view.
 //
 // -json emits bench_results/BENCH_T11.json (BENCH_T13.json in tenant
-// mode, BENCH_T14.json in ramp mode) in the same schema as
-// cmd/benchqueue's tables.
+// mode) in the same schema as cmd/benchqueue's tables.
 package main
 
 import (
@@ -86,8 +78,7 @@ func main() {
 		drain     = flag.Duration("drain", 10*time.Second, "max wait for consumers to finish after producers stop")
 		queue     = flag.String("queue", "", "drive this named queue instead of the default queue")
 		tenants   = flag.String("tenants", "", "comma-separated tenant counts: run the T13 multi-queue sweep at the single -rates value as aggregate load")
-		ramp      = flag.String("ramp", "", "comma-separated phase rates: run the T14 elastic-scaling ramp (phases run back to back against an autoscaling queued)")
-		jsonDir   = flag.String("json", "", "write the result table as BENCH_T11.json (BENCH_T13.json with -tenants, BENCH_T14.json with -ramp) into this directory")
+		jsonDir   = flag.String("json", "", "write the result table as BENCH_T11.json (BENCH_T13.json with -tenants) into this directory")
 		scrape    = flag.Bool("scrape", false, "after the sweep, snapshot the server's own latency histograms and print the server-side percentiles next to the client-side table")
 		trace     = flag.Int("trace", 0, "trace every Nth enqueue frame and print a per-stage latency decomposition per rate (0 disables; needs a server with observability on)")
 	)
@@ -112,14 +103,6 @@ func main() {
 		DrainTimeout: *drain,
 		Queue:        *queue,
 		TraceEvery:   *trace,
-	}
-	if *ramp != "" {
-		if *trace > 0 {
-			fmt.Fprintln(os.Stderr, "qload: -trace works in sweep mode only; drop -ramp")
-			os.Exit(2)
-		}
-		runRamp(*addr, *ramp, *tenants, load, *jsonDir)
-		return
 	}
 	if *tenants != "" {
 		if *trace > 0 {
@@ -154,50 +137,6 @@ func main() {
 	}
 	if *jsonDir != "" {
 		path, err := harness.WriteTableJSON(*jsonDir, table)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qload:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "qload: wrote", path)
-	}
-	if violated {
-		fmt.Fprintln(os.Stderr, "qload: CONSERVATION VIOLATION (values lost or duplicated)")
-		os.Exit(1)
-	}
-}
-
-// runRamp executes the T14 elastic-scaling ramp against a running queued
-// (start it with -autoscale-interval so the ramp has an autoscaler to
-// exercise) and exits 1 if any phase lost or duplicated a value.
-func runRamp(addr, rampFlag, tenantsFlag string, load server.LoadConfig, jsonDir string) {
-	phases, err := parseRates(rampFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qload: -ramp:", err)
-		os.Exit(2)
-	}
-	if tenantsFlag != "" {
-		fmt.Fprintln(os.Stderr, "qload: -ramp conflicts with -tenants")
-		os.Exit(2)
-	}
-	if load.Queue != "" {
-		fmt.Fprintln(os.Stderr, "qload: -ramp drives the default queue; drop -queue")
-		os.Exit(2)
-	}
-	table, results, err := harness.ExpElasticScalingResults(phases, harness.ElasticConfig{Addr: addr, Load: load})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qload:", err)
-		os.Exit(1)
-	}
-	fmt.Println(table.String())
-
-	violated := false
-	for i, res := range results {
-		fmt.Printf("phase %2d (rate %6d): offered=%d acked=%d busy=%d errors=%d consumed=%d lost=%d dup=%d\n",
-			i, phases[i], res.Offered, res.Acked, res.Busy, res.Errors, res.Consumed, res.Lost, res.Dup)
-		violated = violated || !res.Conserved()
-	}
-	if jsonDir != "" {
-		path, err := harness.WriteTableJSON(jsonDir, table)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qload:", err)
 			os.Exit(1)

@@ -6,23 +6,20 @@
 // explicit BUSY replies. Clients address the default queue with the
 // pre-namespace opcodes or OPEN named queues — each its own fabric,
 // created on first use, capped by -max-queues, and torn down after
-// -queue-idle without bound sessions or backlog. Queue fabrics are
-// elastic: -autoscale-interval starts a per-queue shard autoscaler that
-// grows and shrinks each fabric live — conservation-preserving shrink
-// migrations included — between -min-shards and -max-shards, and clients
-// can resize manually through the wire-level RESIZE opcode. An optional
-// HTTP listener (-statsz) exposes the introspection surface:
+// -queue-idle without bound sessions or backlog. Every queue's fabric
+// keeps the -shards count it was built with; its shards' ordering trees
+// grow as sessions lease handles. An optional HTTP listener (-statsz)
+// exposes the introspection surface:
 //
 //	/statsz    full JSON snapshot: service counters, per-shard routing
 //	           traffic, handle-lease churn, per-queue stats (shard count,
-//	           topology epoch, resize history, latency summaries)
+//	           topology epoch, tree growths, latency summaries)
 //	/healthz   liveness: 200 + uptime
 //	/varz      build and process identity, configured options, flag values
 //	/metricsz  Prometheus text exposition (counters, per-queue gauges,
 //	           per-(queue, op) latency summaries)
-//	/tracez    bounded control-plane event trace (resizes, autoscaler
-//	           decisions with their watermark inputs, session/queue
-//	           lifecycle) as JSON
+//	/tracez    bounded control-plane event trace (session and queue
+//	           lifecycle, sampled BUSY replies) as JSON
 //	/spanz     request-trace exemplar reservoir: the slowest and most
 //	           recent traced requests, each decomposed into per-stage
 //	           durations (drive with qload -trace)
@@ -39,7 +36,6 @@
 //	queued -statsz 127.0.0.1:7475      # curl http://127.0.0.1:7475/statsz
 //	queued -statsz 127.0.0.1:7475 -pprof                   # + profiling
 //	queued -max-queues 128 -queue-idle 10m                 # tenant knobs
-//	queued -autoscale-interval 500ms -min-shards 1 -max-shards 16
 //
 // Drive it with cmd/qload, the open-loop load generator (-queue targets a
 // named queue; -tenants sweeps several at once; -scrape prints the
@@ -73,16 +69,12 @@ func main() {
 		maxQueues = flag.Int("max-queues", server.DefaultMaxQueues, "max named queues (each its own fabric; OPEN beyond the cap is refused)")
 		queueIdle = flag.Duration("queue-idle", 5*time.Minute, "tear down named queues unbound and empty this long (0 disables)")
 		statsz    = flag.String("statsz", "", "HTTP listen address for the /statsz JSON endpoint (empty disables)")
-		minShards = flag.Int("min-shards", server.DefaultMinShards, "lower bound on any queue's shard count (autoscaler and wire RESIZE)")
-		maxShards = flag.Int("max-shards", server.DefaultMaxShards, "upper bound on any queue's shard count (autoscaler and wire RESIZE)")
-		autoscale = flag.Duration("autoscale-interval", 0, "per-queue shard autoscaler tick (0 disables autoscaling)")
 		obsOn     = flag.Bool("obs", true, "record latency histograms and control-plane trace events")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -statsz listener")
 	)
 	flag.Parse()
 	if err := run(*addr, *addrFile, *shards, *backend, *handles, *window, *idle,
-		*maxFrame, *maxQueues, *queueIdle, *statsz, *minShards, *maxShards, *autoscale,
-		*obsOn, *pprofOn); err != nil {
+		*maxFrame, *maxQueues, *queueIdle, *statsz, *obsOn, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "queued:", err)
 		os.Exit(1)
 	}
@@ -90,7 +82,7 @@ func main() {
 
 func run(addr, addrFile string, shards int, backend string, handles, window int,
 	idle time.Duration, maxFrame, maxQueues int, queueIdle time.Duration, statsz string,
-	minShards, maxShards int, autoscale time.Duration, obsOn, pprofOn bool) error {
+	obsOn, pprofOn bool) error {
 	q, err := newFabric(shards, backend, handles)
 	if err != nil {
 		return err
@@ -101,8 +93,6 @@ func run(addr, addrFile string, shards int, backend string, handles, window int,
 		server.WithMaxFrame(maxFrame),
 		server.WithMaxQueues(maxQueues),
 		server.WithQueueIdleTimeout(queueIdle),
-		server.WithShardBounds(minShards, maxShards),
-		server.WithAutoscale(autoscale),
 		server.WithObservability(obsOn))
 	if err != nil {
 		return err
@@ -110,10 +100,6 @@ func run(addr, addrFile string, shards int, backend string, handles, window int,
 	defer srv.Close()
 	fmt.Printf("queued: listening on %s (%d shards, %s backend, %d handle slots, %d named queues max)\n",
 		srv.Addr(), q.Shards(), q.Backend(), q.MaxHandles(), maxQueues)
-	if autoscale > 0 {
-		fmt.Printf("queued: autoscaling every %s within [%d, %d] shards per queue\n",
-			autoscale, minShards, maxShards)
-	}
 	if addrFile != "" {
 		if err := os.WriteFile(addrFile, []byte(srv.Addr().String()), 0o644); err != nil {
 			return fmt.Errorf("write -addr-file: %w", err)
@@ -164,9 +150,8 @@ func run(addr, addrFile string, shards int, backend string, handles, window int,
 		snap.Server.Requests, snap.Server.Busy, snap.Server.OpsPerBatch)
 	fmt.Printf("queued: %d queues live (%d opened, %d deleted, %d idle-expired)\n",
 		snap.Server.QueuesOpen, snap.Server.QueuesOpened, snap.Server.QueuesDeleted, snap.Server.QueuesExpired)
-	fmt.Printf("queued: %d autoscale grows, %d shrinks, %d wire resizes; default queue at %d shards (epoch %d)\n",
-		snap.Server.AutoscaleGrows, snap.Server.AutoscaleShrinks, snap.Server.WireResizes,
-		snap.Fabric.Shards, snap.Fabric.Resize.Epoch)
+	fmt.Printf("queued: default queue at %d shards, %d-leaf trees (epoch %d)\n",
+		snap.Fabric.Shards, snap.Fabric.Resize.Leaves, snap.Fabric.Resize.Epoch)
 	return nil
 }
 

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro"
 )
@@ -185,57 +184,6 @@ func ExampleQueueClient_Open() {
 	// jobs: test
 	// logs: starting up
 	// default: untagged
-}
-
-// ExampleWithAutoscale shows an elastic queue service: the server's
-// per-queue autoscaler resizes each fabric live between the shard bounds
-// (here it ticks far too slowly to fire, keeping the example
-// deterministic), and clients can resize manually over the wire. Resizes
-// are conservation-preserving — a shrink migrates retired shards'
-// residual elements into the survivors, keeping per-producer FIFO order —
-// so the values enqueued at 4 shards come back intact and in order after
-// shrinking to 1.
-func ExampleWithAutoscale() {
-	fabric, err := repro.NewShardedQueue[[]byte](1)
-	if err != nil {
-		panic(err)
-	}
-	srv, err := repro.Serve("127.0.0.1:0", fabric,
-		repro.WithAutoscale(time.Minute), // load-driven grow/shrink, every minute
-		repro.WithShardBounds(1, 8))      // the envelope all resizes obey
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Close()
-	c, err := repro.Dial(srv.Addr().String())
-	if err != nil {
-		panic(err)
-	}
-	defer c.Close()
-
-	applied, err := c.Resize(4) // manual grow of the default queue
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(applied, fabric.Shards())
-
-	c.Enqueue([]byte("a"))
-	c.Enqueue([]byte("b"))
-	if applied, err = c.Resize(100); err != nil { // clamped to the bounds
-		panic(err)
-	}
-	fmt.Println(applied)
-
-	if applied, err = c.Resize(1); err != nil { // shrink: residues migrate
-		panic(err)
-	}
-	v1, _, _ := c.Dequeue()
-	v2, _, _ := c.Dequeue()
-	fmt.Printf("%d %s %s\n", applied, v1, v2)
-	// Output:
-	// 4 4
-	// 8
-	// 1 a b
 }
 
 // ExampleNewVector shows the Section 7 append-only sequence.

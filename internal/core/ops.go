@@ -5,9 +5,10 @@ package core
 // paper, lines 1-64).
 //
 // The write path, like the read path, does not read back what it holds: an
-// operation reads its leaf's head once, advance takes the block its caller
-// just stored, installed or found in Refresh's help check, and Refresh
-// hands createBlock the child heads its help check read.
+// operation reads its leaf's head once and takes its leaf's previous block
+// from the handle (Handle.last), advance takes the block its caller just
+// stored, installed or found in Refresh's help check, and Refresh hands
+// createBlock the child heads its help check read.
 //
 // Tree nodes are heap indices into Queue.nodes (see node.go): parent is
 // v>>1, children are 2v and 2v+1, the root is rootIdx.
@@ -27,7 +28,7 @@ import "repro/internal/metrics"
 func (h *Handle[T]) Enqueue(e T) {
 	h.counter.BeginOp()
 	hd := h.readHead(h.leaf)
-	prev := h.readBlock(h.leaf, hd-1)
+	prev := h.last
 	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
@@ -55,7 +56,7 @@ func (h *Handle[T]) EnqueueBatch(es []T) {
 // of es and propagates it to the root.
 func (h *Handle[T]) enqueueBlock(es []T) {
 	hd := h.readHead(h.leaf)
-	prev := h.readBlock(h.leaf, hd-1)
+	prev := h.last
 	b := h.newLeaf()
 	b.sumEnq = prev.sumEnq + int64(len(es))
 	b.sumDeq = prev.sumDeq
@@ -116,7 +117,7 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 // propagates it, and returns its index in the handle's leaf.
 func (h *Handle[T]) dequeueBlock(n int64) int64 {
 	hd := h.readHead(h.leaf)
-	prev := h.readBlock(h.leaf, hd-1)
+	prev := h.last
 	b := h.newHeader()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + n
@@ -134,6 +135,7 @@ func (h *Handle[T]) dequeueBlock(n int64) int64 {
 func (h *Handle[T]) append(hd int64, b *block) {
 	leaf := h.leaf
 	h.storeBlock(leaf, hd, b)
+	h.last = b
 	h.advance(leaf, hd, b)
 	h.propagate(leaf >> 1)
 }

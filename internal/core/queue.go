@@ -65,6 +65,14 @@ type Handle[T any] struct {
 	// search found, where its next one starts (searchRootForEnqueue). It is
 	// the handle's own memory, so reading it costs no shared-memory step.
 	rootHint int64
+
+	// last is the block below the head of this handle's leaf: the leaf's
+	// dummy until the first append, then the block this handle stored
+	// last. Only the owner stores into its leaf, so the block an append
+	// extends is always this one, and an append reads its sums here instead
+	// of from shared memory. The head is still read, since helpers advance
+	// it.
+	last *block
 }
 
 // Option configures a Queue; the zero configuration is the paper's design.
@@ -114,7 +122,8 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	}
 	q.handles = make([]Handle[T], procs)
 	for i := 0; i < procs; i++ {
-		q.handles[i] = Handle[T]{queue: q, nodes: q.nodes, leaf: numLeaves + i}
+		leaf := numLeaves + i
+		q.handles[i] = Handle[T]{queue: q, nodes: q.nodes, leaf: leaf, last: q.nodes[leaf].blocks.Get(0)}
 	}
 	return q, nil
 }

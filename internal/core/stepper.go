@@ -18,12 +18,13 @@ import "fmt"
 // can propagate it. The block's position in the leaf is returned.
 func (h *Handle[T]) StepEnqueue(e T) int64 {
 	hd := h.readHead(h.leaf)
-	prev := h.readBlock(h.leaf, hd-1)
+	prev := h.last
 	b := h.newLeaf()
 	b.element = e
 	b.sumEnq = prev.sumEnq + 1
 	b.sumDeq = prev.sumDeq
 	h.storeBlock(h.leaf, hd, &b.block)
+	h.last = &b.block
 	h.advance(h.leaf, hd, &b.block)
 	return hd
 }
@@ -33,11 +34,12 @@ func (h *Handle[T]) StepEnqueue(e T) int64 {
 // position in the leaf is returned; StepFinishDequeue completes it.
 func (h *Handle[T]) StepDequeue() int64 {
 	hd := h.readHead(h.leaf)
-	prev := h.readBlock(h.leaf, hd-1)
+	prev := h.last
 	b := h.newHeader()
 	b.sumEnq = prev.sumEnq
 	b.sumDeq = prev.sumDeq + 1
 	h.storeBlock(h.leaf, hd, b)
+	h.last = b
 	h.advance(h.leaf, hd, b)
 	return hd
 }

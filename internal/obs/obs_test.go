@@ -225,7 +225,7 @@ func TestLatencySummaryJSONRoundTrip(t *testing.T) {
 // TestEventJSONRoundTrip checks the /tracez event encoding.
 func TestEventJSONRoundTrip(t *testing.T) {
 	r := NewRing(4)
-	r.Add("autoscale_grow", "jobs", map[string]any{"k": 2, "target": 4, "rate": 12345.6})
+	r.Add("queue_create", "jobs", map[string]any{"id": 4, "rate": 12345.6})
 	data, err := json.Marshal(r.Events())
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +234,10 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || back[0].Type != "autoscale_grow" || back[0].Queue != "jobs" {
+	if len(back) != 1 || back[0].Type != "queue_create" || back[0].Queue != "jobs" {
 		t.Fatalf("event did not survive the round trip: %+v", back)
 	}
-	if back[0].Data["target"].(float64) != 4 {
+	if back[0].Data["id"].(float64) != 4 {
 		t.Fatalf("event data mangled: %+v", back[0].Data)
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"time"
 )
 
-// Event is one structured control-plane occurrence: a resize, an
-// autoscaler decision (with the watermark inputs it decided on), a
-// session or queue lifecycle transition, a sampled backpressure burst.
+// Event is one structured control-plane occurrence: a session or queue
+// lifecycle transition, a sampled backpressure burst.
 // The encoding is the stable JSON served by /tracez.
 type Event struct {
 	Seq   uint64         `json:"seq"`
@@ -25,7 +24,7 @@ type Event struct {
 // ring answers "what did the control plane do recently", not "ever".
 //
 // Control-plane events are rare next to data operations; hot sources
-// (BUSY replies, autoscaler hold decisions) are sampled by their emitters
+// (BUSY replies) are sampled by their emitters
 // before they reach the ring.
 type Ring struct {
 	slots []atomic.Pointer[Event]

@@ -2,7 +2,6 @@ package queues
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -93,86 +92,3 @@ func (s shardedHandle) DequeueBatch(n int) ([]int64, int) { return s.h.DequeueBa
 
 // SetCounter implements Handle.
 func (s shardedHandle) SetCounter(c *metrics.Counter) { s.h.SetCounter(c) }
-
-// resizeDriver replays a shard-count schedule against a fabric as the
-// harness operates on it: every `every` completed operations, the next
-// schedule entry is applied with Resize (cycling). It makes the epoch
-// swap machinery part of every conformance check instead of a dedicated
-// test's concern.
-type resizeDriver struct {
-	q        *shard.Queue[int64]
-	schedule []int
-	every    int64
-	ops      atomic.Int64
-	next     atomic.Int64
-}
-
-func (d *resizeDriver) tick() {
-	if d.ops.Add(1)%d.every != 0 {
-		return
-	}
-	i := int((d.next.Add(1) - 1) % int64(len(d.schedule)))
-	if err := d.q.Resize(d.schedule[i]); err != nil {
-		panic(fmt.Sprintf("sharded adapter: resize to %d: %v", d.schedule[i], err))
-	}
-}
-
-// resizingQueue is shardedQueue plus a resize schedule woven through the
-// operation stream.
-type resizingQueue struct {
-	*shardedQueue
-	d *resizeDriver
-}
-
-// NewShardedResizing wraps a single-shard fabric whose topology is driven
-// through schedule (shard counts, cycled) every `every` operations while
-// the suite runs. All handles are pre-leased on the 1-shard fabric, so
-// they share home shard 0 and keep it across every grow (homes are stable
-// until their shard is retired) — the fabric must therefore behave
-// exactly like a strict FIFO queue at every point of the schedule, which
-// lets the full conformance suite (sequential models included) run across
-// live resizes.
-func NewShardedResizing(procs int, schedule []int, every int64, backend shard.Backend) (Queue, error) {
-	if len(schedule) == 0 || every < 1 {
-		return nil, fmt.Errorf("sharded: resize schedule must be nonempty with every >= 1")
-	}
-	q, err := NewSharded(procs, 1, backend)
-	if err != nil {
-		return nil, err
-	}
-	sq := q.(*shardedQueue)
-	sq.name = fmt.Sprintf("sharded-elastic(%s)", backend)
-	return &resizingQueue{
-		shardedQueue: sq,
-		d:            &resizeDriver{q: sq.q, schedule: schedule, every: every},
-	}, nil
-}
-
-// Handle implements Queue, wrapping each operation with the schedule tick.
-func (r *resizingQueue) Handle(i int) (Handle, error) {
-	h, err := r.shardedQueue.Handle(i)
-	if err != nil {
-		return nil, err
-	}
-	return resizingHandle{h: h.(shardedHandle), d: r.d}, nil
-}
-
-type resizingHandle struct {
-	h shardedHandle
-	d *resizeDriver
-}
-
-var _ BatchHandle = resizingHandle{}
-
-// The tick runs after the wrapped operation completes, so a triggered
-// Resize (and its grace wait) never overlaps this handle's own in-flight
-// operation.
-func (r resizingHandle) Enqueue(v int64)         { r.h.Enqueue(v); r.d.tick() }
-func (r resizingHandle) EnqueueBatch(vs []int64) { r.h.EnqueueBatch(vs); r.d.tick() }
-func (r resizingHandle) Dequeue() (int64, bool)  { v, ok := r.h.Dequeue(); r.d.tick(); return v, ok }
-func (r resizingHandle) DequeueBatch(n int) ([]int64, int) {
-	vs, got := r.h.DequeueBatch(n)
-	r.d.tick()
-	return vs, got
-}
-func (r resizingHandle) SetCounter(c *metrics.Counter) { r.h.SetCounter(c) }

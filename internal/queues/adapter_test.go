@@ -43,30 +43,6 @@ func TestShardedBoundedConformance(t *testing.T) {
 	})
 }
 
-// TestShardedResizeConformance runs the full conformance suite while the
-// fabric's topology cycles through a k=1 -> k=2 -> k=1 resize schedule
-// mid-stream (one step every 512 operations). All handles share home
-// shard 0 across the whole schedule, so strict FIFO must hold at every
-// epoch — any breakage in the topology swap, handle refresh, or shrink
-// migration surfaces as an ordering or conservation failure.
-func TestShardedResizeConformance(t *testing.T) {
-	queuetest.Run(t, queues.Factory{
-		Name: "sharded-elastic(core)",
-		New: func(p int) (queues.Queue, error) {
-			return queues.NewShardedResizing(p, []int{2, 1}, 512, shard.BackendCore)
-		},
-	})
-}
-
-func TestShardedResizeBoundedConformance(t *testing.T) {
-	queuetest.Run(t, queues.Factory{
-		Name: "sharded-elastic(bounded)",
-		New: func(p int) (queues.Queue, error) {
-			return queues.NewShardedResizing(p, []int{2, 1}, 512, shard.BackendBounded)
-		},
-	})
-}
-
 func TestCounterPassthrough(t *testing.T) {
 	// SetCounter must thread through every adapter so step accounting works.
 	for _, f := range []queues.Factory{

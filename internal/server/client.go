@@ -520,39 +520,6 @@ func (c *Client) length(qid uint32) (int, error) {
 	return int(binary.BigEndian.Uint64(f.payload)), nil
 }
 
-// Resize asks the server to resize the default queue's fabric to k shards
-// and returns the shard count actually applied (the request is clamped to
-// the server's shard bounds). The resize is live — pipelined operations
-// keep flowing while the topology swaps — and conservation-preserving:
-// retired shards' residual elements are migrated into the survivors.
-func (c *Client) Resize(k int) (int, error) { return c.resize(0, k) }
-
-func (c *Client) resize(qid uint32, k int) (int, error) {
-	if k < 1 || k > 1<<31-1 {
-		return 0, fmt.Errorf("server: shard count %d out of range", k)
-	}
-	var req [queueIDLen + 4]byte
-	binary.BigEndian.PutUint32(req[queueIDLen:], uint32(k))
-	var f frame
-	var err error
-	if qid != 0 {
-		binary.BigEndian.PutUint32(req[:queueIDLen], qid)
-		f, err = c.roundTripParts(OpResizeQ, req[:])
-	} else {
-		f, err = c.roundTripParts(OpResize, req[queueIDLen:])
-	}
-	if err != nil {
-		return 0, err
-	}
-	if f.kind != StatusOK {
-		return 0, statusErr(f)
-	}
-	if len(f.payload) != 4 {
-		return 0, fmt.Errorf("%w: resize reply payload %d bytes, want 4", ErrBadFrame, len(f.payload))
-	}
-	return int(binary.BigEndian.Uint32(f.payload)), nil
-}
-
 // Stats returns the server's Snapshot as raw JSON (the same document the
 // /statsz endpoint serves).
 func (c *Client) Stats() ([]byte, error) {
@@ -643,10 +610,6 @@ func (q *NamedQueue) DequeueBatch(n int) ([][]byte, error) { return q.c.dequeueB
 
 // Len returns the named queue's backlog estimate.
 func (q *NamedQueue) Len() (int, error) { return q.c.length(q.id) }
-
-// Resize asks the server to resize this queue's fabric to k shards and
-// returns the applied count (see Client.Resize for semantics).
-func (q *NamedQueue) Resize(k int) (int, error) { return q.c.resize(q.id, k) }
 
 // Delete removes this queue from the server (see Client.Delete).
 func (q *NamedQueue) Delete() error { return q.c.Delete(q.name) }

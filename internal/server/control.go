@@ -7,7 +7,7 @@ import (
 )
 
 // control answers one frame that is not part of a data run: a control op
-// (LEN/STATS/RESIZE/OPEN/DELETE), the BUSY marker the read loop injects
+// (LEN/STATS/OPEN/DELETE), the BUSY marker the read loop injects
 // for a request that overflowed the window, a frame too short for its
 // declared trace/queue prefixes, or an unknown opcode. Every failure here
 // is request-scoped — a StatusErr reply, never a connection failure.
@@ -37,29 +37,6 @@ func (srv *Server) controlOp(s *session, f frame, d decoded) ([]byte, error) {
 		return binary.BigEndian.AppendUint64(nil, uint64(t.q.Len())), nil
 	case OpStats:
 		return json.Marshal(srv.Snapshot())
-	case OpResize:
-		if len(d.rest) != 4 {
-			return nil, fmt.Errorf("resize payload %d bytes, want 4", len(d.rest))
-		}
-		k := int(binary.BigEndian.Uint32(d.rest))
-		t, ok := srv.ns.lookup(d.qid)
-		if !ok {
-			return nil, fmt.Errorf("%w: id %d", ErrUnknownQueue, d.qid)
-		}
-		// Manual resizes obey the same bounds as the autoscaler, so a
-		// client cannot push a queue outside the operator's envelope. The
-		// reply carries the clamped count this request applied, not a
-		// re-read of the fabric — a concurrent autoscaler tick could have
-		// already moved it again.
-		k = min(max(k, srv.opts.minShards), srv.opts.maxShards)
-		from := t.q.Shards()
-		if err := t.q.Resize(k); err != nil {
-			return nil, err
-		}
-		srv.stats.wireResizes.Add(1)
-		srv.trace.Add("wire_resize", t.name, map[string]any{
-			"from": from, "to": k, "epoch": t.q.ResizeStats().Epoch})
-		return binary.BigEndian.AppendUint32(nil, uint32(k)), nil
 	case OpOpen:
 		t, err := srv.openQueue(s, string(d.rest))
 		if err != nil {

@@ -76,8 +76,9 @@ func malformedSeeds() map[string][]byte {
 		"statusAsRequest": rawFrame(12, StatusOK, nil),
 		// Traced status reply shorter than its span block (client-side parse).
 		"tracedReplyShort": rawFrame(13, StatusOK|OpTraceFlag, []byte{1, 2, 3}),
-		// Resize with a truncated shard-count word.
-		"resizeShort": rawFrame(14, OpResize, []byte{0x02}),
+		// The retired RESIZE opcode (0x09, now unknown) with a truncated
+		// shard-count word.
+		"resizeShort": rawFrame(14, 0x09, []byte{0x02}),
 		// Open with an empty name and with an oversized declared name.
 		"openEmptyName": rawFrame(15, OpOpen, nil),
 		"openLongName":  rawFrame(16, OpOpen, bytes.Repeat([]byte{'n'}, MaxQueueName+1)),

@@ -8,7 +8,10 @@ package server
 // below were recorded at the commit before the executor was reduced to one
 // run-based path (six routes and a switchable legacy network arm at the
 // time; that commit produced the same digests with one-frame windows on
-// the legacy arm as with its defaults). A changed digest is a wire-visible
+// the legacy arm as with its defaults), and re-recorded on the commit
+// before live resizing was removed, with only the RESIZE opcodes (0x09,
+// 0x19) made unknown: the stream still sends both, and they must answer
+// exactly as any other unknown opcode. A changed digest is a wire-visible
 // behaviour change.
 //
 // The stream is a seeded mix of everything a peer can put on the wire that
@@ -55,18 +58,18 @@ const (
 // goldenDigests maps "<mode>/<seed>" to the SHA-256 of the concatenated
 // reply frames of that stream.
 var goldenDigests = map[string]string{
-	"obs-on-untraced/1": "ead034df39405b51563c759d288dac9e6ea0fed331edf14f21a708af86cfe707",
-	"obs-on-untraced/2": "86cd05602d1abcdd29444590d6d0c449b87320d33541e6396dc7a45699c27ac5",
-	"obs-on-untraced/3": "d8a77dd4acc013d7e437eeab25820ae497ca3ee02acc4131130496f3e0e745db",
-	"obs-on-untraced/4": "0efc96386597f8623e05e62349f02b6c0a78e90b5c212060a68d04f99e53f4fe",
-	"obs-on-untraced/5": "9c34e1872e6b4842683fd41fa2df5ada19caad2dc8480130cff18caa47b12770",
-	"obs-on-untraced/6": "164a3839de3011f337337bd40e36e428bc80a5ddea6a29fc94b1b74154daa186",
-	"obs-off-traced/1":  "48a79fe76537e0fda3c68ef9b18b74f4f2a2ccafefd2fd9c2a95234115803528",
-	"obs-off-traced/2":  "52d1e8dac662e6b70bd4c35baa2c06679e5082c484bfc4b8dac226aff0686bd0",
-	"obs-off-traced/3":  "b78aec7109ef7dd0245a46134b9ad6205838fe3fb1861f73cd4259e3fce4e12e",
-	"obs-off-traced/4":  "ef070223374b38bb68e22028f2b45b46bec4212434bdc7c133ee0321a2fa7040",
-	"obs-off-traced/5":  "a93b70162cc324197196a9965a5019b295a0560bb832923e659c6e1d37ef66e0",
-	"obs-off-traced/6":  "7ddde3d3bb67ee4f2dec8dc6cffe9f4468012a6589ccb676570d55fee859cdb5",
+	"obs-on-untraced/1": "d688a58f58f19433be08ab348d517187d57c8873de30ac7fc83434179bcf52d8",
+	"obs-on-untraced/2": "3625fc19d9e3a4fcd3cc34133aec8c401ca422788cd58b4576165249e8a052bc",
+	"obs-on-untraced/3": "2ccb28e77ba5011bb73624b578e0b7d6aa2172b6d09ca9341a6d85ef57aff4ca",
+	"obs-on-untraced/4": "202a416b4972828a87ec62a517f9ad66d554be2a3b773c3f86fff4bbd0f6bd65",
+	"obs-on-untraced/5": "36305f7d5d4a51b289643c7fb9eb5ef1a8f5262ed63dc5d292ef2dc1630e1f53",
+	"obs-on-untraced/6": "fa4633a4fba86004edd900a39820cac33a88b43c20df1f383d99eff038680dc6",
+	"obs-off-traced/1":  "28c298833ff1118a3113895d1976ba17328c0983aa02d9c4b1490e0751a89b2a",
+	"obs-off-traced/2":  "dc251b882cc177370d329f4870c3bdab3a0579d787c1e2f612aa5b909961c1fd",
+	"obs-off-traced/3":  "d8e4bd4b725b904208582b68dc592c5a50f2f1d0a847d15357e14777495b5666",
+	"obs-off-traced/4":  "a82b76540e1fb575b36c133fcb28608464ff0b158497e3e285d73946a1e2ca2a",
+	"obs-off-traced/5":  "04b000759db6454b18154828ea7e9cf3ccfe8e1ca5c3776c3b8db82984ed909e",
+	"obs-off-traced/6":  "931d3a6b271d66de42d40299411bbbea99fee3a074121c43258e76aab8589a5b",
 }
 
 // goldenTarget is one queue a generated frame may address.
@@ -213,9 +216,9 @@ func (g *goldenGen) other(dst []byte) []byte {
 	case 5:
 		return g.frame(dst, OpDelete, []byte([]string{"nope", DefaultQueueName}[g.rng.Intn(2)]))
 	case 6:
-		return g.frame(dst, OpResize, g.bytes(3))
+		return g.frame(dst, 0x09, g.bytes(3)) // the retired RESIZE opcode, now unknown
 	case 7:
-		return g.frame(dst, OpResizeQ, binary.BigEndian.AppendUint32(nil, 77), g.bytes(4))
+		return g.frame(dst, 0x19, binary.BigEndian.AppendUint32(nil, 77), g.bytes(4)) // qualified RESIZE, likewise
 	case 8, 9:
 		kinds := []byte{0x00, 0x0A, 0x14, 0x17, 0x23, 0x33, 0x7F, 0x90}
 		return g.frame(dst, kinds[g.rng.Intn(len(kinds))], g.bytes(g.rng.Intn(13)))

@@ -42,15 +42,10 @@ func (srv *Server) VarzHandler(extra map[string]string) http.Handler {
 			"start_time":     srv.start.Format(time.RFC3339Nano),
 			"uptime_seconds": time.Since(srv.start).Seconds(),
 			"options": map[string]any{
-				"window":         srv.opts.window,
-				"max_frame":      srv.opts.maxFrame,
-				"max_queues":     srv.opts.maxQueues,
-				"min_shards":     srv.opts.minShards,
-				"max_shards":     srv.opts.maxShards,
-				"low_watermark":  srv.opts.lowWatermark,
-				"high_watermark": srv.opts.highWatermark,
-				"autoscale_ms":   float64(srv.opts.autoscale) / float64(time.Millisecond),
-				"observability":  srv.opts.obs,
+				"window":        srv.opts.window,
+				"max_frame":     srv.opts.maxFrame,
+				"max_queues":    srv.opts.maxQueues,
+				"observability": srv.opts.obs,
 			},
 		}
 		if bi, ok := debug.ReadBuildInfo(); ok {
@@ -72,9 +67,9 @@ func (srv *Server) VarzHandler(extra map[string]string) http.Handler {
 	})
 }
 
-// TracezHandler dumps the control-plane event ring as JSON: every resize,
-// autoscaler decision (with the watermark inputs it decided on), queue and
-// session lifecycle transition the ring still holds, in sequence order.
+// TracezHandler dumps the control-plane event ring as JSON: every queue
+// and session lifecycle transition (and sampled BUSY reply) the ring still
+// holds, in sequence order.
 // dropped counts events already overwritten by the ring's wraparound.
 // With observability off the dump is empty but well-formed.
 func (srv *Server) TracezHandler() http.Handler {
@@ -142,16 +137,11 @@ func (srv *Server) MetricszHandler() http.Handler {
 		obs.WriteMetricHeader(w, "queued_queues_expired_total", "Named queues torn down by the idle reaper.", "counter")
 		obs.WriteCounter(w, "queued_queues_expired_total", "", st.QueuesExpired)
 
-		obs.WriteMetricHeader(w, "queued_resizes_total", "Per-queue fabric resizes, by initiator and direction.", "counter")
-		obs.WriteCounter(w, "queued_resizes_total", `initiator="autoscaler",direction="grow"`, st.AutoscaleGrows)
-		obs.WriteCounter(w, "queued_resizes_total", `initiator="autoscaler",direction="shrink"`, st.AutoscaleShrinks)
-		obs.WriteCounter(w, "queued_resizes_total", `initiator="wire",direction="any"`, st.WireResizes)
-
 		obs.WriteMetricHeader(w, "queued_queue_len", "Fabric backlog estimate per queue.", "gauge")
 		for _, q := range snap.Queues {
 			obs.WriteCounter(w, "queued_queue_len", queueLabel(q.Name), q.Len)
 		}
-		obs.WriteMetricHeader(w, "queued_queue_shards", "Current shard count per queue.", "gauge")
+		obs.WriteMetricHeader(w, "queued_queue_shards", "Shard count per queue.", "gauge")
 		for _, q := range snap.Queues {
 			obs.WriteCounter(w, "queued_queue_shards", queueLabel(q.Name), q.Shards)
 		}

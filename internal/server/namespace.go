@@ -49,15 +49,11 @@ type tenant struct {
 
 	// Per-queue operation tallies, counted at the service layer when ops
 	// are acknowledged (values, not frames). Atomics: bumped by batch
-	// workers without the namespace lock. emptyDeqs and deqPolls count
-	// per *request frame* — one batch frame is one poll however many
-	// values it moves — so emptyDeqs/deqPolls is the autoscaler's
-	// null-dequeue rate in consistent units: the fraction of dequeue
-	// requests that found the queue empty.
+	// workers without the namespace lock. emptyDeqs counts per *request
+	// frame*: dequeue requests that found the queue empty.
 	enqueues  atomic.Int64
 	dequeues  atomic.Int64
 	emptyDeqs atomic.Int64
-	deqPolls  atomic.Int64
 
 	// hists holds this queue's per-opcode latency histograms; nil when the
 	// server runs with observability off, which also turns every Record
@@ -228,8 +224,8 @@ func (ns *namespace) reapIdle(cutoff time.Time) int {
 	return len(victims)
 }
 
-// tenants snapshots the live tenants so the autoscaler can walk them
-// without holding the namespace lock across Resize migrations.
+// tenants snapshots the live tenants so a caller can walk them without
+// holding the namespace lock.
 func (ns *namespace) tenants() []*tenant {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -260,15 +256,12 @@ type QueueStat struct {
 	Enqueues int64  `json:"enqueues"` // values acknowledged enqueued
 	Dequeues int64  `json:"dequeues"` // values delivered by dequeue replies
 
-	// Elastic-topology state of this queue's fabric: the current shard
-	// count, its topology epoch, lifetime grow/shrink counts (autoscaler
-	// and wire-level Resize combined), the leaves of every shard's
-	// ordering tree and how many times leases grew them, elements moved by
-	// migrations, and the null-dequeue tally the autoscaler shrinks on.
+	// Topology state of this queue's fabric: its shard count, its
+	// topology epoch, the leaves of every shard's ordering tree and how
+	// many times leases grew them, elements moved by those growths'
+	// migrations, and the dequeue requests that found the queue empty.
 	Shards        int    `json:"shards"`
 	Epoch         uint64 `json:"epoch"`
-	Grows         int64  `json:"grows"`
-	Shrinks       int64  `json:"shrinks"`
 	Leaves        int    `json:"leaves"`
 	LeafGrowths   int64  `json:"leaf_growths"`
 	Migrated      int64  `json:"migrated"`
@@ -300,8 +293,6 @@ func (ns *namespace) queueStats() []QueueStat {
 			Dequeues:      t.dequeues.Load(),
 			Shards:        t.q.Shards(),
 			Epoch:         rs.Epoch,
-			Grows:         rs.Grows,
-			Shrinks:       rs.Shrinks,
 			Leaves:        rs.Leaves,
 			LeafGrowths:   rs.LeafGrowths,
 			Migrated:      rs.Migrated,

@@ -395,8 +395,9 @@ func TestQualifiedCoalescing(t *testing.T) {
 
 // TestUndefinedQualifiedOpcodes sends flag-bearing bytes that are NOT
 // defined qualified opcodes (0x14 would alias STATS, 0x17 OPEN, 0x18
-// DELETE if the flag were stripped blindly): each must be rejected as
-// unknown, and in particular 0x17 must not create a queue.
+// DELETE if the flag were stripped blindly), plus the retired RESIZE
+// opcodes 0x09 and 0x19: each must be rejected as unknown, and in
+// particular 0x17 must not create a queue.
 func TestUndefinedQualifiedOpcodes(t *testing.T) {
 	srv, _ := newTestServer(t, 1, nil)
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -406,7 +407,8 @@ func TestUndefinedQualifiedOpcodes(t *testing.T) {
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
 	payload := append([]byte{0, 0, 0, 1}, []byte("ghost")...) // plausible qid + name
-	for i, kind := range []byte{0x14, 0x17, 0x18, 0x1f} {
+	kinds := []byte{0x14, 0x17, 0x18, 0x1f, 0x09, 0x19}
+	for i, kind := range kinds {
 		if err := writeFrame(bw, uint64(i+1), kind, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +417,7 @@ func TestUndefinedQualifiedOpcodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	for i := 0; i < 4; i++ {
+	for i := range kinds {
 		f, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			t.Fatal(err)
@@ -462,10 +464,10 @@ func TestSnapshotQueueJSONRoundTrip(t *testing.T) {
 	if snap.Server.QueuesOpened != 1 {
 		t.Fatalf("QueuesOpened = %d, want 1", snap.Server.QueuesOpened)
 	}
-	// Elastic-topology state rides every per-queue entry: fresh fabrics
-	// report their initial epoch and shard count with zero resize history.
-	if audit.Shards != 2 || audit.Epoch != 1 || audit.Grows != 0 || audit.Shrinks != 0 {
-		t.Fatalf("audit elastic stats = %+v, want 2 shards at epoch 1, no resizes", audit)
+	// Topology state rides every per-queue entry: fresh fabrics report
+	// their shard count at the initial epoch.
+	if audit.Shards != 2 || audit.Epoch != 1 {
+		t.Fatalf("audit topology stats = %+v, want 2 shards at epoch 1", audit)
 	}
 	// One session leases one handle: the trees are still the 4-leaf ones
 	// a fabric starts with.
@@ -474,9 +476,8 @@ func TestSnapshotQueueJSONRoundTrip(t *testing.T) {
 	}
 	// The raw JSON must use the stable field names.
 	for _, key := range []string{`"queues_open"`, `"queues_opened"`, `"queues_deleted"`, `"queues_expired"`,
-		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"grows"`, `"shrinks"`, `"leaves"`, `"leaf_growths"`, `"migrated"`,
-		`"empty_dequeues"`, `"autoscale_grows"`, `"autoscale_shrinks"`, `"wire_resizes"`,
-		`"min_shards"`, `"max_shards"`} {
+		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"leaves"`, `"leaf_growths"`, `"migrated"`,
+		`"empty_dequeues"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("stats JSON lacks %s", key)
 		}

@@ -242,40 +242,3 @@ func TestHealthzAndVarz(t *testing.T) {
 		t.Errorf("varz flags = %+v", varz.Flags)
 	}
 }
-
-// TestAutoscaleHoldEvent checks the rejected-branch trace: an autoscaler
-// that decides not to resize a queue still records why, at the sampled
-// cadence.
-func TestAutoscaleHoldEvent(t *testing.T) {
-	srv, _ := newTestServer(t, 1, nil, WithAutoscale(5*time.Millisecond))
-	c := newTestClient(t, srv)
-	if err := c.Enqueue([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var hold *obs.Event
-		for _, ev := range srv.trace.Events() {
-			if ev.Type == "autoscale_hold" {
-				hold = &ev
-				break
-			}
-		}
-		if hold != nil {
-			if hold.Queue != DefaultQueueName {
-				t.Errorf("hold event queue = %q", hold.Queue)
-			}
-			if _, ok := hold.Data["reason"]; !ok {
-				t.Errorf("hold event missing reason: %+v", hold.Data)
-			}
-			if _, ok := hold.Data["rate_per_shard"]; !ok {
-				t.Errorf("hold event missing watermark inputs: %+v", hold.Data)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no autoscale_hold event within deadline")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

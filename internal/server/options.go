@@ -18,12 +18,6 @@ type options struct {
 	queueIdle   time.Duration
 	factory     func() (*shard.Queue[[]byte], error)
 
-	autoscale     time.Duration // autoscaler tick interval; 0 disables
-	minShards     int
-	maxShards     int
-	lowWatermark  float64 // served ops/s per shard below which a queue shrinks
-	highWatermark float64 // served ops/s per shard above which a queue grows
-
 	obs bool // per-(queue, op) latency histograms + control-plane trace ring
 }
 
@@ -70,31 +64,6 @@ func WithQueueFactory(f func() (*shard.Queue[[]byte], error)) Option {
 	return func(o *options) { o.factory = f }
 }
 
-// WithAutoscale starts the per-queue shard autoscaler with the given tick
-// interval (0, the default, disables it). Every tick, each queue's fabric
-// is grown or shrunk — live, with exact conservation — from its served
-// ops/sec, occupancy, and null-dequeue rate, between the WithShardBounds
-// limits and around the WithAutoscaleWatermarks rates.
-func WithAutoscale(interval time.Duration) Option {
-	return func(o *options) { o.autoscale = interval }
-}
-
-// WithShardBounds bounds the per-queue shard count the autoscaler — and
-// the wire-level manual RESIZE — will apply (defaults DefaultMinShards,
-// DefaultMaxShards). A default queue or factory outside the bounds is
-// admitted as-is and pulled inside them at the first autoscale decision.
-func WithShardBounds(min, max int) Option {
-	return func(o *options) { o.minShards, o.maxShards = min, max }
-}
-
-// WithAutoscaleWatermarks sets the served-rate watermarks (ops/s per
-// shard): a queue grows above high and shrinks below low (defaults
-// DefaultLowWatermark, DefaultHighWatermark). Keep low well under high —
-// the gap is the scaler's hysteresis.
-func WithAutoscaleWatermarks(low, high float64) Option {
-	return func(o *options) { o.lowWatermark, o.highWatermark = low, high }
-}
-
 // WithObservability toggles the server's observability layer (default
 // on): per-(queue, op) latency histograms recorded on the hot path —
 // each request frame's read-to-reply in-server latency, bucketed as
@@ -119,27 +88,15 @@ const DefaultMaxQueues = 64
 // factory overrides it.
 func resolveOptions(q *shard.Queue[[]byte], opts []Option) (options, error) {
 	o := options{
-		window:        64,
-		idleTimeout:   2 * time.Minute,
-		maxFrame:      DefaultMaxFrame,
-		maxQueues:     DefaultMaxQueues,
-		queueIdle:     5 * time.Minute,
-		minShards:     DefaultMinShards,
-		maxShards:     DefaultMaxShards,
-		lowWatermark:  DefaultLowWatermark,
-		highWatermark: DefaultHighWatermark,
-		obs:           true,
+		window:      64,
+		idleTimeout: 2 * time.Minute,
+		maxFrame:    DefaultMaxFrame,
+		maxQueues:   DefaultMaxQueues,
+		queueIdle:   5 * time.Minute,
+		obs:         true,
 	}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.minShards < 1 || o.maxShards < o.minShards {
-		return o, fmt.Errorf("server: shard bounds [%d, %d] invalid (want 1 <= min <= max)",
-			o.minShards, o.maxShards)
-	}
-	if o.autoscale > 0 && (o.lowWatermark < 0 || o.highWatermark <= o.lowWatermark) {
-		return o, fmt.Errorf("server: autoscale watermarks low %.0f / high %.0f invalid (want 0 <= low < high)",
-			o.lowWatermark, o.highWatermark)
 	}
 	if o.window < 1 {
 		return o, fmt.Errorf("server: window must be at least 1 (got %d)", o.window)

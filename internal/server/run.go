@@ -214,7 +214,7 @@ func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, dec
 	if want > 1 && fromFabric > 0 {
 		srv.noteFabricBatch(fromFabric)
 	}
-	var polls, shipped, empties int64
+	var shipped, empties int64
 	var werr error
 	for i, f := range run {
 		d := &decs[i]
@@ -224,7 +224,6 @@ func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, dec
 			}
 			continue
 		}
-		polls++
 		pending := b.pending()
 		switch {
 		case d.op == OpDequeue:
@@ -266,7 +265,6 @@ func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, dec
 	srv.stats.batchedOps.Add(shipped + empties) // an empty reply still answers one op
 	srv.stats.dequeues.Add(shipped)
 	srv.stats.emptyDeqs.Add(empties)
-	b.t.deqPolls.Add(polls)
 	b.t.dequeues.Add(shipped)
 	b.t.emptyDeqs.Add(empties)
 	return werr

@@ -12,14 +12,13 @@ import (
 )
 
 // Observability constants: the trace ring's capacity, the sampling
-// strides that keep hot control-plane event sources (BUSY replies,
-// autoscaler hold decisions) from flooding it, and the span reservoir's
+// stride that keeps a hot control-plane event source (BUSY replies) from
+// flooding it, and the span reservoir's
 // shape (the recent ring for coverage, the slow table for the exemplars
 // worth explaining — see obs.Reservoir).
 const (
 	traceRingCap    = 1024
 	busySampleEvery = 1024 // trace the 1st, 1025th, ... BUSY reply
-	holdSampleEvery = 16   // trace every 16th per-queue autoscaler hold
 	spanRecentCap   = 128  // most recent traced spans kept by /spanz
 	spanSlowCap     = 32   // slowest traced spans kept by /spanz
 )
@@ -86,10 +85,6 @@ func Serve(addr string, q *shard.Queue[[]byte], opts ...Option) (*Server, error)
 	if o.queueIdle > 0 {
 		srv.wg.Add(1)
 		go srv.queueReapLoop(o.queueIdle)
-	}
-	if o.autoscale > 0 {
-		srv.wg.Add(1)
-		go srv.autoscaleLoop(o.autoscale)
 	}
 	return srv, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -27,9 +26,6 @@ type serverStats struct {
 	batchedOps     atomic.Int64 // queue ops executed by batch passes (batch frames count each op they carry)
 	fabricBatches  atomic.Int64 // fabric calls carrying more than one op (one per run that does)
 	fabricBatchOps atomic.Int64 // queue ops carried by multi-op fabric calls
-	autoGrows      atomic.Int64 // queue fabrics grown by the autoscaler
-	autoShrinks    atomic.Int64 // queue fabrics shrunk by the autoscaler
-	wireResizes    atomic.Int64 // RESIZE requests applied over the wire
 }
 
 // Stats is the service-level half of a Snapshot. Operation counters count
@@ -61,16 +57,6 @@ type Stats struct {
 	QueuesOpened  int64 `json:"queues_opened"`  // named queues created by OpOpen
 	QueuesDeleted int64 `json:"queues_deleted"` // named queues removed by OpDelete
 	QueuesExpired int64 `json:"queues_expired"` // named queues torn down by the idle reaper
-
-	// Elasticity counters and envelope: per-queue resize activity split by
-	// initiator (the autoscaler vs wire-level RESIZE requests), plus the
-	// configured autoscale cadence and shard bounds.
-	AutoscaleGrows   int64   `json:"autoscale_grows"`
-	AutoscaleShrinks int64   `json:"autoscale_shrinks"`
-	WireResizes      int64   `json:"wire_resizes"`
-	AutoscaleMs      float64 `json:"autoscale_ms"` // tick interval in ms; 0 = autoscaler off
-	MinShards        int     `json:"min_shards"`
-	MaxShards        int     `json:"max_shards"`
 }
 
 // ObsStats is the server-wide observability block of a Snapshot: trace
@@ -130,13 +116,6 @@ func (srv *Server) Snapshot() Snapshot {
 		QueuesOpened:   srv.ns.opened.Load(),
 		QueuesDeleted:  srv.ns.dropped.Load(),
 		QueuesExpired:  srv.ns.expired.Load(),
-
-		AutoscaleGrows:   srv.stats.autoGrows.Load(),
-		AutoscaleShrinks: srv.stats.autoShrinks.Load(),
-		WireResizes:      srv.stats.wireResizes.Load(),
-		AutoscaleMs:      float64(srv.opts.autoscale) / float64(time.Millisecond),
-		MinShards:        srv.opts.minShards,
-		MaxShards:        srv.opts.maxShards,
 	}
 	if st.Batches > 0 {
 		st.OpsPerBatch = float64(st.BatchedOps) / float64(st.Batches)

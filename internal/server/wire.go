@@ -10,7 +10,7 @@
 // Four pieces make up the service:
 //
 //   - A length-prefixed binary wire protocol (this file) carrying
-//     Enqueue/Dequeue/Len/Stats/Open/Delete/Resize requests and their replies,
+//     Enqueue/Dequeue/Len/Stats/Open/Delete requests and their replies,
 //     each tagged with a client-chosen id so requests can be pipelined
 //     and replies matched out of band. Data opcodes come in two flavors:
 //     unqualified (targeting the default queue 0, wire-compatible with
@@ -76,13 +76,6 @@ const (
 	OpOpen   byte = 0x07 // payload: queue name (1..MaxQueueName bytes); reply: uint32 queue id
 	OpDelete byte = 0x08 // payload: queue name
 
-	// OpResize asks the server to resize the target queue's fabric to k
-	// shards (clamped to the server's shard bounds); the reply carries the
-	// shard count actually applied. The resize is live: operations keep
-	// flowing while the topology swaps and retired shards' residues are
-	// migrated, so this is an administrative hint, not a fence.
-	OpResize byte = 0x09 // payload: uint32 shard count; reply: uint32 applied count
-
 	// OpQueueFlag marks the queue-qualified variant of a data opcode: the
 	// payload begins with the uint32 queue id returned by OpOpen, followed
 	// by the base opcode's payload. Unqualified opcodes keep their pre-
@@ -96,7 +89,6 @@ const (
 	OpLenQ          = OpLen | OpQueueFlag          // 0x13: uint32 queue id
 	OpEnqueueBatchQ = OpEnqueueBatch | OpQueueFlag // 0x15: uint32 queue id + count-prefixed values
 	OpDequeueBatchQ = OpDequeueBatch | OpQueueFlag // 0x16: uint32 queue id + uint32 max element count
-	OpResizeQ       = OpResize | OpQueueFlag       // 0x19: uint32 queue id + uint32 shard count
 
 	// OpTraceFlag marks the traced variant of a data opcode: the client asks
 	// the server to record per-stage timestamps for this one frame and ship
@@ -409,7 +401,7 @@ func decodeOp(f frame) decoded {
 		d.rest = d.rest[traceStampLen:]
 	}
 	switch d.op {
-	case OpEnqueueQ, OpDequeueQ, OpLenQ, OpEnqueueBatchQ, OpDequeueBatchQ, OpResizeQ:
+	case OpEnqueueQ, OpDequeueQ, OpLenQ, OpEnqueueBatchQ, OpDequeueBatchQ:
 	default:
 		return d
 	}

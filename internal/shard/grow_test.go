@@ -267,7 +267,7 @@ func growMidStream(t *testing.T, k int, b Backend) {
 		t.Errorf("Len = %d after every value was consumed", n)
 	}
 	rs := q.ResizeStats()
-	if rs.Leaves != 8 || rs.LeafGrowths != 1 || rs.Epoch != 2 || rs.Grows != 0 || rs.Shrinks != 0 {
+	if rs.Leaves != 8 || rs.LeafGrowths != 1 || rs.Epoch != 2 {
 		t.Errorf("ResizeStats = %+v, want 8 leaves after one growth at epoch 2", rs)
 	}
 	if rs.Migrated != producers*backlog {
@@ -381,5 +381,119 @@ func TestGrowSequenceToCap(t *testing.T) {
 	h.Release()
 	if got := q.ResizeStats().Leaves; got != 17 {
 		t.Errorf("leaves after releasing every lease = %d, want 17", got)
+	}
+}
+
+// TestGrowSetCounterNilSurvivesRefresh: a lease's SetCounter choice on a
+// WithShardMetrics fabric outlives the refresh onto a grown epoch — an
+// explicit nil keeps accounting disabled rather than being replaced by
+// fresh per-shard counters, and a set counter keeps receiving the lease's
+// work on the new epoch's sub-handles.
+func TestGrowSetCounterNilSurvivesRefresh(t *testing.T) {
+	q, err := New[int](1, WithMaxHandles(4), WithShardMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.SetCounter(nil) // explicitly disable accounting for this lease
+	own, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &metrics.Counter{}
+	own.SetCounter(c)
+	var idle []*Handle[int]
+	for i := 0; i < 2; i++ { // the 4th lease grows the trees
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle = append(idle, h)
+	}
+	if rs := q.ResizeStats(); rs.LeafGrowths != 1 {
+		t.Fatalf("ResizeStats = %+v, want one growth", rs)
+	}
+	const per = 50
+	for _, h := range []*Handle[int]{off, own} {
+		for i := 0; i < per; i++ {
+			h.Enqueue(i)
+		}
+	}
+	off.Drain(nil)
+	for _, h := range append(idle, off, own) {
+		h.Release()
+	}
+	for j, s := range q.ShardSummaries() {
+		if s.Ops != 0 {
+			t.Errorf("shard %d: %d ops tallied after SetCounter, want 0", j, s.Ops)
+		}
+	}
+	// own's enqueues plus off's drain: 2*per dequeues and the null that
+	// ends it never reach c.
+	if got := c.TotalOps(); got != per {
+		t.Errorf("set counter recorded %d ops after the growth, want %d", got, per)
+	}
+}
+
+// TestGrowShardSummariesSurvive: cost-model work and traffic tallies
+// recorded against the shards a tree growth retires are inherited by
+// their successors, not dropped with the retired states, and the growth's
+// drain is not counted as traffic.
+func TestGrowShardSummariesSurvive(t *testing.T) {
+	q, err := New[int](4, WithMaxHandles(4), WithShardMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const per = 100
+	for i := 0; i < 3; i++ { // homes 0..2 round-robin
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < per; s++ {
+			h.Enqueue(s)
+		}
+		h.Release() // folds tallies + counters into the epoch-1 states
+	}
+	var opsBefore int64
+	for _, s := range q.ShardSummaries() {
+		opsBefore += s.Ops
+	}
+	if opsBefore != 3*per {
+		t.Fatalf("ops before the growth = %d, want %d", opsBefore, 3*per)
+	}
+	var hs []*Handle[int]
+	for i := 0; i < 4; i++ { // slots 0..2 recycled, then slot 3 grows the trees
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	if rs := q.ResizeStats(); rs.LeafGrowths != 1 || rs.Migrated != 3*per {
+		t.Fatalf("ResizeStats = %+v, want one growth migrating %d values", rs, 3*per)
+	}
+	for _, h := range hs {
+		h.Release()
+	}
+	var opsAfter int64
+	for _, s := range q.ShardSummaries() {
+		opsAfter += s.Ops
+	}
+	if opsAfter != opsBefore {
+		t.Errorf("ops after the growth = %d, want %d (retired shards' summaries dropped)", opsAfter, opsBefore)
+	}
+	for _, st := range q.ShardStats() {
+		want := int64(per)
+		if st.Shard == 3 {
+			want = 0
+		}
+		if st.Enqueues != want || st.Dequeues != 0 || st.Len != int(want) {
+			t.Errorf("shard %d after the growth: enq %d deq %d len %d, want enq %d deq 0 len %d",
+				st.Shard, st.Enqueues, st.Dequeues, st.Len, want, want)
+		}
 	}
 }

@@ -1,28 +1,26 @@
 package shard
 
-import (
-	"slices"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Handle is a leased capability to operate on the fabric. A handle may be
 // used by one goroutine at a time; per operation it loads the current
 // topology once and works against that snapshot, deriving (and caching)
 // one sub-handle per shard of the epoch. Enqueues are routed to the
-// handle's home shard (preserving per-producer order even across Resize —
-// see syncHome), dequeues roam the fabric via two-random-choice. There is
-// one path per direction, EnqueueBatch and DequeueBatchAppend; single ops
-// are the n=1 case, as a single op is the m=1 block in the tree below.
+// handle's home shard (preserving per-producer order even across a tree
+// growth — see syncHome), dequeues roam the fabric via two-random-choice.
+// There is one path per direction, EnqueueBatch and DequeueBatchAppend;
+// single ops are the n=1 case, as a single op is the m=1 block in the tree
+// below.
 //
 // The epoch cache pins the topology of the handle's last operation — for
-// a handle that sits idle across a shrink, that includes the retired
-// shards' queues — until the next operation refreshes it or Release
-// drops it. Release handles you are not going to use; the service layer
-// does this by reaping idle sessions.
+// a handle that sits idle across a growth, that is the retired shards'
+// queues — until the next operation refreshes it or Release drops it.
+// Release handles you are not going to use; the service layer does this
+// by reaping idle sessions.
 type Handle[T any] struct {
 	q    *Queue[T]
 	slot int
+	home int // shard index enqueues go to, fixed at Acquire
 	rng  uint64
 
 	// Epoch-scoped caches, rebuilt by refresh when the topology changes.
@@ -33,7 +31,7 @@ type Handle[T any] struct {
 	deqs []int64 // per-shard successful-dequeue tally, folded on refresh/Release
 
 	enq      int64          // home-shard enqueue tally
-	lastHome *shardState[T] // home shard of the last enqueue path (nil: none yet), for re-home detection
+	lastHome *shardState[T] // home shard of the last enqueue path (nil: none yet), for growth detection
 
 	// one is the batch of one that Enqueue and Dequeue hand to the batch
 	// path: it lives in the handle so a single op allocates no slice, and
@@ -49,13 +47,10 @@ type Handle[T any] struct {
 // Slot returns the registry slot this handle leases (useful in logs).
 func (h *Handle[T]) Slot() int { return h.slot }
 
-// Home returns the shard this handle currently routes enqueues to. Homes
-// are assigned round-robin across leases so concurrent producers spread
-// over the shards; a shrink that retires a handle's home re-homes it to
-// home mod k.
-func (h *Handle[T]) Home() int {
-	return h.q.effHome(h.slot, h.q.topo.Load())
-}
+// Home returns the shard this handle routes enqueues to. Homes are
+// assigned round-robin across leases so concurrent producers spread over
+// the shards.
+func (h *Handle[T]) Home() int { return h.home }
 
 // SetCounter attaches a single step/CAS counter aggregating across every
 // shard this handle touches (nil disables accounting). It overrides the
@@ -70,7 +65,7 @@ func (h *Handle[T]) SetCounter(c *metrics.Counter) {
 }
 
 // enter begins one fabric operation: it loads the current topology and
-// publishes its epoch in the handle's slot, with a recheck so a Resize
+// publishes its epoch in the handle's slot, with a recheck so a growth
 // racing the publication can rely on "no slot still publishes the old
 // epoch" meaning "no operation still touches the old epoch's shard view".
 // Callers must pair it with exit.
@@ -92,28 +87,19 @@ func (h *Handle[T]) exit() { h.q.slotEpochs[h.slot].v.Store(0) }
 
 // refresh re-targets the handle at topology t: it folds the tallies (and
 // any per-shard counters) collected against the previous topology into
-// that topology's shard states, then rebuilds the sub-handle cache.
-// Because topologies are prefix-stable, sub-handles of surviving shards
-// are reused; only the new suffix derives fresh ones.
+// that topology's shard states, then derives a sub-handle for every shard
+// of t (a new topology replaces every shard).
 func (h *Handle[T]) refresh(t *topology[T]) {
 	if h.topo != nil {
 		h.fold()
 	}
-	if !slices.Contains(t.shards, h.lastHome) {
-		// Retired: do not pin its queue. The next enqueue finds no last
-		// home and waits on the barrier a changed home would have.
-		h.lastHome = nil
-	}
-	old := h.sub
-	var oldT *topology[T] = h.topo
+	// Retired: do not pin its queue. The next enqueue finds no last home
+	// and waits on the growth's migration barrier.
+	h.lastHome = nil
 	h.topo = t
 	h.sub = make([]subHandle[T], len(t.shards))
 	h.deqs = make([]int64, len(t.shards))
 	for j := range t.shards {
-		if oldT != nil && j < len(old) && j < len(oldT.shards) && oldT.shards[j] == t.shards[j] {
-			h.sub[j] = old[j]
-			continue
-		}
 		sh, err := t.shards[j].q.handle(h.slot)
 		if err != nil {
 			// Acquire grows the trees before it returns a slot they have no
@@ -154,38 +140,22 @@ func (h *Handle[T]) fold() {
 	}
 }
 
-// syncHome resolves the handle's home shard under topology t, and — when
-// that is not the shard the handle last enqueued to — blocks until the
-// topology's migration drains complete, so the handle's residual elements
-// reach the new home shard before the element about to be enqueued. The
-// comparison is by shard, not index: a shrink re-homes a handle to another
-// index, while a tree growth keeps the index and replaces the shard behind
-// it, and a fresh lease has no last shard at all (it may arrive while a
-// growth is still moving older elements into the shard it is about to
-// use). This wait is the enqueue path's only blocking point (the other is
-// the dequeue path's empty-certification wait), it is a no-op unless a
-// migration is in flight, and the resize or growth that owns the drain
-// never waits on new-epoch operations, so it cannot deadlock.
-//
-// ok == false means the observed home change was written by a resize
-// NEWER than snapshot t (the homes rewrite runs after the new topology's
-// install, so reading the new home forces a topology re-load to observe
-// the successor): acting on it here would enqueue into the old epoch's
-// shard ahead of the pending migration and skip the barrier. The caller
-// must restart the operation, which re-enters on the current topology.
-func (h *Handle[T]) syncHome(t *topology[T]) (home int, ok bool) {
-	home = h.q.effHome(h.slot, t)
-	if s := t.shards[home]; s != h.lastHome {
-		if h.q.topo.Load() != t {
-			return 0, false
-		}
-		// The change belongs to t's own install (or an older, fully
-		// migrated one), so t.migrationsDone is the barrier that orders
-		// this handle's residual elements ahead of its next enqueue.
+// syncHome checks the handle's home shard under topology t and — when
+// that is not the shard the handle last enqueued to — blocks until t's
+// migration drains complete, so the handle's residual elements reach the
+// new home shard before the element about to be enqueued. The home index
+// never changes, but a tree growth replaces the shard behind it, and a
+// fresh lease has no last shard at all (it may arrive while a growth is
+// still moving older elements into the shard it is about to use). This
+// wait is the enqueue path's only blocking point (the other is the dequeue
+// path's empty-certification wait), it is a no-op unless a migration is in
+// flight, and the growth that owns the drain never waits on new-epoch
+// operations, so it cannot deadlock.
+func (h *Handle[T]) syncHome(t *topology[T]) {
+	if s := t.shards[h.home]; s != h.lastHome {
 		<-t.migrationsDone
 		h.lastHome = s
 	}
-	return home, true
 }
 
 // Enqueue appends v to the handle's home shard: EnqueueBatch of one. It
@@ -213,23 +183,17 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 	if h.q.closed.Load() {
 		return ErrClosed
 	}
-	for {
-		t := h.enter()
-		j, ok := h.syncHome(t)
-		if !ok {
-			h.exit() // re-homed by a newer epoch: restart against it
-			continue
-		}
-		h.sub[j].EnqueueBatch(vs)
-		h.enq += int64(len(vs))
-		// The elements are at the shard's root before EnqueueBatch returns
-		// (propagation completes first), so setting the bit here serializes
-		// after a root state that a concurrent clear-then-recheck in
-		// batchFrom will see.
-		t.bitmap.set(j)
-		h.exit()
-		return nil
-	}
+	t := h.enter()
+	h.syncHome(t)
+	h.sub[h.home].EnqueueBatch(vs)
+	h.enq += int64(len(vs))
+	// The elements are at the shard's root before EnqueueBatch returns
+	// (propagation completes first), so setting the bit here serializes
+	// after a root state that a concurrent clear-then-recheck in
+	// batchFrom will see.
+	t.bitmap.set(h.home)
+	h.exit()
+	return nil
 }
 
 // Dequeue removes an element from some nonempty shard: DequeueBatchAppend
@@ -260,14 +224,14 @@ func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 // contiguous and FIFO-ordered; values of different shards may interleave.
 //
 // A count below n is a true emptiness verdict — every shard was observed
-// empty after the batch's last successful pull — even across a Resize: if a
-// migration (a shrink's or a tree growth's) is still draining retired
-// shards when the sweep comes up short, the call waits for the drain to
-// complete (elements in flight are owed to the survivors) and sweeps
-// again. That wait — bounded by the retired backlog, outside the
-// epoch-publication window — is the dequeue path's only blocking point
-// (the enqueue path's is syncHome's re-home barrier) and arises only
-// mid-migration on an otherwise drained fabric.
+// empty after the batch's last successful pull — even across a tree
+// growth: if its migration is still draining retired shards when the sweep
+// comes up short, the call waits for the drain to complete (elements in
+// flight are owed to the successors) and sweeps again. That wait — bounded
+// by the retired backlog, outside the epoch-publication window — is the
+// dequeue path's only blocking point (the enqueue path's is syncHome's
+// growth barrier) and arises only mid-migration on an otherwise drained
+// fabric.
 func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	h.check()
 	if n <= 0 {
@@ -279,7 +243,7 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 	for {
 		t := h.enter()
 		// Sample the migration state BEFORE sweeping: a drain that
-		// completes mid-sweep may land its elements in survivor shards the
+		// completes mid-sweep may land its elements in successor shards the
 		// sweep has already passed, so only a sweep that started with no
 		// migration pending may certify emptiness.
 		migrating := t.retired.Load() != nil
@@ -295,7 +259,7 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 // batchSweep runs DequeueBatchAppend's three phases against one topology
 // snapshot, appending to out until len(out) reaches the absolute target n.
 func (h *Handle[T]) batchSweep(t *topology[T], n int, out []T) []T {
-	home := h.q.effHome(h.slot, t)
+	home := h.home
 	// Locality fast path: the home shard first. Producers-turned-consumers
 	// (and symmetric workloads like pairs) find their own elements there
 	// without touching other shards' cache lines.

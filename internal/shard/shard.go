@@ -50,26 +50,22 @@
 // capped at maxHandles+1 — 4 → 8 → 16 → 17 with the default 16 slots. The
 // registry hands out its lowest never-used slot only when every used one
 // is leased, so the trees track the high-water lease count. They never
-// shrink. A growth is a migration like a shrink's (below), with every
-// shard retired into its successor at the same index.
+// shrink, and the shard count k stays the one New was given.
 //
-// # Elasticity
-//
-// The shard set itself is not fixed either: it lives behind an immutable,
-// epoch-numbered topology reached through one atomic pointer, and Resize
-// installs a successor epoch while operations continue. A grow appends
-// fresh shards (nothing moves); a shrink retires the suffix, re-homes the
-// producers that lived there under the deterministic home-mod-k rule, and
-// drains the retired shards' residual elements into the survivors in their
-// shard-FIFO order — exact conservation, per-producer FIFO intact across
-// the epoch boundary. Three operations can block, each only while a
-// migration is in flight: the first enqueue of a producer whose home shard
-// changed (waiting for its old shard's drain so its old elements stay
-// ahead of its new ones), a dequeue whose sweep found nothing (waiting for
-// the drain rather than falsely certifying an occupied fabric empty), and
-// an Acquire that grows the trees (it runs the growth's migration itself).
-// Acquire blocks at most ⌈log₂((maxHandles+1)/4)⌉ times per fabric, 3 with
-// the default 16 slots. Everything else stays wait-free through the swap.
+// The shard set lives behind an immutable, epoch-numbered topology reached
+// through one atomic pointer, and a growth installs a successor epoch
+// while operations continue: every shard is retired into its successor at
+// the same index, and after a grace period its residual elements are
+// drained into that successor in their shard-FIFO order — exact
+// conservation, per-producer FIFO intact across the epoch boundary. Three
+// operations can block, each only while a growth's migration is in
+// flight: a producer's first enqueue after the growth (waiting for its old
+// shard's drain so its old elements stay ahead of its new ones), a
+// dequeue whose sweep found nothing (waiting for the drain rather than
+// falsely certifying an occupied fabric empty), and the Acquire that grows
+// the trees (it runs the migration itself). Acquire blocks at most
+// ⌈log₂((maxHandles+1)/4)⌉ times per fabric, 3 with the default 16 slots.
+// Everything else stays wait-free through the swap.
 package shard
 
 import (
@@ -136,8 +132,8 @@ func (s boundedShard[T]) handle(i int) (subHandle[T], error) {
 }
 
 // shardState is one shard plus its routing metadata. Shards are held by
-// pointer inside topologies, so a shard that survives a Resize keeps its
-// identity (and its tallies) across epochs. The shard's backlog is read
+// pointer inside topologies, so a stale handle's tallies still reach the
+// state it collected them against. The shard's backlog is read
 // straight from the underlying queue's root (Len is O(1) and exact as of
 // the last root propagation), so the fabric adds no per-operation atomic of
 // its own: enqueue/dequeue tallies are buffered per handle and folded in on
@@ -148,9 +144,9 @@ type shardState[T any] struct {
 	enqueues atomic.Int64
 	dequeues atomic.Int64
 	// mergedInto points at the shard that inherited this shard's recorded
-	// history when a shrink retired it (nil while the shard is live). Late
+	// history when a growth retired it (nil while the shard is live). Late
 	// folds from handles that collected tallies against a retired shard
-	// follow the chain, so lifetime totals survive any resize schedule.
+	// follow the chain, so lifetime totals survive every growth.
 	mergedInto atomic.Pointer[shardState[T]]
 	// Pad to a multiple of the cache line so neighbouring shards' tallies
 	// never false-share: cross-shard independence is the whole point of
@@ -164,7 +160,7 @@ func (s *shardState[T]) len() int { return s.q.Len() }
 // sink follows the merged-into chain to the state that currently owns
 // this shard's accumulated history: itself while live, its migration
 // destination (transitively) once retired. The chain is time-ordered —
-// a retired shard always merges into a survivor of a strictly newer
+// a retired shard always merges into a successor of a strictly newer
 // epoch — so it is acyclic and short.
 func (s *shardState[T]) sink() *shardState[T] {
 	for {
@@ -235,8 +231,7 @@ func WithShardMetrics() Option {
 }
 
 // Queue is a sharded queue fabric. It is safe for concurrent use; operate on
-// it through handles leased with Acquire. The shard set is elastic: Resize
-// installs a new epoch-numbered topology while operations continue.
+// it through handles leased with Acquire.
 type Queue[T any] struct {
 	topo   atomic.Pointer[topology[T]]
 	reg    registry
@@ -248,21 +243,13 @@ type Queue[T any] struct {
 	// shard.
 	nextHome atomic.Uint64
 
-	// homes is the per-slot persistent home shard. Handles read it every
-	// operation (through effHome); Resize rewrites entries under the
-	// deterministic home-mod-k rule when a shrink retires their shard, so a
-	// slot's home survives any number of epochs without per-handle history.
-	homes []padInt64
-
-	// slotEpochs is the per-slot published operation epoch Resize's grace
-	// period waits on (see topology.go).
+	// slotEpochs is the per-slot published operation epoch a growth's
+	// grace period waits on (see topology.go).
 	slotEpochs []slotEpoch
 
-	// resizeMu serializes Resize calls; the data plane never takes it.
-	resizeMu sync.Mutex
+	// growMu serializes tree growths; the data plane never takes it.
+	growMu sync.Mutex
 
-	grows       atomic.Int64 // Resize calls that added shards
-	shrinks     atomic.Int64 // Resize calls that removed shards
 	leafGrowths atomic.Int64 // Acquire calls that grew the trees
 	migrated    atomic.Int64 // elements drained from retired shards
 
@@ -293,7 +280,6 @@ func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 	}
 	q := &Queue[T]{
 		cfg:        cfg,
-		homes:      make([]padInt64, cfg.maxHandles),
 		slotEpochs: make([]slotEpoch, cfg.maxHandles),
 	}
 	// Epoch 1 succeeds an empty epoch 0, so every shard is built fresh.
@@ -335,8 +321,7 @@ func newSubQueue[T any](cfg config, leaves int) (subQueue[T], error) {
 	}
 }
 
-// Shards returns the current shard count k. It can change across Resize
-// calls; read it as a point-in-time value.
+// Shards returns the shard count k the fabric was built with.
 func (q *Queue[T]) Shards() int { return len(q.topo.Load().shards) }
 
 // MaxHandles returns the cap on leasable handle slots.
@@ -351,7 +336,7 @@ func (q *Queue[T]) Backend() Backend { return q.cfg.backend }
 // ErrNoFreeHandles when every slot is leased. It is lock-free unless the
 // slot it pops is one the shards' trees do not have a leaf for: then it
 // grows the trees (see growFor) before it returns, which waits for any
-// Resize in flight and for the growth's own migration. A closed fabric
+// growth in flight and for its own growth's migration. A closed fabric
 // grows too, because consumers lease handles to drain it.
 func (q *Queue[T]) Acquire() (*Handle[T], error) {
 	slot, ok := q.reg.acquire()
@@ -364,28 +349,11 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 			return nil, err
 		}
 	}
-	base := q.nextHome.Add(1) - 1
-	// Publish-then-recheck, mirroring Handle.enter: if a Resize installs a
-	// new topology between computing the home and storing it, the store
-	// could land after that Resize's home-rewrite pass and leave a home
-	// out of range for the shrunk shard set (canonical again only by
-	// accident). Rechecking the pointer guarantees the stored home is
-	// in range for the topology that is current when it lands — either
-	// the rewrite saw our store and clamped it, or we recompute against
-	// the new topology ourselves.
-	var t *topology[T]
-	var home int
-	for {
-		t = q.topo.Load()
-		home = int(base % uint64(len(t.shards)))
-		q.homes[slot].v.Store(int64(home))
-		if q.topo.Load() == t {
-			break
-		}
-	}
+	t := q.topo.Load()
 	h := &Handle[T]{
 		q:    q,
 		slot: slot,
+		home: int((q.nextHome.Add(1) - 1) % uint64(len(t.shards))),
 		rng:  rngSeed(slot),
 	}
 	h.refresh(t)
@@ -395,25 +363,19 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 // Close marks the fabric closed: subsequent Enqueues return ErrClosed while
 // Dequeue and Drain keep working, so consumers can drain the backlog.
 // Enqueues that began before Close completed may still be admitted. Close is
-// idempotent. It serializes with Resize (waiting out an in-flight
-// migration, which is bounded by the retired backlog), and once it returns
-// Resize refuses. An Acquire may still grow the trees, since consumers
-// lease handles in order to drain: a growth moves each shard's elements,
-// in order, into its successor at the same index, and a consumer's sweep
-// that comes up short waits for that move, so Drain still returns every
+// idempotent. An Acquire may still grow the trees, since consumers lease
+// handles in order to drain: a growth moves each shard's elements, in
+// order, into its successor at the same index, and a consumer's sweep that
+// comes up short waits for that move, so Drain still returns every
 // element.
-func (q *Queue[T]) Close() {
-	q.resizeMu.Lock()
-	q.closed.Store(true)
-	q.resizeMu.Unlock()
-}
+func (q *Queue[T]) Close() { q.closed.Store(true) }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed.Load() }
 
 // Len returns the fabric's total backlog estimate: the sum of the per-shard
 // root sizes, including any retired shards still awaiting migration (their
-// elements are owed to the survivors). Like the underlying queues' Len,
+// elements are owed to the successors). Like the underlying queues' Len,
 // each addend was exact at some recent moment but may lag concurrent
 // operations.
 func (q *Queue[T]) Len() int {
@@ -445,9 +407,8 @@ type ShardStat struct {
 // shard. Len is live; the Enqueues/Dequeues tallies are folded in when a
 // lease is Released or refreshed onto a new epoch (keeping them off the
 // per-operation hot path), so live handles' traffic is not yet included.
-// Migration drains tally as dequeues on the retired shard and enqueues on
-// the destination, keeping each shard's enqueues-dequeues == len audit
-// exact across resizes.
+// A growth's drain is not traffic: the successor continues its shard's
+// tallies, so each shard's enqueues-dequeues == len audit stays exact.
 func (q *Queue[T]) ShardStats() []ShardStat {
 	t := q.topo.Load()
 	out := make([]ShardStat, len(t.shards))
@@ -464,10 +425,10 @@ func (q *Queue[T]) ShardStats() []ShardStat {
 
 // ShardSummaries returns the paper's cost-model summary per current shard,
 // aggregated from handles that have been Released (live handles' counters
-// cannot be read safely). A shard retired by a shrink bequeaths its
-// accumulated summary to its migration destination, so the fabric-wide
-// totals survive any resize schedule. It returns meaningful data only
-// when the fabric was built WithShardMetrics.
+// cannot be read safely). A shard retired by a growth bequeaths its
+// accumulated summary to its successor, so the fabric-wide totals survive
+// every growth. It returns meaningful data only when the fabric was built
+// WithShardMetrics.
 func (q *Queue[T]) ShardSummaries() []metrics.Summary {
 	t := q.topo.Load()
 	q.mu.Lock()
@@ -503,16 +464,16 @@ func (q *Queue[T]) RegistryStats() RegistryStats {
 }
 
 // Snapshot is a stable JSON-encodable view of the whole fabric: identity,
-// topology epoch and resize history, aggregate backlog, per-shard routing
+// topology epoch and growth history, aggregate backlog, per-shard routing
 // traffic, lease churn, and (when the fabric was built WithShardMetrics)
 // per-shard cost-model summaries.
 type Snapshot struct {
 	Backend    Backend           `json:"backend"`
-	Shards     int               `json:"shards"` // current k (elastic; see Resize)
+	Shards     int               `json:"shards"` // k, fixed at New
 	MaxHandles int               `json:"max_handles"`
 	Closed     bool              `json:"closed"`
 	Len        int               `json:"len"`
-	Resize     ResizeStats       `json:"resize"` // epoch and grow/shrink/migration counters
+	Resize     ResizeStats       `json:"resize"` // epoch, tree growth and migration counters
 	ShardStats []ShardStat       `json:"shard_stats"`
 	Registry   RegistryStats     `json:"registry"`
 	Summaries  []metrics.Summary `json:"summaries,omitempty"`
@@ -542,7 +503,7 @@ func (q *Queue[T]) Snapshot() Snapshot {
 // shard states' totals (the states of the topology the counters were
 // collected against). A state retired since the counters were collected
 // forwards to its migration destination, so no recorded cost-model work
-// is dropped by a shrink.
+// is dropped by a growth.
 func (q *Queue[T]) mergeShardCounters(states []*shardState[T], counters []*metrics.Counter) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -604,6 +604,36 @@ func TestNullDequeueRacesEnqueue(t *testing.T) {
 	})
 }
 
+// TestDoubleReleaseNoop: a second Release is a defined no-op — teardown
+// paths may release defensively — and must not corrupt the registry free
+// list (the slot goes back exactly once).
+func TestDoubleReleaseNoop(t *testing.T) {
+	q, err := New[int](2, WithMaxHandles(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	h.Release() // must not panic
+	h.Release() // and stays idempotent
+	if got := q.reg.free(); got != 2 {
+		t.Errorf("free slots after double release = %d, want 2 (slot pushed twice?)", got)
+	}
+	st := q.RegistryStats()
+	if st.Releases != 1 {
+		t.Errorf("Releases = %d, want 1 (double release must not count)", st.Releases)
+	}
+	// The slot must still round-trip cleanly through the registry.
+	h2, err := q.Acquire()
+	if err != nil {
+		t.Fatalf("Acquire after double release: %v", err)
+	}
+	h2.Release()
+}
+
 func TestRegistryPacking(t *testing.T) {
 	var r registry
 	r.init(1)
@@ -712,4 +742,72 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if strings.Contains(string(data2), "summaries") {
 		t.Errorf("metrics-less snapshot should omit summaries: %s", data2)
 	}
+}
+
+// TestResizeSnapshotJSONRoundTrip: the snapshot's resize section — epoch,
+// leaves, tree growths, migrated items — keeps its stable keys and
+// round-trips through JSON, both as built and after a tree growth.
+func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
+	q, err := New[int](2, WithMaxHandles(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := h.Enqueue(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok := h.Dequeue(); !ok {
+			t.Fatal("dequeue failed")
+		}
+	}
+	h.Release()
+	roundTrip := func(snap Snapshot, keys ...string) {
+		t.Helper()
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if !strings.Contains(string(data), key) {
+				t.Errorf("snapshot JSON missing %s: %s", key, data)
+			}
+		}
+		var back Snapshot
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snap, back) {
+			t.Errorf("snapshot did not round-trip:\n got %+v\nwant %+v", back, snap)
+		}
+	}
+	snap := q.Snapshot()
+	if snap.Resize.Epoch != 1 || snap.Resize.LeafGrowths != 0 || snap.Resize.Migrated != 0 {
+		t.Fatalf("Snapshot.Resize = %+v, want epoch 1 / 0 leaf growths / 0 migrated", snap.Resize)
+	}
+	roundTrip(snap, `"resize"`, `"epoch":1`, `"leaf_growths":0`, `"migrated":0`)
+
+	// The 4th concurrent lease grows the trees: one more epoch, and the
+	// six queued items migrate into the grown fabric.
+	var hs []*Handle[int]
+	for i := 0; i < 4; i++ {
+		h, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	for _, h := range hs {
+		h.Release()
+	}
+	snap = q.Snapshot()
+	if snap.Resize.Epoch != 2 || snap.Resize.Leaves != 5 || snap.Resize.LeafGrowths != 1 || snap.Resize.Migrated != 6 {
+		t.Fatalf("Snapshot.Resize = %+v, want epoch 2 / 5 leaves (the cap) / 1 leaf growth / 6 migrated", snap.Resize)
+	}
+	roundTrip(snap, `"epoch":2`, `"leaves":5`, `"leaf_growths":1`, `"migrated":6`)
 }

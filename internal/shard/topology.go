@@ -11,16 +11,10 @@ import (
 // topology is one immutable epoch of the fabric's shard set. The Queue
 // holds exactly one live topology behind an atomic pointer; every fabric
 // operation loads it once and works against that snapshot, so an operation
-// never observes a half-installed shard set. Resize installs a successor
-// (epoch+1) rather than mutating the current one, and so does an Acquire
-// that grows the shards' trees.
-//
-// Shard identity is positional and prefix-stable across Resize: a grow
-// appends fresh shards after the survivors, a shrink truncates the suffix,
-// so shards[j] of epoch e+1 is the same *shardState as shards[j] of epoch
-// e for every j < min(k_old, k_new). Handles exploit this to reuse their
-// per-shard sub-handles across a refresh instead of re-deriving all of
-// them. A tree growth keeps k and replaces every shard.
+// never observes a half-installed shard set. An Acquire that grows the
+// shards' trees installs a successor (epoch+1) rather than mutating the
+// current one; the successor keeps k and replaces every shard, shards[j]
+// continuing shards[j] of the epoch before.
 type topology[T any] struct {
 	// epoch numbers topologies from 1 (0 is the "idle" sentinel published
 	// by handles between operations, see Queue.slotEpochs).
@@ -31,7 +25,7 @@ type topology[T any] struct {
 	// decreases from one epoch to the next.
 	leaves int
 
-	// shards is the live shard set; its length is the fabric's current k.
+	// shards is the live shard set; its length is the fabric's k.
 	shards []*shardState[T]
 
 	// bitmap is this epoch's nonempty-shard index, sized to len(shards).
@@ -40,46 +34,33 @@ type topology[T any] struct {
 	// never depends on the bitmap (there is always a full-sweep fallback).
 	bitmap bitmap
 
-	// retired holds the shards this epoch removed from service (a shrink's
-	// suffix, or every shard of a tree growth), until their residual
-	// elements are migrated into their successors. They are invisible
-	// to dequeues of this epoch — only the migration drain (which runs
-	// after the grace period, so it has exclusive access) touches them;
-	// Len reads them so the backlog owed to the survivors stays counted.
-	// The pointer is cleared once the drain completes, so a topology that
-	// stays current for a long time (the scaled-down steady state) does
-	// not pin the retired shards' memory.
+	// retired holds the previous epoch's shards, until their residual
+	// elements are migrated into their successors. They are invisible to
+	// dequeues of this epoch — only the migration drain (which runs after
+	// the grace period, so it has exclusive access) touches them; Len
+	// reads them so the backlog owed to the successors stays counted. The
+	// pointer is cleared once the drain completes, so a topology that
+	// stays current for a long time does not pin the retired shards'
+	// memory.
 	retired atomic.Pointer[[]*shardState[T]]
 
 	// migrationsDone is closed once every retired shard has been drained
-	// into its destination (immediately at install when there is nothing to
-	// migrate). A producer whose home shard changed — re-homed by a shrink,
-	// replaced by a growth, or never used by a fresh lease — blocks its
-	// next enqueue on this channel, so its residual elements reach the new
-	// home shard before any of its new ones: the ordering that keeps
-	// per-producer FIFO intact across epochs.
+	// into its successor (at New, when there is nothing to migrate). A
+	// producer whose home shard changed — replaced by a growth, or never
+	// used by a fresh lease — blocks its next enqueue on this channel, so
+	// its residual elements reach the new home shard before any of its new
+	// ones: the ordering that keeps per-producer FIFO intact across epochs.
 	migrationsDone chan struct{}
 }
 
 // slotEpoch is one handle slot's published operation epoch, padded so
 // concurrent publishers never false-share. A slot publishes the epoch of
 // the topology its current operation runs against and republishes 0 when
-// the operation completes; Resize's grace wait spins until no slot still
+// the operation completes; a growth's grace wait spins until no slot still
 // publishes the superseded epoch.
 type slotEpoch struct {
 	v atomic.Uint64
 	_ [120]byte
-}
-
-// effHome maps a slot's persistent home to an index of topology t. The
-// persistent value is always canonical for the latest topology (Resize
-// rewrites it under the mod rule below before it migrates); the mod here
-// only covers the instant between installing a shrunk topology and
-// rewriting the homes, and it yields exactly the value the rewrite will
-// store — so a handle racing that window computes the same home either
-// way.
-func (q *Queue[T]) effHome(slot int, t *topology[T]) int {
-	return int(q.homes[slot].v.Load()) % len(t.shards)
 }
 
 // maintSlot is the sub-queue handle slot reserved for the fabric's own
@@ -88,20 +69,18 @@ func (q *Queue[T]) effHome(slot int, t *topology[T]) int {
 // never competes with leases.
 func (t *topology[T]) maintSlot() int { return t.leaves - 1 }
 
-// ResizeStats counts topology changes over the fabric's lifetime. The JSON
-// field names are a stable encoding consumed by the service layer's
-// /statsz endpoint.
+// ResizeStats counts topology changes — tree growths — over the fabric's
+// lifetime. The JSON field names are a stable encoding consumed by the
+// service layer's /statsz endpoint.
 type ResizeStats struct {
 	Epoch       uint64 `json:"epoch"`        // current topology epoch (1 = as built)
-	Grows       int64  `json:"grows"`        // completed Resize calls that added shards
-	Shrinks     int64  `json:"shrinks"`      // completed Resize calls that removed shards
 	Leaves      int    `json:"leaves"`       // leaves of every shard's ordering tree now
 	LeafGrowths int64  `json:"leaf_growths"` // Acquire calls that grew the trees
 	Migrated    int64  `json:"migrated"`     // elements drained from retired shards into their successors
 }
 
 // Epoch returns the current topology epoch. It starts at 1 and increments
-// with every effective Resize and every tree growth.
+// with every tree growth.
 func (q *Queue[T]) Epoch() uint64 { return q.topo.Load().epoch }
 
 // ResizeStats returns the fabric's topology-change counters.
@@ -109,66 +88,20 @@ func (q *Queue[T]) ResizeStats() ResizeStats {
 	t := q.topo.Load()
 	return ResizeStats{
 		Epoch:       t.epoch,
-		Grows:       q.grows.Load(),
-		Shrinks:     q.shrinks.Load(),
 		Leaves:      t.leaves,
 		LeafGrowths: q.leafGrowths.Load(),
 		Migrated:    q.migrated.Load(),
 	}
 }
 
-// Resize changes the fabric's shard count to k while operations continue.
-//
-// A grow appends fresh shards; nothing moves, existing producers keep
-// their home shards (so per-producer FIFO is trivially preserved) and new
-// leases spread over the wider set. A shrink retires the suffix
-// [k, k_old): producers homed there are re-homed deterministically to
-// home mod k, and the retired shards' residual elements are drained — in
-// their shard-FIFO order — into that same destination, so conservation is
-// exact and a re-homed producer's old elements land in its new home shard
-// before any of its new ones (the producer's next enqueue blocks until
-// the drain completes, as does a dequeue that would otherwise certify the
-// fabric empty mid-drain; all other operations stay non-blocking).
-//
-// Resize serializes with other Resize calls, returns once migration is
-// complete, and is a no-op when k equals the current shard count. It
-// fails on a closed fabric: Close hands the backlog to the consumers, and
-// moving elements underneath a drain would serve nobody.
-func (q *Queue[T]) Resize(k int) error {
-	if k < 1 {
-		return fmt.Errorf("%w (got %d)", ErrBadShards, k)
-	}
-	q.resizeMu.Lock()
-	defer q.resizeMu.Unlock()
-	if q.closed.Load() {
-		return ErrClosed
-	}
-	old := q.topo.Load()
-	kOld := len(old.shards)
-	if k == kOld {
-		return nil
-	}
-	nt, err := q.successor(old, k, old.leaves)
-	if err != nil {
-		return err
-	}
-	q.install(old, nt)
-	if k > kOld {
-		q.grows.Add(1)
-	} else {
-		q.shrinks.Add(1)
-	}
-	return nil
-}
-
 // growFor grows every shard's tree so that it has a leaf for slot, which
 // Acquire has just popped: to twice the current leaves, or slot+2 if that
-// is more, capped at maxHandles+1. Like Resize it serializes on resizeMu;
-// unlike Resize it runs on a closed fabric. It is a no-op when a
-// concurrent Acquire grew the trees far enough first.
+// is more, capped at maxHandles+1. Growths serialize on growMu, and one
+// runs on a closed fabric too. It is a no-op when a concurrent Acquire
+// grew the trees far enough first.
 func (q *Queue[T]) growFor(slot int) error {
-	q.resizeMu.Lock()
-	defer q.resizeMu.Unlock()
+	q.growMu.Lock()
+	defer q.growMu.Unlock()
 	old := q.topo.Load()
 	if slot < old.maintSlot() {
 		return nil
@@ -184,10 +117,8 @@ func (q *Queue[T]) growFor(slot int) error {
 }
 
 // successor builds, without installing it, the topology after old with k
-// shards of the given leaf count: old's shards carry over by index while
-// the leaf count stays, and every other shard is built fresh. It is the
-// one place shards are built, so a backend failure leaves the current
-// topology fully intact.
+// fresh shards of the given leaf count. It is the one place shards are
+// built, so a backend failure leaves the current topology fully intact.
 func (q *Queue[T]) successor(old *topology[T], k, leaves int) (*topology[T], error) {
 	nt := &topology[T]{
 		epoch:          old.epoch + 1,
@@ -196,10 +127,6 @@ func (q *Queue[T]) successor(old *topology[T], k, leaves int) (*topology[T], err
 		migrationsDone: make(chan struct{}),
 	}
 	for j := range nt.shards {
-		if leaves == old.leaves && j < len(old.shards) {
-			nt.shards[j] = old.shards[j]
-			continue
-		}
 		sub, err := newSubQueue[T](q.cfg, leaves)
 		if err != nil {
 			return nil, err
@@ -211,45 +138,18 @@ func (q *Queue[T]) successor(old *topology[T], k, leaves int) (*topology[T], err
 }
 
 // install makes nt, built by successor from old, the current topology and
-// completes the move onto it; the caller holds resizeMu. Every shard of
-// old that nt does not carry over at its index (a shrink's suffix, or all
-// of them when the trees grew) is retired into nt.shards[j mod k], where j
-// is its old index: producers homed past the new k are re-homed under the
-// same mod rule, and after the grace period each retired shard is drained,
-// in its FIFO order, into its successor, which also inherits its tallies.
-// Shrinks and tree growths share this routine; a Resize grow retires
-// nothing.
+// completes the move onto it; the caller holds growMu. Every shard of old
+// is retired into nt's shard at the same index: after the grace period it
+// is drained, in its FIFO order, into that successor, which also inherits
+// its tallies.
 func (q *Queue[T]) install(old, nt *topology[T]) {
-	k := len(nt.shards)
-	var retired []*shardState[T]
-	for j, s := range old.shards {
-		if j >= k || nt.shards[j] != s {
-			retired = append(retired, s)
-		}
-	}
-	if retired != nil {
-		nt.retired.Store(&retired)
-	}
-	for j, s := range nt.shards {
-		if s.len() > 0 {
-			nt.bitmap.set(j)
-		}
-	}
+	retired := old.shards
+	nt.retired.Store(&retired)
 
-	// Install the new epoch first, then re-home: a handle that loads the
-	// new topology before its home is rewritten computes the same
-	// destination via the effHome mod rule, while a handle still on the old
-	// topology may keep enqueueing into a retired shard — the drain below
-	// starts only after the grace period, so those stragglers are captured
-	// in order.
+	// A handle still on the old topology may keep enqueueing into a
+	// retired shard; the drain below starts only after the grace period,
+	// so those stragglers are captured in order.
 	q.topo.Store(nt)
-	if k < len(old.shards) {
-		for i := range q.homes {
-			if h := q.homes[i].v.Load(); h >= int64(k) {
-				q.homes[i].v.Store(h % int64(k))
-			}
-		}
-	}
 
 	// Grace period: wait until no operation still runs against the old
 	// epoch. Afterwards the retired shards are unreachable by every handle
@@ -259,20 +159,10 @@ func (q *Queue[T]) install(old, nt *topology[T]) {
 
 	var moved int64
 	for j, s := range old.shards {
-		if j < k && nt.shards[j] == s {
-			continue
-		}
-		dst := nt.shards[j%k]
-		n := q.drainInto(s, old, nt, j%k)
-		moved += n
-		if j >= k {
-			// A shrink moves elements to another shard: that is traffic on
-			// both, and keeps each shard's enqueues-dequeues == len audit
-			// exact. A growth's successor is the same shard continued.
-			s.dequeues.Add(n)
-			dst.enqueues.Add(n)
-		}
-		// The destination inherits the retired shard's recorded history —
+		dst := nt.shards[j]
+		moved += q.drainInto(s, old, nt, j)
+		// The successor is the same shard continued, so the drain is not
+		// traffic; it inherits the retired shard's recorded history —
 		// traffic tallies and cost-model counters — and the merged-into
 		// pointer routes any tallies still buffered in live handles there
 		// too (addTally hands over a fold that lands after this), so
@@ -290,7 +180,7 @@ func (q *Queue[T]) install(old, nt *topology[T]) {
 	nt.retired.Store(nil)
 	close(nt.migrationsDone)
 
-	// Re-sync the bitmap: enqueues that completed on the old epoch set only
+	// Sync the bitmap: enqueues that completed on the old epoch set only
 	// the old bitmap. Correctness never depends on this (dequeues fall back
 	// to a full sweep), it just keeps two-random-choice well guided.
 	for j, s := range nt.shards {
@@ -306,7 +196,7 @@ func (q *Queue[T]) install(old, nt *topology[T]) {
 // so once this returns, any operation that transiently published e has
 // re-read the topology, seen the new epoch, and republished — it never
 // touched a shard under e. Operations are wait-free and short, so the spin
-// is brief; Resize itself is not (and need not be) wait-free.
+// is brief; a growth itself is not (and need not be) wait-free.
 func (q *Queue[T]) awaitEpochRetired(e uint64) {
 	for i := range q.slotEpochs {
 		for q.slotEpochs[i].v.Load() == e {

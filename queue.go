@@ -53,15 +53,11 @@
 //	h.Enqueue("job")
 //	v, ok := h.Dequeue()
 //
-// The fabric is elastic: its shard set lives behind an epoch-numbered
-// immutable topology, and q.Resize(k) installs a new epoch while
-// operations continue — a shrink drains retired shards' residual elements
-// into the survivors with exact conservation and per-producer FIFO
-// preserved across the boundary. Experiment T14 measures the service
-// layer's autoscaler (see WithAutoscale) driving Resize from live load:
-//
-//	err = q.Resize(16)       // double up under load ...
-//	err = q.Resize(4)        // ... and retire shards when it fades
+// The fabric keeps the shard count it was built with. Its shards'
+// ordering trees start small and grow with the leases: the Acquire that
+// needs a leaf the trees lack installs a successor epoch with bigger
+// trees while operations continue, draining every shard into its
+// successor with exact conservation and per-producer FIFO preserved.
 //
 // Serve exposes a byte-valued fabric over TCP as the default queue of a
 // multi-tenant namespace — each client connection leases fabric handles

@@ -75,27 +75,14 @@ func WithServeQueueIdleTimeout(d time.Duration) ServeOption {
 	return server.WithQueueIdleTimeout(d)
 }
 
-// WithAutoscale starts the server's per-queue shard autoscaler with the
-// given tick interval (0, the default, disables it). Every tick, each
-// queue's fabric is resized live — retired shards' residues migrated with
-// exact conservation, per-producer FIFO preserved across the epoch swap —
-// from its served ops/sec, occupancy, and null-dequeue rate, within the
-// WithShardBounds envelope.
-func WithAutoscale(interval time.Duration) ServeOption { return server.WithAutoscale(interval) }
-
-// WithShardBounds bounds the per-queue shard count that the autoscaler
-// and wire-level manual resizes (QueueClient.Resize,
-// NamedRemoteQueue.Resize) will apply (defaults 1 and 16).
-func WithShardBounds(min, max int) ServeOption { return server.WithShardBounds(min, max) }
-
 // WithObservability toggles the server's observability layer (default
 // on): per-(queue, op) latency histograms — each request frame's
 // read-to-reply in-server latency, classed as enqueue, dequeue, batch, or
 // null-dequeue — plus a bounded ring of control-plane trace events
-// (resizes, autoscaler decisions with their watermark inputs, session and
-// queue lifecycle), and the request-tracing machinery: trace-flagged
-// frames get per-stage timestamps, a span in the slow-biased exemplar
-// reservoir (/spanz), and per-stage latency histograms. The data surfaces
+// (session and queue lifecycle, sampled BUSY replies), and the
+// request-tracing machinery: trace-flagged frames get per-stage
+// timestamps, a span in the slow-biased exemplar reservoir (/spanz), and
+// per-stage latency histograms. The data surfaces
 // through ServerSnapshot's obs block and per-queue latency summaries, and
 // through the server's /metricsz (Prometheus text), /tracez, and /spanz
 // (JSON) HTTP handlers. Recording is lock-free and allocation-free on the
