@@ -1,12 +1,13 @@
-// Command benchqueue regenerates the reproduction tables (T1-T16 in
-// DESIGN.md) that validate the paper's analytical claims: CAS bounds
-// (Proposition 19), step complexity (Theorem 22), the CAS retry problem of
-// the baselines, space bounds (Theorem 31) and bounded-variant amortized
-// steps (Theorem 32), a wall-clock throughput comparison, the sharded
-// fabric's throughput scaling with shard count, the network queue
-// service's latency under open-loop load, batch amortization, multi-tenant
-// per-queue isolation, the observability layer's overhead budget, and the
-// request-trace stage decomposition.
+// Command benchqueue regenerates the reproduction tables (DESIGN.md's
+// experiment index) that validate the paper's analytical claims: CAS
+// bounds (Proposition 19), step complexity (Theorem 22), the CAS retry
+// problem of the baselines, space bounds (Theorem 31) and bounded-variant
+// amortized steps (Theorem 32), a wall-clock throughput comparison, the
+// sharded fabric's throughput scaling with shard count, batch
+// amortization, multi-tenant per-queue isolation, the observability
+// layer's overhead budget, and the memory and network allocation walls.
+// The network service's latency is measured by the repo benchmark
+// (bench/run.sh), not here.
 //
 // Usage:
 //
@@ -14,8 +15,8 @@
 //	benchqueue -exp casbound -ops 4000  # one experiment, custom op count
 //	benchqueue -exp space -procs 8
 //	benchqueue -impl sharded -shards 8  # fabric scaling (T10)
+//	benchqueue -exp multitenant         # T13 per-queue isolation
 //	benchqueue -exp obs                 # T15 observability overhead
-//	benchqueue -exp trace               # T16 stage decomposition
 //	benchqueue -exp memwall             # T17 allocation profile
 //	benchqueue -exp netwall             # T18 network hot-path allocs/frame and B/frame
 //	benchqueue -exp all -json results   # also emit results/BENCH_<ID>.json
@@ -28,9 +29,13 @@
 //	  -portable to skip machine-dependent columns (throughput, latency)
 //	  when gating on a baseline recorded on different hardware.
 //
+// A run exits 1 if any table it produced has a nonzero cell in a lost or
+// dup column (a value lost or delivered twice), after printing the tables
+// and writing their JSON.
+//
 // Experiments: casbound, enqsteps, deqsteps, retry, adversary, space,
-// boundedsteps, throughput, waitfree, ablation, sharded, service, batch,
-// multitenant, obs, trace, memwall, netwall, all.
+// boundedsteps, throughput, waitfree, ablation, sharded, batch,
+// multitenant, obs, memwall, netwall, all.
 package main
 
 import (
@@ -47,7 +52,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (casbound enqsteps deqsteps retry adversary space boundedsteps throughput waitfree ablation sharded service batch multitenant obs trace memwall netwall all)")
+		exp       = flag.String("exp", "all", "experiment to run (casbound enqsteps deqsteps retry adversary space boundedsteps throughput waitfree ablation sharded batch multitenant obs memwall netwall all)")
 		ops       = flag.Int("ops", 2000, "operations per process per measurement")
 		procs     = flag.Int("procs", 8, "process count for single-p experiments (space, deqsteps q-sweep)")
 		psFlag    = flag.String("ps", "1,2,4,8,16,32,64", "comma-separated process counts for sweeps")
@@ -124,7 +129,7 @@ type runConfig struct {
 }
 
 // runner executes one named experiment for one seed. Wall-clock-driven
-// experiments (service, obs, trace, ...) have no statistical seed; for them
+// experiments (multitenant, obs, ...) have no statistical seed; for them
 // the seed is a repetition label and across-seed variance isolates
 // environment noise.
 type runner func(cfg runConfig, seed int64) ([]*harness.Table, error)
@@ -206,16 +211,9 @@ func runners() map[string]runner {
 			// operation must fall as the batch grows.
 			return one(harness.ExpBatchAmortization([]int{1, 4, 16, 64}, cfg.procs, cfg.ops, seed))
 		},
-		"service": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
-			// Modest in-process sweep; cmd/qload drives the full-knob
-			// version against an external queued.
-			return one(harness.ExpServiceLatency([]int{1000, 4000, 16000},
-				harness.ServiceConfig{Shards: cfg.shards, Backend: cfg.backend}))
-		},
 		"multitenant": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
 			// T13: per-queue throughput isolation as tenants multiply at
-			// equal aggregate offered load; cmd/qload -tenants drives the
-			// full-knob version against an external queued.
+			// equal aggregate offered load, against an in-process server.
 			return one(harness.ExpMultiTenant([]int{1, 2, 4},
 				harness.MultiTenantConfig{Shards: cfg.shards, Backend: cfg.backend}))
 		},
@@ -228,15 +226,6 @@ func runners() map[string]runner {
 			// shared hardware to resolve the <3% budget.
 			return one(harness.ExpObsOverhead([]int{16000, 64000, 128000},
 				harness.ObsConfig{Shards: cfg.shards, Backend: cfg.backend}))
-		},
-		"trace": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
-			// T16: per-stage latency decomposition of traced requests at
-			// low, mid, and saturation load, plus the tracing-disabled
-			// overhead re-measurement. Rates mirror the T11 sweep shape:
-			// the last point is past loopback capacity so the saturation
-			// row shows where queueing delay accumulates.
-			return one(harness.ExpTraceDecomposition([]int{8000, 32000, 128000},
-				harness.TraceConfig{Shards: cfg.shards, Backend: cfg.backend}))
 		},
 		"ablation": func(cfg runConfig, seed int64) ([]*harness.Table, error) {
 			a, err := harness.ExpAblationSearch(4, 16, []int{0, 4, 16, 64, 256}, 500, seed)
@@ -274,9 +263,10 @@ func run(exp string, cfg runConfig) error {
 	names := []string{exp}
 	if exp == "all" {
 		names = []string{"casbound", "enqsteps", "deqsteps", "retry", "adversary",
-			"space", "boundedsteps", "throughput", "waitfree", "ablation", "sharded", "batch", "service",
-			"multitenant", "obs", "trace", "memwall", "netwall"}
+			"space", "boundedsteps", "throughput", "waitfree", "ablation", "sharded", "batch",
+			"multitenant", "obs", "memwall", "netwall"}
 	}
+	var violations []string
 	for _, name := range names {
 		r, ok := reg[name]
 		if !ok {
@@ -294,9 +284,31 @@ func run(exp string, cfg runConfig) error {
 			if err := emitJSON(cfg.jsonDir, t); err != nil {
 				return err
 			}
+			violations = append(violations, conservationViolations(t)...)
 		}
 	}
+	if len(violations) > 0 {
+		return fmt.Errorf("CONSERVATION VIOLATION: %s", strings.Join(violations, ", "))
+	}
 	return nil
+}
+
+// conservationViolations lists t's nonzero cells in a lost or dup column:
+// a value lost or delivered twice. Every experiment that checks
+// conservation reports it in those two columns.
+func conservationViolations(t *harness.Table) []string {
+	var out []string
+	for c, col := range t.Columns {
+		if col != "lost" && col != "dup" {
+			continue
+		}
+		for r, row := range t.Rows {
+			if v, err := strconv.ParseFloat(row[c], 64); err != nil || v != 0 {
+				out = append(out, fmt.Sprintf("%s row %d %s=%s", t.ID, r+1, col, row[c]))
+			}
+		}
+	}
+	return out
 }
 
 // runSeeded executes one experiment across the configured seeds, printing

@@ -203,3 +203,21 @@ func TestCompareRejectsLegacyBaseline(t *testing.T) {
 		t.Error("legacy baseline without manifest accepted")
 	}
 }
+
+// TestConservationViolations checks the exit-1 rule's table scan: a clean
+// table passes, and every nonzero or unparsable lost/dup cell is reported,
+// while other columns never are.
+func TestConservationViolations(t *testing.T) {
+	clean := &harness.Table{ID: "T12", Columns: []string{"m", "Mops/s", "lost", "dup"},
+		Rows: [][]string{{"1", "3.50", "0", "0"}, {"4", "0.00", "0", "0"}}}
+	if v := conservationViolations(clean); len(v) != 0 {
+		t.Errorf("clean table reported %v", v)
+	}
+	bad := &harness.Table{ID: "T13", Columns: []string{"tenants", "busy", "lost", "dup"},
+		Rows: [][]string{{"1", "7", "0", "0"}, {"2", "0", "0", "1"}, {"4", "0", "0.33", "?"}}}
+	got := conservationViolations(bad)
+	want := []string{"T13 row 3 lost=0.33", "T13 row 2 dup=1", "T13 row 3 dup=?"}
+	if strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Errorf("violations = %q, want %q", got, want)
+	}
+}

@@ -22,7 +22,9 @@
 //	           lifecycle, sampled BUSY replies) as JSON
 //	/spanz     request-trace exemplar reservoir: the slowest and most
 //	           recent traced requests, each decomposed into per-stage
-//	           durations (drive with qload -trace)
+//	           durations (send traced frames with the client's
+//	           EnqueueTraced/DequeueTraced, or run the repo benchmark
+//	           traced: bash bench/run.sh --workload svc-singles --trace 1)
 //	/debug/pprof/...  net/http/pprof profiles, only with -pprof
 //
 // Observability (latency histograms + event trace) is on by default and
@@ -37,9 +39,9 @@
 //	queued -statsz 127.0.0.1:7475 -pprof                   # + profiling
 //	queued -max-queues 128 -queue-idle 10m                 # tenant knobs
 //
-// Drive it with cmd/qload, the open-loop load generator (-queue targets a
-// named queue; -tenants sweeps several at once; -scrape prints the
-// server-side latency view next to the client-side one).
+// The repo benchmark (bash bench/run.sh; see bench/README.md) drives a
+// queued child with open-loop, closed and solo load and checks
+// conservation and order.
 package main
 
 import (

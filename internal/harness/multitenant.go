@@ -10,15 +10,12 @@ import (
 	"repro/internal/stats"
 )
 
-// MultiTenantConfig shapes the T13 multi-tenant isolation experiment.
+// MultiTenantConfig shapes the T13 multi-tenant isolation experiment,
+// which runs against an in-process server over a Shards-shard fabric on
+// a loopback ephemeral port.
 type MultiTenantConfig struct {
-	// Target address of a running queue service. Empty means: start an
-	// in-process server (Shards/Backend/MaxQueues below) on a loopback
-	// ephemeral port for the duration of the experiment.
-	Addr      string
-	Shards    int
-	Backend   shard.Backend
-	MaxQueues int
+	Shards  int
+	Backend shard.Backend
 
 	// Load is the per-row run shape. Load.Rate is the AGGREGATE offered
 	// enqueue rate across all tenants of a row (default 8000 ops/s); each
@@ -26,10 +23,6 @@ type MultiTenantConfig struct {
 	// equal total load. Load.Queue is ignored — tenants get generated
 	// names.
 	Load server.LoadConfig
-
-	// QueuePrefix namespaces the generated queue names (default "t13") so
-	// repeated sweeps against a long-lived server do not collide.
-	QueuePrefix string
 }
 
 // ExpMultiTenant (T13): per-queue throughput isolation and fairness as
@@ -45,21 +38,13 @@ type MultiTenantConfig struct {
 // starving any of them, because each named queue is its own fabric and
 // sessions lease handles per (connection, queue).
 func ExpMultiTenant(tenants []int, cfg MultiTenantConfig) (*Table, error) {
-	t, _, err := ExpMultiTenantResults(tenants, cfg)
-	return t, err
-}
-
-// ExpMultiTenantResults is ExpMultiTenant, additionally returning each
-// row's per-tenant load results so callers (cmd/qload) can act on raw
-// counts — e.g. exit nonzero when any tenant's conservation failed.
-func ExpMultiTenantResults(tenants []int, cfg MultiTenantConfig) (*Table, [][]*server.LoadResult, error) {
 	if len(tenants) == 0 {
-		return nil, nil, fmt.Errorf("harness: no tenant counts")
+		return nil, fmt.Errorf("harness: no tenant counts")
 	}
 	maxTenants, sumTenants := 0, 0
 	for _, n := range tenants {
 		if n < 1 {
-			return nil, nil, fmt.Errorf("harness: tenant count %d must be positive", n)
+			return nil, fmt.Errorf("harness: tenant count %d must be positive", n)
 		}
 		if n > maxTenants {
 			maxTenants = n
@@ -72,47 +57,37 @@ func ExpMultiTenantResults(tenants []int, cfg MultiTenantConfig) (*Table, [][]*s
 	if cfg.Load.Duration <= 0 {
 		cfg.Load.Duration = time.Second
 	}
-	if cfg.QueuePrefix == "" {
-		cfg.QueuePrefix = "t13"
+	if cfg.Shards <= 0 {
+		cfg.Shards = 4
 	}
-	addr := cfg.Addr
-	if addr == "" {
-		if cfg.Shards <= 0 {
-			cfg.Shards = 4
-		}
-		if cfg.Backend == "" {
-			cfg.Backend = shard.BackendCore
-		}
-		// Rows get distinct queue names and the idle timeout far exceeds a
-		// run, so queues accumulate across the sweep: the cap must cover
-		// the sum of all rows' tenants, not just the widest row.
-		if cfg.MaxQueues < sumTenants {
-			cfg.MaxQueues = sumTenants + 8
-		}
-		// Every connection leases a default-queue handle at accept, and the
-		// widest row opens (producers + consumers) connections per tenant —
-		// size the registry for that, or the sweep refuses its own sessions.
-		prod, cons := cfg.Load.Producers, cfg.Load.Consumers
-		if prod <= 0 {
-			prod = 2
-		}
-		if cons <= 0 {
-			cons = 2
-		}
-		handles := max(maxTenants*(prod+cons)+8, 16)
-		q, err := shard.New[[]byte](cfg.Shards, shard.WithBackend(cfg.Backend),
-			shard.WithMaxHandles(handles))
-		if err != nil {
-			return nil, nil, err
-		}
-		srv, err := server.Serve("127.0.0.1:0", q, server.WithMaxQueues(cfg.MaxQueues))
-		if err != nil {
-			return nil, nil, err
-		}
-		defer srv.Close()
-		addr = srv.Addr().String()
+	if cfg.Backend == "" {
+		cfg.Backend = shard.BackendCore
 	}
-
+	// Every connection leases a default-queue handle at accept, and the
+	// widest row opens (producers + consumers) connections per tenant —
+	// size the registry for that, or the sweep refuses its own sessions.
+	prod, cons := cfg.Load.Producers, cfg.Load.Consumers
+	if prod <= 0 {
+		prod = 2
+	}
+	if cons <= 0 {
+		cons = 2
+	}
+	handles := max(maxTenants*(prod+cons)+8, 16)
+	q, err := shard.New[[]byte](cfg.Shards, shard.WithBackend(cfg.Backend),
+		shard.WithMaxHandles(handles))
+	if err != nil {
+		return nil, err
+	}
+	// Rows get distinct queue names and the idle timeout far exceeds a
+	// run, so queues accumulate across the sweep: the cap must cover the
+	// sum of all rows' tenants, not just the widest row.
+	srv, err := server.Serve("127.0.0.1:0", q, server.WithMaxQueues(sumTenants+8))
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	addr := srv.Addr().String()
 	t := &Table{
 		ID: "T13",
 		Title: fmt.Sprintf("Multi-tenant isolation: per-queue throughput vs tenant count (aggregate %d ops/s, %s)",
@@ -127,7 +102,6 @@ func ExpMultiTenantResults(tenants []int, cfg MultiTenantConfig) (*Table, [][]*s
 		},
 	}
 	var baseline float64 // aggregate achieved at the smallest tenant count
-	all := make([][]*server.LoadResult, 0, len(tenants))
 	for _, n := range tenants {
 		results := make([]*server.LoadResult, n)
 		errs := make([]error, n)
@@ -135,7 +109,7 @@ func ExpMultiTenantResults(tenants []int, cfg MultiTenantConfig) (*Table, [][]*s
 		for i := 0; i < n; i++ {
 			load := cfg.Load
 			load.Rate = max(cfg.Load.Rate/n, 1)
-			load.Queue = fmt.Sprintf("%s-n%d-q%d", cfg.QueuePrefix, n, i)
+			load.Queue = fmt.Sprintf("t13-n%d-q%d", n, i)
 			wg.Add(1)
 			go func(i int, load server.LoadConfig) {
 				defer wg.Done()
@@ -145,10 +119,9 @@ func ExpMultiTenantResults(tenants []int, cfg MultiTenantConfig) (*Table, [][]*s
 		wg.Wait()
 		for i, err := range errs {
 			if err != nil {
-				return nil, nil, fmt.Errorf("tenants=%d queue %d: %w", n, i, err)
+				return nil, fmt.Errorf("tenants=%d queue %d: %w", n, i, err)
 			}
 		}
-		all = append(all, results)
 
 		var agg, minQ, maxQ, worstP99 float64
 		var busy, lost, dup, foreign int64
@@ -193,5 +166,5 @@ func ExpMultiTenantResults(tenants []int, cfg MultiTenantConfig) (*Table, [][]*s
 				"tenants=%d: %d foreign values observed (cross-queue leakage or leftover backlog)", n, foreign))
 		}
 	}
-	return t, all, nil
+	return t, nil
 }

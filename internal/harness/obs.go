@@ -47,15 +47,8 @@ type ObsConfig struct {
 // percentile columns show the payoff — the latency view only the obs-on
 // server can report.
 func ExpObsOverhead(rates []int, cfg ObsConfig) (*Table, error) {
-	t, _, err := ExpObsOverheadResults(rates, cfg)
-	return t, err
-}
-
-// ExpObsOverheadResults is ExpObsOverhead, additionally returning the
-// obs-on runs' load results so callers can check conservation.
-func ExpObsOverheadResults(rates []int, cfg ObsConfig) (*Table, []*server.LoadResult, error) {
 	if len(rates) == 0 {
-		return nil, nil, fmt.Errorf("harness: no rates")
+		return nil, fmt.Errorf("harness: no rates")
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
@@ -129,7 +122,6 @@ func ExpObsOverheadResults(rates []int, cfg ObsConfig) (*Table, []*server.LoadRe
 		return res, cpuPerOpUs, snap.Obs, nil
 	}
 
-	var onResults []*server.LoadResult
 	for _, rate := range rates {
 		var offRates, onRates, offCPUs, onCPUs, overheads []float64
 		var best *server.LoadResult
@@ -153,7 +145,7 @@ func ExpObsOverheadResults(rates []int, cfg ObsConfig) (*Table, []*server.LoadRe
 				}
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("rate %d repeat %d: %w", rate, r, err)
+				return nil, fmt.Errorf("rate %d repeat %d: %w", rate, r, err)
 			}
 			offRates = append(offRates, offRes.AchievedRate())
 			onRates = append(onRates, onRes.AchievedRate())
@@ -173,7 +165,6 @@ func ExpObsOverheadResults(rates []int, cfg ObsConfig) (*Table, []*server.LoadRe
 					rate, r, onRes.Lost, onRes.Dup))
 			}
 		}
-		onResults = append(onResults, best)
 		var srvP50, srvP99 float64
 		if bestObs != nil {
 			srvP50, srvP99 = bestObs.EnqueueLat.P50Ms, bestObs.EnqueueLat.P99Ms
@@ -183,7 +174,7 @@ func ExpObsOverheadResults(rates []int, cfg ObsConfig) (*Table, []*server.LoadRe
 			stats.Percentile(best.EnqLatMs, 50), stats.Percentile(best.EnqLatMs, 99),
 			srvP50, srvP99, best.Lost, best.Dup)
 	}
-	return t, onResults, nil
+	return t, nil
 }
 
 // cpuSeconds reads the process's cumulative CPU time (user + system).

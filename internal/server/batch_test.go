@@ -277,44 +277,3 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadgenBatchConservation runs the open-loop generator in batch mode
-// against an in-process server and requires exact conservation.
-func TestLoadgenBatchConservation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a timed load phase")
-	}
-	q, err := shard.New[[]byte](2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve("127.0.0.1:0", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	res, err := RunLoad(srv.Addr().String(), LoadConfig{
-		Rate:      4000,
-		Duration:  300 * 1e6, // 300ms
-		Producers: 2,
-		Consumers: 2,
-		Batch:     8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Acked == 0 {
-		t.Fatal("no enqueues acknowledged")
-	}
-	if !res.Conserved() {
-		t.Fatalf("conservation violated: lost=%d dup=%d", res.Lost, res.Dup)
-	}
-	st := srv.Snapshot().Server
-	if st.FabricBatches == 0 {
-		t.Error("batch-mode load produced no fabric batch calls")
-	}
-	if st.BatchedOps <= st.Frames {
-		t.Errorf("batchedOps=%d frames=%d: batch mode should execute more ops than frames",
-			st.BatchedOps, st.Frames)
-	}
-}

@@ -239,8 +239,9 @@ func (c *Client) startParts(op byte, done chan *call, tag any, parts ...[]byte) 
 // stamp and/or queue id, possibly empty) then the batch encoding of vals,
 // all built in the pending frames — the callers' equivalent of the
 // server's batchFrame, avoiding encodeBatch's intermediate allocation.
-func (c *Client) startBatch(op byte, prefix []byte, vals [][]byte, done chan *call, tag any) (*call, error) {
-	cl := getCall(done, tag)
+// The call completes on its private channel (see roundTripBatch).
+func (c *Client) startBatch(op byte, prefix []byte, vals [][]byte) (*call, error) {
+	cl := getCall(nil, nil)
 	id, err := c.register(cl)
 	if err != nil {
 		putCall(cl)
@@ -339,7 +340,7 @@ func (c *Client) roundTripParts(op byte, parts ...[]byte) (frame, error) {
 // roundTripBatch issues one batch-encoded request synchronously (see
 // startBatch).
 func (c *Client) roundTripBatch(op byte, prefix []byte, vals [][]byte) (frame, error) {
-	f, _, err := c.wait(c.startBatch(op, prefix, vals, nil, nil))
+	f, _, err := c.wait(c.startBatch(op, prefix, vals))
 	return f, err
 }
 

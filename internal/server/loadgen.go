@@ -16,16 +16,16 @@ import (
 // service answers, and every latency is measured from the op's *scheduled*
 // time. When the service falls behind, queueing delay therefore shows up
 // in the percentiles instead of silently throttling the offered load —
-// the coordinated-omission-free methodology.
+// the coordinated-omission-free methodology. Experiments T13 and T15 run
+// it against in-process servers; the service's own benchmark, which
+// drives a real queued, is bench/.
 type LoadConfig struct {
 	Rate      int           // offered enqueue rate, ops/s across all producers (> 0)
 	Duration  time.Duration // producing phase length
 	Producers int           // producer connections (default 2)
 	Consumers int           // consumer connections (default 2)
 	ValueSize int           // payload bytes; floored at MinValueSize
-	Burst     int           // frames sent per scheduling tick per producer (default 1; larger = burstier arrivals at the same average rate)
-	Batch     int           // values per enqueue frame (default 1; >1 uses the native batch opcodes on both sides)
-	Window    int           // max in-flight request frames per producer connection (default 32)
+	Window    int           // max in-flight enqueue frames per producer connection (default 32)
 
 	// Queue names the target queue. Empty drives the default queue 0;
 	// otherwise every producer and consumer connection Opens the named
@@ -35,15 +35,6 @@ type LoadConfig struct {
 	// queue surfacing in another would be reported Foreign there and Lost
 	// here).
 	Queue string
-
-	// TraceEvery samples every Nth enqueue frame per producer for request
-	// tracing (0, the default, disables it). A traced frame carries the
-	// wire trace flag and its send timestamp: the server (observability
-	// on) stamps its stages — feeding /spanz and the stage histograms —
-	// and the client-closed decomposition is collected into
-	// LoadResult.Traces. Tracing rides the normal open-loop schedule, so
-	// the samples are a true cross-section of the offered load.
-	TraceEvery int
 
 	// DrainTimeout bounds how long consumers may chase the acked backlog
 	// after producers stop (default 10s). Values still unconsumed at the
@@ -71,16 +62,6 @@ func (cfg *LoadConfig) setDefaults() error {
 	}
 	if cfg.ValueSize < MinValueSize {
 		cfg.ValueSize = MinValueSize
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 1
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 1
-	}
-	if batchBytes := 4 + cfg.Batch*(4+cfg.ValueSize); batchBytes+frameHeader > DefaultMaxFrame {
-		return fmt.Errorf("loadgen: batch of %d %d-byte values (%d bytes encoded) exceeds the %d-byte frame cap",
-			cfg.Batch, cfg.ValueSize, batchBytes, DefaultMaxFrame)
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 32
@@ -124,20 +105,6 @@ type LoadResult struct {
 
 	EnqLatMs []float64 `json:"-"` // scheduled-send to enqueue-ack, ms
 	E2ELatMs []float64 `json:"-"` // scheduled-send to consumer-dequeue, ms
-
-	Traces []TraceSample `json:"-"` // closed spans of the traced enqueue frames (TraceEvery > 0)
-}
-
-// TraceSample is one traced enqueue frame's closed span from the load
-// generator's vantage: the client-side stage decomposition plus the
-// open-loop schedule stamp, so the sample decomposes the same
-// scheduled-send-to-ack metric the EnqLatMs percentiles report —
-// TotalMs = SchedMs (client pacing + window wait) + RTTMs, and RTTMs
-// itself splits into the server stages + NetMs.
-type TraceSample struct {
-	TraceStages
-	SchedMs float64 `json:"sched_ms"` // scheduled send to actual send
-	TotalMs float64 `json:"total_ms"` // scheduled send to ack receive
 }
 
 // AchievedRate returns acknowledged enqueues per second over the producing
@@ -154,19 +121,15 @@ func (r *LoadResult) AchievedRate() float64 {
 // nothing was delivered twice.
 func (r *LoadResult) Conserved() bool { return r.Lost == 0 && r.Dup == 0 }
 
-// enqMeta tags an in-flight enqueue frame with its identity and schedule
-// slot. A batch frame covers the count consecutive sequences starting at
-// seq; its one ack (or rejection) covers them all. Metas live in a
-// fixed per-producer slab that doubles as the in-flight window: the
-// producer takes one to send a frame (blocking when all are out), the
-// collector returns it once the frame's fate is recorded — so pacing
-// allocates no per-frame metadata and boxes no interface values.
+// enqMeta tags an in-flight enqueue frame with its sequence number and
+// schedule slot. Metas live in a fixed per-producer slab that doubles as
+// the in-flight window: the producer takes one to send a frame (blocking
+// when all are out), the collector returns it once the frame's fate is
+// recorded — so pacing allocates no per-frame metadata and boxes no
+// interface values.
 type enqMeta struct {
-	seq    int64
-	count  int
-	sched  time.Time
-	traced bool  // the frame carries the wire trace flag
-	sendNs int64 // the traced frame's actual send stamp
+	seq   int64
+	sched time.Time
 }
 
 // producerState accumulates one producer connection's outcome. The
@@ -174,7 +137,6 @@ type enqMeta struct {
 type producerState struct {
 	acked    []atomic.Bool // seq -> acknowledged
 	latMs    []float64
-	traces   []TraceSample
 	offered  int64
 	ackCount int64
 	busy     int64
@@ -204,18 +166,17 @@ func RunLoad(addr string, cfg LoadConfig) (*LoadResult, error) {
 	}
 
 	// Generous over-allocation of the per-producer sequence space: pacing
-	// can only fire the planned number of bursts (catch-up bursts replace
-	// skipped slots, they do not add any). One tick carries Burst frames of
-	// Batch values each, so the tick gap scales with both.
+	// can only fire the planned number of frames (catch-up sends replace
+	// skipped slots, they do not add any).
 	perProducer := float64(cfg.Rate) / float64(cfg.Producers)
-	gap := time.Duration(float64(cfg.Burst*cfg.Batch) / perProducer * float64(time.Second))
+	gap := time.Duration(float64(time.Second) / perProducer)
 	if gap <= 0 {
 		gap = time.Nanosecond
 	}
-	maxSeq := int64(perProducer*cfg.Duration.Seconds()) + int64(2*cfg.Burst*cfg.Batch) + 16
+	maxSeq := int64(perProducer*cfg.Duration.Seconds()) + 16
 
 	// The nonce stamps every value this run produces. Without it, a second
-	// qload run against a server still holding an interrupted run's backlog
+	// run against a server still holding an interrupted run's backlog
 	// would mistake the leftovers for its own keys and report phantom
 	// duplicates.
 	nonce := uint64(time.Now().UnixNano())
@@ -246,9 +207,6 @@ func RunLoad(addr string, cfg LoadConfig) (*LoadResult, error) {
 		ps := &producerState{
 			acked: make([]atomic.Bool, maxSeq),
 			latMs: make([]float64, 0, maxSeq),
-		}
-		if cfg.TraceEvery > 0 {
-			ps.traces = make([]TraceSample, 0, maxSeq/int64(cfg.Batch*cfg.TraceEvery)+1)
 		}
 		prods[p] = ps
 		prodWG.Add(1)
@@ -307,7 +265,6 @@ func RunLoad(addr string, cfg LoadConfig) (*LoadResult, error) {
 		res.Busy += ps.busy
 		res.Errors += ps.errs
 		res.EnqLatMs = append(res.EnqLatMs, ps.latMs...)
-		res.Traces = append(res.Traces, ps.traces...)
 		for seq := int64(0); seq < ps.offered; seq++ {
 			if !ps.acked[seq].Load() {
 				continue
@@ -363,122 +320,54 @@ func runProducer(addr string, cfg LoadConfig, p int, ps *producerState, nonce ui
 		defer collectorWG.Done()
 		for cl := range done {
 			meta := cl.tag.(*enqMeta)
-			n := int64(meta.count)
-			f := cl.f
-			if meta.traced && cl.err == nil {
-				// Normalize the traced reply and close the span. A parse
-				// failure degrades the frame to an error below rather than
-				// aborting the run.
-				nf, stamps, sampledByServer, perr := splitTracedReply(cl.f)
-				if perr != nil {
-					f = frame{id: cl.f.id, kind: StatusErr}
-				} else {
-					f = nf
-					if f.kind == StatusOK {
-						recv := cl.recvNs
-						if recv == 0 {
-							recv = time.Now().UnixNano() // plain reply: unstamped
-						}
-						opName := "enqueue"
-						if meta.count > 1 {
-							opName = "batch"
-						}
-						st := traceStagesFrom(opName, meta.sendNs, recv, stamps, sampledByServer)
-						sched := float64(meta.sendNs-meta.sched.UnixNano()) / 1e6
-						if sched < 0 {
-							sched = 0
-						}
-						ps.traces = append(ps.traces, TraceSample{
-							TraceStages: st,
-							SchedMs:     sched,
-							TotalMs:     sched + st.RTTMs,
-						})
-					}
-				}
-			}
 			switch {
 			case cl.err != nil:
-				ps.errs += n
-			case f.kind == StatusOK:
-				lat := float64(time.Since(meta.sched)) / float64(time.Millisecond)
-				for k := int64(0); k < n; k++ {
-					ps.acked[meta.seq+k].Store(true)
-					ps.latMs = append(ps.latMs, lat)
-				}
-				ps.ackCount += n
-				ackedTotal.Add(n)
-			case f.kind == StatusBusy:
-				ps.busy += n
+				ps.errs++
+			case cl.f.kind == StatusOK:
+				ps.acked[meta.seq].Store(true)
+				ps.latMs = append(ps.latMs, float64(time.Since(meta.sched))/float64(time.Millisecond))
+				ps.ackCount++
+				ackedTotal.Add(1)
+			case cl.f.kind == StatusBusy:
+				ps.busy++
 			default:
-				ps.errs += n
+				ps.errs++
 			}
 			putCall(cl)
 			tokens <- meta // frees the window slot; the meta is reused
 		}
 	}()
 
-	seq, broken := int64(0), false
-	frames := int64(0) // frames sent, for the TraceEvery sampling stride
-	// One value buffer per batch slot, reused across frames: both the
-	// single-op path (the client copies into its write buffer) and
-	// encodeBatch copy the bytes out before start returns.
-	values := make([][]byte, cfg.Batch)
-	for i := range values {
-		values[i] = make([]byte, cfg.ValueSize)
-		binary.BigEndian.PutUint64(values[i][16:24], nonce)
+	// One value buffer, reused across frames: the client copies it into
+	// its write buffer before startParts returns. The queue-id prefix is
+	// fixed per connection, so it is encoded once (empty for queue 0).
+	value := make([]byte, cfg.ValueSize)
+	binary.BigEndian.PutUint64(value[16:24], nonce)
+	op, pre := OpEnqueue, []byte(nil)
+	if qid != 0 {
+		op |= OpQueueFlag
+		pre = binary.BigEndian.AppendUint32(nil, qid)
 	}
-	// prefixBuf holds the frame's wire prefixes — trace stamp first, then
-	// queue id, matching decodeOp's stripping order — assembled in place so
-	// a traced qualified frame costs no more encode allocations than a
-	// plain one (the client copies the parts into its own scratch).
-	var prefixBuf [traceStampLen + queueIDLen]byte
+	seq, broken := int64(0), false
 	next := time.Now()
-pacing:
-	for time.Now().Before(deadline) && seq+int64(cfg.Burst*cfg.Batch) < int64(len(ps.acked)) {
+	for time.Now().Before(deadline) && seq < int64(len(ps.acked)) {
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
-		sched := next
-		for b := 0; b < cfg.Burst; b++ {
-			meta := <-tokens // blocks when the window is full; the delay lands in the latency
-			for k := range values {
-				binary.BigEndian.PutUint64(values[k][0:8], loadKey(p, seq+int64(k)))
-				binary.BigEndian.PutUint64(values[k][8:16], uint64(sched.UnixNano()))
-			}
-			*meta = enqMeta{seq: seq, count: cfg.Batch, sched: sched}
-			op := OpEnqueue
-			if cfg.Batch > 1 {
-				op = OpEnqueueBatch
-			}
-			pre := prefixBuf[:0]
-			if cfg.TraceEvery > 0 && frames%int64(cfg.TraceEvery) == 0 {
-				meta.traced = true
-				meta.sendNs = time.Now().UnixNano()
-				op |= OpTraceFlag
-				pre = binary.BigEndian.AppendUint64(pre, uint64(meta.sendNs))
-			}
-			if qid != 0 {
-				op |= OpQueueFlag
-				pre = binary.BigEndian.AppendUint32(pre, qid)
-			}
-			frames++
-			var err error
-			if cfg.Batch == 1 {
-				_, err = c.startParts(op, done, meta, pre, values[0])
-			} else {
-				_, err = c.startBatch(op, pre, values, done, meta)
-			}
-			if err != nil {
-				tokens <- meta
-				ps.errs += int64(cfg.Batch)
-				broken = true
-				break pacing
-			}
-			ps.offered += int64(cfg.Batch)
-			seq += int64(cfg.Batch)
+		meta := <-tokens // blocks when the window is full; the delay lands in the latency
+		binary.BigEndian.PutUint64(value[0:8], loadKey(p, seq))
+		binary.BigEndian.PutUint64(value[8:16], uint64(next.UnixNano()))
+		*meta = enqMeta{seq: seq, sched: next}
+		if _, err := c.startParts(op, done, meta, pre, value); err != nil {
+			tokens <- meta
+			ps.errs++
+			broken = true
+			break
 		}
+		ps.offered++
+		seq++
 		if err := c.flush(); err != nil {
-			ps.errs += int64(cfg.Batch)
+			ps.errs++
 			broken = true
 			break
 		}
@@ -535,30 +424,13 @@ func runConsumer(addr string, cfg LoadConfig, stop <-chan struct{},
 		consumedOurs.Add(1)
 	}
 	for {
-		var (
-			got int
-			err error
-		)
-		if cfg.Batch > 1 {
-			var vs [][]byte
-			vs, err = c.dequeueBatch(qid, cfg.Batch)
-			for _, v := range vs {
-				record(v)
-			}
-			got = len(vs)
-		} else {
-			var v []byte
-			var ok bool
-			v, ok, err = c.dequeue(qid)
-			if ok {
-				record(v)
-				got = 1
-			}
-		}
+		v, ok, err := c.dequeue(qid)
 		if err != nil {
 			return out, err
 		}
-		if got == 0 {
+		if ok {
+			record(v)
+		} else {
 			select {
 			case <-stop:
 				return out, nil

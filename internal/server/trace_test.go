@@ -396,49 +396,3 @@ func TestMetricszHostileQueueName(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadgenTraceEvery smoke-tests the generator's sampled tracing:
-// conservation still holds, roughly one in TraceEvery acked enqueues
-// comes back with a server-sampled decomposition, and the per-sample
-// arithmetic (total = sched + rtt; stages within rtt) is consistent.
-func TestLoadgenTraceEvery(t *testing.T) {
-	srv, _ := newTestServer(t, 2, nil)
-	res, err := RunLoad(srv.Addr().String(), LoadConfig{
-		Rate:       2000,
-		Duration:   500 * time.Millisecond,
-		Producers:  2,
-		Consumers:  2,
-		TraceEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Conserved() {
-		t.Fatalf("conservation violated: lost=%d dup=%d", res.Lost, res.Dup)
-	}
-	if len(res.Traces) == 0 {
-		t.Fatal("TraceEvery produced no trace samples")
-	}
-	// Every 4th frame is flagged; all acked flagged frames must close.
-	if maxWant := res.Acked/4 + 2; int64(len(res.Traces)) > maxWant {
-		t.Errorf("%d traces from %d acked enqueues at 1/4 sampling", len(res.Traces), res.Acked)
-	}
-	for i, s := range res.Traces {
-		if !s.ServerSampled {
-			t.Fatalf("trace %d not server-sampled against an obs-on server: %+v", i, s)
-		}
-		if s.Op != "enqueue" {
-			t.Fatalf("trace %d op = %q", i, s.Op)
-		}
-		if s.TotalMs < s.RTTMs-1e-6 || s.TotalMs < s.SchedMs-1e-6 {
-			t.Fatalf("trace %d total %.4f below its parts (sched %.4f, rtt %.4f)",
-				i, s.TotalMs, s.SchedMs, s.RTTMs)
-		}
-		if sum := s.WaitMs + s.FabricMs + s.ReplyMs; sum > s.ServerMs+1e-6 {
-			t.Fatalf("trace %d stage sum %.4f exceeds server window %.4f", i, sum, s.ServerMs)
-		}
-	}
-	if snap := srv.Snapshot(); snap.Obs == nil || snap.Obs.Spans == 0 {
-		t.Error("no spans landed in the server reservoir")
-	}
-}

@@ -84,8 +84,8 @@
 //	v2, ok, err := jobs.Dequeue()
 //	err = c.Delete("jobs") // explicit teardown; stale ids then fail loudly
 //
-// (cmd/queued serves a standalone instance; cmd/qload load-tests it,
-// including a multi-tenant sweep mode.)
+// (cmd/queued serves a standalone instance; the repo benchmark,
+// bash bench/run.sh, load-tests it.)
 //
 // See README.md for the tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the reproduction results.

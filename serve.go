@@ -86,8 +86,8 @@ func WithServeQueueIdleTimeout(d time.Duration) ServeOption {
 // through ServerSnapshot's obs block and per-queue latency summaries, and
 // through the server's /metricsz (Prometheus text), /tracez, and /spanz
 // (JSON) HTTP handlers. Recording is lock-free and allocation-free on the
-// hot path for untraced frames; the measured budget (experiments T15,
-// T16) is under 3% CPU cost per operation. Off, snapshots revert to the
+// hot path for untraced frames; the measured budget (experiment T15) is
+// under 3% CPU cost per operation. Off, snapshots revert to the
 // pre-observability JSON shape and traced frames are answered plain.
 func WithObservability(on bool) ServeOption { return server.WithObservability(on) }
 
