@@ -1,22 +1,22 @@
 package bounded
 
 // Allocation regression gates for the bounded variant. Every block a node
-// installs costs one 56-byte version header of the block store
-// (internal/pbst: lo, hi, the first and last values, the trie root and
-// shift, and a pointer to the tail chunk, whose slots the versions share)
-// plus an amortised 1/16 of a chunk push, which allocates the next tail
-// chunk and copies the trie path in 128-byte branches. Published blocks are
-// heap objects of their own: a pointer-free 48-byte block at an internal
-// node, which the Go collector never scans, and a leafBlock at a leaf (112
-// bytes for an int payload). Only internal Refresh candidates that lost
-// their CAS come back through the arena (pool.go). An Enqueue;Dequeue pair
-// installs one block per level per op, so the floor is 2 allocations per
-// level per op and grows with log2 p. The gate pins that floor at two tree
-// heights, which catches a second header copy per install or a per-op block
-// allocation creeping in, and pins the bytes, which catch a header, chunk,
-// branch or internal block growing; TestBlockPointerFree keeps internal
-// blocks out of the scanned size classes, and the white-box tests check
-// recycling fires at all.
+// installs costs one 24-byte version of the block store (internal/pbst: the
+// largest key and value, and a pointer to the base that the versions of one
+// tail chunk share) plus an amortised 1/16 of a chunk push, which allocates
+// the next base and tail chunk and copies the trie path in 128-byte
+// branches. An internal node's block is a pointer-free 48-byte block, which
+// the Go collector never scans, carved from a per-handle slab of 64 blocks
+// that holds one node's blocks (pool.go), so it costs 1/64 of an
+// allocation; a Refresh candidate that lost its CAS is un-carved. A leaf's
+// block is a leafBlock heap object of its own (112 bytes for an int
+// payload). An Enqueue;Dequeue pair installs one block per level per op, so
+// the floor is one version per level per op plus one leaf block per op,
+// and grows with log2 p. The gate pins that floor at three tree heights,
+// which catches a second object per install creeping in, and pins the
+// bytes, which catch a version, base, chunk, branch or block growing;
+// TestBlockPointerFree keeps internal blocks out of the scanned size
+// classes, and the white-box tests check the un-carve.
 
 import (
 	"fmt"
@@ -31,21 +31,22 @@ import (
 )
 
 func TestAllocsBoundedPair(t *testing.T) {
-	// Measured 13, 17 and 21 allocs per pair at p = 4, 8 and 16: 3, 4 and 5
-	// levels x 2 ops x (block + header), the rest chunk pushes and, at p=4,
-	// the tail chunk a GC phase's DropBelow copies when it cuts inside the
-	// tail. Measured 939, 1,194 and 1,509 bytes per pair: a 48-byte block
-	// per internal level, a leafBlock at the leaf, a 56-byte header per
-	// install and the amortised chunk push. The byte ceilings are those
-	// +10%. p=4 is the tree a shard fabric starts with, p=8 the one
-	// lib-bounded-prodcons's shards grow to, and p=17 the one a fabric
-	// grows to at its default cap (16 leasable slots plus the maintenance
-	// slot): handle 0 sits at depth 4, as at p=16, and measures 21 allocs
-	// and 1,491 bytes, so it gets p=16's ceilings.
+	// Measured 9, 11 and 14 allocs per pair at p = 4, 8 and 16: 3, 4 and 5
+	// levels x 2 ops of one version each, a leaf block per op, the rest
+	// chunk pushes and, at p=4, the tail chunk a GC phase's DropBelow
+	// copies when it cuts inside the tail. Measured 720, 901 and 1,142
+	// bytes per pair: a 24-byte version per install, a 48-byte slab block
+	// per internal level, a leafBlock at the leaf and the amortised chunk
+	// push. The allocation ceilings are the measured counts and the byte
+	// ceilings those +10%. p=4 is the tree a shard fabric starts with, p=8
+	// the one lib-bounded-prodcons's shards grow to, and p=17 the one a
+	// fabric grows to at its default cap (16 leasable slots plus the
+	// maintenance slot): handle 0 sits at depth 4, as at p=16, and measures
+	// 14 allocs and 1,124 bytes, so it gets p=16's ceilings.
 	for _, c := range []struct {
 		procs          int
 		ceiling, bytes float64
-	}{{4, 13, 1033}, {8, 17, 1313}, {16, 22, 1660}, {17, 22, 1660}} {
+	}{{4, 9, 792}, {8, 11, 991}, {16, 14, 1256}, {17, 14, 1256}} {
 		t.Run(fmt.Sprintf("p%d", c.procs), func(t *testing.T) {
 			q, err := New[int](c.procs)
 			if err != nil {
@@ -116,7 +117,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestAllocsBoundedBatchPair pins what one EnqueueBatch(m) +
 // DequeueBatchAppend(m) pair costs at p=16, depth 1024. Steps are counted
 // per value, each enqueued or dequeued value being one op. Measured at m=32:
-// 24 allocs and 7.42 steps per value, because a batch reads its values leaf
+// 17 allocs and 7.42 steps per value, because a batch reads its values leaf
 // block by leaf block. At m=1 the walk makes FindResponse's calls exactly,
 // and a single goroutine makes the count exact: 645,579 steps over 2,000
 // values.
@@ -124,8 +125,8 @@ func TestAllocsBoundedBatchPair(t *testing.T) {
 	h, pair := batchPair(t, 32)
 	avg := testing.AllocsPerRun(1000, pair)
 	t.Logf("m=32: %.2f allocs per pair", avg)
-	if avg > 26 {
-		t.Errorf("allocs per bounded batch pair at m=32 = %.2f, want <= 26", avg)
+	if avg > 18 {
+		t.Errorf("allocs per bounded batch pair at m=32 = %.2f, want <= 18", avg)
 	}
 	if steps, vals := countSteps(h, pair); steps > 12*vals {
 		t.Errorf("steps per value at m=32 = %.2f, want <= 12", float64(steps)/float64(vals))
@@ -172,26 +173,40 @@ func countSteps(h *Handle[int], pair func()) (steps, vals int64) {
 	return c.TotalSteps(), c.TotalOps()
 }
 
-// TestAllocsArenaReuse checks the arena mechanics deterministically: a
-// recycled internal block is reused and fully reset.
+// TestAllocsArenaReuse checks the arena mechanics deterministically: blocks
+// come from one slab per level in carve order, and a recycled block is
+// un-carved, so it is the next block carved at its level and comes back
+// zeroed, also when it was the first block of a fresh slab.
 func TestAllocsArenaReuse(t *testing.T) {
-	q, err := New[int](2)
+	q, err := New[int](4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := q.MustHandle(0)
-	b1 := h.newBlock()
+	v := h.leaf.parent
+	b1 := h.newBlock(v)
 	*b1 = block{index: 9, sumEnq: 5, sumDeq: 4, endLeft: 3, endRight: 2, size: 1}
-	h.recycle(b1)
-	b2 := h.newBlock()
-	if b2 != b1 {
-		t.Fatal("recycled block not reused")
+	h.recycle(v, b1)
+	if b2 := h.newBlock(v); b2 != b1 || *b2 != (block{}) {
+		t.Fatalf("carve after recycle handed out %p (%+v), want the recycled %p zeroed", b2, *b2, b1)
 	}
-	if *b2 != (block{}) {
-		t.Fatalf("recycled block not reset: %+v", *b2)
+	if r := h.newBlock(q.root); r == &h.slabs[v.depth].blocks[1] {
+		t.Fatal("the root's block came from its child's slab")
 	}
-	if b3 := h.newBlock(); b3 == b1 || *b3 != (block{}) {
-		t.Fatalf("empty spare slot handed out %p (%+v), want a fresh zeroed block", b3, *b3)
+	for i := 1; i < slabBlocks; i++ {
+		if b := h.newBlock(v); b != &h.slabs[v.depth].blocks[i] || *b != (block{}) {
+			t.Fatalf("carve %d handed out %p (%+v), want slot %d of the level's slab, zeroed", i, b, *b, i)
+		}
+	}
+	full := h.slabs[v.depth].blocks
+	fresh := h.newBlock(v)
+	if h.slabs[v.depth].blocks == full || fresh != &h.slabs[v.depth].blocks[0] {
+		t.Fatal("a used-up slab was not replaced by a fresh one")
+	}
+	fresh.index = 7
+	h.recycle(v, fresh)
+	if b := h.newBlock(v); b != fresh || *b != (block{}) {
+		t.Fatalf("carve after recycling a slab's first block handed out %p (%+v), want %p zeroed", b, *b, fresh)
 	}
 }
 
@@ -271,8 +286,8 @@ func TestDroppedQueueCollected(t *testing.T) {
 // TestAllocsRefreshFailureRecycles drives refresh's CAS-failure path, which
 // uniprocessor scheduling essentially never hits naturally: a handle reads
 // the root tree, another handle's operation swings the pointer, and the
-// first handle's candidate must come back through the arena instead of
-// becoming garbage.
+// first handle's candidate must be un-carved: the next block carved at the
+// root is that candidate, zeroed.
 func TestAllocsRefreshFailureRecycles(t *testing.T) {
 	q, err := New[int](2)
 	if err != nil {
@@ -306,10 +321,12 @@ func TestAllocsRefreshFailureRecycles(t *testing.T) {
 	if h0.casTree(root, tStale, t2) {
 		t.Fatal("stale CAS unexpectedly succeeded")
 	}
-	h0.recycle(b)
-	if h0.spare != b {
-		t.Fatal("candidate not recycled into the spare slot")
+	b.size = 5 // recycling must clear what createBlock wrote
+	h0.recycle(root, b)
+	if nb := h0.newBlock(root); nb != b || *nb != (block{}) {
+		t.Fatalf("next carve at the root handed out %p (%+v), want the recycled candidate %p zeroed", nb, *nb, b)
 	}
+	h0.recycle(root, b)
 	// The queue must still be fully functional with the recycled candidate
 	// back in circulation.
 	h0.Enqueue(3)

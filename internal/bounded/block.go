@@ -12,8 +12,9 @@ import (
 // tree on endleft/endright.
 //
 // block holds only the fields internal nodes use, and none of them is a
-// pointer: at 48 bytes it lands in a size class the Go collector never
-// scans, and internal-node blocks are most of what a Refresh allocates.
+// pointer: the slabs internal-node blocks are carved from (pool.go) are
+// memory the Go collector never scans, and internal-node blocks are most of
+// what a Refresh installs.
 // Leaf blocks extend it with their operations (leafBlock), so every node's
 // store is one pbst.Seq[block].
 type block struct {
@@ -68,8 +69,8 @@ type leafBlock[T any] struct {
 // block in a leaf node's store, the index-0 sentinel buildTree makes
 // included, is the head of a leafBlock[T] allocation, so the conversion
 // only ever widens b to the object it was allocated as. b must come from a
-// leaf's store; an internal node's block is a bare 48-byte allocation, and
-// the race detector's checkptr instrumentation rejects widening one.
+// leaf's store; an internal node's block is a bare 48-byte slab element,
+// and widening one would read its slab neighbours as leaf fields.
 func leafOf[T any](b *block) *leafBlock[T] {
 	return (*leafBlock[T])(unsafe.Pointer(b))
 }

@@ -6,6 +6,7 @@ package bounded
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -178,5 +179,64 @@ func TestLastArrayMonotone(t *testing.T) {
 	}
 	if prev == 0 {
 		t.Fatal("last[0] never advanced despite non-null dequeues")
+	}
+}
+
+// TestSpaceIdleSubtree is Theorem 31 as a statement about the heap, slabs
+// included: at a fixed backlog, the live heap must not grow with the number
+// of operations. A slab lives while any block in it does (pool.go), so the
+// test idles a whole subtree after warm-up: both leaves under one parent
+// stop, and their handles keep slabs at every level of their path while
+// the active handles' GC phases drop the blocks in them. The heap is read
+// after two collections at 50k and at 500k operations.
+func TestSpaceIdleSubtree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory swamps HeapAlloc")
+	}
+	const procs, backlog, slack = 8, 1000, 256 << 10
+	q, err := New[int](procs, WithGCInterval(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.leaves[0].parent != q.leaves[1].parent {
+		t.Fatal("leaves 0 and 1 do not share a parent")
+	}
+	handles := make([]*Handle[int], procs)
+	for i := range handles {
+		handles[i] = q.MustHandle(i)
+	}
+	for i := range backlog {
+		handles[i%procs].Enqueue(i)
+	}
+	ops := 0
+	run := func(hs []*Handle[int], until int) {
+		for ops < until {
+			for _, h := range hs {
+				h.Enqueue(ops)
+				if _, ok := h.Dequeue(); !ok {
+					t.Fatalf("op %d: a dequeue on a backlog of %d found the queue empty", ops, backlog)
+				}
+				ops += 2
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	run(handles, 10_000)
+	active := handles[2:]
+	run(active, 50_000)
+	at50k := liveHeap()
+	run(active, 500_000)
+	at500k := liveHeap()
+	runtime.KeepAlive(q)
+	t.Logf("live heap %d bytes at 50k ops, %d at 500k", at50k, at500k)
+	if at500k > at50k+slack {
+		t.Errorf("live heap grew from %d to %d bytes between 50k and 500k ops at a fixed backlog, want at most %d more",
+			at50k, at500k, slack)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build !race
+
+package bounded
+
+// raceEnabled reports a -race build, whose shadow memory makes heap figures
+// meaningless.
+const raceEnabled = false

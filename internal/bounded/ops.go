@@ -193,7 +193,7 @@ func (h *Handle[T]) refresh(v *node) bool {
 	}
 	// The candidate was only reachable from t2, which just lost the CAS
 	// and is discarded along with it — b is still private and recyclable.
-	h.recycle(b)
+	h.recycle(v, b)
 	return false
 }
 
@@ -213,7 +213,7 @@ func (h *Handle[T]) createBlock(v *node, t *blockTree, prev *block) *block {
 	if sumEnq == prev.sumEnq && sumDeq == prev.sumDeq {
 		return nil
 	}
-	b := h.newBlock()
+	b := h.newBlock(v)
 	b.index = prev.index + 1
 	b.endLeft = lastLeft.index
 	b.endRight = lastRight.index

@@ -47,11 +47,16 @@ type node struct {
 	// only by CAS; readers operate on an immutable snapshot.
 	blocks atomic.Pointer[blockTree]
 
+	// depth is the node's distance from the root. A handle's path holds one
+	// node per depth, so it picks the slab the node's blocks come from
+	// (pool.go).
+	depth int
+
 	// Pad to 128 bytes (two cache lines): the hot tree pointer above takes
 	// a CAS from every Refresh, and without padding nodes allocated
 	// back-to-back false-share under concurrent propagation. 3 pointers +
-	// atomic.Pointer = 32 bytes.
-	_ [128 - 32]byte
+	// atomic.Pointer + depth = 40 bytes.
+	_ [128 - 40]byte
 }
 
 func (n *node) isLeaf() bool { return n.left == nil }
@@ -123,7 +128,7 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	}
 	q.handles = make([]Handle[T], procs)
 	for i := 0; i < procs; i++ {
-		q.handles[i] = Handle[T]{queue: q, leaf: leaves[i], id: i}
+		q.handles[i] = Handle[T]{queue: q, leaf: leaves[i], id: i, slabs: make([]slab, leaves[i].depth)}
 	}
 	return q, nil
 }
@@ -152,7 +157,7 @@ func DefaultGCInterval(procs int) int64 {
 func buildTree[T any](numLeaves int) (*node, []*node) {
 	nodes := make([]*node, 2*numLeaves)
 	for i := len(nodes) - 1; i >= 1; i-- {
-		n := &node{}
+		n := &node{depth: bits.Len(uint(i)) - 1}
 		sentinel := &block{}
 		if i >= numLeaves {
 			sentinel = &new(leafBlock[T]).block
@@ -236,9 +241,9 @@ type Handle[T any] struct {
 	id      int
 	counter *metrics.Counter
 
-	// spare holds a recycled candidate block private to this handle; see
-	// pool.go.
-	spare *block
+	// slabs[d] is the bump slab the handle carves its blocks for the node
+	// at depth d on its path from; see pool.go.
+	slabs []slab
 
 	// rootHint is the index of the root block this handle's previous root
 	// search found, where its next one starts (completeDeqN). It is the

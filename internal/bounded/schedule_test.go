@@ -12,6 +12,7 @@ package bounded
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -123,7 +124,18 @@ func exploreBoundedSchedule(t *testing.T, rng *rand.Rand, procs, opsPerProc int,
 			continue
 		}
 		if rng.Intn(3) == 0 {
-			handles[rng.Intn(procs)].refresh(internals[rng.Intn(len(internals))])
+			// A process refreshes only nodes on its own path, whose blocks
+			// its arena carves (pool.go); every handle under a node takes
+			// the same steps there, so the refresh runs on the handle of
+			// the node's leftmost leaf. The handle draw stays so that each
+			// trial's seed keeps its schedule.
+			rng.Intn(procs)
+			v := internals[rng.Intn(len(internals))]
+			leftmost := v
+			for !leftmost.isLeaf() {
+				leftmost = leftmost.left
+			}
+			handles[slices.Index(q.leaves, leftmost)].refresh(v)
 			continue
 		}
 		p := rng.Intn(procs)

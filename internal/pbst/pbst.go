@@ -9,13 +9,16 @@
 // are dense consecutive block indices, the only insert is at max+1, the only
 // delete is a prefix, and lookups are by index. Seq is specialised to
 // exactly that: a radix trie of full 16-slot chunks addressed by the key's
-// digits, plus the chunk containing the largest key (the tail), which the
-// version header points at. The largest value itself lives only in the
-// header. A trie branch is 16 untyped child pointers (128 bytes): its level
-// says whether they are branches or chunks, so copying a path moves one
-// 128-byte branch per level. Appending copies a 7-word header, writes the
-// previous largest value into its tail slot, and touches the trie once per
-// 16 appends; dropping a prefix copies the chunk at the new minimum and the
+// digits, plus the chunk containing the largest key (the tail). A version is
+// three words: its largest key and value, and a pointer to a base holding
+// the smallest key and value, the trie and the tail. The largest value lives
+// only in the version. The versions whose largest keys share one tail chunk
+// share one base, so appending allocates one 24-byte version, writes the
+// previous largest value into its tail slot, and only on the key that starts
+// a chunk also makes a new base, tail chunk and trie path. A trie branch is
+// 16 untyped child pointers (128 bytes): its level says whether they are
+// branches or chunks, so copying a path moves one 128-byte branch per level.
+// Dropping a prefix copies the base, the chunk at the new minimum and the
 // path to it and clears what lies left of it, so a dropped value is
 // unreachable from the new version and the Go GC can reclaim it.
 //
@@ -56,11 +59,19 @@ const (
 //     has a fresh tail.)
 //
 // Shared memory therefore only ever receives the receiver's already
-// published largest value; the value an Append adds lives in the new header
-// alone until that header is extended in turn.
+// published largest value; the value an Append adds lives in the new version
+// alone until that version is extended in turn.
 type Seq[E any] struct {
-	lo, hi      int64
-	first, last *E // the values at lo and hi, so that Min and Max are O(1)
+	hi   int64
+	last *E // the value at hi, so that Max is O(1)
+	*base[E]
+}
+
+// base is the part of a version that the versions extended from it share
+// until their largest key starts a new chunk.
+type base[E any] struct {
+	lo    int64
+	first *E // the value at lo, so that Min is O(1)
 
 	// root holds the chunks left of the tail, i.e. the keys
 	// lo .. hi&^chunkMask-1, and is nil when there are none. It is the
@@ -71,9 +82,10 @@ type Seq[E any] struct {
 	root  *branch[E]
 	shift uint
 
-	// tail is the chunk containing hi: the value of key k < hi sits in slot
-	// k&chunkMask, and slots below lo are nil. The slots from hi&chunkMask
-	// up are written by the versions extended from this one.
+	// tail is the chunk containing the hi of every version sharing this
+	// base: the value of key k < hi sits in slot k&chunkMask, and slots
+	// below lo are nil. The slots from hi&chunkMask up are written by the
+	// versions extended from that one.
 	tail *chunk[E]
 }
 
@@ -111,7 +123,7 @@ func (s *Seq[E]) Append(key int64, val *E) *Seq[E] {
 		if key < 0 {
 			panic(fmt.Sprintf("pbst: negative key %d", key))
 		}
-		return &Seq[E]{lo: key, hi: key, first: val, last: val, tail: new(chunk[E])}
+		return &Seq[E]{hi: key, last: val, base: &base[E]{lo: key, first: val, tail: new(chunk[E])}}
 	}
 	if key != s.hi+1 {
 		panic(fmt.Sprintf("pbst: Append key %d, want %d", key, s.hi+1))
@@ -119,13 +131,11 @@ func (s *Seq[E]) Append(key int64, val *E) *Seq[E] {
 	if slot := &s.tail[s.hi&chunkMask]; !slot.CompareAndSwap(nil, s.last) && slot.Load() != s.last {
 		panic(fmt.Sprintf("pbst: Append at key %d extends a version whose sibling was extended first", key))
 	}
-	n := *s
-	n.hi, n.last = key, val
-	if key&chunkMask == 0 {
-		n.root, n.shift = s.withTailPushed()
-		n.tail = new(chunk[E])
+	if key&chunkMask != 0 {
+		return &Seq[E]{hi: key, last: val, base: s.base}
 	}
-	return &n
+	root, shift := s.withTailPushed()
+	return &Seq[E]{hi: key, last: val, base: &base[E]{lo: s.lo, first: s.first, root: root, shift: shift, tail: new(chunk[E])}}
 }
 
 // withTailPushed returns s's trie with its (now full) tail chunk added as a
@@ -171,7 +181,7 @@ func (s *Seq[E]) DropBelow(bound int64) *Seq[E] {
 	if bound > s.hi {
 		return nil
 	}
-	n := *s
+	n := *s.base
 	n.lo = bound
 	n.first = s.at(bound)
 	tailStart := s.hi &^ chunkMask
@@ -180,14 +190,14 @@ func (s *Seq[E]) DropBelow(bound int64) *Seq[E] {
 		if j := bound & chunkMask; j != 0 {
 			n.tail = s.tail.slice(j, s.hi&chunkMask)
 		}
-		return &n
+	} else {
+		for n.shift > chunkBits && bound>>n.shift == (tailStart-1)>>n.shift {
+			n.root = n.root.sub((bound >> n.shift) & chunkMask)
+			n.shift -= chunkBits
+		}
+		n.root = n.root.withoutBelow(n.shift, bound)
 	}
-	for n.shift > chunkBits && bound>>n.shift == (tailStart-1)>>n.shift {
-		n.root = n.root.sub((bound >> n.shift) & chunkMask)
-		n.shift -= chunkBits
-	}
-	n.root = n.root.withoutBelow(n.shift, bound)
-	return &n
+	return &Seq[E]{hi: s.hi, last: s.last, base: &n}
 }
 
 // withoutBelow returns a copy of b at the given shift with everything left

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -549,8 +550,8 @@ func TestQuickDropBelowPartition(t *testing.T) {
 
 // TestReclamation is Theorem 31 as a statement about memory: the blocks a GC
 // phase drops are not merely uncounted by Size, they are unreachable from
-// the installed version (check looks through every chunk, the tail and the
-// header), whichever level of the structure the cut falls in.
+// the installed version (check looks through every chunk, the tail, the
+// version and its base), whichever level of the structure the cut falls in.
 func TestReclamation(t *testing.T) {
 	s, m := build(0, 5000, func(k int64) int { return int(k) + 1 })
 	for _, bound := range []int64{1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 4975, 4976, 4990, 4999} {
@@ -567,6 +568,49 @@ func TestBranchSize(t *testing.T) {
 	}
 }
 
+// TestAllocsAppend pins what Append allocates: on a key inside the tail
+// chunk one version of at most 24 bytes, which shares its parent's base; on
+// the key that starts a chunk also a 48-byte base, a 128-byte tail chunk and
+// the trie path the full tail is pushed along, one 128-byte branch per
+// level.
+func TestAllocsAppend(t *testing.T) {
+	e := &entry{}
+	for _, c := range []struct {
+		hi            int64 // largest key of the version appended to
+		allocs, bytes float64
+	}{
+		{100, 1, 24},
+		{255, 4, 24 + 48 + 128 + 128},
+		{767, 5, 24 + 48 + 128 + 2*128},
+	} {
+		s, _ := build(0, c.hi+1, func(k int64) int { return int(k) })
+		var sink *Seq[entry]
+		next := func() { sink = s.Append(c.hi+1, e) }
+		allocs := testing.AllocsPerRun(1000, next)
+		bytes := bytesPerRun(1000, next)
+		if allocs != c.allocs || bytes > c.bytes {
+			t.Errorf("Append(%d): %.2f allocs and %.0f bytes, want %.0f and <= %.0f", c.hi+1, allocs, bytes, c.allocs, c.bytes)
+		}
+		if k, v, _ := sink.Max(); k != c.hi+1 || v != e {
+			t.Fatalf("Append(%d) made a version whose max is %d", c.hi+1, k)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
 func BenchmarkAppendSequential(b *testing.B) {
 	var s *Seq[entry]
 	e := &entry{}
@@ -581,6 +625,7 @@ func BenchmarkAppendSequential(b *testing.B) {
 
 func BenchmarkGet(b *testing.B) {
 	s, _ := build(0, 1<<16, func(k int64) int { return int(k) })
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Get(int64(i) & (1<<16 - 1))

@@ -8,9 +8,9 @@ import (
 
 // TestPoolChurnAcquireRelease hammers lease churn concurrently with queue
 // traffic: every goroutine repeatedly Acquires a handle, pushes a burst of
-// operations through it (exercising the per-sub-handle spare stacks and
-// slabs across lease boundaries — sub-handles are recycled to the next
-// lessee of the slot, spares and all), and Releases. Run under
+// operations through it (exercising the per-sub-handle block arenas
+// across lease boundaries — sub-handles are recycled to the next lessee of
+// the slot, arenas and all), and Releases. Run under
 // -race this is the arena's aliasing test: a block recycled by one lease
 // and reused by the next must never be reachable from two owners at once.
 // The final conservation check catches any value lost or duplicated by a
