@@ -63,7 +63,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7474", "TCP listen address (use port 0 for an ephemeral port)")
 		addrFile  = flag.String("addr-file", "", "write the resolved listen address to this file (for scripts using an ephemeral port)")
 		shards    = flag.Int("shards", 4, "shard count of the backing fabric")
-		backend   = flag.String("backend", "core", "per-shard queue backend: core or bounded")
+		backend   = flag.String("backend", "bounded", "per-shard queue backend: bounded or core")
 		handles   = flag.Int("max-handles", 0, "leasable handle slots = max concurrent sessions (0 = fabric default)")
 		window    = flag.Int("window", 64, "per-connection in-flight request window (overflow gets BUSY; also the most requests one batch pass executes)")
 		idle      = flag.Duration("idle", 2*time.Minute, "reap sessions idle this long (0 disables)")

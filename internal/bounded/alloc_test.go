@@ -1,28 +1,25 @@
 package bounded
 
-// Allocation regression gates for the bounded variant. Every block a node
-// installs costs one 24-byte version of the block store (internal/pbst: the
-// largest key and value, and a pointer to the base that the versions of one
-// tail chunk share) plus an amortised 1/16 of a chunk push, which allocates
-// the next base and tail chunk and copies the trie path in 128-byte
-// branches. An internal node's block is a pointer-free 48-byte block, which
-// the Go collector never scans, carved from a per-handle slab of 64 blocks
-// that holds one node's blocks (pool.go), so it costs 1/64 of an
-// allocation; a Refresh candidate that lost its CAS is un-carved. A leaf's
-// block is a leafBlock heap object of its own (112 bytes for an int
-// payload). An Enqueue;Dequeue pair installs one block per level per op, so
-// the floor is one version per level per op plus one leaf block per op,
-// and grows with log2 p. The gate pins that floor at three tree heights,
-// which catches a second object per install creeping in, and pins the
-// bytes, which catch a version, base, chunk, branch or block growing;
-// TestBlockPointerFree keeps internal blocks out of the scanned size
-// classes, and the white-box tests check the un-carve.
+// Allocation regression gates for the bounded variant. A node's blocks sit
+// in its store's write-once chunks (store.go): an install writes one slot,
+// and a 512-byte chunk is allocated once per 64 installs. An internal
+// node's block is a pointer-free 48-byte block, which the Go collector
+// never scans, carved from a per-handle slab of 64 blocks that holds one
+// node's blocks (pool.go), so it costs 1/64 of an allocation; a Refresh
+// candidate that lost its CAS is un-carved. A leaf's block is a leafBlock
+// heap object of its own (112 bytes for an int payload). An
+// Enqueue;Dequeue pair installs one block per level per op, so the floor is
+// one leaf block per op, and the bytes grow with log2 p: a slab block and
+// 1/64 of a chunk per level. The gate pins that floor at three tree
+// heights, which catches a second object per install creeping in, and pins
+// the bytes, which catch a block or chunk growing; TestBlockPointerFree
+// keeps internal blocks out of the scanned size classes, and the white-box
+// tests check the un-carve.
 
 import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 	"weak"
@@ -31,22 +28,20 @@ import (
 )
 
 func TestAllocsBoundedPair(t *testing.T) {
-	// Measured 9, 11 and 14 allocs per pair at p = 4, 8 and 16: 3, 4 and 5
-	// levels x 2 ops of one version each, a leaf block per op, the rest
-	// chunk pushes and, at p=4, the tail chunk a GC phase's DropBelow
-	// copies when it cuts inside the tail. Measured 720, 901 and 1,142
-	// bytes per pair: a 24-byte version per install, a 48-byte slab block
-	// per internal level, a leafBlock at the leaf and the amortised chunk
-	// push. The allocation ceilings are the measured counts and the byte
-	// ceilings those +10%. p=4 is the tree a shard fabric starts with, p=8
-	// the one lib-bounded-prodcons's shards grow to, and p=17 the one a
-	// fabric grows to at its default cap (16 leasable slots plus the
-	// maintenance slot): handle 0 sits at depth 4, as at p=16, and measures
-	// 14 allocs and 1,124 bytes, so it gets p=16's ceilings.
+	// Measured 2 allocs per pair at p = 4, 8, 16 and 17: the two leaf
+	// blocks; slabs and chunks amortise below one allocation per pair.
+	// Measured 467, 580 and 693 bytes per pair at p = 4, 8 and 16: two
+	// leafBlocks, a 48-byte slab block per internal level per op and the
+	// amortised chunks. The allocation ceilings are the measured counts
+	// and the byte ceilings those +10%. p=4 is the tree a shard fabric
+	// starts with, p=8 the one lib-bounded-prodcons's shards grow to, and
+	// p=17 the one a fabric grows to at its default cap (16 leasable slots
+	// plus the maintenance slot): handle 0 sits at depth 4, as at p=16,
+	// and measures 2 allocs and 693 bytes, so it gets p=16's ceilings.
 	for _, c := range []struct {
 		procs          int
 		ceiling, bytes float64
-	}{{4, 9, 792}, {8, 11, 991}, {16, 14, 1256}, {17, 14, 1256}} {
+	}{{4, 2, 514}, {8, 2, 638}, {16, 2, 762}, {17, 2, 762}} {
 		t.Run(fmt.Sprintf("p%d", c.procs), func(t *testing.T) {
 			q, err := New[int](c.procs)
 			if err != nil {
@@ -116,23 +111,25 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestAllocsBoundedBatchPair pins what one EnqueueBatch(m) +
 // DequeueBatchAppend(m) pair costs at p=16, depth 1024. Steps are counted
-// per value, each enqueued or dequeued value being one op. Measured at m=32:
-// 17 allocs and 7.42 steps per value, because a batch reads its values leaf
+// per value, each enqueued or dequeued value being one op, and every load,
+// store and CAS of a store is counted. Measured at m=32: 4 allocs (the two
+// leaf blocks, the batch's copy of its values and the response's value
+// slice) and 5.77 steps per value, because a batch reads its values leaf
 // block by leaf block. At m=1 the walk makes FindResponse's calls exactly,
-// and a single goroutine makes the count exact: 645,579 steps over 2,000
+// and a single goroutine makes the count exact: 310,883 steps over 2,000
 // values.
 func TestAllocsBoundedBatchPair(t *testing.T) {
 	h, pair := batchPair(t, 32)
 	avg := testing.AllocsPerRun(1000, pair)
 	t.Logf("m=32: %.2f allocs per pair", avg)
-	if avg > 18 {
-		t.Errorf("allocs per bounded batch pair at m=32 = %.2f, want <= 18", avg)
+	if avg > 4 {
+		t.Errorf("allocs per bounded batch pair at m=32 = %.2f, want <= 4", avg)
 	}
 	if steps, vals := countSteps(h, pair); steps > 12*vals {
 		t.Errorf("steps per value at m=32 = %.2f, want <= 12", float64(steps)/float64(vals))
 	}
-	if steps, vals := countSteps(batchPair(t, 1)); steps != 645579 || vals != 2000 {
-		t.Errorf("m=1: %d steps over %d values, want 645579 over 2000", steps, vals)
+	if steps, vals := countSteps(batchPair(t, 1)); steps != 310883 || vals != 2000 {
+		t.Errorf("m=1: %d steps over %d values, want 310883 over 2000", steps, vals)
 	}
 }
 
@@ -225,7 +222,7 @@ func TestLeafOfRoundTrip(t *testing.T) {
 	// check converts leaf i's newest block and tests it with ok.
 	check := func(what string, i int, ok func(*leafBlock[int]) bool) {
 		t.Helper()
-		_, b, _ := q.leaves[i].blocks.Load().Max()
+		b := q.MustHandle(0).newest(q.leaves[i])
 		lb := leafOf[int](b)
 		if &lb.block != b || !ok(lb) {
 			t.Fatalf("leaf %d's %s: %+v element=%d elems=%v isDeq=%v deqCount=%d", i, what,
@@ -285,9 +282,10 @@ func TestDroppedQueueCollected(t *testing.T) {
 
 // TestAllocsRefreshFailureRecycles drives refresh's CAS-failure path, which
 // uniprocessor scheduling essentially never hits naturally: a handle reads
-// the root tree, another handle's operation swings the pointer, and the
-// first handle's candidate must be un-carved: the next block carved at the
-// root is that candidate, zeroed.
+// the root's head, another handle's operation installs a root block in that
+// slot, and the first handle's candidate, built from fresh child heads,
+// must lose its CAS and be un-carved: the next block carved at the root is
+// that candidate, zeroed.
 func TestAllocsRefreshFailureRecycles(t *testing.T) {
 	q, err := New[int](2)
 	if err != nil {
@@ -296,29 +294,22 @@ func TestAllocsRefreshFailureRecycles(t *testing.T) {
 	h0, h1 := q.MustHandle(0), q.MustHandle(1)
 	h0.Enqueue(1) // seed so both root children have history
 
-	var wg sync.WaitGroup
-	// Stage the race: h1 appends at its leaf but we pause it before root
-	// refresh by doing the steps manually — bounded has no stepper, so
-	// instead make h0's view stale: load the root tree, let h1 run a full
-	// op (which refreshes the root), then run h0's refresh from the stale
-	// continuation. refresh reloads internally, so replicate its body with
-	// the stale snapshot to exercise createBlock/addBlock/casTree/recycle
-	// exactly as a preempted refresh would execute them.
+	// Stage the race: h0's Refresh at the root reads the head and the block
+	// below it, then stalls while h1 runs a whole Enqueue, which fills that
+	// slot. Resumed, h0 reads the child heads and runs the rest of
+	// refresh's body: createBlock, then addBlock's CAS, which must lose.
 	root := q.root
-	tStale := h0.loadTree(root)
-	_, lastStale := h0.treeMax(tStale)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		h1.Enqueue(2)
-	}()
-	wg.Wait()
-	b := h0.createBlock(root, tStale, lastStale)
-	if b == nil {
-		t.Fatal("staged refresh found nothing to propagate")
+	hd := h0.readHead(root)
+	prev, err := h0.readBlock(root, hd-1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t2 := h0.addBlock(root, tStale, lastStale, b)
-	if h0.casTree(root, tStale, t2) {
+	h1.Enqueue(2)
+	b, err := h0.createBlock(root, prev, h0.readHead(root.left), h0.readHead(root.right))
+	if err != nil || b == nil {
+		t.Fatalf("staged refresh built no candidate (err %v)", err)
+	}
+	if h0.addBlock(root, prev, b) {
 		t.Fatal("stale CAS unexpectedly succeeded")
 	}
 	b.size = 5 // recycling must clear what createBlock wrote
@@ -327,6 +318,7 @@ func TestAllocsRefreshFailureRecycles(t *testing.T) {
 		t.Fatalf("next carve at the root handed out %p (%+v), want the recycled candidate %p zeroed", nb, *nb, b)
 	}
 	h0.recycle(root, b)
+	h0.casHead(root, hd)
 	// The queue must still be fully functional with the recycled candidate
 	// back in circulation.
 	h0.Enqueue(3)

@@ -5,18 +5,18 @@ import (
 	"unsafe"
 )
 
-// block is one entry of a node's persistent block tree (Figure 5 of the
-// paper). Compared with the unbounded version it carries an explicit index
-// (its position in the conceptual blocks array, which is also its tree key)
-// and drops the super field: superblocks are found by searching the parent's
-// tree on endleft/endright.
+// block is one entry of a node's block store (Figure 5 of the paper).
+// Compared with the unbounded version it carries an explicit index (its
+// position in the node's blocks array) and drops the super field:
+// superblocks are found by searching the parent's blocks on
+// endleft/endright.
 //
 // block holds only the fields internal nodes use, and none of them is a
 // pointer: the slabs internal-node blocks are carved from (pool.go) are
 // memory the Go collector never scans, and internal-node blocks are most of
 // what a Refresh installs.
 // Leaf blocks extend it with their operations (leafBlock), so every node's
-// store is one pbst.Seq[block].
+// store holds *block.
 type block struct {
 	index int64
 

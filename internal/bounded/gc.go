@@ -6,7 +6,7 @@ package bounded
 // node must keep, by tracing the last array's maximum down from the root
 // along endleft/endright indices, (2) helps every pending propagated dequeue
 // compute its response so discarded blocks can no longer be needed, and
-// (3) splits the obsolete prefix off the node's tree (done by the caller,
+// (3) unlinks the obsolete prefix of the node's store (done by the caller,
 // addBlock).
 
 // splitIndex returns the index of the oldest block node v must keep; blocks
@@ -22,34 +22,24 @@ func (h *Handle[T]) splitIndex(v *node) int64 {
 // the node's oldest surviving block is used instead (line 247): that GC
 // already determined everything older is disposable.
 func (h *Handle[T]) splitBlock(v *node) *block {
-	t := h.loadTree(v)
+	var i int64
 	if v.isRoot() {
 		var m int64
 		for k := range h.queue.last {
 			h.counter.Read(1)
-			if x := h.queue.last[k].Load(); x > m {
-				m = x
-			}
+			m = max(m, h.queue.last[k].Load())
 		}
 		if m < 1 {
-			_, mb := h.treeMin(t)
-			return mb
+			return h.oldest(v)
 		}
-		b, err := h.treeGet(t, m-1)
-		if err != nil {
-			_, mb := h.treeMin(t)
-			return mb
-		}
+		i = m - 1
+	} else {
+		i = h.splitBlock(v.parent).end(v.childDir())
+	}
+	if b, err := h.readBlock(v, i); err == nil {
 		return b
 	}
-	sup := h.splitBlock(v.parent)
-	dir := v.childDir()
-	b, err := h.treeGet(t, sup.end(dir))
-	if err != nil {
-		_, mb := h.treeMin(t)
-		return mb
-	}
-	return b
+	return h.oldest(v)
 }
 
 // help completes every pending dequeue that has been propagated to the root
@@ -61,8 +51,7 @@ func (h *Handle[T]) splitBlock(v *node) *block {
 // always recover the whole batch from the published response.
 func (h *Handle[T]) help() {
 	for _, leaf := range h.queue.leaves {
-		t := h.loadTree(leaf)
-		_, b := h.treeMax(t)
+		b := h.newest(leaf)
 		lb := leafOf[T](b)
 		if !lb.isDeq || b.index == 0 || !h.propagated(leaf, b.index) {
 			continue

@@ -26,16 +26,12 @@ func TestGCDiscardsOldBlocks(t *testing.T) {
 		}
 	}
 	leaf := q.leaves[0]
-	tr := leaf.blocks.Load()
-	minIdx, _, ok := tr.Min()
-	if !ok {
-		t.Fatal("leaf tree empty")
-	}
-	if minIdx == 0 {
+	minIdx := leaf.blocks.lo.Load()
+	if minIdx == 0 || leaf.blocks.load(0, nil) != tomb {
 		t.Fatalf("leaf still holds block 0 after 1000 ops with G=4 (no GC happened)")
 	}
-	if tr.Size() > 64 {
-		t.Fatalf("leaf holds %d blocks; GC ineffective", tr.Size())
+	if size := leaf.head.Load() - minIdx; size > 64 {
+		t.Fatalf("leaf holds %d blocks; GC ineffective", size)
 	}
 }
 
@@ -60,7 +56,7 @@ func TestCompleteDeqOnDiscardedBlocksReturnsError(t *testing.T) {
 		h.Enqueue(i)
 		h.Dequeue()
 	}
-	if _, ok := q.leaves[0].blocks.Load().Get(oldDeqIdx); ok {
+	if q.leaves[0].blocks.load(oldDeqIdx, nil) != tomb {
 		t.Skip("old block unexpectedly still present; GC pacing changed")
 	}
 	if _, err := h.completeDeqN(q.leaves[0], oldDeqIdx, 1); err == nil {
@@ -93,10 +89,9 @@ func TestMinBlockAlwaysFinished(t *testing.T) {
 			h.Enqueue(i)
 			continue
 		}
-		t2 := h.loadTree(h.leaf)
-		_, prev := h.treeMax(t2)
+		idx := h.last.index + 1
 		v, ok := h.Dequeue()
-		deqs = append(deqs, deqRec{proc: p, idx: prev.index + 1, val: v, ok: ok})
+		deqs = append(deqs, deqRec{proc: p, idx: idx, val: v, ok: ok})
 	}
 	// Recompute every dequeue's response; a miss means the blocks are gone,
 	// which per Invariant 27 requires the response to have been recorded or
@@ -145,13 +140,13 @@ func TestHelpWritesResponses(t *testing.T) {
 	// dequeues with GC every 2 blocks.
 	helped := 0
 	for _, leaf := range q.leaves {
-		tr := leaf.blocks.Load()
-		tr.Ascend(func(_ int64, b *block) bool {
-			if lb := leafOf[int](b); lb.isDeq && lb.response.Load() != nil {
-				helped++
+		for i := leaf.blocks.lo.Load(); i < leaf.head.Load(); i++ {
+			if p := leaf.blocks.load(i, nil); p != tomb {
+				if lb := leafOf[int]((*block)(p)); lb.isDeq && lb.response.Load() != nil {
+					helped++
+				}
 			}
-			return true
-		})
+		}
 	}
 	if helped == 0 {
 		t.Log("no helped responses observed on retained blocks (may be GC'd); checking was best-effort")
@@ -238,5 +233,55 @@ func TestSpaceIdleSubtree(t *testing.T) {
 	if at500k > at50k+slack {
 		t.Errorf("live heap grew from %d to %d bytes between 50k and 500k ops at a fixed backlog, want at most %d more",
 			at50k, at500k, slack)
+	}
+}
+
+// TestStaleInstallerLoses is the reason a drop writes a tombstone instead of
+// nil: a Refresh that read the root's head, stalled while others filled
+// that slot and beyond and GC phases dropped past it, must lose its CAS
+// there. Were the slot nil again, the stale installer would win a slot
+// below lo, count a lost Refresh as a win and skip Lemma 10's second
+// Refresh. The stale heads cover both kinds of dropped slot: one in a chunk
+// the drop unlinked whole, and one in the partly dead chunk the store still
+// links.
+func TestStaleInstallerLoses(t *testing.T) {
+	q, err := New[int](2, WithGCInterval(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := q.MustHandle(0), q.MustHandle(1)
+	root := q.root
+	var stale []int64
+	for i := 0; ; i++ {
+		stale = append(stale, a.readHead(root))
+		b.Enqueue(i)
+		b.Dequeue()
+		if lo := root.blocks.lo.Load(); lo > 2*fan && lo&fanMask > 1 {
+			break
+		}
+		if i > 100*fan {
+			t.Fatal("GC phases never dropped two chunks of root blocks")
+		}
+	}
+	lo := root.blocks.lo.Load()
+	var unlinked, partial int
+	for _, hd := range stale {
+		if hd >= lo {
+			continue
+		}
+		if hd>>fanBits == lo>>fanBits {
+			partial++
+		} else {
+			unlinked++
+		}
+		cand := a.newBlock(root)
+		cand.index = hd
+		if root.blocks.install(cand, true, a.counter) {
+			t.Fatalf("a CAS at stale head %d won with the root's lo at %d", hd, lo)
+		}
+		a.recycle(root, cand)
+	}
+	if unlinked == 0 || partial == 0 {
+		t.Fatalf("stale heads in unlinked chunks: %d, in the partly dead chunk: %d; want both", unlinked, partial)
 	}
 }

@@ -6,8 +6,6 @@ package bounded
 // the dequeue read path in search.go.
 
 import (
-	"math"
-	"math/bits"
 	"runtime"
 
 	"repro/internal/metrics"
@@ -18,13 +16,12 @@ import (
 // The block is built inline, with no transient slice.
 func (h *Handle[T]) Enqueue(e T) {
 	h.counter.BeginOp()
-	t := h.loadTree(h.leaf)
-	_, prev := h.treeMax(t)
+	prev := h.last
 	lb := &leafBlock[T]{
 		block:   block{index: prev.index + 1, sumEnq: prev.sumEnq + 1, sumDeq: prev.sumDeq},
 		element: e,
 	}
-	h.append(t, prev, &lb.block)
+	h.append(&lb.block)
 	h.counter.EndOp(metrics.OpEnqueue)
 }
 
@@ -44,8 +41,7 @@ func (h *Handle[T]) EnqueueBatch(es []T) {
 // enqueueBlock installs one leaf block carrying the len(es) >= 1 enqueues
 // of es and propagates it to the root.
 func (h *Handle[T]) enqueueBlock(es []T) {
-	t := h.loadTree(h.leaf)
-	_, prev := h.treeMax(t)
+	prev := h.last
 	lb := &leafBlock[T]{
 		block: block{index: prev.index + 1, sumEnq: prev.sumEnq + int64(len(es)), sumDeq: prev.sumDeq},
 	}
@@ -54,7 +50,7 @@ func (h *Handle[T]) enqueueBlock(es []T) {
 	} else {
 		lb.elems = append([]T(nil), es...)
 	}
-	h.append(t, prev, &lb.block)
+	h.append(&lb.block)
 }
 
 // Dequeue removes and returns the element at the front of the queue; ok is
@@ -118,30 +114,27 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 // and computes the batch's response (falling back to the GC helpers'
 // published response when the needed blocks were already discarded).
 func (h *Handle[T]) dequeueBlock(n int64) response[T] {
-	t := h.loadTree(h.leaf)
-	_, prev := h.treeMax(t)
+	prev := h.last
 	lb := &leafBlock[T]{
 		block:    block{index: prev.index + 1, sumEnq: prev.sumEnq, sumDeq: prev.sumDeq + n},
 		isDeq:    true,
 		deqCount: n,
 	}
-	h.append(t, prev, &lb.block)
+	h.append(&lb.block)
 
 	res, err := h.completeDeqN(h.leaf, lb.index, n)
 	if err != nil {
 		// A needed block was garbage collected, which (Invariant 27 /
 		// Lemma 28) implies a helper already computed our response and
-		// wrote it into our leaf block. The loop guards against the
-		// tiny window between the GC's helping pass and its tree install
-		// becoming visible to us.
+		// wrote it into our leaf block.
 		res = h.awaitResponse(lb)
 	}
 	return res
 }
 
 // awaitResponse fetches the dequeue response written by a helper. By
-// Invariant 27 the response is written before any tree missing our blocks is
-// installed, so the fast path is a single load; the bounded spin tolerates
+// Invariant 27 the response is written before any of our blocks is dropped,
+// so the fast path is a single load; the bounded spin tolerates
 // nothing and exists purely to convert an algorithmic bug into a clear
 // failure rather than a wrong answer.
 func (h *Handle[T]) awaitResponse(b *leafBlock[T]) response[T] {
@@ -157,17 +150,23 @@ func (h *Handle[T]) awaitResponse(b *leafBlock[T]) response[T] {
 	}
 }
 
-// append installs b as the next block of the handle's leaf (single writer)
-// and propagates it to the root (Append, lines 218-221). t is the leaf tree
-// the block was built against, prev its current max block.
-func (h *Handle[T]) append(t *blockTree, prev, b *block) {
-	t2 := h.addBlock(h.leaf, t, prev, b)
-	h.storeTree(h.leaf, t2)
-	h.propagate(h.leaf.parent)
+// append installs b, whose index follows the handle's newest leaf block, at
+// the handle's leaf and propagates it to the root (Append, lines 218-221).
+// The leaf has a single writer, so a plain store installs the block; the
+// head advance still goes through casHead, because a Refresh above may have
+// helped it along already.
+func (h *Handle[T]) append(b *block) {
+	leaf := h.leaf
+	h.addBlock(leaf, h.last, b)
+	h.last = b
+	h.casHead(leaf, b.index)
+	h.propagate(leaf.parent)
 }
 
 // propagate ensures blocks in v's children reach the root via double
-// Refresh (Propagate, lines 249-257).
+// Refresh (Propagate, lines 249-257). If the first Refresh fails, a second
+// one is enough: any Refresh that succeeded in between has propagated our
+// block (Lemma 10).
 func (h *Handle[T]) propagate(v *node) {
 	for v != nil {
 		if !h.refresh(v) {
@@ -177,160 +176,149 @@ func (h *Handle[T]) propagate(v *node) {
 	}
 }
 
-// refresh tries to install a new block tree on v containing one new block
-// that represents the children's unpropagated operations (Refresh, lines
-// 258-267).
+// refresh tries to install in v's slot at its head a new block representing
+// the children's unpropagated operations, as core's Refresh does (lines
+// 258-267): it first advances a child whose head lags behind an installed
+// block, so that the child heads it reads are up to date, then CASes the
+// block in and advances v's head past the slot, whoever filled it. It
+// returns true if no new block was needed or its CAS won.
+//
+// A block it reads can already be dropped when its reads are stale. Then
+// v's slot at hd is filled (DESIGN.md, the block store), so the Refresh
+// counts as lost: it advances the head and returns false, as a lost CAS
+// does, and Lemma 10's second Refresh runs.
 func (h *Handle[T]) refresh(v *node) bool {
-	t := h.loadTree(v)
-	_, last := h.treeMax(t)
-	b := h.createBlock(v, t, last)
-	if b == nil {
-		return true
+	hd := h.readHead(v)
+	var heads [2]int64
+	for c, child := range [2]*node{v.left, v.right} {
+		ch := h.readHead(child)
+		if child.blocks.load(ch, h.counter) != nil {
+			h.casHead(child, ch)
+			ch = h.readHead(child)
+		}
+		heads[c] = ch
 	}
-	t2 := h.addBlock(v, t, last, b)
-	if h.casTree(v, t, t2) {
-		return true
+	won := false
+	prev, err := h.readBlock(v, hd-1)
+	if err == nil {
+		var b *block
+		if b, err = h.createBlock(v, prev, heads[0], heads[1]); err == nil {
+			if b == nil {
+				return true
+			}
+			if won = h.addBlock(v, prev, b); !won {
+				// A candidate that lost its CAS was never reachable from
+				// the store, so it is still private and recyclable.
+				h.recycle(v, b)
+			}
+		}
 	}
-	// The candidate was only reachable from t2, which just lost the CAS
-	// and is discarded along with it — b is still private and recyclable.
-	h.recycle(v, b)
-	return false
+	h.casHead(v, hd)
+	return won
 }
 
-// createBlock builds the candidate block with index last.index+1
-// (CreateBlock, lines 307-324). It returns nil if the children hold no new
-// operations. Each child's tree is loaded once so the max lookup and the
-// prefix-sum reads see one consistent snapshot.
-func (h *Handle[T]) createBlock(v *node, t *blockTree, prev *block) *block {
-	lt := h.loadTree(v.left)
-	rt := h.loadTree(v.right)
-	_, lastLeft := h.treeMax(lt)
-	_, lastRight := h.treeMax(rt)
+// createBlock builds the candidate block that follows prev in v
+// (CreateBlock, lines 307-324), given the child heads the Refresh read. It
+// returns nil if the children hold no new operations, and errDiscarded if
+// a child block it needs was dropped.
+func (h *Handle[T]) createBlock(v *node, prev *block, headLeft, headRight int64) (*block, error) {
+	lastLeft, err := h.readBlock(v.left, headLeft-1)
+	if err != nil {
+		return nil, err
+	}
+	lastRight, err := h.readBlock(v.right, headRight-1)
+	if err != nil {
+		return nil, err
+	}
 	sumEnq := lastLeft.sumEnq + lastRight.sumEnq
 	sumDeq := lastLeft.sumDeq + lastRight.sumDeq
 	// Decide before allocating: the frequent nothing-to-propagate case must
 	// not touch the arena at all.
 	if sumEnq == prev.sumEnq && sumDeq == prev.sumDeq {
-		return nil
+		return nil, nil
 	}
 	b := h.newBlock(v)
 	b.index = prev.index + 1
-	b.endLeft = lastLeft.index
-	b.endRight = lastRight.index
+	b.endLeft = headLeft - 1
+	b.endRight = headRight - 1
 	b.sumEnq = sumEnq
 	b.sumDeq = sumDeq
 	if v.isRoot() {
-		b.size = prev.size + (sumEnq - prev.sumEnq) - (sumDeq - prev.sumDeq)
-		if b.size < 0 {
-			b.size = 0
-		}
-	}
-	return b
-}
-
-// addBlock inserts b into t, first running a garbage-collection phase when
-// the insert crosses a multiple of G in the node's cumulative *operation*
-// count (AddBlock, lines 222-233). The paper triggers on every G-th block;
-// with multi-op batch blocks that would stretch the collection interval by
-// the batch size and let live space grow proportionally, so the trigger
-// counts operations (sumEnq+sumDeq) instead. For single-op histories the
-// two rules coincide at the leaves (index == op count there), and the
-// Theorem 31 space bound keeps the same +G slack either way.
-func (h *Handle[T]) addBlock(v *node, t *blockTree, prev, b *block) *blockTree {
-	g := h.queue.gcEvery
-	if (b.sumEnq+b.sumDeq)/g > (prev.sumEnq+prev.sumDeq)/g {
-		s := h.splitIndex(v)
-		h.help()
-		t = h.treeDropBelow(t, s)
-	}
-	return h.treeInsert(t, b)
-}
-
-// --- instrumented shared-memory / tree accessors ---
-//
-// Tree searches, inserts and splits are charged ceil(log2(size))+1 steps:
-// the number of tree-node reads an operation on the paper's balanced BST
-// performs, matching the cost model of Theorem 32 whatever persistent
-// structure pbst uses underneath.
-
-func treeOpCost(t *blockTree) int64 {
-	return int64(bits.Len64(uint64(t.Size()))) + 1
-}
-
-// loadTree reads v's current block tree pointer.
-func (h *Handle[T]) loadTree(v *node) *blockTree {
-	h.counter.Read(1)
-	return v.blocks.Load()
-}
-
-// storeTree publishes t on the handle's own leaf (single writer).
-func (h *Handle[T]) storeTree(v *node, t *blockTree) {
-	h.counter.Write()
-	v.blocks.Store(t)
-}
-
-// casTree tries to swing v's tree pointer from old to new.
-func (h *Handle[T]) casTree(v *node, old, new *blockTree) bool {
-	ok := v.blocks.CompareAndSwap(old, new)
-	h.counter.CAS(ok)
-	return ok
-}
-
-// treeMax returns the block with the largest index (never absent: trees
-// always contain at least one block, Corollary 25).
-func (h *Handle[T]) treeMax(t *blockTree) (int64, *block) {
-	h.counter.Read(1)
-	k, b, ok := t.Max()
-	if !ok {
-		panic("bounded: empty block tree (invariant violation)")
-	}
-	return k, b
-}
-
-// treeMin returns the block with the smallest index.
-func (h *Handle[T]) treeMin(t *blockTree) (int64, *block) {
-	h.counter.Read(1)
-	k, b, ok := t.Min()
-	if !ok {
-		panic("bounded: empty block tree (invariant violation)")
-	}
-	return k, b
-}
-
-// treeGet looks up the block with the given index; a miss means GC
-// discarded it.
-func (h *Handle[T]) treeGet(t *blockTree, index int64) (*block, error) {
-	h.counter.Read(treeOpCost(t))
-	b, ok := t.Get(index)
-	if !ok {
-		return nil, errDiscarded
+		b.size = max(prev.size+(sumEnq-prev.sumEnq)-(sumDeq-prev.sumDeq), 0)
 	}
 	return b, nil
 }
 
-// treeInsert returns t with b, whose index follows t's largest, added.
-func (h *Handle[T]) treeInsert(t *blockTree, b *block) *blockTree {
-	h.counter.Read(treeOpCost(t))
-	return t.Append(b.index, b)
+// addBlock installs b, which follows prev in v, first running a
+// garbage-collection phase when the install crosses a multiple of G in the
+// node's cumulative *operation* count (AddBlock, lines 222-233). The
+// paper triggers on every G-th block; with multi-op batch blocks that would
+// stretch the collection interval by the batch size and let live space grow
+// proportionally, so the trigger counts operations (sumEnq+sumDeq)
+// instead. For single-op histories the two rules coincide at the leaves
+// (index == op count there), and the Theorem 31 space bound keeps the same
+// +G slack either way. The drop stands whether or not the install wins: a
+// drop is monotone and idempotent. It reports whether b was installed.
+func (h *Handle[T]) addBlock(v *node, prev, b *block) bool {
+	g := h.queue.gcEvery
+	if (b.sumEnq+b.sumDeq)/g > (prev.sumEnq+prev.sumDeq)/g {
+		s := h.splitIndex(v)
+		h.help()
+		v.blocks.drop(s, h.counter)
+	}
+	return v.blocks.install(b, !v.isLeaf(), h.counter)
 }
 
-// treeDropBelow returns t without blocks of index < bound (the paper's
-// Split).
-func (h *Handle[T]) treeDropBelow(t *blockTree, bound int64) *blockTree {
-	h.counter.Read(treeOpCost(t))
-	return t.DropBelow(bound)
+// --- instrumented shared-memory accessors ---
+//
+// Every shared access goes through these helpers or the store's methods,
+// which count each load, store and CAS they make, so the step counts are
+// counted, not charged.
+
+// readHead loads v.head.
+func (h *Handle[T]) readHead(v *node) int64 {
+	h.counter.Read(1)
+	return v.head.Load()
 }
 
-// treeFindFirst returns the lowest-indexed block satisfying the monotone
+// casHead tries to advance v.head from hd to hd+1.
+func (h *Handle[T]) casHead(v *node, hd int64) {
+	h.counter.CAS(v.head.CompareAndSwap(hd, hd+1))
+}
+
+// readBlock returns v's block at index i, which the caller knows was
+// installed; errDiscarded means GC dropped it.
+func (h *Handle[T]) readBlock(v *node, i int64) (*block, error) {
+	p := v.blocks.load(i, h.counter)
+	if p == nil || p == tomb {
+		return nil, errDiscarded
+	}
+	return (*block)(p), nil
+}
+
+// findFirst returns v's lowest-indexed block satisfying the monotone
 // predicate, searching from hint, the index the caller expects the answer
-// at or near (any hint gives the same answer; newest starts at the tree's
-// largest index). It is charged the paper's search cost whatever the hint.
-func (h *Handle[T]) treeFindFirst(t *blockTree, hint int64, pred func(*block) bool) (*block, bool) {
-	h.counter.Read(treeOpCost(t))
-	_, b, ok := t.FindFirst(hint, pred)
-	return b, ok
+// at or near (see store.findFirst).
+func (h *Handle[T]) findFirst(v *node, hint int64, pred func(*block) bool) (*block, bool) {
+	return v.blocks.findFirst(hint, pred, h.counter)
 }
 
-// newest is the search hint for the block with the largest index:
-// pbst.Seq.FindFirst clamps a hint to the tree's range.
-const newest = math.MaxInt64
+// newest returns v's block below its head. That block is never dropped
+// while it is below the head, so newest only retries when GC phases ran
+// past the head it read.
+func (h *Handle[T]) newest(v *node) *block {
+	for {
+		if b, err := h.readBlock(v, h.readHead(v)-1); err == nil {
+			return b
+		}
+	}
+}
+
+// oldest returns v's oldest live block. There always is one, the block
+// below v's head, which no drop reaches, so the search cannot come back
+// empty.
+func (h *Handle[T]) oldest(v *node) *block {
+	h.counter.Read(1)
+	b, _ := h.findFirst(v, v.blocks.lo.Load(), func(*block) bool { return true })
+	return b
+}

@@ -5,12 +5,12 @@ package bounded
 // slab per tree level. A handle refreshes only the nodes on its own leaf's
 // path, one per level, so each slab holds blocks of one node, carved in
 // increasing index order: every block the handle installs at a node has a
-// larger index than the one before, because the node's tree only grows at
-// the top.
+// larger index than the one before, because the node's head only moves
+// forward.
 //
 // That is what keeps slabs inside Theorem 31's space bound. A slab lives as
 // long as any one of its blocks does, but a GC phase only ever drops a
-// prefix of a node's blocks (pbst's DropBelow), so the handle's dead blocks
+// prefix of a node's blocks (store.drop), so the handle's dead blocks
 // at that node are a prefix of what it carved there. Every slab before the
 // one holding its oldest live block is wholly dead and the Go GC reclaims
 // it; every slab after it is wholly live. At most one partly dead slab
@@ -25,22 +25,14 @@ package bounded
 // block dies: 64-block leaf slabs raised svc-batch's peak RSS from
 // 14.0-14.3 MiB to 15.8-17.1 MiB and saved no CPU.
 //
-// Only never-published blocks are recycled: a Refresh candidate whose
-// casTree lost stays private, so reuse cannot race with helpers or
-// searches. The losing t2 tree is the only structure referencing it and is
-// discarded: building t2 wrote into memory shared with the winner only t's
-// newest block, which t had already published (pbst.Seq's contract: an
-// append stores the receiver's largest value in the shared tail slot and
-// keeps the new one in its own version). The candidate itself sits in t2's
-// version alone, and a losing t2 is never extended. recycle un-carves the
-// candidate: a handle recycles only the candidate it just drew at that
-// level, so stepping the level's cursor back hands the same block out next.
-// Blocks that were published are reclaimed by the Go GC once the paper's GC
-// phase drops them from every live tree and their slab holds no live block
-// — pbst's DropBelow copies the chunk it cuts and clears what lies left of
-// it, so they are unreachable from the new tree and not merely uncounted.
-// Delegating that reclamation to the runtime is what makes it safe without
-// epochs or hazard pointers.
+// Only never-published blocks are recycled: a Refresh candidate whose CAS
+// lost was never reachable from a store, so reuse cannot race with helpers
+// or searches. recycle un-carves the candidate: a handle recycles only the
+// candidate it just drew at that level, so stepping the level's cursor back
+// hands the same block out next. Blocks that were published are reclaimed
+// by the Go GC once a GC phase has unlinked them and their slab holds no
+// live block; delegating that reclamation to the runtime is what makes it
+// safe without epochs or hazard pointers.
 
 const slabBlocks = 64 // blocks per bump-allocator chunk
 
@@ -63,8 +55,8 @@ func (h *Handle[T]) newBlock(v *node) *block {
 }
 
 // recycle takes back b, the block newBlock(v) returned last, which was
-// never published (never reachable from a tree installed by
-// storeTree/casTree): it zeroes b and steps the level's cursor back over it.
+// never published (its CAS lost): it zeroes b and steps the level's cursor
+// back over it.
 func (h *Handle[T]) recycle(v *node, b *block) {
 	s := &h.slabs[v.depth]
 	s.n--

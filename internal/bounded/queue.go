@@ -1,19 +1,22 @@
 // Package bounded implements the bounded-space variant of the Naderibeni-
 // Ruppert wait-free queue (paper Section 6 and Appendix B).
 //
-// Each ordering-tree node stores its blocks in a persistent search structure
-// instead of an infinite array (the paper's red-black tree; here
-// internal/pbst's sequence over the dense block indices, which the code
-// keeps calling the node's block tree); a Refresh builds the next tree
-// functionally and installs it with one CAS on the node's tree pointer.
-// A block whose install carries a node's cumulative operation count
-// (sumEnq+sumDeq) across a multiple of G triggers a garbage-collection
-// phase: the process determines the oldest block still needed (via the
-// shared last array), helps every pending dequeue that has reached the root
-// compute its response, and then splits the obsolete prefix off the tree
-// (the paper counts blocks; addBlock says why this counts operations). Live
+// Each ordering-tree node keeps its blocks in a store of write-once chunks
+// (store.go) where the paper keeps a persistent red-black tree. A Refresh
+// is core's: it helps a lagging child's head along, CASes its block into
+// the slot at the node's head and advances the head. Superblocks are found
+// by searching the parent's end(dir) fields (Lemma 4'), so blocks carry no
+// super field. A block whose install carries a node's cumulative operation
+// count (sumEnq+sumDeq) across a multiple of G triggers a garbage-collection
+// phase before the install: the process determines the oldest block still
+// needed (via the shared last array), helps every pending dequeue that has
+// reached the root compute its response, and then unlinks the obsolete
+// prefix of the node's store in place (the paper counts blocks; addBlock
+// says why this counts operations). A read that finds a needed block
+// dropped means the operation was already answered (errDiscarded). Live
 // blocks per node stay O(q_max + p^2 log p) (Theorem 31) and amortized step
-// complexity is O(log p log(p+q_max)) per operation (Theorem 32).
+// complexity is O(log p log(p+q_max)) per operation (Theorem 32), times the
+// store's log64 of a node's history (store.go); every access is counted.
 package bounded
 
 import (
@@ -23,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metrics"
-	"repro/internal/pbst"
 )
 
 // ErrBadProcs reports an invalid process count passed to New.
@@ -35,28 +37,29 @@ var ErrBadProcs = errors.New("bounded: process count must be at least 1")
 // and a dequeue reads its helped response.
 var errDiscarded = errors.New("bounded: block discarded by GC")
 
-// blockTree is the persistent tree of blocks each node stores, keyed by
-// block index. A leaf's blocks are the heads of leafBlock allocations.
-type blockTree = pbst.Seq[block]
-
 // node is one node of the static ordering tree.
 type node struct {
 	left, right, parent *node
 
-	// blocks points at the node's current persistent block tree. Updated
-	// only by CAS; readers operate on an immutable snapshot.
-	blocks atomic.Pointer[blockTree]
+	// blocks holds the node's blocks by index. A leaf's blocks are the heads
+	// of leafBlock allocations.
+	blocks store
+
+	// head is the index of the next install attempt: every block below it
+	// is installed and none above it (Invariant 3). It only moves forward,
+	// by CAS from the index its caller read.
+	head atomic.Int64
 
 	// depth is the node's distance from the root. A handle's path holds one
 	// node per depth, so it picks the slab the node's blocks come from
 	// (pool.go).
 	depth int
 
-	// Pad to 128 bytes (two cache lines): the hot tree pointer above takes
-	// a CAS from every Refresh, and without padding nodes allocated
-	// back-to-back false-share under concurrent propagation. 3 pointers +
-	// atomic.Pointer + depth = 40 bytes.
-	_ [128 - 40]byte
+	// Pad to 128 bytes (two cache lines): head takes a CAS from every
+	// Refresh, and without padding nodes allocated back-to-back false-share
+	// under concurrent propagation. 3 pointers + store + head + depth = 56
+	// bytes.
+	_ [128 - 56]byte
 }
 
 func (n *node) isLeaf() bool { return n.left == nil }
@@ -128,7 +131,8 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	}
 	q.handles = make([]Handle[T], procs)
 	for i := 0; i < procs; i++ {
-		q.handles[i] = Handle[T]{queue: q, leaf: leaves[i], id: i, slabs: make([]slab, leaves[i].depth)}
+		q.handles[i] = Handle[T]{queue: q, leaf: leaves[i], id: i, slabs: make([]slab, leaves[i].depth),
+			last: (*block)(leaves[i].blocks.load(0, nil))}
 	}
 	return q, nil
 }
@@ -152,8 +156,8 @@ func DefaultGCInterval(procs int) int64 {
 // heap shape, as core lays it out flat: node i's children are 2i and 2i+1,
 // the leaves are nodes numLeaves..2*numLeaves-1, and leaves[k] is node
 // numLeaves+k. Every leaf sits at depth floor or ceil of log2 numLeaves.
-// Each node's tree starts with the empty block at index 0, a leafBlock at
-// the leaves (leafOf's invariant).
+// Each node's store starts with the empty block at index 0, a leafBlock at
+// the leaves (leafOf's invariant), and its head at 1.
 func buildTree[T any](numLeaves int) (*node, []*node) {
 	nodes := make([]*node, 2*numLeaves)
 	for i := len(nodes) - 1; i >= 1; i-- {
@@ -162,8 +166,8 @@ func buildTree[T any](numLeaves int) (*node, []*node) {
 		if i >= numLeaves {
 			sentinel = &new(leafBlock[T]).block
 		}
-		var t *blockTree
-		n.blocks.Store(t.Append(0, sentinel))
+		n.blocks.init(sentinel)
+		n.head.Store(1)
 		if i < numLeaves {
 			n.left, n.right = nodes[2*i], nodes[2*i+1]
 			n.left.parent, n.right.parent = n, n
@@ -197,25 +201,27 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 	return h
 }
 
-// Len returns the size field of the newest block installed at the root. The
-// one CAS on the root's tree pointer installs a block, so Len is never older
-// than the root block of any operation that has returned and lags only those
-// in flight (TestLenCoversCompletedOps); see core.Queue.Len on reading 0.
+// Len returns the size field of the root block below the root's head. Every
+// Refresh ends by advancing the head past the slot it tried, so Len is
+// never older than the root block of any operation that has returned and
+// lags only those in flight (TestLenCoversCompletedOps); see core.Queue.Len
+// on reading 0. It retries only when GC phases ran past the head it read.
 func (q *Queue[T]) Len() int {
-	_, b, ok := q.root.blocks.Load().Max()
-	if !ok {
-		return 0
+	for {
+		if p := q.root.blocks.load(q.root.head.Load()-1, nil); p != tomb {
+			return int((*block)(p).size)
+		}
 	}
-	return int(b.size)
 }
 
-// BlockCounts returns the number of live blocks in each tree node's block
-// tree, in preorder. It drives the Theorem 31 space experiments.
+// BlockCounts returns the number of live blocks in each tree node's store,
+// in preorder: those from the store's lo up to its head. It drives the
+// Theorem 31 space experiments.
 func (q *Queue[T]) BlockCounts() []int64 {
 	var out []int64
 	var walk func(n *node)
 	walk = func(n *node) {
-		out = append(out, n.blocks.Load().Size())
+		out = append(out, n.head.Load()-n.blocks.lo.Load())
 		if !n.isLeaf() {
 			walk(n.left)
 			walk(n.right)
@@ -244,6 +250,11 @@ type Handle[T any] struct {
 	// slabs[d] is the bump slab the handle carves its blocks for the node
 	// at depth d on its path from; see pool.go.
 	slabs []slab
+
+	// last is the newest block of the handle's leaf, which only this handle
+	// appends to: the next leaf block goes at last.index+1. GC never drops
+	// a node's newest block.
+	last *block
 
 	// rootHint is the index of the root block this handle's previous root
 	// search found, where its next one starts (completeDeqN). It is the

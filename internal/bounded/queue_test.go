@@ -367,13 +367,21 @@ func TestBoundedStepComplexityBound(t *testing.T) {
 	}
 }
 
-// TestLenCoversCompletedOps: p concurrent enqueuers, no dequeuers — whenever
-// an Enqueue has returned, a Len read that starts afterwards counts it. Len
-// reads the root's newest installed block and a block is installed by the
-// one CAS on the node's tree pointer, so there is no window between install
-// and visibility (core has one; see its test of the same name). The shard
-// fabric's root-read null relies on this.
+// TestLenCoversCompletedOps pins what the shard fabric's root-read null
+// relies on: Len is never older than the root block of an operation that
+// has returned. Len reads the block below the root's head, and a Refresh
+// installs a block with one CAS and advances the head with another, so
+// there is a window between install and visibility, as in core (see its
+// test of the same name).
 func TestLenCoversCompletedOps(t *testing.T) {
+	t.Run("concurrent", lenCoversConcurrentEnqueues)
+	t.Run("stalled-installer", lenCoversStalledInstaller)
+}
+
+// lenCoversConcurrentEnqueues runs p enqueuers and no dequeuers: completed
+// is bumped after each Enqueue returns and read before each Len, so
+// Len() >= completed must hold at every check.
+func lenCoversConcurrentEnqueues(t *testing.T) {
 	const p, perProc = 6, 3000
 	q, err := New[int](p, WithGCInterval(7)) // GC phases drop root blocks under the readers
 	if err != nil {
@@ -398,5 +406,57 @@ func TestLenCoversCompletedOps(t *testing.T) {
 	wg.Wait()
 	if got := q.Len(); got != p*perProc {
 		t.Errorf("final Len() = %d, want %d", got, p*perProc)
+	}
+}
+
+// lenCoversStalledInstaller is the schedule the concurrent run can only hope
+// to hit: process a installs a root block and stalls between that CAS and
+// its head advance, so the root's head still points below the newest
+// block. Whoever returns next must have moved the head past a's block first
+// (every Refresh ends by advancing the head), whether its own enqueue rides
+// in a's block or in the next one.
+func lenCoversStalledInstaller(t *testing.T) {
+	for _, bInStalledBlock := range []bool{true, false} {
+		q, err := New[int](2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := q.MustHandle(0), q.MustHandle(1)
+		a.stepAppendEnq(1)
+		if bInStalledBlock {
+			b.stepAppendEnq(2)
+		}
+		// a's Refresh at the root, cut after its CAS.
+		root := q.root
+		hd := a.readHead(root)
+		prev, err := a.readBlock(root, hd-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk, err := a.createBlock(root, prev, a.readHead(root.left), a.readHead(root.right))
+		if err != nil || blk == nil || !a.addBlock(root, prev, blk) {
+			t.Fatal("a could not install its root block")
+		}
+		if got := q.Len(); got != 0 {
+			t.Fatalf("Len() = %d before any enqueue returned, want 0 (head has not advanced)", got)
+		}
+		if bInStalledBlock {
+			b.stepPropagate() // the rest of b's Enqueue(2)
+		} else {
+			b.Enqueue(2)
+		}
+		if got := q.Len(); got != 2 {
+			t.Errorf("b in a's block = %v: Len() = %d after b's Enqueue returned, want 2", bInStalledBlock, got)
+		}
+		a.casHead(root, hd) // a wakes up
+		a.stepPropagate()
+		if got := q.Len(); got != 2 {
+			t.Errorf("Len() = %d after a's Enqueue returned, want 2", got)
+		}
+		for want := 1; want <= 2; want++ {
+			if v, ok := a.Dequeue(); !ok || v != want {
+				t.Errorf("Dequeue = (%d, %v), want (%d, true)", v, ok, want)
+			}
+		}
 	}
 }

@@ -3,12 +3,13 @@ package bounded
 // Deterministic schedule exploration for the bounded-space queue, mirroring
 // internal/core's exploration but additionally exercising garbage
 // collection: tiny GC intervals make the explored schedules constantly
-// discard blocks, stressing the persistent-tree searches, the miss
+// discard blocks, stressing the store searches across drops, the miss
 // (errDiscarded) paths and the helping machinery under adversarial
 // interleavings of appends and refreshes.
 //
-// The hooks (stepAppend/stepRefresh) are test-only methods defined here;
-// they follow exactly the same protocol as the full operations.
+// The hooks (stepAppendEnq, stepAppendDeq, stepAppend, stepPropagate) are
+// test-only methods defined here; they follow exactly the same protocol as
+// the full operations.
 
 import (
 	"math/rand"
@@ -19,30 +20,37 @@ import (
 // stepAppendEnq appends an enqueue block to the handle's leaf without
 // propagating. Returns the block.
 func (h *Handle[T]) stepAppendEnq(e T) *leafBlock[T] {
-	t := h.loadTree(h.leaf)
-	_, prev := h.treeMax(t)
+	prev := h.last
 	b := &leafBlock[T]{
 		block:   block{index: prev.index + 1, sumEnq: prev.sumEnq + 1, sumDeq: prev.sumDeq},
 		element: e,
 	}
-	t2 := h.addBlock(h.leaf, t, prev, &b.block)
-	h.storeTree(h.leaf, t2)
+	h.stepAppend(&b.block)
 	return b
 }
 
 // stepAppendDeq appends a dequeue block without propagating or resolving.
 func (h *Handle[T]) stepAppendDeq() *leafBlock[T] {
-	t := h.loadTree(h.leaf)
-	_, prev := h.treeMax(t)
+	prev := h.last
 	b := &leafBlock[T]{
 		block:    block{index: prev.index + 1, sumEnq: prev.sumEnq, sumDeq: prev.sumDeq + 1},
 		isDeq:    true,
 		deqCount: 1,
 	}
-	t2 := h.addBlock(h.leaf, t, prev, &b.block)
-	h.storeTree(h.leaf, t2)
+	h.stepAppend(&b.block)
 	return b
 }
+
+// stepAppend is append without its propagate.
+func (h *Handle[T]) stepAppend(b *block) {
+	h.addBlock(h.leaf, h.last, b)
+	h.last = b
+	h.casHead(h.leaf, b.index)
+}
+
+// stepPropagate is the rest of an operation whose block stepAppend
+// installed.
+func (h *Handle[T]) stepPropagate() { h.propagate(h.leaf.parent) }
 
 // stepFinish resolves a previously appended dequeue (must be propagated).
 func (h *Handle[T]) stepFinish(b *leafBlock[T]) (T, bool) {

@@ -2,11 +2,14 @@ package bounded
 
 // This file implements the dequeue read path of the bounded-space queue
 // (Figure 5 lines 206-217 and 268-297, Figure 6): CompleteDeq, IndexDequeue,
-// FindResponse, GetEnqueue and Propagated. All block-array accesses of the
-// original algorithm become searches of persistent trees; any search that
-// misses because garbage collection discarded the block returns
-// errDiscarded, which by Invariant 27 / Lemma 28 means the operation's
-// response has already been computed and published by a helper.
+// FindResponse, GetEnqueue and Propagated. A block-array access of the
+// original algorithm is a store read, and a super field read is a search of
+// the parent's end(dir) fields. A read that finds its block dropped by
+// garbage collection returns errDiscarded, which by Invariant 27 / Lemma 28
+// means the operation's response has already been computed and published
+// by a helper. A search probe that lands in the dropped prefix is not a
+// miss: it counts as left of the answer, and only the predecessor checks
+// below report errDiscarded, when the block searched for is itself gone.
 
 // completeDeqN computes the response of the n-dequeue batch block stored in
 // leaf.blocks[idx], which must have been propagated to the root
@@ -24,12 +27,12 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 	if err != nil {
 		return response[T]{}, err
 	}
-	rt := h.loadTree(h.queue.root)
-	blkB, err := h.treeGet(rt, b)
+	root := h.queue.root
+	blkB, err := h.readBlock(root, b)
 	if err != nil {
 		return response[T]{}, err
 	}
-	prevB, err := h.treeGet(rt, b-1)
+	prevB, err := h.readBlock(root, b-1)
 	if err != nil {
 		return response[T]{}, err
 	}
@@ -48,11 +51,11 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 			// Successive dequeues take successive ranks, so the search
 			// starts at the root block the handle's previous one found.
 			var ok bool
-			if be, ok = h.treeFindFirst(rt, h.rootHint, func(x *block) bool { return x.sumEnq >= e }); !ok {
+			if be, ok = h.findFirst(root, h.rootHint, func(x *block) bool { return x.sumEnq >= e }); !ok {
 				return response[T]{}, errDiscarded
 			}
 			h.rootHint = be.index
-			if bePrev, err = h.treeGet(rt, be.index-1); err != nil {
+			if bePrev, err = h.readBlock(root, be.index-1); err != nil {
 				return response[T]{}, err
 			}
 			if bePrev.sumEnq >= e {
@@ -61,7 +64,7 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 				return response[T]{}, errDiscarded
 			}
 		}
-		eb, ie, err := h.getEnqueue(h.queue.root, be, bePrev, e-bePrev.sumEnq)
+		eb, ie, err := h.getEnqueue(root, be, bePrev, e-bePrev.sumEnq)
 		if err != nil {
 			return response[T]{}, err
 		}
@@ -92,15 +95,14 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 // indexDequeue returns (b', i') such that the i-th dequeue of
 // D(v.blocks[b]) is the (i')-th dequeue of D(root.blocks[b']) (IndexDequeue,
 // lines 281-297). The superblock at each level is found by searching the
-// parent's tree: endleft/endright are non-decreasing in block index
+// parent's blocks: endleft/endright are non-decreasing in block index
 // (Lemma 4'), so the superblock of block b is the lowest-indexed parent
 // block whose end(dir) reaches b. The block was just propagated, so the
-// search starts at the parent's newest block.
+// search starts below the parent's head.
 func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
 	for !v.isRoot() {
 		dir := v.childDir()
-		pt := h.loadTree(v.parent)
-		sup, ok := h.treeFindFirst(pt, newest, func(x *block) bool { return x.end(dir) >= b })
+		sup, ok := h.findFirst(v.parent, h.readHead(v.parent)-1, func(x *block) bool { return x.end(dir) >= b })
 		if !ok {
 			return 0, 0, errDiscarded
 		}
@@ -108,17 +110,16 @@ func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
 		// sup's predecessor. A miss means the true superblock or its
 		// predecessor was discarded; the prefix-only removal of GC means
 		// everything older is gone too and the operation has been helped.
-		supPrev, err := h.treeGet(pt, sup.index-1)
+		supPrev, err := h.readBlock(v.parent, sup.index-1)
 		if err != nil {
 			return 0, 0, err
 		}
 
-		vt := h.loadTree(v)
-		prevB, err := h.treeGet(vt, b-1)
+		prevB, err := h.readBlock(v, b-1)
 		if err != nil {
 			return 0, 0, err
 		}
-		endPrev, err := h.treeGet(vt, supPrev.end(dir))
+		endPrev, err := h.readBlock(v, supPrev.end(dir))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -129,12 +130,11 @@ func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
 			// D(superblock) (line 293; as in the unbounded version, the
 			// sums come from the sibling's blocks).
 			sib := v.sibling()
-			st := h.loadTree(sib)
-			lastL, err := h.treeGet(st, sup.endLeft)
+			lastL, err := h.readBlock(sib, sup.endLeft)
 			if err != nil {
 				return 0, 0, err
 			}
-			prevL, err := h.treeGet(st, supPrev.endLeft)
+			prevL, err := h.readBlock(sib, supPrev.endLeft)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -151,12 +151,11 @@ func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
 // rank within it, so a batch can read the block's later enqueues too.
 func (h *Handle[T]) getEnqueue(v *node, blkB, prevB *block, i int64) (*block, int64, error) {
 	for !v.isLeaf() {
-		lt := h.loadTree(v.left)
-		lastL, err := h.treeGet(lt, blkB.endLeft)
+		lastL, err := h.readBlock(v.left, blkB.endLeft)
 		if err != nil {
 			return nil, 0, err
 		}
-		prevL, err := h.treeGet(lt, prevB.endLeft)
+		prevL, err := h.readBlock(v.left, prevB.endLeft)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -164,33 +163,31 @@ func (h *Handle[T]) getEnqueue(v *node, blkB, prevB *block, i int64) (*block, in
 
 		var (
 			child           *node
-			childT          *blockTree
 			prevChild, last int64
 		)
 		if i <= fromLeft {
-			child, childT, prevChild, last = v.left, lt, prevL.sumEnq, blkB.endLeft
+			child, prevChild, last = v.left, prevL.sumEnq, blkB.endLeft
 		} else {
 			i -= fromLeft
-			rt := h.loadTree(v.right)
-			prevR, err := h.treeGet(rt, prevB.endRight)
+			prevR, err := h.readBlock(v.right, prevB.endRight)
 			if err != nil {
 				return nil, 0, err
 			}
-			child, childT, prevChild, last = v.right, rt, prevR.sumEnq, blkB.endRight
+			child, prevChild, last = v.right, prevR.sumEnq, blkB.endRight
 		}
 
 		// The direct subblock holding the enqueue is the lowest-indexed
 		// block reaching i+prevChild enqueues (line 356); sumEnq is
-		// monotone in index (Invariant 7), so a tree search finds it, from
+		// monotone in index (Invariant 7), so a search finds it, from
 		// blkB's last direct subblock in the child. The predecessor check
 		// detects a discarded true target: if the found block's predecessor
 		// already reaches the target, the search slid past a GC'd block.
 		target := i + prevChild
-		cand, ok := h.treeFindFirst(childT, last, func(x *block) bool { return x.sumEnq >= target })
+		cand, ok := h.findFirst(child, last, func(x *block) bool { return x.sumEnq >= target })
 		if !ok {
 			return nil, 0, errDiscarded
 		}
-		candPrev, err := h.treeGet(childT, cand.index-1)
+		candPrev, err := h.readBlock(child, cand.index-1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -209,13 +206,12 @@ func (h *Handle[T]) getEnqueue(v *node, blkB, prevB *block, i int64) (*block, in
 // (Propagated, lines 268-280).
 func (h *Handle[T]) propagated(v *node, b int64) bool {
 	for !v.isRoot() {
-		pt := h.loadTree(v.parent)
 		dir := v.childDir()
-		_, maxB := h.treeMax(pt)
+		maxB := h.newest(v.parent)
 		if maxB.end(dir) < b {
 			return false
 		}
-		sup, ok := h.treeFindFirst(pt, maxB.index, func(x *block) bool { return x.end(dir) >= b })
+		sup, ok := h.findFirst(v.parent, maxB.index, func(x *block) bool { return x.end(dir) >= b })
 		if !ok {
 			return false
 		}

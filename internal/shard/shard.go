@@ -202,7 +202,7 @@ type config struct {
 }
 
 // WithBackend selects the per-shard queue implementation (default
-// BackendCore).
+// BackendBounded, whose GC phases free the blocks of finished operations).
 func WithBackend(b Backend) Option {
 	return func(c *config) { c.backend = b }
 }
@@ -262,7 +262,7 @@ type Queue[T any] struct {
 // tree of min(4, maxHandles+1) leaves; Acquire grows the trees as leases
 // need it.
 func New[T any](shards int, opts ...Option) (*Queue[T], error) {
-	cfg := config{backend: BackendCore}
+	cfg := config{backend: BackendBounded}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -373,14 +373,16 @@ func TestShardStatePadded(t *testing.T) {
 // to the sub-queues through an interface, so a per-call slice would escape
 // and read >= 2 allocations per pair. The handle's one-slot scratch keeps
 // the pair at the tree's own amortized slab allocations (~0.3), both on
-// the trees a fabric starts with and on trees grown to the cap.
+// the trees a fabric starts with and on trees grown to the cap. It runs on
+// core, whose pair allocates less than one object; bounded's pair
+// allocates its two leaf blocks (bounded's TestAllocsBoundedPair).
 func TestAllocsFabricSingleOp(t *testing.T) {
 	for _, row := range []struct {
 		name           string
 		leases, leaves int
 	}{{"start", 1, 4}, {"cap", 16, 17}} {
 		t.Run(row.name, func(t *testing.T) {
-			q, err := New[int](4, WithMaxHandles(16))
+			q, err := New[int](4, WithMaxHandles(16), WithBackend(BackendCore))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -810,4 +812,17 @@ func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("Snapshot.Resize = %+v, want epoch 2 / 5 leaves (the cap) / 1 leaf growth / 6 migrated", snap.Resize)
 	}
 	roundTrip(snap, `"epoch":2`, `"leaves":5`, `"leaf_growths":1`, `"migrated":6`)
+}
+
+// TestDefaultBackendIsBounded pins the fabric's default backend: a fabric
+// built without WithBackend, as the service's default queue and
+// repro.NewShardedQueue are, frees the blocks of finished operations.
+func TestDefaultBackendIsBounded(t *testing.T) {
+	q, err := New[int](2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := q.Backend(); b != BackendBounded {
+		t.Fatalf("default backend = %q, want %q", b, BackendBounded)
+	}
 }

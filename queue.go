@@ -175,7 +175,8 @@ var ErrQueueClosed = shard.ErrClosed
 var ErrNoFreeHandles = shard.ErrNoFreeHandles
 
 // WithShardBackend selects the per-shard queue implementation (default
-// ShardBackendCore).
+// ShardBackendBounded, whose GC phases free the blocks of finished
+// operations).
 func WithShardBackend(b ShardBackend) ShardedOption { return shard.WithBackend(b) }
 
 // WithShardMaxHandles caps the number of leasable handle slots (default
