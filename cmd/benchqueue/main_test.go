@@ -213,8 +213,8 @@ func TestConservationViolations(t *testing.T) {
 	if v := conservationViolations(clean); len(v) != 0 {
 		t.Errorf("clean table reported %v", v)
 	}
-	bad := &harness.Table{ID: "T13", Columns: []string{"tenants", "busy", "lost", "dup"},
-		Rows: [][]string{{"1", "7", "0", "0"}, {"2", "0", "0", "1"}, {"4", "0", "0.33", "?"}}}
+	bad := &harness.Table{ID: "T13", Columns: []string{"tenants", "fair", "lost", "dup"},
+		Rows: [][]string{{"1", "0.70", "0", "0"}, {"2", "0", "0", "1"}, {"4", "0", "0.33", "?"}}}
 	got := conservationViolations(bad)
 	want := []string{"T13 row 3 lost=0.33", "T13 row 2 dup=1", "T13 row 3 dup=?"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {

@@ -2,8 +2,9 @@
 // fabrics over TCP: the repository's wait-free queue as a network
 // service. Connections lease fabric handles through the dynamic registry
 // per (connection, queue), pipelined requests are batched into single
-// fabric passes, and a bounded per-connection window turns overload into
-// explicit BUSY replies. Clients address the default queue with the
+// fabric passes, and each connection's one goroutine stops reading while
+// it serves a window, so overload meets TCP backpressure. Clients address
+// the default queue with the
 // pre-namespace opcodes or OPEN named queues — each its own fabric,
 // created on first use, capped by -max-queues, and torn down after
 // -queue-idle without bound sessions or backlog. Every queue's fabric
@@ -19,7 +20,7 @@
 //	/metricsz  Prometheus text exposition (counters, per-queue gauges,
 //	           per-(queue, op) latency summaries)
 //	/tracez    bounded control-plane event trace (session and queue
-//	           lifecycle, sampled BUSY replies) as JSON
+//	           lifecycle) as JSON
 //	/spanz     request-trace exemplar reservoir: the slowest and most
 //	           recent traced requests, each decomposed into per-stage
 //	           durations (send traced frames with the client's
@@ -65,7 +66,7 @@ func main() {
 		shards    = flag.Int("shards", 4, "shard count of the backing fabric")
 		backend   = flag.String("backend", "bounded", "per-shard queue backend: bounded or core")
 		handles   = flag.Int("max-handles", 0, "leasable handle slots = max concurrent sessions (0 = fabric default)")
-		window    = flag.Int("window", 64, "per-connection in-flight request window (overflow gets BUSY; also the most requests one batch pass executes)")
+		window    = flag.Int("window", 64, "per-connection window: the most requests one pass reads, executes and answers with one write")
 		idle      = flag.Duration("idle", 2*time.Minute, "reap sessions idle this long (0 disables)")
 		maxFrame  = flag.Int("max-frame", server.DefaultMaxFrame, "max request frame size in bytes")
 		maxQueues = flag.Int("max-queues", server.DefaultMaxQueues, "max named queues (each its own fabric; OPEN beyond the cap is refused)")
@@ -147,9 +148,9 @@ func run(addr, addrFile string, shards int, backend string, handles, window int,
 	s := <-sig
 	fmt.Printf("queued: %v — shutting down\n", s)
 	snap := srv.Snapshot()
-	fmt.Printf("queued: served %d sessions (%d reaped, %d denied), %d requests (%d busy), %.1f ops/batch\n",
+	fmt.Printf("queued: served %d sessions (%d reaped, %d denied), %d requests, %.1f ops/batch\n",
 		snap.Server.SessionsTotal, snap.Server.SessionsReaped, snap.Server.SessionsDenied,
-		snap.Server.Requests, snap.Server.Busy, snap.Server.OpsPerBatch)
+		snap.Server.Requests, snap.Server.OpsPerBatch)
 	fmt.Printf("queued: %d queues live (%d opened, %d deleted, %d idle-expired)\n",
 		snap.Server.QueuesOpen, snap.Server.QueuesOpened, snap.Server.QueuesDeleted, snap.Server.QueuesExpired)
 	fmt.Printf("queued: default queue at %d shards, %d-leaf trees (epoch %d)\n",

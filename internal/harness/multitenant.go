@@ -93,7 +93,7 @@ func ExpMultiTenant(tenants []int, cfg MultiTenantConfig) (*Table, error) {
 		Title: fmt.Sprintf("Multi-tenant isolation: per-queue throughput vs tenant count (aggregate %d ops/s, %s)",
 			cfg.Load.Rate, cfg.Load.Duration),
 		Columns: []string{"tenants", "rate/q", "agg achieved/s", "min q/s", "max q/s",
-			"fair", "e2e p99 ms", "busy", "lost", "dup"},
+			"fair", "e2e p99 ms", "lost", "dup"},
 		Notes: []string{
 			"each tenant is one named queue (its own sharded fabric) driven by an independent open-loop run at rate/q = aggregate/N.",
 			"fair = slowest tenant's achieved rate / fastest tenant's (1.00 = perfectly even).",
@@ -124,7 +124,7 @@ func ExpMultiTenant(tenants []int, cfg MultiTenantConfig) (*Table, error) {
 		}
 
 		var agg, minQ, maxQ, worstP99 float64
-		var busy, lost, dup, foreign int64
+		var lost, dup, foreign int64
 		for i, res := range results {
 			r := res.AchievedRate()
 			agg += r
@@ -137,7 +137,6 @@ func ExpMultiTenant(tenants []int, cfg MultiTenantConfig) (*Table, error) {
 			if p := stats.Percentile(res.E2ELatMs, 99); p > worstP99 {
 				worstP99 = p
 			}
-			busy += res.Busy
 			lost += res.Lost
 			dup += res.Dup
 			foreign += res.Foreign
@@ -146,7 +145,7 @@ func ExpMultiTenant(tenants []int, cfg MultiTenantConfig) (*Table, error) {
 		if maxQ > 0 {
 			fair = minQ / maxQ
 		}
-		t.AddRow(n, cfg.Load.Rate/n, agg, minQ, maxQ, fair, worstP99, busy, lost, dup)
+		t.AddRow(n, cfg.Load.Rate/n, agg, minQ, maxQ, fair, worstP99, lost, dup)
 		if baseline == 0 {
 			baseline = agg
 		} else if baseline > 0 && n > 0 {

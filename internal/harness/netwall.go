@@ -16,9 +16,8 @@ type NetWallConfig struct {
 	Shards  int
 	Backend shard.Backend
 
-	// Window is the driver's burst size and the server's in-flight window
-	// (they are set equal so the burst-synchronous driver can never draw a
-	// BUSY). Zero means 64.
+	// Window is the driver's burst size and the server's window (they are
+	// set equal so one burst is one server pass). Zero means 64.
 	Window int
 	// Rounds is the measured enqueue+dequeue round count per cell; each
 	// round answers 2*Window frames. Zero means 16.
@@ -76,7 +75,7 @@ func ExpNetMemWall(batchSizes []int, cfg NetWallConfig) (*Table, error) {
 		Columns: []string{"m", "traced", "allocs/frame", "B/frame", "frames/flush"},
 		// The allocation profile is structural and gates across machines;
 		// frames-per-flush depends on how the scheduler interleaves the
-		// reader and the batch worker, so it is environment-bound.
+		// driver's writes with the server's reads, so it is environment-bound.
 		EnvCols: []string{"frames/flush"},
 		Notes: []string{
 			"hot path: size-classed pooled ingress buffers recycled per window, copy-at-admit enqueue payloads, every run of adjacent same-direction frames served by one fabric batch call, per-session reusable reply scratch flushed in one sized write.",

@@ -23,9 +23,8 @@ type Event struct {
 // event. When the ring wraps, the oldest events are overwritten — the
 // ring answers "what did the control plane do recently", not "ever".
 //
-// Control-plane events are rare next to data operations; hot sources
-// (BUSY replies) are sampled by their emitters
-// before they reach the ring.
+// Control-plane events are rare next to data operations; a hot source
+// would have to be sampled by its emitter before it reached the ring.
 type Ring struct {
 	slots []atomic.Pointer[Event]
 	seq   atomic.Uint64 // next sequence number == events recorded

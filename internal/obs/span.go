@@ -76,8 +76,8 @@ type Span struct {
 
 	ClientSend int64 // client-clock unix ns from the traced frame
 
-	Read        int64 // read loop pulled the frame off the socket
-	Admit       int64 // batch worker admitted the frame's window
+	Read        int64 // server pulled the frame off the socket
+	Admit       int64 // server admitted the frame's window for execution
 	FabricStart int64 // queue operation began
 	FabricEnd   int64 // queue operation returned
 	ReplyWrite  int64 // reply frame written to the session buffer
@@ -189,8 +189,8 @@ func (s *StageHists) Summary(st Stage) LatencySummary {
 // what does a typical traced request look like right now) plus a slot
 // table holding the slowest spans seen (the exemplars worth explaining).
 // Writers publish with atomic pointer stores and a bounded number of CAS
-// attempts, so offering a span never blocks the batch worker that
-// produced it; a span that loses its CAS race is simply dropped — the
+// attempts, so offering a span never blocks the connection goroutine
+// that produced it; a span that loses its CAS race is simply dropped — the
 // reservoir answers "show me slow exemplars", not "count every span".
 type Reservoir struct {
 	recent []atomic.Pointer[Span]

@@ -204,7 +204,7 @@ func TestNearCapValueStaysBatchDequeueable(t *testing.T) {
 }
 
 // TestWindowCoalescing pipelines many single-op enqueues, then dequeues,
-// and checks the worker actually executed multi-op fabric calls (runs of
+// and checks the server actually executed multi-op fabric calls (runs of
 // adjacent same-kind frames) rather than per-frame sub-operations.
 func TestWindowCoalescing(t *testing.T) {
 	srv, c := startTestServer(t, WithWindow(64))

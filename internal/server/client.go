@@ -13,8 +13,10 @@ import (
 
 // Client-visible errors.
 var (
-	// ErrBusy reports that the server's in-flight window was full and the
-	// request was rejected; retry after draining some pending replies.
+	// ErrBusy reports an operation answered BUSY (status 0x82). This
+	// server never sends it — the status is reserved — so it comes only
+	// from older servers, whose in-flight window was full; retry after
+	// draining some pending replies.
 	ErrBusy = errors.New("server: busy, in-flight window full")
 	// ErrClosedQueue reports an enqueue against a closed fabric.
 	ErrClosedQueue = errors.New("server: queue is closed")

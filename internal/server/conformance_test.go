@@ -104,7 +104,7 @@ func (h netHandle) SetCounter(*metrics.Counter) {}
 // TestLoopbackConformance runs the full FIFO/conservation conformance
 // suite against the service over localhost: every check that holds for the
 // in-process queue must survive the wire, the session layer, and the
-// batcher.
+// windowed executor.
 func TestLoopbackConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback conformance pays a round trip per op")

@@ -7,14 +7,10 @@ import (
 )
 
 // control answers one frame that is not part of a data run: a control op
-// (LEN/STATS/OPEN/DELETE), the BUSY marker the read loop injects
-// for a request that overflowed the window, a frame too short for its
-// declared trace/queue prefixes, or an unknown opcode. Every failure here
-// is request-scoped — a StatusErr reply, never a connection failure.
+// (LEN/STATS/OPEN/DELETE), a frame too short for its declared trace/queue
+// prefixes, or an unknown opcode. Every failure here is request-scoped —
+// a StatusErr reply, never a connection failure.
 func (srv *Server) control(s *session, f frame, d decoded, fw *frameWriter) error {
-	if d.op == StatusBusy {
-		return fw.frame(f.id, StatusBusy)
-	}
 	reply, err := srv.controlOp(s, f, d)
 	if err != nil {
 		return fw.frame(f.id, StatusErr, []byte(err.Error()))

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -197,7 +196,7 @@ func TestDecodeOpTruncatedPrefixes(t *testing.T) {
 // against a live server over TCP. Every connection must end in either a
 // request-scoped reply or a clean server-side close; afterwards the server
 // must still serve a fresh client, and the goroutine count must return to
-// its pre-corpus baseline (no reader/batcher leaked by a poisoned
+// its pre-corpus baseline (no connection goroutine leaked by a poisoned
 // connection).
 func TestMalformedFramesNoPanicNoLeak(t *testing.T) {
 	q, err := shard.New[[]byte](1, shard.WithMaxHandles(64))
@@ -226,25 +225,7 @@ func TestMalformedFramesNoPanicNoLeak(t *testing.T) {
 	if err := roundTrip(); err != nil {
 		t.Fatalf("pre-corpus round trip: %v", err)
 	}
-	// settle polls until the goroutine count stops falling (or a deadline),
-	// giving closed connections' readers and batchers time to exit.
-	settle := func(target int) int {
-		deadline := time.Now().Add(3 * time.Second)
-		n := runtime.NumGoroutine()
-		for time.Now().Before(deadline) {
-			if target > 0 && n <= target {
-				return n
-			}
-			time.Sleep(20 * time.Millisecond)
-			next := runtime.NumGoroutine()
-			if target <= 0 && next == n {
-				return n
-			}
-			n = next
-		}
-		return n
-	}
-	baseline := settle(0)
+	baseline := settleGoroutines(-1)
 
 	for name, payload := range malformedSeeds() {
 		conn, err := net.Dial("tcp", addr)
@@ -271,9 +252,9 @@ func TestMalformedFramesNoPanicNoLeak(t *testing.T) {
 	if err := roundTrip(); err != nil {
 		t.Fatalf("post-corpus round trip: %v", err)
 	}
-	after := settle(baseline + 3)
-	// Allow a little scheduler slack; a leak would hold one reader plus
-	// one batcher per poisoned connection (~2x corpus size over baseline).
+	after := settleGoroutines(baseline + 3)
+	// Allow a little scheduler slack; a leak would hold one goroutine per
+	// poisoned connection (the corpus size over baseline).
 	if after > baseline+3 {
 		t.Fatalf("goroutines %d after corpus, baseline %d: leaked connection goroutines", after, baseline)
 	}

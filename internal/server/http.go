@@ -68,8 +68,8 @@ func (srv *Server) VarzHandler(extra map[string]string) http.Handler {
 }
 
 // TracezHandler dumps the control-plane event ring as JSON: every queue
-// and session lifecycle transition (and sampled BUSY reply) the ring still
-// holds, in sequence order.
+// and session lifecycle transition the ring still holds, in sequence
+// order.
 // dropped counts events already overwritten by the ring's wraparound.
 // With observability off the dump is empty but well-formed.
 func (srv *Server) TracezHandler() http.Handler {
@@ -115,13 +115,11 @@ func (srv *Server) MetricszHandler() http.Handler {
 		obs.WriteCounter(w, "queued_sessions_total", "", st.SessionsTotal)
 		obs.WriteMetricHeader(w, "queued_sessions_denied_total", "Connections refused for want of a handle lease.", "counter")
 		obs.WriteCounter(w, "queued_sessions_denied_total", "", st.SessionsDenied)
-		obs.WriteMetricHeader(w, "queued_sessions_reaped_total", "Sessions closed by the idle reaper.", "counter")
+		obs.WriteMetricHeader(w, "queued_sessions_reaped_total", "Sessions closed by an idle deadline (no request, or replies left unread).", "counter")
 		obs.WriteCounter(w, "queued_sessions_reaped_total", "", st.SessionsReaped)
 
 		obs.WriteMetricHeader(w, "queued_requests_total", "Request frames parsed off sockets.", "counter")
 		obs.WriteCounter(w, "queued_requests_total", "", st.Requests)
-		obs.WriteMetricHeader(w, "queued_busy_total", "Requests answered BUSY (window full).", "counter")
-		obs.WriteCounter(w, "queued_busy_total", "", st.Busy)
 
 		obs.WriteMetricHeader(w, "queued_ops_total", "Queue operations acknowledged, by class.", "counter")
 		obs.WriteCounter(w, "queued_ops_total", `op="enqueue"`, st.Enqueues)

@@ -95,7 +95,6 @@ type LoadResult struct {
 
 	Offered int64 `json:"offered"` // enqueues scheduled and sent
 	Acked   int64 `json:"acked"`   // enqueues acknowledged StatusOK
-	Busy    int64 `json:"busy"`    // enqueues rejected StatusBusy (backpressure)
 	Errors  int64 `json:"errors"`  // enqueues failing any other way
 
 	Consumed int64 `json:"consumed"` // values dequeued by the consumers
@@ -139,7 +138,6 @@ type producerState struct {
 	latMs    []float64
 	offered  int64
 	ackCount int64
-	busy     int64
 	errs     int64
 }
 
@@ -262,7 +260,6 @@ func RunLoad(addr string, cfg LoadConfig) (*LoadResult, error) {
 	for p, ps := range prods {
 		res.Offered += ps.offered
 		res.Acked += ps.ackCount
-		res.Busy += ps.busy
 		res.Errors += ps.errs
 		res.EnqLatMs = append(res.EnqLatMs, ps.latMs...)
 		for seq := int64(0); seq < ps.offered; seq++ {
@@ -328,8 +325,6 @@ func runProducer(addr string, cfg LoadConfig, p int, ps *producerState, nonce ui
 				ps.latMs = append(ps.latMs, float64(time.Since(meta.sched))/float64(time.Millisecond))
 				ps.ackCount++
 				ackedTotal.Add(1)
-			case cl.f.kind == StatusBusy:
-				ps.busy++
 			default:
 				ps.errs++
 			}

@@ -345,7 +345,7 @@ func TestOpenDeleteChurnConservation(t *testing.T) {
 
 // TestQualifiedCoalescing pipelines many qualified enqueues on one
 // connection and checks they were coalesced into multi-op fabric batches,
-// i.e. the batch worker treats same-queue runs like default-queue runs.
+// i.e. the executor treats same-queue runs like default-queue runs.
 func TestQualifiedCoalescing(t *testing.T) {
 	srv, _ := newTestServer(t, 1, nil, WithWindow(512))
 	c := newTestClient(t, srv)

@@ -121,7 +121,7 @@ func TestTracezEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	// finishSession runs on the worker goroutine after Close; wait for the
+	// finishSession runs on the session's goroutine after Close; wait for the
 	// session_close event rather than sleeping a fixed interval.
 	deadline := time.Now().Add(2 * time.Second)
 	types := map[string]int{}

@@ -21,17 +21,21 @@ type options struct {
 	obs bool // per-(queue, op) latency histograms + control-plane trace ring
 }
 
-// WithWindow sets the per-connection in-flight window W (default 64): the
-// number of parsed-but-unanswered requests a connection may have before
-// further requests are answered BUSY. It is also the most requests one
-// batch pass drains, executes and answers with a single socket flush.
+// WithWindow sets the per-connection window W (default 64): the most
+// request frames one pass reads, executes and answers with a single socket
+// flush, and so the most a connection holds read but unanswered. The pass
+// takes only frames that have begun to arrive in its read buffer; the rest
+// wait in the socket, where a peer that keeps sending meets TCP
+// backpressure.
 func WithWindow(w int) Option {
 	return func(o *options) { o.window = w }
 }
 
-// WithIdleTimeout sets how long a session may go without sending a frame
-// before the reaper closes it and recycles its handle lease (default 2m;
-// 0 disables reaping).
+// WithIdleTimeout sets how long a session may go without sending a frame,
+// or leave its replies unread, before it is closed and its handle leases
+// recycled (default 2m; 0 disables reaping). It is a connection deadline,
+// moved forward only once less than d is left, so a session is reaped
+// between d and 1.5×d after its last frame or its last reply taken.
 func WithIdleTimeout(d time.Duration) Option {
 	return func(o *options) { o.idleTimeout = d }
 }
@@ -71,9 +75,9 @@ func WithQueueFactory(f func() (*shard.Queue[[]byte], error)) Option {
 // event trace served by /tracez, and request tracing (per-stage
 // timestamps, the span exemplar reservoir served by /spanz, and the
 // per-stage histograms) for frames a client flags with OpTraceFlag. Off,
-// the read loop stops stamping frames, no histogram is touched, traced
-// requests are served normally but answered plain (the client reads that
-// as "server declined to sample"), and Snapshot reverts to the
+// frames are not stamped with their read time, no histogram is touched,
+// traced requests are served normally but answered plain (the client
+// reads that as "server declined to sample"), and Snapshot reverts to the
 // pre-observability shape; the /healthz, /varz, and /metricsz endpoints
 // keep working (exposing counters only).
 func WithObservability(on bool) Option {

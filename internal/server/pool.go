@@ -6,7 +6,7 @@ import "sync"
 // frame hot path. Two kinds of storage cycle through it:
 //
 //   - ingress frame bodies: readFramePooled decodes each request payload into
-//     a pooled buffer, which the batch worker returns once its window is
+//     a pooled buffer, which the session returns once its window is
 //     processed (every reply byte has been copied into the egress scratch
 //     and every enqueue payload copied out at admit time, so the body is
 //     provably dead);
@@ -20,10 +20,10 @@ import "sync"
 // the pool only by the goroutine that holds its sole reference, only after
 // the last read of its bytes. A dequeued value sits in its session's stash
 // from the fabric pull until a reply ships it, and is recycled only once
-// that reply's bytes are in the egress scratch; a value whose reply failed
-// to write was never consumed, so it is still in the stash — which owns its
-// bytes until teardown re-enqueues them, at which point the fabric owns
-// them again.
+// a socket write has taken that reply whole (frameWriter.hold); a value
+// whose reply did not get out whole goes back to the front of the stash —
+// which owns its bytes until teardown re-enqueues them, at which point the
+// fabric owns them again.
 //
 // Ownership contract: a value enqueued into a served fabric is transferred
 // to the service — callers must not read or reuse the slice afterwards

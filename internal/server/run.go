@@ -18,8 +18,7 @@ import (
 
 // dataDir classifies a decoded frame by direction: OpEnqueue for the two
 // enqueue opcodes, OpDequeue for the two dequeue opcodes, 0 for a frame
-// that belongs to no run (control ops, the BUSY marker, bad prefixes,
-// unknown opcodes).
+// that belongs to no run (control ops, bad prefixes, unknown opcodes).
 func dataDir(d *decoded) byte {
 	if d.bad {
 		return 0
@@ -203,9 +202,9 @@ func (srv *Server) enqueueRun(s *session, b *binding, run []frame, decs []decode
 // single takes one, a batch stops at its count or at its reply's byte
 // budget, and frames past the values get StatusEmpty without another
 // sweep. Values are dealt straight from the binding's stash, so whatever
-// was pulled but not shipped — by the budget, or by a reply that failed to
-// write and so never reached the client as a parseable frame — is simply
-// still there, in order, for the next run or for teardown to re-enqueue.
+// was pulled but not shipped — by the budget, or by a reply the socket did
+// not take whole, whose values the frameWriter hands back — is still
+// there, in order, for the next run or for teardown to re-enqueue.
 func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, decs []decoded, fw *frameWriter) error {
 	traced := runSampled(run, decs)
 	s.fabricStart = stamp(traced)
@@ -256,9 +255,7 @@ func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, dec
 			empties++
 			continue
 		}
-		for _, v := range pending[:d.n] {
-			putBuf(v) // reply bytes are in the egress scratch now
-		}
+		fw.hold(b, pending[:d.n]) // recycled once the reply is written
 		b.consume(d.n)
 		shipped += int64(d.n)
 	}
@@ -285,6 +282,12 @@ func (b *binding) pull(n int) int64 {
 	var got int
 	b.stash, got = b.h.DequeueBatchAppend(b.stash, n-have)
 	return int64(got)
+}
+
+// unconsume puts vs, values whose replies never got out whole, back in
+// order at the front of the pending values. vs becomes the stash.
+func (b *binding) unconsume(vs [][]byte) {
+	b.stash, b.head = append(vs, b.stash[b.head:]...), 0
 }
 
 // pending returns the stashed values in dequeue order.
@@ -328,7 +331,7 @@ func (d *decoded) class() obs.Op {
 }
 
 // sampled reports whether a request frame is a live trace sample: the
-// client set the trace flag and the read loop stamped the frame (i.e.
+// client set the trace flag and the server stamped the frame's read (i.e.
 // observability is on). A traced frame on an obs-off server is served
 // normally but answered plain — the client reads that as "declined".
 func sampled(f frame, d decoded) bool {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -11,16 +12,20 @@ import (
 	"repro/internal/shard"
 )
 
-// Observability constants: the trace ring's capacity, the sampling
-// stride that keeps a hot control-plane event source (BUSY replies) from
-// flooding it, and the span reservoir's
-// shape (the recent ring for coverage, the slow table for the exemplars
-// worth explaining — see obs.Reservoir).
+// connReadBuf is a connection's read buffer. A window takes the frames
+// that have begun to arrive in it, so it must hold a whole batch frame and
+// the start of the next: with bufio's default 4 KiB, an 8 KiB frame of 32
+// 256-byte values bypassed the buffer and always came alone, and adjacent
+// enqueue batches stopped coalescing into one fabric call.
+const connReadBuf = 16 << 10
+
+// Observability constants: the trace ring's capacity and the span
+// reservoir's shape (the recent ring for coverage, the slow table for the
+// exemplars worth explaining — see obs.Reservoir).
 const (
-	traceRingCap    = 1024
-	busySampleEvery = 1024 // trace the 1st, 1025th, ... BUSY reply
-	spanRecentCap   = 128  // most recent traced spans kept by /spanz
-	spanSlowCap     = 32   // slowest traced spans kept by /spanz
+	traceRingCap  = 1024
+	spanRecentCap = 128 // most recent traced spans kept by /spanz
+	spanSlowCap   = 32  // slowest traced spans kept by /spanz
 )
 
 // Server is a TCP queue service fronting a namespace of sharded fabrics:
@@ -78,10 +83,6 @@ func Serve(addr string, q *shard.Queue[[]byte], opts ...Option) (*Server, error)
 	srv.sessions.init()
 	srv.wg.Add(1)
 	go srv.acceptLoop()
-	if o.idleTimeout > 0 {
-		srv.wg.Add(1)
-		go srv.reapLoop(o.idleTimeout)
-	}
 	if o.queueIdle > 0 {
 		srv.wg.Add(1)
 		go srv.queueReapLoop(o.queueIdle)
@@ -105,7 +106,9 @@ func (srv *Server) Close() error {
 		close(srv.done)
 		srv.ln.Close()
 		for _, s := range srv.sessions.snapshot() {
-			s.shutdown()
+			// Its goroutine fails out of its read or write and tears the
+			// session down; closing a connection twice is harmless.
+			s.conn.Close()
 		}
 	})
 	srv.wg.Wait()
@@ -134,8 +137,8 @@ func (srv *Server) acceptLoop() {
 	}
 }
 
-// startSession leases a default-queue handle for conn and spawns its read
-// loop + batch worker pair.
+// startSession leases a default-queue handle for conn and spawns its one
+// goroutine.
 func (srv *Server) startSession(conn net.Conn) {
 	h, err := srv.q.Acquire()
 	if err != nil {
@@ -158,9 +161,7 @@ func (srv *Server) startSession(conn net.Conn) {
 		conn:     conn,
 		srv:      srv,
 		bindings: map[uint32]*binding{0: {t: def, h: h}},
-		reqCh:    make(chan frame, srv.opts.window),
 	}
-	s.touch()
 	srv.sessions.add(s)
 	s.stripe = int(s.id) // histogram stripe affinity; Record masks it
 	// Close() closes done before it snapshots the session table, so a
@@ -168,94 +169,68 @@ func (srv *Server) startSession(conn net.Conn) {
 	// snapshot (Close shuts it down) or observes done closed here.
 	select {
 	case <-srv.done:
-		s.shutdown()
+		conn.Close()
 	default:
 	}
 	srv.stats.sessionsTotal.Add(1)
 	srv.trace.Add("session_open", "", map[string]any{
 		"session": s.id, "remote": conn.RemoteAddr().String()})
-	srv.wg.Add(2)
-	go srv.readLoop(s)
-	go srv.batchWorker(s)
+	srv.wg.Add(1)
+	go srv.serveConn(s)
 }
 
-// readLoop parses frames off the socket and feeds the worker through the
-// bounded window. When the window is full the request is converted into a
-// BUSY marker, and the (blocking) handoff of that marker is what pauses
-// reading — overload degrades into explicit rejections first and TCP
-// backpressure second, never into unbounded buffering.
-func (srv *Server) readLoop(s *session) {
-	defer srv.wg.Done()
-	// The worker drains reqCh until it is closed, so close it only after
-	// the last send.
-	defer close(s.reqCh)
-	br := bufio.NewReader(s.conn)
-	for {
-		f, err := readFramePooled(br, srv.opts.maxFrame)
-		if err != nil {
-			return
-		}
-		// One clock read serves both the idle reaper and the frame's
-		// observability stamp, so histograms cost the hot read path no
-		// extra time.Now.
-		now := time.Now().UnixNano()
-		s.lastActive.Store(now)
-		if srv.opts.obs {
-			f.at = now
-		}
-		srv.stats.requests.Add(1)
-		select {
-		case s.reqCh <- f:
-		default:
-			// Window full: reject this request. The BUSY marker still
-			// takes a window slot, so this send blocks until the worker
-			// frees one — pausing the read loop is the backpressure. The
-			// rejected frame's body dies here: the marker carries only the
-			// id, so the buffer recycles immediately.
-			putBuf(f.payload)
-			if n := srv.stats.busy.Add(1); (n-1)%busySampleEvery == 0 {
-				srv.trace.Add("busy", "", map[string]any{
-					"session": s.id, "busy_total": n})
-			}
-			s.reqCh <- frame{id: f.id, kind: StatusBusy}
-		}
-	}
-}
-
-// batchWorker owns the session's write side: it waits for one pending
-// request, greedily drains whatever else has accumulated (at most one
-// window), executes it against the session's leased handles — every run of
-// adjacent same-direction, same-queue data frames as one fabric batch call
-// (run.go) — and flushes all the replies with a single socket write: the
-// paper's batch propagation applied at the network layer, all the way down
-// (a run of m pipelined enqueues becomes one m-op leaf block and one tree
-// walk). It also owns teardown: when reqCh closes, the handle leases are
-// released and the session unregistered.
-func (srv *Server) batchWorker(s *session) {
+// serveConn is the session's one goroutine. It blocks for one frame, takes
+// every further frame that has begun to arrive in its read buffer, up to
+// the window W (waiting, if it must, only for the rest of a frame whose
+// first bytes are in), executes the window — every run of adjacent
+// same-direction, same-queue data frames as one fabric batch call
+// (run.go), the paper's batch propagation one layer up — and flushes all
+// the replies with one socket write. It reads nothing while it executes,
+// so a peer that outpaces it meets TCP backpressure and no frame waits
+// anywhere but in the socket.
+// An idle timeout is a deadline on the window's blocking read and on its
+// replies; its expiring reaps the session. Every
+// way out (read or write error, deadline, Server.Close) ends in
+// finishSession.
+func (srv *Server) serveConn(s *session) {
 	defer srv.wg.Done()
 	defer srv.finishSession(s)
-	fw := &frameWriter{w: s.conn}
+	br := bufio.NewReaderSize(s.conn, connReadBuf)
+	fw := &frameWriter{w: s.conn, dequeues: &srv.stats.dequeues}
 	window := make([]frame, 0, srv.opts.window)
-	for {
-		f, ok := <-s.reqCh
-		if !ok {
-			return
+	idle := srv.opts.idleTimeout
+	// One deadline covers reads and writes. It moves, to 1.5×idle out, only
+	// once less than idle is left: a peer that stops sending or reading is
+	// reaped 1 to 1.5×idle later, and an active session pays the setter
+	// (dearer than a small window's fabric call) once per idle/2. It fails
+	// only on a closed connection, which the next read or write reports.
+	var deadline time.Time
+	extend := func() {
+		if idle > 0 && time.Until(deadline) < idle {
+			deadline = time.Now().Add(idle + idle/2)
+			_ = s.conn.SetDeadline(deadline)
 		}
-		window = append(window[:0], f)
-	drain:
-		for len(window) < srv.opts.window {
-			select {
-			case f, more := <-s.reqCh:
-				if !more {
-					ok = false // connection gone; flushes become best-effort
-					break drain
-				}
-				window = append(window, f)
-			default:
-				break drain
+	}
+	var err error
+	for err == nil {
+		extend()
+		window = window[:0]
+		for len(window) == 0 || len(window) < srv.opts.window && br.Buffered() > 0 {
+			var f frame
+			if f, err = readFramePooled(br, srv.opts.maxFrame); err != nil {
+				break // after good frames: answer them, then hang up
 			}
+			if srv.opts.obs {
+				f.at = time.Now().UnixNano()
+			}
+			window = append(window, f)
 		}
-		err := srv.processWindow(s, window, fw)
+		if len(window) == 0 {
+			break
+		}
+		srv.stats.requests.Add(int64(len(window)))
+		extend() // the read may have used up most of what was left
+		werr := srv.processWindow(s, window, fw)
 		srv.stats.batches.Add(1)
 		srv.stats.frames.Add(int64(len(window)))
 		// The window's frame bodies go back to the pool. Every reference
@@ -267,28 +242,25 @@ func (srv *Server) batchWorker(s *session) {
 			putBuf(window[i].payload)
 			window[i].payload = nil
 		}
-		if err == nil {
-			err = fw.flush()
+		if werr == nil {
+			werr = fw.flush()
 		}
-		if err != nil {
-			// The socket is broken; unblock the read loop (it may be
-			// mid-read or mid-send), then drain reqCh until its close
-			// lands so no sender is left stranded. Spans from the failed
-			// window never got their flush stamp and are dropped with it.
+		if werr != nil {
+			// Spans from the failed window never got their flush stamp and
+			// are dropped with it.
 			s.winSpans = s.winSpans[:0]
-			s.shutdown()
-			for f := range s.reqCh {
-				putBuf(f.payload)
-			}
-			return
+			err = werr
+			break
 		}
 		// The flush landed: close the window's spans with its timestamp and
 		// publish them (one clock read per window, and only for windows that
 		// carried a traced frame).
 		srv.completeSpans(s)
-		if !ok {
-			return
-		}
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		srv.stats.reaped.Add(1)
+		srv.trace.Add("session_reaped", "", map[string]any{
+			"session": s.id, "idle_ms": idle.Milliseconds()})
 	}
 }
 
@@ -301,18 +273,17 @@ func (srv *Server) batchWorker(s *session) {
 // fabric closed by its owner — or a named queue its owner deleted — can
 // make this fail, and then the loss is the owner's explicit choice.
 func (srv *Server) finishSession(s *session) {
-	s.shutdown()
-	if srv.sessions.remove(s.id) {
-		srv.trace.Add("session_close", "", map[string]any{
-			"session": s.id, "queues_bound": len(s.bindings)})
-		for _, b := range s.bindings {
-			if b.h != nil {
-				// Fails only on a closed fabric, and then the loss is the
-				// owner's choice (see above).
-				_ = b.h.EnqueueBatch(b.pending())
-				b.h.Release()
-			}
-			srv.ns.unbind(b.t)
+	s.conn.Close()
+	srv.sessions.remove(s.id)
+	srv.trace.Add("session_close", "", map[string]any{
+		"session": s.id, "queues_bound": len(s.bindings)})
+	for _, b := range s.bindings {
+		if b.h != nil {
+			// Fails only on a closed fabric, and then the loss is the
+			// owner's choice (see above).
+			_ = b.h.EnqueueBatch(b.pending())
+			b.h.Release()
 		}
+		srv.ns.unbind(b.t)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -153,17 +154,19 @@ func TestIdleSessionReaped(t *testing.T) {
 	}
 }
 
-// TestBusyBackpressure drives the window mechanism directly over a raw
-// connection: the fabric is prefilled with large values, the "client"
-// pipelines many dequeues without reading a single reply, so the batch
-// worker blocks writing values into full socket buffers, the window fills,
-// and the read loop must answer the overflow with BUSY.
-func TestBusyBackpressure(t *testing.T) {
+// TestStalledReaderBackpressure pins what the window bounds now that the
+// server answers no BUSY: a peer that pipelines far more dequeues than the
+// window and reads none of the replies stalls the server in its reply
+// write, and while it stalls the server reads no further frames and holds
+// at most W read but unanswered. Nothing is refused: once the peer reads,
+// every request is answered OK, in order, and the fabric is drained.
+func TestStalledReaderBackpressure(t *testing.T) {
 	const (
 		values    = 300
 		valueSize = 32 << 10
+		window    = 2
 	)
-	srv, q := newTestServer(t, 1, nil, WithWindow(2))
+	srv, q := newTestServer(t, 1, nil, WithWindow(window))
 	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -190,41 +193,104 @@ func TestBusyBackpressure(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Let the worker run into the full socket buffers before draining.
+
+	// Read nothing until the server has run into the full socket buffers:
+	// its request count stops moving, short of the pipelined total.
+	var st Stats
+	for prev, still, deadline := int64(-1), 0, time.Now().Add(5*time.Second); still < 5; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never stalled: %d requests read", st.Requests)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if st = srv.Snapshot().Server; st.Requests == prev {
+			still++
+		} else {
+			prev, still = st.Requests, 0
+		}
+	}
+	if st.Requests >= values {
+		t.Fatalf("server read all %d requests of a peer that reads nothing", st.Requests)
+	}
+	if held := st.Requests - st.Frames; held > window {
+		t.Errorf("server holds %d frames read but unanswered, window %d", held, window)
+	}
 	time.Sleep(100 * time.Millisecond)
+	if got := srv.Snapshot().Server.Requests; got != st.Requests {
+		t.Errorf("requests grew from %d to %d while the peer read nothing", st.Requests, got)
+	}
 
 	br := bufio.NewReader(conn)
-	ok, busy := 0, 0
 	for i := 0; i < values; i++ {
 		f, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
-		switch f.kind {
-		case StatusOK:
-			if len(f.payload) != valueSize {
-				t.Fatalf("reply %d: %d-byte value", i, len(f.payload))
-			}
-			ok++
-		case StatusBusy:
-			busy++
-		default:
-			t.Fatalf("reply %d: status 0x%02x", i, f.kind)
+		if f.id != uint64(i+1) || f.kind != StatusOK || len(f.payload) != valueSize {
+			t.Fatalf("reply %d: id %d, status 0x%02x, %d-byte value", i, f.id, f.kind, len(f.payload))
 		}
 	}
-	if busy == 0 {
-		t.Error("window overflow produced no BUSY replies")
+	if got := q.Len(); got != 0 {
+		t.Errorf("fabric len = %d after every dequeue was answered", got)
 	}
-	if ok+busy != values {
-		t.Errorf("ok=%d busy=%d, want sum %d", ok, busy, values)
+	if busy := srv.Snapshot().Server.Busy; busy != 0 {
+		t.Errorf("stats busy = %d, want 0", busy)
 	}
-	// BUSY rejections must not have touched the fabric: exactly the OK'd
-	// dequeues are gone.
-	if got := q.Len(); got != values-ok {
-		t.Errorf("fabric len = %d, want %d", got, values-ok)
+}
+
+// settleGoroutines polls runtime.NumGoroutine until it equals target or
+// stops changing between two polls 20 ms apart, for at most 3 s, and
+// returns it; a negative target waits only for it to stop changing. It
+// gives closed connections' goroutines time to exit and new ones time to
+// start.
+func settleGoroutines(target int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(3 * time.Second); n != target && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		next := runtime.NumGoroutine()
+		if next == n {
+			break
+		}
+		n = next
 	}
-	if snap := srv.Snapshot(); snap.Server.Busy != int64(busy) {
-		t.Errorf("stats busy = %d, replies said %d", snap.Server.Busy, busy)
+	return n
+}
+
+// TestGoroutinePerConnection pins the connection model: each open
+// connection costs the server exactly one goroutine, and Close returns the
+// count to where it was before Serve.
+func TestGoroutinePerConnection(t *testing.T) {
+	const conns = 8
+	before := settleGoroutines(-1)
+	q, err := shard.New[[]byte](1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve("127.0.0.1:0", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := settleGoroutines(-1)
+	for i := 0; i < conns; i++ {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+	}
+	for deadline := time.Now().Add(3 * time.Second); srv.Snapshot().Server.SessionsOpen != conns; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sessions open", srv.Snapshot().Server.SessionsOpen, conns)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := settleGoroutines(base + conns); got != base+conns {
+		t.Errorf("%d goroutines with %d connections open, want %d (baseline %d + one each)",
+			got, conns, base+conns, base)
+	}
+	srv.Close()
+	if got := settleGoroutines(before); got != before {
+		t.Errorf("%d goroutines after Close, want %d as before Serve", got, before)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -23,53 +22,39 @@ type session struct {
 	srv  *Server
 
 	// stripe is this session's latency-histogram stripe affinity, derived
-	// from id at accept. Each batch worker records into its own stripe so
+	// from id at accept. Each session records into its own stripe so
 	// concurrent sessions never contend on a histogram cache line;
 	// obs.Record masks it into range.
 	stripe int
 
 	// bindings maps queue id -> this session's lease on that queue. The
-	// batch worker owns it exclusively (the default binding is installed
-	// before the worker starts), so no lock is needed; cross-session
+	// session's goroutine owns it exclusively (the default binding is
+	// installed before it starts), so no lock is needed; cross-session
 	// bookkeeping (tenant refcounts) lives in the namespace.
 	bindings map[uint32]*binding
 
-	// reqCh is the bounded in-flight window between the connection's read
-	// loop and its batch worker. Its capacity is the window size W: a
-	// request that arrives while W requests are pending is answered BUSY.
-	reqCh chan frame
-
-	// decs is the batch worker's scratch for the current window's decoded
+	// decs is the session's scratch for the current window's decoded
 	// queue addressing, reused across passes.
 	decs []decoded
 
-	// vals is the batch worker's value-header scratch for enqueue runs,
+	// vals is the session's value-header scratch for enqueue runs,
 	// reused across them. Only slice headers live here — the value bytes are
 	// pooled copies whose ownership moves to the fabric (or back to the
 	// pool, if the queue is closed) before the scratch is reused.
-	// Worker-owned.
 	vals [][]byte
 
-	// admitNs is the batch worker's admit stamp for the current window,
+	// admitNs is the session's admit stamp for the current window,
 	// taken once per pass and only when the window carries a sampled traced
 	// frame; every span the pass produces shares it. fabricStart and
 	// fabricEnd bound the current run's fabric call the same way (zero when
-	// the run carries no sampled frame). Worker-owned.
+	// the run carries no sampled frame).
 	admitNs                int64
 	fabricStart, fabricEnd int64
 
 	// winSpans parks the current window's traced spans between their reply
 	// write and the pass's socket flush, which closes their last stage
-	// (completeSpans publishes them and resets the slice). Worker-owned.
+	// (completeSpans publishes them and resets the slice).
 	winSpans []*obs.Span
-
-	// lastActive is the unix-nano time of the last frame read from the
-	// connection; the reaper closes sessions idle past the idle timeout.
-	lastActive atomic.Int64
-
-	// closeConn guards against double-closing the connection: teardown can
-	// be triggered by a read error, server shutdown, or the idle reaper.
-	closeConn sync.Once
 }
 
 // binding is one session's attachment to one queue: the tenant (refs
@@ -86,9 +71,9 @@ type binding struct {
 	// stash[head:] holds values already dequeued from this queue's fabric
 	// but not yet shipped: a dequeue run pulls its whole total here and
 	// deals replies from the front (run.go), so what a reply's byte budget
-	// or count left behind — or a reply that failed to write — is still
+	// or count left behind, or a failed write handed back (unconsume), is
 	// here, in dequeue order, for the next run to ship before the fabric is
-	// touched again. The batch worker owns it exclusively; teardown
+	// touched again. The session's goroutine owns it exclusively; teardown
 	// re-enqueues any remainder into the same queue so no value is lost
 	// when a client disconnects with values parked. The buffer is kept
 	// across runs (head rewinds when it drains), so steady-state pulls
@@ -127,15 +112,6 @@ func (s *session) bind(qid uint32) (*binding, error) {
 	return b, nil
 }
 
-// touch records activity for the idle reaper.
-func (s *session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
-
-// shutdown closes the connection (idempotently). The read loop then fails
-// out, closes reqCh, and the worker finishes teardown.
-func (s *session) shutdown() {
-	s.closeConn.Do(func() { s.conn.Close() })
-}
-
 // sessionTable tracks live sessions for shutdown, reaping, and stats.
 // Session setup and teardown are cold paths next to the per-frame work, so
 // a plain mutex-guarded map is enough.
@@ -156,16 +132,11 @@ func (t *sessionTable) add(s *session) {
 	t.live[s.id] = s
 }
 
-// remove drops a session; it reports whether the session was still present
-// (false means a concurrent remover already took it).
-func (t *sessionTable) remove(id uint64) bool {
+// remove drops a session. Each session's goroutine removes its own, once.
+func (t *sessionTable) remove(id uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.live[id]; !ok {
-		return false
-	}
 	delete(t.live, id)
-	return true
 }
 
 // snapshot copies the live sessions so callers can act on them without
@@ -187,37 +158,10 @@ func (t *sessionTable) count() int {
 	return len(t.live)
 }
 
-// reapLoop closes sessions that have been idle longer than timeout. It
-// wakes at half the timeout so a session is reaped at most 1.5x the
-// timeout after its last frame.
-func (srv *Server) reapLoop(timeout time.Duration) {
-	defer srv.wg.Done()
-	tick := time.NewTicker(timeout / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-srv.done:
-			return
-		case <-tick.C:
-		}
-		cutoff := time.Now().Add(-timeout).UnixNano()
-		for _, s := range srv.sessions.snapshot() {
-			if s.lastActive.Load() < cutoff {
-				srv.stats.reaped.Add(1)
-				srv.trace.Add("session_reaped", "", map[string]any{
-					"session": s.id,
-					"idle_ms": (time.Now().UnixNano() - s.lastActive.Load()) / 1e6,
-				})
-				s.shutdown()
-			}
-		}
-	}
-}
-
 // queueReapLoop tears down named queues that have been empty and unbound
 // longer than timeout, so a tenant that opened a queue, drained it, and
 // went away does not pin a whole fabric forever. It wakes at half the
-// timeout, mirroring the session reaper's cadence.
+// timeout, so a queue goes at most 1.5x the timeout after it fell idle.
 func (srv *Server) queueReapLoop(timeout time.Duration) {
 	defer srv.wg.Done()
 	tick := time.NewTicker(timeout / 2)

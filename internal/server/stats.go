@@ -15,9 +15,8 @@ import (
 type serverStats struct {
 	sessionsTotal  atomic.Int64 // accepted connections that got a lease
 	sessionsDenied atomic.Int64 // accepted connections denied for want of a handle
-	reaped         atomic.Int64 // sessions closed by the idle reaper
+	reaped         atomic.Int64 // sessions closed by an idle deadline
 	requests       atomic.Int64 // frames parsed off sockets
-	busy           atomic.Int64 // requests answered StatusBusy
 	enqueues       atomic.Int64 // values acknowledged enqueued
 	dequeues       atomic.Int64 // values delivered by dequeue replies
 	emptyDeqs      atomic.Int64 // StatusEmpty dequeue replies
@@ -39,7 +38,7 @@ type Stats struct {
 	SessionsDenied int64   `json:"sessions_denied"`
 	SessionsReaped int64   `json:"sessions_reaped"`
 	Requests       int64   `json:"requests"`
-	Busy           int64   `json:"busy"`
+	Busy           int64   `json:"busy"` // always 0: the server sends no BUSY (StatusBusy is reserved)
 	Enqueues       int64   `json:"enqueues"`
 	Dequeues       int64   `json:"dequeues"`
 	EmptyDequeues  int64   `json:"empty_dequeues"`
@@ -62,8 +61,8 @@ type Stats struct {
 // ObsStats is the server-wide observability block of a Snapshot: trace
 // ring occupancy plus latency summaries per operation class aggregated
 // across every live queue. In-server latency is measured per request
-// frame, from the read loop's socket read to the reply write, so window
-// queueing is part of the measured interval.
+// frame, from its socket read to the reply write, so the frames served
+// ahead of it in its window are part of the measured interval.
 type ObsStats struct {
 	TraceRecorded int64 `json:"trace_recorded"` // events ever added to the ring
 	TraceCapacity int   `json:"trace_capacity"`
@@ -75,7 +74,7 @@ type ObsStats struct {
 
 	// Request-tracing block: spans ever captured by the exemplar reservoir
 	// (see /spanz) and per-stage latency summaries over traced frames only
-	// — wait (read to batcher admit), fabric (queue operation), reply
+	// — wait (read to window admit), fabric (queue operation), reply
 	// (fabric end to reply write), flush (reply write to socket flush),
 	// server (the whole read-to-flush interval).
 	Spans    int64                         `json:"spans"`
@@ -102,7 +101,6 @@ func (srv *Server) Snapshot() Snapshot {
 		SessionsDenied: srv.stats.sessionsDenied.Load(),
 		SessionsReaped: srv.stats.reaped.Load(),
 		Requests:       srv.stats.requests.Load(),
-		Busy:           srv.stats.busy.Load(),
 		Enqueues:       srv.stats.enqueues.Load(),
 		Dequeues:       srv.stats.dequeues.Load(),
 		EmptyDequeues:  srv.stats.emptyDeqs.Load(),

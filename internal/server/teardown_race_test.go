@@ -9,7 +9,11 @@ package server
 // the queue still alive.
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -180,10 +184,10 @@ func TestTeardownReEnqueuesStash(t *testing.T) {
 		{"coalesced run then connection cut", time.Minute, func(t *testing.T, addr string) [][]byte {
 			rc := dialRaw(t, addr)
 			count := []byte{0, 0, 0, n}
-			// The leading STATS keeps the worker busy while the read loop
-			// queues the three dequeues behind it, so they are (almost
-			// always) drained as one window and served as one run; the
-			// assertions below hold wherever the window is cut.
+			// The burst goes out in one write, so the server (almost
+			// always) reads it as one window and serves the three dequeues
+			// as one run; the assertions below hold wherever the window is
+			// cut.
 			burst := appendFrame(nil, 1, OpStats)
 			burst = appendFrame(burst, 2, OpDequeueBatch, count)
 			burst = appendFrame(burst, 3, OpDequeue)
@@ -295,5 +299,178 @@ func TestTeardownReEnqueuesStash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReapWedgedWriter stalls a session in its reply write: the peer
+// pipelines dequeues of large values, reads part of the first reply and
+// then nothing. The idle timeout's write deadline must reap the session,
+// return its lease, and put back every value the peer did not get whole —
+// the ones still in the stash and the ones whose reply bytes the failed
+// write never handed to the socket — so that what the peer received plus
+// what the fabric holds is exactly what was enqueued, each value once.
+func TestReapWedgedWriter(t *testing.T) {
+	const (
+		values    = 64 // one window: the server reads every request before it stalls
+		valueSize = 128 << 10
+	)
+	q, err := shard.New[[]byte](1, shard.WithMaxHandles(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve("127.0.0.1:0", q, WithIdleTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < values; i++ {
+		v := bytes.Repeat([]byte{'v'}, valueSize)
+		v[0] = byte(i)
+		if err := h.Enqueue(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Release()
+	inUse := q.RegistryStats().InUse
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var burst []byte
+	for i := 0; i < values; i++ {
+		burst = appendFrame(burst, uint64(i+1), OpDequeue)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1000) // mid-way through the first reply
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatal(err)
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); srv.Snapshot().Server.SessionsReaped != 1 ||
+		q.RegistryStats().InUse != inUse; {
+		if time.Now().After(deadline) {
+			t.Fatalf("wedged session not reaped: reaped %d, leases in use %d (want %d)",
+				srv.Snapshot().Server.SessionsReaped, q.RegistryStats().InUse, inUse)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The server has hung up; what it wrote before the deadline is still on
+	// its way. Read it to the end and count the replies that arrived whole.
+	rest, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading the reaped session's replies: %v", err)
+	}
+	br := bufio.NewReader(bytes.NewReader(append(got, rest...)))
+	seen := make(map[byte]int, values)
+	delivered := 0
+	for {
+		f, err := readFrame(br, DefaultMaxFrame)
+		if err != nil {
+			break // EOF, or the reply the deadline cut short
+		}
+		if f.kind != StatusOK || len(f.payload) != valueSize || f.payload[0] != byte(delivered) {
+			t.Fatalf("reply %d: status 0x%02x, %d bytes, tag %d", delivered, f.kind, len(f.payload), f.payload[0])
+		}
+		seen[f.payload[0]]++
+		delivered++
+	}
+	if delivered == values {
+		t.Fatal("the peer received every value: the server never wedged")
+	}
+	if l := q.Len(); l+delivered != values {
+		t.Fatalf("fabric holds %d, peer received %d: %d of %d values lost", l, delivered, values-l-delivered, values)
+	}
+	if n := srv.Snapshot().Server.Dequeues; n != int64(delivered) {
+		t.Fatalf("server counts %d values delivered, peer received %d", n, delivered)
+	}
+	h, err = q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	rest2, _ := h.DequeueBatch(values)
+	for _, v := range rest2 {
+		seen[v[0]]++
+	}
+	for tag := 0; tag < values; tag++ {
+		if seen[byte(tag)] != 1 {
+			t.Errorf("value %d seen %d times across the peer and the fabric", tag, seen[byte(tag)])
+		}
+	}
+}
+
+// TestTeardownAfterFailedBatchWrite: one DEQ_BATCH of MaxBatchOps tiny
+// values whose reply the socket refuses. Every value must go back to the
+// fabric, in order and not counted as delivered, and the hand-back must
+// take time linear in the values: a reply this size handed back one value
+// at a time, each shifting the whole stash, costs seconds. The peer is one
+// end of a net.Pipe, which buffers nothing, so closing it fails the write.
+func TestTeardownAfterFailedBatchWrite(t *testing.T) {
+	const values = MaxBatchOps
+	q, err := shard.New[[]byte](1, shard.WithMaxHandles(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve("127.0.0.1:0", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h, err := q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([][]byte, values)
+	for i := range vals {
+		vals[i] = binary.BigEndian.AppendUint16(nil, uint16(i))
+	}
+	if err := h.EnqueueBatch(vals); err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	inUse := q.RegistryStats().InUse
+
+	peer, conn := net.Pipe()
+	srv.startSession(conn)
+	// The pipe's write returns once the server has read the whole frame.
+	if _, err := peer.Write(appendFrame(nil, 1, OpDequeueBatch, binary.BigEndian.AppendUint32(nil, values))); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	peer.Close()
+	for q.RegistryStats().InUse != inUse {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("session not torn down after its reply's write failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("teardown took %v to hand back %d values", d, values)
+	}
+	if n := srv.Snapshot().Server.Dequeues; n != 0 {
+		t.Errorf("server counts %d values delivered, peer received none", n)
+	}
+	h, err = q.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	got, _ := h.DequeueBatch(values)
+	if len(got) != values {
+		t.Fatalf("fabric holds %d values, want %d", len(got), values)
+	}
+	for i, v := range got {
+		if binary.BigEndian.Uint16(v) != uint16(i) {
+			t.Fatalf("value %d back in the fabric is tag %d", i, binary.BigEndian.Uint16(v))
+		}
 	}
 }

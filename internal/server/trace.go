@@ -28,7 +28,7 @@ type TraceStages struct {
 	ServerSampled bool `json:"server_sampled"`
 
 	RTTMs    float64 `json:"rtt_ms"`    // client send to client receive (client clock)
-	WaitMs   float64 `json:"wait_ms"`   // socket read to batcher admit
+	WaitMs   float64 `json:"wait_ms"`   // socket read to window admit
 	FabricMs float64 `json:"fabric_ms"` // the queue operation
 	ReplyMs  float64 `json:"reply_ms"`  // fabric end to reply write
 	ServerMs float64 `json:"server_ms"` // socket read to reply write (sum of the above + read-side slack)

@@ -2,7 +2,7 @@
 //
 // The paper's central trick — amortizing contention by propagating batches
 // of operations through the tree instead of one at a time — is applied here
-// one layer up: a per-connection batcher coalesces pipelined client
+// one layer up: each connection's goroutine coalesces pipelined client
 // requests into a single pass over the leased fabric handle and a single
 // socket flush, so a round-trip's fixed costs (syscalls, scheduling) are
 // paid once per batch rather than once per operation.
@@ -25,14 +25,13 @@
 //     — the default queue's at accept, named queues' on first use, all
 //     released at teardown — and is reaped when idle, so a dead client
 //     cannot pin handle slots forever.
-//   - A per-connection batcher (server.go) with a bounded in-flight
-//     window: requests beyond the window are answered with an immediate
-//     BUSY reply instead of being buffered without bound, and once the
-//     reply lane saturates the reader simply stops draining the socket,
-//     converting overload into TCP backpressure. Each drained window is
-//     executed by the one data path there is (run.go): adjacent data
-//     frames of one direction and queue form a run, and a run is one
-//     fabric batch call.
+//   - One goroutine per connection (server.go): it reads a window of at
+//     most W frames — one blocking read, then the frames that have begun
+//     to arrive in its read buffer — executes it, and writes the replies
+//     before it reads again, so overload waits in the socket as TCP
+//     backpressure rather than in server memory. Each window is executed
+//     by the one data path there is (run.go): adjacent data frames of one
+//     direction and queue form a run, and a run is one fabric batch call.
 //
 // Client (client.go) and open-loop load generator (loadgen.go) speak the
 // same protocol; Serve/Dial are re-exported at the repository root.
@@ -44,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Wire format: every message, in both directions, is one frame
@@ -106,9 +106,9 @@ const (
 	// A successful reply to a traced request carries the same flag on its
 	// status byte (StatusOK|OpTraceFlag = 0xA0, StatusEmpty|OpTraceFlag =
 	// 0xA1) and prefixes the normal reply payload with a span block: five
-	// int64 unix-nano stamps on the server's clock — socket read, batcher
+	// int64 unix-nano stamps on the server's clock — socket read, window
 	// admit, fabric call start, fabric call end, reply write (see
-	// writeReply). BUSY, error, and closed replies stay plain, as does
+	// writeReply). Error and closed replies stay plain, as does
 	// every reply from a server running with observability off — the client
 	// treats a plain status to a traced request as "server declined to
 	// sample" and still completes the call normally.
@@ -117,7 +117,7 @@ const (
 	// Response statuses (server to client).
 	StatusOK     byte = 0x80 // payload: dequeue value / 8-byte length / stats JSON
 	StatusEmpty  byte = 0x81 // dequeue: fabric certified empty
-	StatusBusy   byte = 0x82 // backpressure: in-flight window full, retry later
+	StatusBusy   byte = 0x82 // reserved; not sent (older servers answered a window overflow with it)
 	StatusClosed byte = 0x83 // enqueue: queue closed
 	StatusErr    byte = 0x84 // payload: error message
 )
@@ -173,9 +173,9 @@ var (
 )
 
 // frame is one decoded wire message. at is the unix-nano timestamp the
-// read loop stamped when it pulled the frame off the socket (0 when
-// observability is off); the batch worker turns it into the frame's
-// in-server latency sample at reply time.
+// server stamped when it pulled the frame off the socket (0 when
+// observability is off); it becomes the frame's in-server latency sample
+// at reply time.
 type frame struct {
 	id      uint64
 	kind    byte
@@ -212,12 +212,34 @@ func AppendWireFrame(dst []byte, id uint64, kind byte, parts ...[]byte) []byte {
 }
 
 // frameWriter is the server's reply egress: replies append into one
-// per-session scratch buffer and the batch worker pushes the whole
+// per-session scratch buffer and the session pushes the whole
 // window's bytes with a single sized socket write, so frames-per-syscall
 // scales with the drained window.
 type frameWriter struct {
 	w   io.Writer
 	buf []byte
+
+	// held lists the dequeued values whose replies sit in buf, each with
+	// the binding it came from and the end of its reply in buf.
+	held []heldValue
+	// dequeues is the server's count of values delivered by dequeue
+	// replies; a value handed back leaves it again.
+	dequeues *atomic.Int64
+}
+
+type heldValue struct {
+	b   *binding
+	v   []byte
+	end int
+}
+
+// hold records that the reply just appended to buf carries vals from b.
+// The write that takes the reply whole recycles them; a write that fails
+// first hands them back to b, because the peer never got them.
+func (fw *frameWriter) hold(b *binding, vals [][]byte) {
+	for _, v := range vals {
+		fw.held = append(fw.held, heldValue{b, v, len(fw.buf)})
+	}
 }
 
 const (
@@ -276,12 +298,32 @@ func (fw *frameWriter) batchFrame(id uint64, kind byte, span []byte, vals [][]by
 }
 
 // flush writes the buffered reply bytes in one socket write and resets the
-// scratch, retaining up to fwRetain of capacity.
+// scratch, retaining up to fwRetain of capacity. The held values whose
+// replies the write took whole are recycled. The rest go back to the front
+// of their bindings' stashes, each binding's in order and with one shift,
+// and leave the delivered counts that dequeueRun added them to.
 func (fw *frameWriter) flush() error {
 	if len(fw.buf) == 0 {
 		return nil
 	}
-	_, err := fw.w.Write(fw.buf)
+	n, err := fw.w.Write(fw.buf)
+	k := 0
+	for ; k < len(fw.held) && fw.held[k].end <= n; k++ {
+		putBuf(fw.held[k].v)
+	}
+	if k < len(fw.held) {
+		back := make(map[*binding][][]byte)
+		for _, h := range fw.held[k:] {
+			back[h.b] = append(back[h.b], h.v)
+		}
+		for b, vs := range back {
+			b.unconsume(vs)
+			b.t.dequeues.Add(-int64(len(vs)))
+		}
+		fw.dequeues.Add(-int64(len(fw.held) - k))
+	}
+	clear(fw.held)
+	fw.held = fw.held[:0]
 	if cap(fw.buf) > fwRetain {
 		fw.buf = make([]byte, 0, fwRetain)
 	} else {
@@ -336,7 +378,7 @@ func readFrame(r *bufio.Reader, maxFrame int) (frame, error) {
 }
 
 // readFramePooled is the server ingress: the payload is decoded into a
-// pooled buffer, which the batch worker recycles (putBuf(f.payload)) once
+// pooled buffer, which the session recycles (putBuf(f.payload)) once
 // the frame's window is processed — by then every enqueue payload has been
 // copied out at admit time and every reply byte copied into the egress
 // scratch, so the body is dead.
@@ -358,7 +400,7 @@ func readFramePooled(r *bufio.Reader, maxFrame int) (frame, error) {
 // queue id (0 for unqualified opcodes), and the payload with any trace and
 // queue-id prefixes removed.
 type decoded struct {
-	op     byte   // base opcode, or the BUSY status marker injected by the read loop
+	op     byte   // base opcode
 	qid    uint32 // target queue id; 0 is the default queue
 	rest   []byte // payload after the trace-stamp and queue-id prefixes, if any
 	bad    bool   // a frame too short to carry its declared prefixes
@@ -380,8 +422,8 @@ type decoded struct {
 // opcodes target queue 0. Only the defined traced and qualified opcodes
 // are rewritten — any other flag-bearing byte (0x14, 0x17, 0x23, ...)
 // passes through untouched so it is rejected as unknown rather than
-// silently aliasing a defined op. Status markers (>= 0x80) also pass
-// through untouched.
+// silently aliasing a defined op. Response-range bytes (>= 0x80) also
+// pass through untouched and are rejected as unknown.
 func decodeOp(f frame) decoded {
 	d := decoded{op: f.kind, rest: f.payload}
 	if d.op&OpTraceFlag != 0 && d.op < StatusOK {
@@ -418,8 +460,8 @@ func decodeOp(f frame) decoded {
 // splitTracedReply is the client side of writeReply's traced form: given a reply
 // frame, it strips the trace flag and span block if present, returning the
 // normalized frame, the five server stamps, and whether the server
-// actually sampled the request. A plain reply (server tracing off, or a
-// BUSY/error path) passes through with sampled=false; a flagged reply too
+// actually sampled the request. A plain reply (server tracing off, or an
+// error path) passes through with sampled=false; a flagged reply too
 // short for its span block is malformed.
 func splitTracedReply(f frame) (frame, [5]int64, bool, error) {
 	var stamps [5]int64

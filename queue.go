@@ -62,8 +62,8 @@
 // Serve exposes a byte-valued fabric over TCP as the default queue of a
 // multi-tenant namespace — each client connection leases fabric handles
 // per (connection, queue), pipelined requests are batched into single
-// fabric passes, and overload is answered with explicit BUSY replies
-// instead of unbounded buffering:
+// fabric passes, and overload meets TCP backpressure instead of unbounded
+// buffering:
 //
 //	q, err := repro.NewShardedQueue[[]byte](8)
 //	srv, err := repro.Serve("127.0.0.1:0", q)

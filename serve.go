@@ -14,9 +14,9 @@ import (
 // queue's at accept, named queues' on first use, all returned when the
 // connection closes or is idle-reaped — pipelined requests are executed in
 // runs (adjacent data frames of one direction and queue become one fabric
-// batch call), and overload is answered with explicit BUSY replies through
-// a bounded in-flight window. See package internal/server for the wire
-// protocol.
+// batch call), and overload meets TCP backpressure: a connection's one
+// goroutine reads no further while it serves a window. See package
+// internal/server for the wire protocol.
 type QueueServer = server.Server
 
 // QueueClient speaks the queue service's wire protocol over one TCP
@@ -44,16 +44,17 @@ type ServerSnapshot = server.Snapshot
 
 // Client-visible service errors.
 var (
-	// ErrServerBusy reports an operation rejected by the server's bounded
-	// in-flight window; drain pending replies and retry.
+	// ErrServerBusy reports an operation answered BUSY (status 0x82). This
+	// server never sends it — the status is reserved — so it stays only for
+	// clients of servers that do.
 	ErrServerBusy = server.ErrBusy
 	// ErrServerQueueClosed reports an enqueue against a closed fabric.
 	ErrServerQueueClosed = server.ErrClosedQueue
 )
 
-// WithServeWindow sets the per-connection in-flight request window
-// (default 64); requests beyond it get BUSY replies. It is also the most
-// requests one batched pass drains and answers with a single flush.
+// WithServeWindow sets the per-connection window W (default 64): the most
+// request frames one pass reads, executes and answers with a single
+// flush. Frames past it wait in the socket for the next pass.
 func WithServeWindow(w int) ServeOption { return server.WithWindow(w) }
 
 // WithServeIdleTimeout sets how long an idle session keeps its handle
@@ -79,7 +80,7 @@ func WithServeQueueIdleTimeout(d time.Duration) ServeOption {
 // on): per-(queue, op) latency histograms — each request frame's
 // read-to-reply in-server latency, classed as enqueue, dequeue, batch, or
 // null-dequeue — plus a bounded ring of control-plane trace events
-// (session and queue lifecycle, sampled BUSY replies), and the
+// (session and queue lifecycle), and the
 // request-tracing machinery: trace-flagged frames get per-stage
 // timestamps, a span in the slow-biased exemplar reservoir (/spanz), and
 // per-stage latency histograms. The data surfaces
