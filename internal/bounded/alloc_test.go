@@ -114,9 +114,9 @@ func bytesPerRun(runs int, f func()) float64 {
 // per value, each enqueued or dequeued value being one op, and every load,
 // store and CAS of a store is counted. Measured at m=32: 4 allocs (the two
 // leaf blocks, the batch's copy of its values and the response's value
-// slice) and 5.77 steps per value, because a batch reads its values leaf
+// slice) and 4.40 steps per value, because a batch reads its values leaf
 // block by leaf block. At m=1 the walk makes FindResponse's calls exactly,
-// and a single goroutine makes the count exact: 310,883 steps over 2,000
+// and a single goroutine makes the count exact: 241,239 steps over 2,000
 // values.
 func TestAllocsBoundedBatchPair(t *testing.T) {
 	h, pair := batchPair(t, 32)
@@ -128,8 +128,41 @@ func TestAllocsBoundedBatchPair(t *testing.T) {
 	if steps, vals := countSteps(h, pair); steps > 12*vals {
 		t.Errorf("steps per value at m=32 = %.2f, want <= 12", float64(steps)/float64(vals))
 	}
-	if steps, vals := countSteps(batchPair(t, 1)); steps != 310883 || vals != 2000 {
-		t.Errorf("m=1: %d steps over %d values, want 310883 over 2000", steps, vals)
+	if steps, vals := countSteps(batchPair(t, 1)); steps != 241239 || vals != 2000 {
+		t.Errorf("m=1: %d steps over %d values, want 241239 over 2000", steps, vals)
+	}
+}
+
+// TestAllocsBoundedHistory pins what a node's history costs: the exact
+// counted steps of the m=1 batch-pair loop (p=16, depth 1,024) over 1,000
+// pairs, once after 2,000 pairs and once after historyPairs. Every node on
+// handle 0's path installs two blocks per pair, so at the first count
+// their tries have two levels above the chunks and at 300,000 pairs, past
+// index 2^18, three. The store's tail chunk keeps the hot loads off the
+// trie, so only the cold ones pay the third level: 132.3 then 142.1 steps
+// per op, where a store without the tail counts 196.9 then 237.0. A -race
+// build stops at 10,000 pairs, still two levels deep, where the count
+// repeats the first exactly.
+func TestAllocsBoundedHistory(t *testing.T) {
+	h, pair := batchPair(t, 1)
+	for range 2000 {
+		pair()
+	}
+	early, vals := countSteps(h, pair)
+	for range historyPairs - 3000 {
+		pair()
+	}
+	late, _ := countSteps(h, pair)
+	t.Logf("steps per op after 2,000 pairs: %.1f; after %d: %.1f",
+		float64(early)/float64(vals), historyPairs, float64(late)/float64(vals))
+	const wantEarly = 264614
+	wantLate := int64(284225)
+	if raceEnabled {
+		wantLate = wantEarly
+	}
+	if early != wantEarly || late != wantLate || vals != 2000 {
+		t.Errorf("steps over %d values: %d after 2,000 pairs and %d after %d; want %d and %d over 2000",
+			vals, early, late, historyPairs, wantEarly, wantLate)
 	}
 }
 

@@ -243,7 +243,9 @@ func TestSpaceIdleSubtree(t *testing.T) {
 // below lo, count a lost Refresh as a win and skip Lemma 10's second
 // Refresh. The stale heads cover both kinds of dropped slot: one in a chunk
 // the drop unlinked whole, and one in the partly dead chunk the store still
-// links.
+// links. An installer that read the store's tail before a drop moved it
+// holds a chunk the drop may have unlinked whole; installing through it, it
+// must find every slot taken.
 func TestStaleInstallerLoses(t *testing.T) {
 	q, err := New[int](2, WithGCInterval(1))
 	if err != nil {
@@ -251,9 +253,15 @@ func TestStaleInstallerLoses(t *testing.T) {
 	}
 	a, b := q.MustHandle(0), q.MustHandle(1)
 	root := q.root
-	var stale []int64
+	var (
+		stale []int64
+		tails []*tailChunk
+	)
 	for i := 0; ; i++ {
 		stale = append(stale, a.readHead(root))
+		if tl := root.blocks.tail.Load(); len(tails) == 0 || tails[len(tails)-1] != tl {
+			tails = append(tails, tl)
+		}
 		b.Enqueue(i)
 		b.Dequeue()
 		if lo := root.blocks.lo.Load(); lo > 2*fan && lo&fanMask > 1 {
@@ -283,5 +291,28 @@ func TestStaleInstallerLoses(t *testing.T) {
 	}
 	if unlinked == 0 || partial == 0 {
 		t.Fatalf("stale heads in unlinked chunks: %d, in the partly dead chunk: %d; want both", unlinked, partial)
+	}
+	// Replay an install through each held tail whose chunk is wholly
+	// unlinked, as its installer would make it after reading that tail.
+	cur, held := root.blocks.tail.Load(), 0
+	for _, tl := range tails {
+		if tl.base+fan > lo {
+			continue
+		}
+		held++
+		for i := tl.base; i < tl.base+fan; i++ {
+			cand := a.newBlock(root)
+			cand.index = i
+			root.blocks.tail.Store(tl)
+			won := root.blocks.install(cand, true, a.counter)
+			root.blocks.tail.Store(cur)
+			if won {
+				t.Fatalf("a CAS at %d through a held tail at %d won with the root's lo at %d", i, tl.base, lo)
+			}
+			a.recycle(root, cand)
+		}
+	}
+	if held == 0 {
+		t.Fatal("no held tail chunk was unlinked whole")
 	}
 }

@@ -297,10 +297,16 @@ func (h *Handle[T]) readBlock(v *node, i int64) (*block, error) {
 }
 
 // findFirst returns v's lowest-indexed block satisfying the monotone
-// predicate, searching from hint, the index the caller expects the answer
-// at or near (see store.findFirst).
-func (h *Handle[T]) findFirst(v *node, hint int64, pred func(*block) bool) (*block, bool) {
-	return v.blocks.findFirst(hint, pred, h.counter)
+// predicate and the block before it, searching from hint, the index the
+// caller expects the answer at or near (see store.findFirst). errDiscarded
+// means no block satisfies pred, or the one before was dropped, so the
+// block searched for may be gone and the search slid past it.
+func (h *Handle[T]) findFirst(v *node, hint int64, pred func(*block) bool) (b, prev *block, err error) {
+	b, p, ok := v.blocks.findFirst(hint, pred, h.counter)
+	if !ok || p == tomb {
+		return nil, nil, errDiscarded
+	}
+	return b, (*block)(p), nil
 }
 
 // newest returns v's block below its head. That block is never dropped
@@ -319,6 +325,6 @@ func (h *Handle[T]) newest(v *node) *block {
 // empty.
 func (h *Handle[T]) oldest(v *node) *block {
 	h.counter.Read(1)
-	b, _ := h.findFirst(v, v.blocks.lo.Load(), func(*block) bool { return true })
+	b, _, _ := v.blocks.findFirst(v.blocks.lo.Load(), func(*block) bool { return true }, h.counter)
 	return b
 }

@@ -15,8 +15,9 @@
 // says why this counts operations). A read that finds a needed block
 // dropped means the operation was already answered (errDiscarded). Live
 // blocks per node stay O(q_max + p^2 log p) (Theorem 31) and amortized step
-// complexity is O(log p log(p+q_max)) per operation (Theorem 32), times the
-// store's log64 of a node's history (store.go); every access is counted.
+// complexity is O(log p log(p+q_max)) per operation (Theorem 32). A store
+// access outside the chunk of a node's newest blocks costs the log64 of the
+// node's history on top (store.go); every access is counted.
 package bounded
 
 import (
@@ -57,9 +58,9 @@ type node struct {
 
 	// Pad to 128 bytes (two cache lines): head takes a CAS from every
 	// Refresh, and without padding nodes allocated back-to-back false-share
-	// under concurrent propagation. 3 pointers + store + head + depth = 56
+	// under concurrent propagation. 3 pointers + store + head + depth = 64
 	// bytes.
-	_ [128 - 56]byte
+	_ [128 - 64]byte
 }
 
 func (n *node) isLeaf() bool { return n.left == nil }

@@ -5,3 +5,7 @@ package bounded
 // raceEnabled reports a -race build, whose shadow memory makes heap figures
 // meaningless.
 const raceEnabled = true
+
+// historyPairs is how many pairs TestAllocsBoundedHistory runs before its
+// second count: past the third trie level, or, under -race, short of it.
+const historyPairs = 10_000

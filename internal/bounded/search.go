@@ -8,8 +8,9 @@ package bounded
 // garbage collection returns errDiscarded, which by Invariant 27 / Lemma 28
 // means the operation's response has already been computed and published
 // by a helper. A search probe that lands in the dropped prefix is not a
-// miss: it counts as left of the answer, and only the predecessor checks
-// below report errDiscarded, when the block searched for is itself gone.
+// miss: it counts as left of the answer. Each search also returns the
+// answer's predecessor, which it has just probed, and a dropped predecessor
+// is errDiscarded: the block searched for may itself be gone.
 
 // completeDeqN computes the response of the n-dequeue batch block stored in
 // leaf.blocks[idx], which must have been propagated to the root
@@ -23,19 +24,11 @@ package bounded
 // call, and the value is carried inline (no slice); a batch collects its
 // successful prefix into vals.
 func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) {
-	b, i, err := h.indexDequeue(leaf, idx, 1)
+	blkB, prevB, i, err := h.indexDequeue(leaf, idx, 1)
 	if err != nil {
 		return response[T]{}, err
 	}
 	root := h.queue.root
-	blkB, err := h.readBlock(root, b)
-	if err != nil {
-		return response[T]{}, err
-	}
-	prevB, err := h.readBlock(root, b-1)
-	if err != nil {
-		return response[T]{}, err
-	}
 	// Null test (line 331): every dequeue from the block's dequeue rank
 	// prevB.size+numEnq+1 on finds the queue empty, so the rest is null.
 	k := max(0, min(n, prevB.size+blkB.sumEnq-prevB.sumEnq-i+1))
@@ -50,19 +43,10 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 		if be == nil || e > be.sumEnq {
 			// Successive dequeues take successive ranks, so the search
 			// starts at the root block the handle's previous one found.
-			var ok bool
-			if be, ok = h.findFirst(root, h.rootHint, func(x *block) bool { return x.sumEnq >= e }); !ok {
-				return response[T]{}, errDiscarded
-			}
-			h.rootHint = be.index
-			if bePrev, err = h.readBlock(root, be.index-1); err != nil {
+			if be, bePrev, err = h.findFirst(root, h.rootHint, func(x *block) bool { return x.sumEnq >= e }); err != nil {
 				return response[T]{}, err
 			}
-			if bePrev.sumEnq >= e {
-				// The true block holding the e-th enqueue was discarded and
-				// the search slid to a later block.
-				return response[T]{}, errDiscarded
-			}
+			h.rootHint = be.index
 		}
 		eb, ie, err := h.getEnqueue(root, be, bePrev, e-bePrev.sumEnq)
 		if err != nil {
@@ -81,10 +65,11 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 		got += take
 		e += take
 	}
-	// last gets what FindResponse on each rank would record: b once a null
-	// was answered, otherwise the newest root block an enqueue came from.
+	// last gets what FindResponse on each rank would record: the batch's
+	// root block once a null was answered, otherwise the newest root block
+	// an enqueue came from.
 	if k < n {
-		h.updateLast(b)
+		h.updateLast(blkB.index)
 	} else {
 		h.updateLast(be.index)
 	}
@@ -92,39 +77,33 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 	return res, nil
 }
 
-// indexDequeue returns (b', i') such that the i-th dequeue of
-// D(v.blocks[b]) is the (i')-th dequeue of D(root.blocks[b']) (IndexDequeue,
-// lines 281-297). The superblock at each level is found by searching the
-// parent's blocks: endleft/endright are non-decreasing in block index
-// (Lemma 4'), so the superblock of block b is the lowest-indexed parent
-// block whose end(dir) reaches b. The block was just propagated, so the
-// search starts below the parent's head.
-func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
+// indexDequeue returns root.blocks[b'], the block before it and i' such
+// that the i-th dequeue of D(v.blocks[b]) is the (i')-th dequeue of
+// D(root.blocks[b']) (IndexDequeue, lines 281-297). v is a leaf, never the
+// root (a tree has at least two leaves). The superblock at each level is
+// found by searching the parent's blocks: endleft/endright are
+// non-decreasing in block index (Lemma 4'), so the superblock of block b is
+// the lowest-indexed parent block whose end(dir) reaches b. The block was
+// just propagated, so the search starts below the parent's head. Block
+// indices are dense, so the last block with end(dir) < b is the one the
+// search returns as the superblock's predecessor, and it is the block
+// before b one level up.
+func (h *Handle[T]) indexDequeue(v *node, b, i int64) (blk, prev *block, _ int64, err error) {
+	if prev, err = h.readBlock(v, b-1); err != nil {
+		return nil, nil, 0, err
+	}
 	for !v.isRoot() {
 		dir := v.childDir()
-		sup, ok := h.findFirst(v.parent, h.readHead(v.parent)-1, func(x *block) bool { return x.end(dir) >= b })
-		if !ok {
-			return 0, 0, errDiscarded
-		}
-		// Block indices are dense, so the last block with end(dir) < b is
-		// sup's predecessor. A miss means the true superblock or its
-		// predecessor was discarded; the prefix-only removal of GC means
-		// everything older is gone too and the operation has been helped.
-		supPrev, err := h.readBlock(v.parent, sup.index-1)
+		sup, supPrev, err := h.findFirst(v.parent, h.readHead(v.parent)-1, func(x *block) bool { return x.end(dir) >= b })
 		if err != nil {
-			return 0, 0, err
-		}
-
-		prevB, err := h.readBlock(v, b-1)
-		if err != nil {
-			return 0, 0, err
+			return nil, nil, 0, err
 		}
 		endPrev, err := h.readBlock(v, supPrev.end(dir))
 		if err != nil {
-			return 0, 0, err
+			return nil, nil, 0, err
 		}
 		// Dequeues in v's earlier subblocks of the superblock (line 291).
-		i += prevB.sumDeq - endPrev.sumDeq
+		i += prev.sumDeq - endPrev.sumDeq
 		if dir == right {
 			// Subblocks contributed by the left sibling precede ours in
 			// D(superblock) (line 293; as in the unbounded version, the
@@ -132,17 +111,17 @@ func (h *Handle[T]) indexDequeue(v *node, b, i int64) (int64, int64, error) {
 			sib := v.sibling()
 			lastL, err := h.readBlock(sib, sup.endLeft)
 			if err != nil {
-				return 0, 0, err
+				return nil, nil, 0, err
 			}
 			prevL, err := h.readBlock(sib, supPrev.endLeft)
 			if err != nil {
-				return 0, 0, err
+				return nil, nil, 0, err
 			}
 			i += lastL.sumDeq - prevL.sumDeq
 		}
-		v, b = v.parent, sup.index
+		v, b, blk, prev = v.parent, sup.index, sup, supPrev
 	}
-	return b, i, nil
+	return blk, prev, i, nil
 }
 
 // getEnqueue locates the i-th enqueue in E(blkB), where blkB and prevB are
@@ -179,20 +158,11 @@ func (h *Handle[T]) getEnqueue(v *node, blkB, prevB *block, i int64) (*block, in
 		// The direct subblock holding the enqueue is the lowest-indexed
 		// block reaching i+prevChild enqueues (line 356); sumEnq is
 		// monotone in index (Invariant 7), so a search finds it, from
-		// blkB's last direct subblock in the child. The predecessor check
-		// detects a discarded true target: if the found block's predecessor
-		// already reaches the target, the search slid past a GC'd block.
+		// blkB's last direct subblock in the child, with its predecessor.
 		target := i + prevChild
-		cand, ok := h.findFirst(child, last, func(x *block) bool { return x.sumEnq >= target })
-		if !ok {
-			return nil, 0, errDiscarded
-		}
-		candPrev, err := h.readBlock(child, cand.index-1)
+		cand, candPrev, err := h.findFirst(child, last, func(x *block) bool { return x.sumEnq >= target })
 		if err != nil {
 			return nil, 0, err
-		}
-		if candPrev.sumEnq >= target {
-			return nil, 0, errDiscarded
 		}
 		i -= candPrev.sumEnq - prevChild
 		v, blkB, prevB = child, cand, candPrev
@@ -211,7 +181,7 @@ func (h *Handle[T]) propagated(v *node, b int64) bool {
 		if maxB.end(dir) < b {
 			return false
 		}
-		sup, ok := h.findFirst(v.parent, maxB.index, func(x *block) bool { return x.end(dir) >= b })
+		sup, _, ok := v.parent.blocks.findFirst(maxB.index, func(x *block) bool { return x.end(dir) >= b }, h.counter)
 		if !ok {
 			return false
 		}

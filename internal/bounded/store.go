@@ -10,13 +10,17 @@ package bounded
 // only sees more than the store now holds, never something else.
 //
 // It is a radix trie of fan-slot chunks under fan-way branches, anchored at
-// index 0, whose root rises one level when an install needs it: a load
-// makes 2+⌊log₆₄ n⌋ loads, n being the node's newest index, however few
-// blocks are live (DESIGN.md, argument (d)). A slot or trie pointer goes
-// from nil to a value once, by CAS; a leaf's owner publishes its blocks
-// with a plain store. A drop writes the shared tombstone over what it
-// unlinks, so nothing is set back to nil and a stale installer cannot win
-// a slot below the drop point (TestStaleInstallerLoses). Wholly dead chunks
+// index 0, whose root rises one level when an install needs it, plus a
+// tail: a shortcut to the chunk of the newest index an install has walked
+// to, which only moves right. A load or install inside the tail chunk makes
+// two loads, the tail and the slot; any other index walks the trie, 3 +
+// ⌊log₆₄ n⌋ loads for a node whose newest index is n (DESIGN.md, arguments
+// (d) and (e)). A slot or trie pointer goes from nil to a value once, by
+// CAS; a leaf's owner publishes its blocks with a plain store. A drop moves
+// the tail to its split's chunk before it writes the shared tombstone over
+// what it unlinks, so no access through the tail reaches a chunk the drop
+// unlinked, nothing is set back to nil and a stale installer cannot win a
+// slot below the drop point (TestStaleInstallerLoses). Wholly dead chunks
 // become unreachable and the partly dead chunk's dead slots hold the
 // tombstone, so a drop pins no dead block.
 
@@ -46,6 +50,12 @@ type trieTop struct {
 	root  radix
 }
 
+// tailChunk names the chunk that holds the indices base..base+fan-1.
+type tailChunk struct {
+	base  int64
+	chunk *radix
+}
+
 // tomb is the tombstone a drop writes over what it unlinks. It is compared
 // with, never dereferenced.
 var tomb = unsafe.Pointer(new(radix))
@@ -54,6 +64,10 @@ var tomb = unsafe.Pointer(new(radix))
 // it runs for and counts each shared load, store and CAS it makes.
 type store struct {
 	top atomic.Pointer[trieTop]
+
+	// tail is the chunk of the newest index an install has walked to, or
+	// of a drop's split if that is newer. Its base only grows.
+	tail atomic.Pointer[tailChunk]
 
 	// lo is a lower bound on the oldest live index: every index below it
 	// was unlinked. A drop raises it once done; a drop that loses that CAS
@@ -66,6 +80,7 @@ func (s *store) init(b *block) {
 	t := new(trieTop)
 	t.root[0] = unsafe.Pointer(b)
 	s.top.Store(t)
+	s.tail.Store(&tailChunk{chunk: &t.root})
 }
 
 // load returns the entry at index i: its block, nil if none was installed
@@ -74,13 +89,17 @@ func (s *store) load(i int64, c *metrics.Counter) unsafe.Pointer {
 	if i < 0 {
 		return tomb
 	}
+	if tl := s.tail.Load(); uint64(i-tl.base) < fan {
+		c.Read(2)
+		return atomic.LoadPointer(&tl.chunk[i&fanMask])
+	}
 	t := s.top.Load()
 	if i>>t.shift >= fan {
-		c.Read(1)
+		c.Read(2)
 		return nil
 	}
 	r := &t.root
-	for sh, n := t.shift, int64(2); ; sh, n = sh-fanBits, n+1 {
+	for sh, n := t.shift, int64(3); ; sh, n = sh-fanBits, n+1 {
 		p := atomic.LoadPointer(&r[(i>>sh)&fanMask])
 		if sh == 0 || p == nil || p == tomb {
 			c.Read(n)
@@ -90,12 +109,39 @@ func (s *store) load(i int64, c *metrics.Counter) unsafe.Pointer {
 	}
 }
 
-// install publishes b at index b.index, making the trie path to it as
-// needed, by CAS on the slot or, when cas is false (the owner of a leaf),
-// by a plain store. It reports false if the slot was taken or a drop had
-// unlinked it.
+// install publishes b at index b.index, through the tail if b's chunk is
+// the tail's and otherwise by a walk that makes the trie path as needed, by
+// CAS on the slot or, when cas is false (the owner of a leaf), by a plain
+// store. After a walk it moves the tail to b's chunk if that is newer. It
+// reports false if the slot was taken or a drop had unlinked it.
 func (s *store) install(b *block, cas bool, c *metrics.Counter) bool {
 	i := b.index
+	tl := s.tail.Load()
+	c.Read(1)
+	r := tl.chunk
+	if uint64(i-tl.base) >= fan {
+		if r = s.walk(i, c); r == nil {
+			return false
+		}
+	}
+	slot := &r[i&fanMask]
+	ok := true
+	if cas {
+		ok = atomic.CompareAndSwapPointer(slot, nil, unsafe.Pointer(b))
+		c.CAS(ok)
+	} else {
+		atomic.StorePointer(slot, unsafe.Pointer(b))
+		c.Write()
+	}
+	if r != tl.chunk {
+		s.moveTail(tl, i&^fanMask, r, c)
+	}
+	return ok
+}
+
+// walk returns the chunk holding index i, making the trie path to it as
+// needed, or nil if a drop had unlinked it.
+func (s *store) walk(i int64, c *metrics.Counter) *radix {
 	t := s.top.Load()
 	c.Read(1)
 	for i>>t.shift >= fan {
@@ -116,19 +162,31 @@ func (s *store) install(b *block, cas bool, c *metrics.Counter) bool {
 			}
 		}
 		if p == tomb {
-			return false
+			return nil
 		}
 		r = (*radix)(p)
 	}
-	slot := &r[i&fanMask]
-	if !cas {
-		atomic.StorePointer(slot, unsafe.Pointer(b))
-		c.Write()
-		return true
+	return r
+}
+
+// moveTail moves the tail from cur, the value last read, to chunk, the
+// chunk at base, unless the tail is already there or right of it. Every
+// CAS that fails saw the tail move right, so it retries at most once per
+// chunk between cur and base.
+func (s *store) moveTail(cur *tailChunk, base int64, chunk *radix, c *metrics.Counter) {
+	if cur.base >= base {
+		return
 	}
-	ok := atomic.CompareAndSwapPointer(slot, nil, unsafe.Pointer(b))
-	c.CAS(ok)
-	return ok
+	t := &tailChunk{base, chunk}
+	for cur.base < base {
+		ok := s.tail.CompareAndSwap(cur, t)
+		c.CAS(ok)
+		if ok {
+			return
+		}
+		cur = s.tail.Load()
+		c.Read(1)
+	}
 }
 
 // raise returns the trie's top one level above t: a fresh root whose first
@@ -147,12 +205,15 @@ func (s *store) raise(t *trieTop, c *metrics.Counter) *trieTop {
 }
 
 // drop unlinks every index below split, which must hold an installed block
-// (the paper's Split). It walks split's path from the root and writes tomb
-// over each entry left of the path back to where the previous drop stopped:
-// whole subtrees above level 0, single slots in split's own chunk. Every
-// index below split is installed, so it only ever overwrites non-nil
-// entries, and every writer writes the same tomb, so concurrent drops need
-// no CAS. A drop's work is the entries it unlinks plus one load per level.
+// (the paper's Split). It walks split's path from the root, moves the tail
+// to split's chunk, and only then writes tomb over each entry left of the
+// path back to where the previous drop stopped: whole subtrees above level
+// 0, single slots in split's own chunk. A walk that meets a tombstone on
+// the path stops there: a concurrent drop past split unlinked the rest and
+// has moved the tail past split already. Every index below split is
+// installed, so a drop only ever overwrites non-nil entries, and every
+// writer writes the same tomb, so concurrent drops need no CAS. A drop's
+// work is the entries it unlinks plus one load per level.
 func (s *store) drop(split int64, c *metrics.Counter) {
 	from := s.lo.Load()
 	c.Read(1)
@@ -161,26 +222,32 @@ func (s *store) drop(split int64, c *metrics.Counter) {
 	}
 	t := s.top.Load()
 	c.Read(1)
-	r := &t.root
+	var path [64/fanBits + 1]*radix // one trie node per level, from the top
+	r, n := &t.root, 0
 	for sh := t.shift; ; sh -= fanBits {
-		d := (split >> sh) & fanMask
-		i := int64(0)
+		path[n], n = r, n+1
+		if sh == 0 {
+			tl := s.tail.Load()
+			c.Read(1)
+			s.moveTail(tl, split&^fanMask, r, c)
+			break
+		}
+		p := atomic.LoadPointer(&r[(split>>sh)&fanMask])
+		c.Read(1)
+		if p == tomb {
+			break
+		}
+		r = (*radix)(p)
+	}
+	for k, sh := 0, t.shift; k < n; k, sh = k+1, sh-fanBits {
+		i, d := int64(0), (split>>sh)&fanMask
 		if from>>(sh+fanBits) == split>>(sh+fanBits) {
 			i = (from >> sh) & fanMask // left of it was unlinked before
 		}
 		for ; i < d; i++ {
-			atomic.StorePointer(&r[i], tomb)
+			atomic.StorePointer(&path[k][i], tomb)
 			c.Write()
 		}
-		if sh == 0 {
-			break
-		}
-		p := atomic.LoadPointer(&r[d])
-		c.Read(1)
-		if p == tomb {
-			break // a concurrent drop unlinked all of it
-		}
-		r = (*radix)(p)
 	}
 	ok := s.lo.CompareAndSwap(from, split)
 	c.CAS(ok)
@@ -188,7 +255,8 @@ func (s *store) drop(split int64, c *metrics.Counter) {
 
 // findFirst returns the lowest-indexed block satisfying pred, which must be
 // monotone in index order (false on a prefix, true on the rest), as
-// sumEnq, endLeft and endRight are (Invariant 7, Lemma 4'). A dropped index
+// sumEnq, endLeft and endRight are (Invariant 7, Lemma 4'), and the entry
+// at the index before it: a block that fails pred, or tomb. A dropped index
 // counts as left of the answer, an index with no block yet as right of it.
 // It gallops from hint with doubling strides and binary-searches the last
 // one, so it probes O(log d) indices, d being hint's distance to the
@@ -197,12 +265,15 @@ func (s *store) drop(split int64, c *metrics.Counter) {
 // block (ok false); filled since, it may answer; dropped since (a GC phase
 // overtook the search), the search starts again above it, so, as
 // Handle.newest, it retries only while GC phases run past it.
-func (s *store) findFirst(hint int64, pred func(*block) bool, c *metrics.Counter) (b *block, ok bool) {
-	// right reports whether index i is at or right of the answer, and if so
-	// leaves its block (nil for none yet) in b.
+func (s *store) findFirst(hint int64, pred func(*block) bool, c *metrics.Counter) (b *block, prev unsafe.Pointer, ok bool) {
+	// right reports whether index i is at or right of the answer, and
+	// leaves its entry in b if so, in prev if not. The search's lower bound
+	// is always one past its latest probe left of the answer, so prev ends
+	// as the answer's predecessor.
 	right := func(i int64) bool {
 		p := s.load(i, c)
 		if p == tomb || p != nil && !pred((*block)(p)) {
+			prev = p
 			return false
 		}
 		b = (*block)(p)
@@ -237,7 +308,7 @@ func (s *store) findFirst(hint int64, pred func(*block) bool, c *metrics.Counter
 			}
 		}
 		if b != nil || right(hi) {
-			return b, b != nil
+			return b, prev, b != nil
 		}
 		hint = hi + 1
 	}

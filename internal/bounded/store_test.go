@@ -75,6 +75,22 @@ func (m *storeModel) firstAtLeast(target int64) *block {
 	return nil
 }
 
+// checkFind runs findFirst(sumEnq >= target) from hint and compares its
+// answer with the model's first live block at or above target, and the
+// predecessor it returns with the model's entry before that block.
+func (m *storeModel) checkFind(t *testing.T, s *store, hint, target int64) {
+	t.Helper()
+	b, prev, ok := s.findFirst(hint, func(b *block) bool { return b.sumEnq >= target }, nil)
+	want := m.firstAtLeast(target)
+	if b != want || ok != (want != nil) {
+		t.Fatalf("lo %d: findFirst(%d, sumEnq >= %d) = %v, %v; want %v", m.lo, hint, target, b, ok, want)
+	}
+	if ok && got(prev) != m.want(want.index-1) {
+		t.Fatalf("lo %d: findFirst(%d, sumEnq >= %d) = block %d after %v, want after %v",
+			m.lo, hint, target, want.index, got(prev), m.want(want.index-1))
+	}
+}
+
 // check compares every index from -2 to two chunks past the newest.
 func (m *storeModel) check(t *testing.T, s *store) {
 	t.Helper()
@@ -121,10 +137,7 @@ func TestStore(t *testing.T) {
 				m.drop(s, split)
 				for _, target := range []int64{0, 1, fan / 2, fan*fan/2 - 1, fan * fan / 2, int64(n)} {
 					for _, hint := range []int64{-5, 0, fan - 1, fan, fan*fan - 1, fan * fan, n - 1, n + 70} {
-						b, ok := s.findFirst(hint, func(b *block) bool { return b.sumEnq >= target }, nil)
-						if want := m.firstAtLeast(target); b != want || ok != (want != nil) {
-							t.Fatalf("drop %d: findFirst(%d, sumEnq >= %d) = %v, %v; want %v", split, hint, target, b, ok, want)
-						}
+						m.checkFind(t, s, hint, target)
 					}
 				}
 			}
@@ -165,6 +178,21 @@ func TestStore(t *testing.T) {
 				t.Fatal("an install into a dropped chunk won")
 			}
 		}},
+		{"a drop moves a held-back tail before it unlinks", func(t *testing.T, s *store, m *storeModel) {
+			// The tail lags on chunk 0, as it does while the installer that
+			// walked into chunk 1 has yet to move it; the drop below
+			// unlinks chunks 0 and 1 whole, so every load below the split
+			// must read tomb, also those inside the held chunk.
+			m.appendN(s, fan/2, unit)
+			held := s.tail.Load()
+			m.appendN(s, 3*fan, unit)
+			s.tail.Store(held)
+			m.drop(s, 2*fan+5)
+			m.check(t, s)
+			if tl := s.tail.Load(); tl.base != 2*fan || tl.chunk != chunkOf(s, 2*fan) {
+				t.Fatalf("tail at base %d after a drop to %d, want base %d", tl.base, 2*fan+5, 2*fan)
+			}
+		}},
 		{"a drop overtakes a search", func(t *testing.T, s *store, m *storeModel) {
 			// A search from a stale lo, as Handle.oldest makes: it gallops
 			// over the tombstones below 9 to the empty index 16, and its
@@ -189,7 +217,7 @@ func TestStore(t *testing.T) {
 				m.drop(s, 30)
 				return false
 			}
-			b, ok := s.findFirst(0, pred, nil)
+			b, _, ok := s.findFirst(0, pred, nil)
 			if !staged {
 				t.Fatal("the search never evaluated block 10")
 			}
@@ -201,14 +229,15 @@ func TestStore(t *testing.T) {
 			m.appendN(s, 3*fan+30, unit)
 			m.drop(s, 3)
 			last := int64(len(m.blocks)) - 1
-			// A probe loads at most every level of the trie and the top.
-			perProbe := int64(2 + s.top.Load().shift/fanBits)
+			// A probe loads at most the tail, the top and every level of
+			// the trie.
+			perProbe := int64(3 + s.top.Load().shift/fanBits)
 			for cut := m.lo - 1; cut <= last+1; cut++ {
 				want := m.firstAtLeast(cut)
 				for hint := m.lo - 2; hint <= last+2; hint++ {
 					evals := 0
 					var c metrics.Counter
-					b, ok := s.findFirst(hint, func(b *block) bool { evals++; return b.sumEnq >= cut }, &c)
+					b, _, ok := s.findFirst(hint, func(b *block) bool { evals++; return b.sumEnq >= cut }, &c)
 					if b != want || ok != (want != nil) {
 						t.Fatalf("findFirst(%d, sumEnq >= %d) = %v, %v; want %v", hint, cut, b, ok, want)
 					}
@@ -241,7 +270,8 @@ func TestStore(t *testing.T) {
 //	op%4 == 3: findFirst(sumEnq >= target) from a hint, both picked by arg
 //
 // Every load must answer as the model does, and every search must find the
-// model's first live block at or above its target.
+// model's first live block at or above its target and, as its predecessor,
+// the model's entry before that block: a block, or the tombstone.
 func FuzzStore(f *testing.F) {
 	f.Add([]byte{0, 69, 0, 69, 1, 40, 2, 3, 3, 9})
 	f.Add([]byte{0, 63, 0, 0, 1, 1, 0, 69, 1, 200, 3, 77, 2, 254})
@@ -267,10 +297,7 @@ func FuzzStore(f *testing.F) {
 			case 3:
 				hint := arg*31%(next+5) - 2
 				target := arg % (m.blocks[next-1].sumEnq + 2)
-				b, ok := s.findFirst(hint, func(b *block) bool { return b.sumEnq >= target }, nil)
-				if want := m.firstAtLeast(target); b != want || ok != (want != nil) {
-					t.Fatalf("step %d: findFirst(%d, sumEnq >= %d) = %v, %v; want %v", i/2, hint, target, b, ok, want)
-				}
+				m.checkFind(t, &s, hint, target)
 			}
 		}
 	})
