@@ -34,10 +34,10 @@ func TestAllocsBoundedPair(t *testing.T) {
 	// leafBlocks, a 48-byte slab block per internal level per op and the
 	// amortised chunks. The allocation ceilings are the measured counts
 	// and the byte ceilings those +10%. p=4 is the tree a shard fabric
-	// starts with, p=8 the one lib-bounded-prodcons's shards grow to, and
-	// p=17 the one a fabric grows to at its default cap (16 leasable slots
-	// plus the maintenance slot): handle 0 sits at depth 4, as at p=16,
-	// and measures 2 allocs and 693 bytes, so it gets p=16's ceilings.
+	// starts with, p=8 the one lib-bounded-prodcons's shards grow to and
+	// p=16 the one a fabric grows to at its default cap of 16 slots. At
+	// p=17 handle 0 sits at depth 4, as at p=16, and measures 2 allocs and
+	// 693 bytes, so it gets p=16's ceilings.
 	for _, c := range []struct {
 		procs          int
 		ceiling, bytes float64
@@ -220,7 +220,7 @@ func TestAllocsArenaReuse(t *testing.T) {
 	if b2 := h.newBlock(v); b2 != b1 || *b2 != (block{}) {
 		t.Fatalf("carve after recycle handed out %p (%+v), want the recycled %p zeroed", b2, *b2, b1)
 	}
-	if r := h.newBlock(q.root); r == &h.slabs[v.depth].blocks[1] {
+	if r := h.newBlock(q.root.Load()); r == &h.slabs[v.depth].blocks[1] {
 		t.Fatal("the root's block came from its child's slab")
 	}
 	for i := 1; i < slabBlocks; i++ {
@@ -331,7 +331,7 @@ func TestAllocsRefreshFailureRecycles(t *testing.T) {
 	// below it, then stalls while h1 runs a whole Enqueue, which fills that
 	// slot. Resumed, h0 reads the child heads and runs the rest of
 	// refresh's body: createBlock, then addBlock's CAS, which must lose.
-	root := q.root
+	root := q.root.Load()
 	hd := h0.readHead(root)
 	prev, err := h0.readBlock(root, hd-1)
 	if err != nil {

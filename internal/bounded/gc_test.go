@@ -252,10 +252,10 @@ func TestStaleInstallerLoses(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := q.MustHandle(0), q.MustHandle(1)
-	root := q.root
+	root := q.root.Load()
 	var (
 		stale []int64
-		tails []*tailChunk
+		tails []*chunk
 	)
 	for i := 0; ; i++ {
 		stale = append(stale, a.readHead(root))

@@ -83,13 +83,15 @@ func (n *node) sibling() *node {
 
 // Queue is the bounded-space wait-free FIFO queue.
 type Queue[T any] struct {
-	root   *node
+	// root is the tree's root. Operations, and readers outside them, load
+	// it here, since Grow replaces it.
+	root   atomic.Pointer[node]
 	leaves []*node
 	// last[k] is the largest root-block index process k has observed to
 	// contain a null dequeue or an enqueue whose value was dequeued; GC uses
 	// the maximum entry to find the oldest block still needed (Appendix B).
 	last    []atomic.Int64
-	handles []Handle[T]
+	handles []*Handle[T]
 	procs   int
 	gcEvery int64
 }
@@ -123,19 +125,26 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 		return nil, fmt.Errorf("bounded: GC interval must be positive (got %d)", cfg.gcEvery)
 	}
 	root, leaves := buildTree[T](max(procs, 2))
-	q := &Queue[T]{
-		root:    root,
-		leaves:  leaves,
-		last:    make([]atomic.Int64, procs),
-		procs:   procs,
-		gcEvery: cfg.gcEvery,
-	}
-	q.handles = make([]Handle[T], procs)
-	for i := 0; i < procs; i++ {
-		q.handles[i] = Handle[T]{queue: q, leaf: leaves[i], id: i, slabs: make([]slab, leaves[i].depth),
-			last: (*block)(leaves[i].blocks.load(0, nil))}
-	}
+	q := &Queue[T]{leaves: leaves, gcEvery: cfg.gcEvery}
+	q.root.Store(root)
+	q.addHandles(procs)
 	return q, nil
+}
+
+// addHandles makes the handles for processes Procs() .. procs-1, each on
+// its own fresh leaf, and their entries of the last array.
+func (q *Queue[T]) addHandles(procs int) {
+	last := make([]atomic.Int64, procs)
+	for k := range q.last {
+		last[k].Store(q.last[k].Load())
+	}
+	q.last = last
+	for i := q.procs; i < procs; i++ {
+		leaf := q.leaves[i]
+		q.handles = append(q.handles, &Handle[T]{queue: q, leaf: leaf, id: i, slabs: make([]slab, leaf.depth),
+			last: (*block)(leaf.blocks.load(0, nil))})
+	}
+	q.procs = procs
 }
 
 // DefaultGCInterval is the paper's G = p^2 ceil(log2 p), floored at 16: the
@@ -190,7 +199,7 @@ func (q *Queue[T]) Handle(i int) (*Handle[T], error) {
 	if i < 0 || i >= q.procs {
 		return nil, fmt.Errorf("bounded: handle index %d out of range [0,%d)", i, q.procs)
 	}
-	return &q.handles[i], nil
+	return q.handles[i], nil
 }
 
 // MustHandle is Handle for statically valid indices.
@@ -209,7 +218,8 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 // on reading 0. It retries only when GC phases ran past the head it read.
 func (q *Queue[T]) Len() int {
 	for {
-		if p := q.root.blocks.load(q.root.head.Load()-1, nil); p != tomb {
+		root := q.root.Load()
+		if p := root.blocks.load(root.head.Load()-1, nil); p != tomb {
 			return int((*block)(p).size)
 		}
 	}
@@ -228,7 +238,7 @@ func (q *Queue[T]) BlockCounts() []int64 {
 			walk(n.right)
 		}
 	}
-	walk(q.root)
+	walk(q.root.Load())
 	return out
 }
 

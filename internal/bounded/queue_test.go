@@ -57,7 +57,7 @@ func TestTreeShape(t *testing.T) {
 			}
 			height = max(height, depth)
 		}
-		walk(q.root, 1, 0)
+		walk(q.root.Load(), 1, 0)
 		if len(heap) != 2*leaves-1 {
 			t.Errorf("p=%d: %d nodes, want %d", p, len(heap), 2*leaves-1)
 		}
@@ -427,7 +427,7 @@ func lenCoversStalledInstaller(t *testing.T) {
 			b.stepAppendEnq(2)
 		}
 		// a's Refresh at the root, cut after its CAS.
-		root := q.root
+		root := q.root.Load()
 		hd := a.readHead(root)
 		prev, err := a.readBlock(root, hd-1)
 		if err != nil {

@@ -119,7 +119,7 @@ func exploreBoundedSchedule(t *testing.T, rng *rand.Rand, procs, opsPerProc int,
 		walk(n.left)
 		walk(n.right)
 	}
-	walk(q.root)
+	walk(q.root.Load())
 
 	appended := make([]int, procs)
 	pending := procs * opsPerProc

@@ -28,7 +28,7 @@ func (h *Handle[T]) completeDeqN(leaf *node, idx, n int64) (response[T], error) 
 	if err != nil {
 		return response[T]{}, err
 	}
-	root := h.queue.root
+	root := h.queue.root.Load()
 	// Null test (line 331): every dequeue from the block's dequeue rank
 	// prevB.size+numEnq+1 on finds the queue empty, so the rest is null.
 	k := max(0, min(n, prevB.size+blkB.sumEnq-prevB.sumEnq-i+1))

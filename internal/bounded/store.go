@@ -42,18 +42,23 @@ const (
 // down. Every walk knows its level, so one untyped array serves both.
 type radix [fan]unsafe.Pointer
 
-// trieTop is a store's trie root with its level: the root splits the
-// indices below fan<<shift by their bits shift..shift+fanBits-1. The root
-// is inline, so a walk starts one load closer to the slot.
-type trieTop struct {
-	shift uint
-	root  radix
+// chunk is a level-0 trie node, the blocks at indices base..base+fan-1.
+// It carries its base so that the tail can point at it directly: a walk
+// that makes a chunk knows its base, and moving the tail allocates
+// nothing. slots comes first, so a trie entry that points at a chunk
+// points at its slots too.
+type chunk struct {
+	slots radix
+	base  int64
 }
 
-// tailChunk names the chunk that holds the indices base..base+fan-1.
-type tailChunk struct {
-	base  int64
-	chunk *radix
+// trieTop is a store's trie root with its level: the root splits the
+// indices below fan<<shift by their bits shift..shift+fanBits-1. The root
+// is inline, so a walk starts one load closer to the slot. While shift is
+// 0 the root is the chunk at base 0; above that only its slots are used.
+type trieTop struct {
+	shift uint
+	root  chunk
 }
 
 // tomb is the tombstone a drop writes over what it unlinks. It is compared
@@ -67,7 +72,7 @@ type store struct {
 
 	// tail is the chunk of the newest index an install has walked to, or
 	// of a drop's split if that is newer. Its base only grows.
-	tail atomic.Pointer[tailChunk]
+	tail atomic.Pointer[chunk]
 
 	// lo is a lower bound on the oldest live index: every index below it
 	// was unlinked. A drop raises it once done; a drop that loses that CAS
@@ -78,9 +83,9 @@ type store struct {
 // init installs b at index 0 of a fresh store.
 func (s *store) init(b *block) {
 	t := new(trieTop)
-	t.root[0] = unsafe.Pointer(b)
+	t.root.slots[0] = unsafe.Pointer(b)
 	s.top.Store(t)
-	s.tail.Store(&tailChunk{chunk: &t.root})
+	s.tail.Store(&t.root)
 }
 
 // load returns the entry at index i: its block, nil if none was installed
@@ -91,14 +96,14 @@ func (s *store) load(i int64, c *metrics.Counter) unsafe.Pointer {
 	}
 	if tl := s.tail.Load(); uint64(i-tl.base) < fan {
 		c.Read(2)
-		return atomic.LoadPointer(&tl.chunk[i&fanMask])
+		return atomic.LoadPointer(&tl.slots[i&fanMask])
 	}
 	t := s.top.Load()
 	if i>>t.shift >= fan {
 		c.Read(2)
 		return nil
 	}
-	r := &t.root
+	r := &t.root.slots
 	for sh, n := t.shift, int64(3); ; sh, n = sh-fanBits, n+1 {
 		p := atomic.LoadPointer(&r[(i>>sh)&fanMask])
 		if sh == 0 || p == nil || p == tomb {
@@ -118,13 +123,13 @@ func (s *store) install(b *block, cas bool, c *metrics.Counter) bool {
 	i := b.index
 	tl := s.tail.Load()
 	c.Read(1)
-	r := tl.chunk
+	ch := tl
 	if uint64(i-tl.base) >= fan {
-		if r = s.walk(i, c); r == nil {
+		if ch = s.walk(i, c); ch == nil {
 			return false
 		}
 	}
-	slot := &r[i&fanMask]
+	slot := &ch.slots[i&fanMask]
 	ok := true
 	if cas {
 		ok = atomic.CompareAndSwapPointer(slot, nil, unsafe.Pointer(b))
@@ -133,27 +138,32 @@ func (s *store) install(b *block, cas bool, c *metrics.Counter) bool {
 		atomic.StorePointer(slot, unsafe.Pointer(b))
 		c.Write()
 	}
-	if r != tl.chunk {
-		s.moveTail(tl, i&^fanMask, r, c)
+	if ch != tl {
+		s.moveTail(tl, ch, c)
 	}
 	return ok
 }
 
 // walk returns the chunk holding index i, making the trie path to it as
 // needed, or nil if a drop had unlinked it.
-func (s *store) walk(i int64, c *metrics.Counter) *radix {
+func (s *store) walk(i int64, c *metrics.Counter) *chunk {
 	t := s.top.Load()
 	c.Read(1)
 	for i>>t.shift >= fan {
 		t = s.raise(t, c)
 	}
-	r := &t.root
+	r := &t.root.slots
 	for sh := t.shift; sh > 0; sh -= fanBits {
 		slot := &r[(i>>sh)&fanMask]
 		p := atomic.LoadPointer(slot)
 		c.Read(1)
 		if p == nil {
-			fresh := unsafe.Pointer(new(radix))
+			var fresh unsafe.Pointer
+			if sh == fanBits {
+				fresh = unsafe.Pointer(&chunk{base: i &^ fanMask})
+			} else {
+				fresh = unsafe.Pointer(new(radix))
+			}
 			ok := atomic.CompareAndSwapPointer(slot, nil, fresh)
 			c.CAS(ok)
 			if p = fresh; !ok {
@@ -166,20 +176,16 @@ func (s *store) walk(i int64, c *metrics.Counter) *radix {
 		}
 		r = (*radix)(p)
 	}
-	return r
+	return (*chunk)(unsafe.Pointer(r))
 }
 
-// moveTail moves the tail from cur, the value last read, to chunk, the
-// chunk at base, unless the tail is already there or right of it. Every
-// CAS that fails saw the tail move right, so it retries at most once per
-// chunk between cur and base.
-func (s *store) moveTail(cur *tailChunk, base int64, chunk *radix, c *metrics.Counter) {
-	if cur.base >= base {
-		return
-	}
-	t := &tailChunk{base, chunk}
-	for cur.base < base {
-		ok := s.tail.CompareAndSwap(cur, t)
+// moveTail moves the tail from cur, the value last read, to the chunk to,
+// unless the tail is already there or right of it. Every CAS that fails
+// saw the tail move right, so it retries at most once per chunk between
+// cur and to.
+func (s *store) moveTail(cur, to *chunk, c *metrics.Counter) {
+	for cur.base < to.base {
+		ok := s.tail.CompareAndSwap(cur, to)
 		c.CAS(ok)
 		if ok {
 			return
@@ -194,7 +200,7 @@ func (s *store) moveTail(cur *tailChunk, base int64, chunk *radix, c *metrics.Co
 // only rise, so an install calls raise at most once per level.
 func (s *store) raise(t *trieTop, c *metrics.Counter) *trieTop {
 	up := &trieTop{shift: t.shift + fanBits}
-	up.root[0] = unsafe.Pointer(&t.root)
+	up.root.slots[0] = unsafe.Pointer(&t.root)
 	ok := s.top.CompareAndSwap(t, up)
 	c.CAS(ok)
 	if ok {
@@ -223,13 +229,13 @@ func (s *store) drop(split int64, c *metrics.Counter) {
 	t := s.top.Load()
 	c.Read(1)
 	var path [64/fanBits + 1]*radix // one trie node per level, from the top
-	r, n := &t.root, 0
+	r, n := &t.root.slots, 0
 	for sh := t.shift; ; sh -= fanBits {
 		path[n], n = r, n+1
 		if sh == 0 {
 			tl := s.tail.Load()
 			c.Read(1)
-			s.moveTail(tl, split&^fanMask, r, c)
+			s.moveTail(tl, (*chunk)(unsafe.Pointer(r)), c)
 			break
 		}
 		p := atomic.LoadPointer(&r[(split>>sh)&fanMask])

@@ -5,6 +5,7 @@ package bounded
 
 import (
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -107,11 +108,38 @@ func (m *storeModel) check(t *testing.T, s *store) {
 // chunkOf returns the chunk holding index i, walking the trie as load does.
 func chunkOf(s *store, i int64) *radix {
 	t := s.top.Load()
-	r := &t.root
+	r := &t.root.slots
 	for sh := t.shift; sh > 0; sh -= fanBits {
 		r = (*radix)(r[(i>>sh)&fanMask])
 	}
 	return r
+}
+
+// TestAllocsStoreInstall counts the heap allocations of fan*fan-1 installs
+// into a fresh store, which move its tail into a new chunk fan-1 times: one
+// per chunk the walks make and one for the trie's top, which rises once. A
+// tail record of its own, allocated at each move, would double the count.
+func TestAllocsStoreInstall(t *testing.T) {
+	const n = fan*fan - 1
+	blocks := make([]block, n+1)
+	for i := range blocks {
+		blocks[i].index = int64(i)
+	}
+	var s store
+	s.init(&blocks[0])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 1; i <= n; i++ {
+		s.install(&blocks[i], true, nil)
+	}
+	runtime.ReadMemStats(&m1)
+	if got, want := m1.Mallocs-m0.Mallocs, uint64(fan); got > want {
+		t.Errorf("%d installs made %d heap allocations, want %d: %d chunks and a trie top", n, got, want, fan-1)
+	}
+	if tl := s.tail.Load(); tl.base != n&^fanMask {
+		t.Errorf("tail at base %d after %d installs, want %d", tl.base, n, n&^fanMask)
+	}
 }
 
 func TestStore(t *testing.T) {
@@ -189,7 +217,7 @@ func TestStore(t *testing.T) {
 			s.tail.Store(held)
 			m.drop(s, 2*fan+5)
 			m.check(t, s)
-			if tl := s.tail.Load(); tl.base != 2*fan || tl.chunk != chunkOf(s, 2*fan) {
+			if tl := s.tail.Load(); tl.base != 2*fan || &tl.slots != chunkOf(s, 2*fan) {
 				t.Fatalf("tail at base %d after a drop to %d, want base %d", tl.base, 2*fan+5, 2*fan)
 			}
 		}},

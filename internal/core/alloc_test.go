@@ -153,7 +153,7 @@ func TestLeafOfRoundTrip(t *testing.T) {
 	h := q.MustHandle(1)
 	// newest returns leaf i's newest block and its predecessor.
 	newest := func(i int) (b, prev *block) {
-		n := &q.nodes[q.numLeaves+i]
+		n := &q.tree()[q.numLeaves+i]
 		hd := n.head.Load()
 		return n.blocks.Get(hd - 1), n.blocks.Get(max(hd-2, 0))
 	}
@@ -222,7 +222,7 @@ func TestLeafOfRoundTrip(t *testing.T) {
 func TestInnerOfRoundTrip(t *testing.T) {
 	q := runConcurrent(t, 4, 300, 9)
 	for v := rootIdx; v < q.numLeaves; v++ {
-		n := &q.nodes[v]
+		n := &q.tree()[v]
 		var prev *innerBlock
 		for i := int64(0); ; i++ {
 			b := n.blocks.Get(i)
@@ -238,8 +238,8 @@ func TestInnerOfRoundTrip(t *testing.T) {
 			case i > 0 && (ib.endLeft < prev.endLeft || ib.endRight < prev.endRight):
 				t.Fatalf("node %d block %d: ends (%d, %d) below previous (%d, %d)",
 					v, i, ib.endLeft, ib.endRight, prev.endLeft, prev.endRight)
-			case q.nodes[2*v].blocks.Get(ib.endLeft) == nil ||
-				q.nodes[2*v+1].blocks.Get(ib.endRight) == nil:
+			case q.tree()[2*v].blocks.Get(ib.endLeft) == nil ||
+				q.tree()[2*v+1].blocks.Get(ib.endRight) == nil:
 				t.Fatalf("node %d block %d: ends (%d, %d) past the children's blocks",
 					v, i, ib.endLeft, ib.endRight)
 			}

@@ -53,8 +53,8 @@ func runConcurrent(t *testing.T, procs, opsPerProc int, seed int64) *Queue[int] 
 
 // forEachNode visits every tree node by heap index.
 func forEachNode[T any](q *Queue[T], fn func(v int, n *node)) {
-	for v := rootIdx; v < len(q.nodes); v++ {
-		fn(v, &q.nodes[v])
+	for v := rootIdx; v < len(q.tree()); v++ {
+		fn(v, &q.tree()[v])
 	}
 }
 
@@ -103,7 +103,7 @@ func TestLemma4EndsNonDecreasing(t *testing.T) {
 // expandCounts recursively counts the enqueues and dequeues represented by
 // block b of node v — the |E(B)| and |D(B)| of equation (3.1).
 func expandCounts[T any](q *Queue[T], v int, b int64) (enqs, deqs int64) {
-	n := &q.nodes[v]
+	n := &q.tree()[v]
 	blk := n.blocks.Get(b)
 	if b == 0 {
 		return 0, 0
@@ -156,7 +156,7 @@ func TestLemma12SuperAccuracy(t *testing.T) {
 			return
 		}
 		dir := childDir(v)
-		parent := &q.nodes[v>>1]
+		parent := &q.tree()[v>>1]
 		for b := int64(1); ; b++ {
 			blk := n.blocks.Get(b)
 			if blk == nil {
@@ -190,7 +190,7 @@ func TestLemma12SuperAccuracy(t *testing.T) {
 
 func TestLemma16RootSizes(t *testing.T) {
 	q := runConcurrent(t, 5, 700, 7)
-	root := &q.nodes[rootIdx]
+	root := &q.tree()[rootIdx]
 	var size int64
 	for i := int64(1); ; i++ {
 		blk := root.blocks.Get(i)
@@ -222,7 +222,7 @@ func TestCorollary6EachOpInOneRootBlock(t *testing.T) {
 		if b == 0 {
 			return
 		}
-		n := &q.nodes[v]
+		n := &q.tree()[v]
 		if q.isLeaf(v) {
 			counts[key{v - q.numLeaves, b}]++
 			return
@@ -235,7 +235,7 @@ func TestCorollary6EachOpInOneRootBlock(t *testing.T) {
 			collect(2*v+1, i)
 		}
 	}
-	root := &q.nodes[rootIdx]
+	root := &q.tree()[rootIdx]
 	for b := int64(1); ; b++ {
 		if root.blocks.Get(b) == nil {
 			break
@@ -249,7 +249,7 @@ func TestCorollary6EachOpInOneRootBlock(t *testing.T) {
 	}
 	// Every completed leaf operation must be present (Lemma 11).
 	for li := 0; li < q.numLeaves; li++ {
-		head := q.nodes[q.numLeaves+li].head.Load()
+		head := q.tree()[q.numLeaves+li].head.Load()
 		for i := int64(1); i < head; i++ {
 			if counts[key{li, i}] != 1 {
 				t.Fatalf("leaf %d block %d not contained in exactly one root block", li, i)

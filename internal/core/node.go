@@ -19,9 +19,9 @@ import (
 // pointer-linked tree (parent/left/right) with shift-and-add arithmetic on
 // the node index, and keeps every node of the tree in one allocation so the
 // root-ward walk of Propagate touches a predictable ascending/descending
-// address sequence instead of arbitrary heap addresses. The tree is built
-// once at queue construction and never changes shape; only the blocks
-// arrays and head indices evolve.
+// address sequence instead of arbitrary heap addresses. Operations never
+// change the tree's shape; only the blocks arrays and head indices evolve.
+// Grow (grow.go) doubles a power-of-two tree between operations.
 const rootIdx = 1
 
 // childDir reports which child of its parent node v is: left children have
@@ -67,18 +67,25 @@ func (q *Queue[T]) isLeaf(v int) bool { return v >= q.numLeaves }
 // second leaf never receives blocks and contributes zero sums.
 func newTree(numLeaves int) []node {
 	nodes := make([]node, 2*numLeaves)
-	// Shared slabs for the index-zero dummy blocks, one per kind; see the
-	// blocks field comment for why these must never enter the arena.
+	initFresh(nodes, numLeaves, func(v int) int { return v })
+	return nodes
+}
+
+// initFresh makes a fresh tree of numLeaves leaves in nodes: the node a
+// bare tree of that size numbers v is nodes[at(v)]. Each gets its index-0
+// dummy and a head of 1. Shared slabs hold the dummies, one per kind; see
+// the blocks field comment for why these must never enter the arena.
+func initFresh(nodes []node, numLeaves int, at func(v int) int) {
 	dummies := make([]innerBlock, numLeaves)
 	leafDummies := make([]block, numLeaves)
-	for v := rootIdx; v < len(nodes); v++ {
-		nodes[v].blocks = infarray.New[block]()
+	for v := rootIdx; v < 2*numLeaves; v++ {
+		n := &nodes[at(v)]
+		n.blocks = infarray.New[block]()
 		if v < numLeaves {
-			nodes[v].blocks.Store(0, &dummies[v].block)
+			n.blocks.Store(0, &dummies[v].block)
 		} else {
-			nodes[v].blocks.Store(0, &leafDummies[v-numLeaves])
+			n.blocks.Store(0, &leafDummies[v-numLeaves])
 		}
-		nodes[v].head.Store(1)
+		n.head.Store(1)
 	}
-	return nodes
 }

@@ -31,7 +31,7 @@ func TestNullDequeueWithinBlock(t *testing.T) {
 			t.Fatalf("refresh %q = (%v, %v)", path, ok, err)
 		}
 	}
-	root := &q.nodes[rootIdx]
+	root := &q.tree()[rootIdx]
 	if got := root.head.Load(); got != 2 {
 		t.Fatalf("root head = %d, want 2 (single block)", got)
 	}

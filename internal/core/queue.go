@@ -24,6 +24,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -34,10 +35,12 @@ var ErrBadProcs = errors.New("core: process count must be at least 1")
 // Queue is a linearizable wait-free FIFO queue for a fixed set of processes.
 type Queue[T any] struct {
 	// nodes holds the ordering tree flat in 1-indexed heap order; see
-	// node.go for the layout. nodes[0] is unused.
-	nodes     []node
+	// node.go for the layout. nodes[0] is unused. Operations use their
+	// handle's alias; Len and other readers outside an operation load the
+	// slice here, since Grow replaces it.
+	nodes     atomic.Pointer[[]node]
 	numLeaves int
-	handles   []Handle[T]
+	handles   []*Handle[T]
 	procs     int
 
 	// Ablation switches (see Option). Both default to the paper's design.
@@ -50,7 +53,8 @@ type Queue[T any] struct {
 // at a time.
 type Handle[T any] struct {
 	queue *Queue[T]
-	// nodes aliases queue.nodes so the hot accessors skip one indirection.
+	// nodes aliases the queue's node slice so the hot accessors skip one
+	// indirection; Grow re-points it.
 	nodes   []node
 	leaf    int // heap index of this handle's leaf
 	counter *metrics.Counter
@@ -112,20 +116,29 @@ func New[T any](procs int, opts ...Option) (*Queue[T], error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	numLeaves := max(procs, 2)
 	q := &Queue[T]{
-		nodes:           newTree(numLeaves),
-		numLeaves:       numLeaves,
-		procs:           procs,
+		numLeaves:       max(procs, 2),
 		plainRootSearch: o.plainRootSearch,
 		spinningRefresh: o.spinningRefresh,
 	}
-	q.handles = make([]Handle[T], procs)
-	for i := 0; i < procs; i++ {
-		leaf := numLeaves + i
-		q.handles[i] = Handle[T]{queue: q, nodes: q.nodes, leaf: leaf, last: q.nodes[leaf].blocks.Get(0)}
-	}
+	nodes := newTree(q.numLeaves)
+	q.nodes.Store(&nodes)
+	q.addHandles(procs)
 	return q, nil
+}
+
+// tree returns the queue's current node slice.
+func (q *Queue[T]) tree() []node { return *q.nodes.Load() }
+
+// addHandles makes the handles for processes Procs() .. procs-1, each on
+// its own fresh leaf.
+func (q *Queue[T]) addHandles(procs int) {
+	nodes := q.tree()
+	for i := q.procs; i < procs; i++ {
+		leaf := q.numLeaves + i
+		q.handles = append(q.handles, &Handle[T]{queue: q, nodes: nodes, leaf: leaf, last: nodes[leaf].blocks.Get(0)})
+	}
+	q.procs = procs
 }
 
 // Procs returns the process count the queue was built for.
@@ -138,7 +151,7 @@ func (q *Queue[T]) Handle(i int) (*Handle[T], error) {
 	if i < 0 || i >= q.procs {
 		return nil, fmt.Errorf("core: handle index %d out of range [0,%d)", i, q.procs)
 	}
-	return &q.handles[i], nil
+	return q.handles[i], nil
 }
 
 // MustHandle is Handle for callers with a statically valid index; it panics
@@ -159,7 +172,7 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 // A reader that sees 0 may answer "empty" like a null dequeue ordered right
 // after that block (package shard does; TestLenCoversCompletedOps).
 func (q *Queue[T]) Len() int {
-	root := &q.nodes[rootIdx]
+	root := &q.tree()[rootIdx]
 	h := root.head.Load()
 	// blocks[h-1] is always non-nil (Invariant 3).
 	return int(root.blocks.Get(h - 1).size())
@@ -172,8 +185,9 @@ func (q *Queue[T]) Len() int {
 // (compare Queue.TotalBlocks in package bounded).
 func (q *Queue[T]) BlocksInstalled() int64 {
 	var total int64
-	for v := rootIdx; v < len(q.nodes); v++ {
-		total += q.nodes[v].head.Load() - 1
+	nodes := q.tree()
+	for v := rootIdx; v < len(nodes); v++ {
+		total += nodes[v].head.Load() - 1
 	}
 	return total
 }

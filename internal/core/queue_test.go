@@ -55,8 +55,8 @@ func TestTreeShape(t *testing.T) {
 			height = max(height, depth)
 		}
 		walk(rootIdx, 0)
-		if nodes != 2*leaves-1 || len(q.nodes)-1 != nodes {
-			t.Errorf("p=%d: %d nodes reachable, %d allocated, want %d", p, nodes, len(q.nodes)-1, 2*leaves-1)
+		if nodes != 2*leaves-1 || len(q.tree())-1 != nodes {
+			t.Errorf("p=%d: %d nodes reachable, %d allocated, want %d", p, nodes, len(q.tree())-1, 2*leaves-1)
 		}
 		if height != hi {
 			t.Errorf("p=%d: height %d, want %d", p, height, hi)

@@ -35,7 +35,7 @@ func expandLeafOps[T any](q *Queue[T], v int, b int64) (enqs, deqs [][2]int64) {
 	if b == 0 {
 		return nil, nil
 	}
-	n := &q.nodes[v]
+	n := &q.tree()[v]
 	blk := n.blocks.Get(b)
 	if q.isLeaf(v) {
 		prev := n.blocks.Get(b - 1)
@@ -170,7 +170,7 @@ func exploreSchedule(t *testing.T, rng *rand.Rand, procs, opsPerProc, trial int)
 	}
 
 	// Extract the linearization from the root.
-	root := &q.nodes[rootIdx]
+	root := &q.tree()[rootIdx]
 	opByRef := map[[2]int64]*schedOp{}
 	for _, op := range all {
 		opByRef[[2]int64{int64(op.proc), op.idx}] = op
@@ -265,7 +265,7 @@ func describe(script [][]*schedOp) string {
 func propagatedToRoot[T any](q *Queue[T], v int, b int64) bool {
 	for v != rootIdx {
 		dir := childDir(v)
-		parent := &q.nodes[v>>1]
+		parent := &q.tree()[v>>1]
 		found := int64(-1)
 		for s := int64(1); parent.blocks.Get(s) != nil; s++ {
 			if innerOf(parent.blocks.Get(s)).end(dir) >= b {

@@ -71,7 +71,7 @@ func TestRootSearchHint(t *testing.T) {
 		return be, prev, c.Reads - r0
 	}
 
-	root := &q.nodes[rootIdx]
+	root := &q.tree()[rootIdx]
 	top := root.head.Load() - 1
 	var searches, pairs, fromHint int
 	worst := int64(-1 << 62)

@@ -52,9 +52,10 @@ type TreeSnapshot struct {
 // the Path strings match the pointer-tree era exactly.
 func (q *Queue[T]) Snapshot() TreeSnapshot {
 	snap := TreeSnapshot{Procs: q.procs}
+	nodes := q.tree()
 	var walk func(v int, path string)
 	walk = func(v int, path string) {
-		n := &q.nodes[v]
+		n := &nodes[v]
 		leafID := -1
 		if q.isLeaf(v) {
 			leafID = v - q.numLeaves

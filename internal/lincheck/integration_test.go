@@ -204,10 +204,10 @@ func reportViolations(t *testing.T, events []lincheck.Event) {
 // TestFabricHistoryAcrossGrowth records a k=1 fabric history during which
 // the shards' trees grow: three processes run on the fabric's first
 // 4-leaf trees (slots 0-2), and once each has run 500 operations two more
-// lease slots 3 and 4. The first of those leases grows every tree to 8
-// leaves, migrating the backlog into the new shard while the three keep
-// operating; they stop only after both late leases are taken and their
-// 2500 operations are done.
+// lease slots 3 and 4. The lease of slot 4 doubles every tree to 8 leaves
+// in place, holding the three at the fabric's gate only while it grows;
+// they stop only after both late leases are taken and their 2500
+// operations are done.
 // A k=1 fabric is a FIFO queue, so the whole history, growth included,
 // must be linearizable.
 func TestFabricHistoryAcrossGrowth(t *testing.T) {

@@ -376,7 +376,7 @@ func runProducer(addr string, cfg LoadConfig, p int, ps *producerState, nonce ui
 	}
 
 	// Reclaiming the whole meta slab proves the pipeline is empty; then the
-	// collector can be retired.
+	// collector can be stopped.
 	for i := 0; i < cfg.Window; i++ {
 		<-tokens
 	}

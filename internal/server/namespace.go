@@ -256,15 +256,14 @@ type QueueStat struct {
 	Enqueues int64  `json:"enqueues"` // values acknowledged enqueued
 	Dequeues int64  `json:"dequeues"` // values delivered by dequeue replies
 
-	// Topology state of this queue's fabric: its shard count, its
-	// topology epoch, the leaves of every shard's ordering tree and how
-	// many times leases grew them, elements moved by those growths'
-	// migrations, and the dequeue requests that found the queue empty.
+	// Topology state of this queue's fabric: its shard count, its epoch
+	// (1 + tree growths), the leaves of every shard's ordering tree and
+	// how many times leases grew them, and the dequeue requests that found
+	// the queue empty.
 	Shards        int    `json:"shards"`
 	Epoch         uint64 `json:"epoch"`
 	Leaves        int    `json:"leaves"`
 	LeafGrowths   int64  `json:"leaf_growths"`
-	Migrated      int64  `json:"migrated"`
 	EmptyDequeues int64  `json:"empty_dequeues"`
 
 	// In-server latency summaries per operation class, measured from the
@@ -295,7 +294,6 @@ func (ns *namespace) queueStats() []QueueStat {
 			Epoch:         rs.Epoch,
 			Leaves:        rs.Leaves,
 			LeafGrowths:   rs.LeafGrowths,
-			Migrated:      rs.Migrated,
 			EmptyDequeues: t.emptyDeqs.Load(),
 		}
 		if t.hists != nil {

@@ -476,7 +476,7 @@ func TestSnapshotQueueJSONRoundTrip(t *testing.T) {
 	}
 	// The raw JSON must use the stable field names.
 	for _, key := range []string{`"queues_open"`, `"queues_opened"`, `"queues_deleted"`, `"queues_expired"`,
-		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"leaves"`, `"leaf_growths"`, `"migrated"`,
+		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"leaves"`, `"leaf_growths"`,
 		`"empty_dequeues"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("stats JSON lacks %s", key)

@@ -43,34 +43,32 @@
 //
 // The paper prices every operation by the height of the ordering tree,
 // which has one leaf per process. The fabric does not build its shards for
-// every slot it could lease: each shard starts with min(4, maxHandles+1)
-// leaves (the last one is the fabric's maintenance slot), and the Acquire
-// that pops a slot the current trees cannot hold installs a successor
-// epoch whose shards have twice the leaves, or as many as the slot needs,
-// capped at maxHandles+1 — 4 → 8 → 16 → 17 with the default 16 slots. The
-// registry hands out its lowest never-used slot only when every used one
-// is leased, so the trees track the high-water lease count. They never
-// shrink, and the shard count k stays the one New was given.
+// every slot it could lease: each shard's tree starts with min(4, P)
+// leaves, P being the smallest power of two at or above maxHandles (and
+// 2), and the Acquire that pops a slot the trees have no leaf for doubles
+// every shard's tree in place — 4 → 8 → 16 with the default 16 slots. A
+// doubling puts a fresh root over the old tree and a fresh tree of the same
+// size (core.Queue.Grow, bounded.Queue.Grow): it costs O(k·p), whatever
+// the backlog, moves no element and keeps every handle on its leaf and
+// every producer on its home shard. The registry hands out its lowest
+// never-used slot only when every used one is leased, so the trees track
+// the high-water lease count. They never shrink, and the shard count k
+// stays the one New was given.
 //
-// The shard set lives behind an immutable, epoch-numbered topology reached
-// through one atomic pointer, and a growth installs a successor epoch
-// while operations continue: every shard is retired into its successor at
-// the same index, and after a grace period its residual elements are
-// drained into that successor in their shard-FIFO order — exact
-// conservation, per-producer FIFO intact across the epoch boundary. Three
-// operations can block, each only while a growth's migration is in
-// flight: a producer's first enqueue after the growth (waiting for its old
-// shard's drain so its old elements stay ahead of its new ones), a
-// dequeue whose sweep found nothing (waiting for the drain rather than
-// falsely certifying an occupied fabric empty), and the Acquire that grows
-// the trees (it runs the migration itself). Acquire blocks at most
-// ⌈log₂((maxHandles+1)/4)⌉ times per fabric, 3 with the default 16 slots.
-// Everything else stays wait-free through the swap.
+// A growth needs the trees to itself, so the fabric has one blocking
+// point: a gate that a growth closes. Every operation marks its slot busy
+// and then checks the gate; a growth closes the gate, waits until no slot
+// is busy, grows every shard and reopens it. Operations that meet the
+// closed gate wait for the growth, which waits only for operations already
+// running, each wait-free; the Acquire that grows blocks for as long.
+// Acquire grows at most ⌈log₂(P/4)⌉ times per fabric, twice with the
+// default 16 slots. Everything else stays wait-free.
 package shard
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -111,84 +109,43 @@ type subHandle[T any] interface {
 	SetCounter(c *metrics.Counter)
 }
 
-// subQueue is the per-shard queue surface the fabric needs.
+// subQueue is the per-shard queue surface the fabric needs. Grow doubles
+// the queue's tree and runs only while no operation does.
 type subQueue[T any] interface {
 	Len() int
-	handle(i int) (subHandle[T], error)
+	Grow()
+	handle(i int) subHandle[T]
 }
 
 type coreShard[T any] struct{ q *core.Queue[T] }
 
-func (s coreShard[T]) Len() int { return s.q.Len() }
-func (s coreShard[T]) handle(i int) (subHandle[T], error) {
-	return s.q.Handle(i)
-}
+func (s coreShard[T]) Len() int                  { return s.q.Len() }
+func (s coreShard[T]) Grow()                     { s.q.Grow() }
+func (s coreShard[T]) handle(i int) subHandle[T] { return s.q.MustHandle(i) }
 
 type boundedShard[T any] struct{ q *bounded.Queue[T] }
 
-func (s boundedShard[T]) Len() int { return s.q.Len() }
-func (s boundedShard[T]) handle(i int) (subHandle[T], error) {
-	return s.q.Handle(i)
-}
+func (s boundedShard[T]) Len() int                  { return s.q.Len() }
+func (s boundedShard[T]) Grow()                     { s.q.Grow() }
+func (s boundedShard[T]) handle(i int) subHandle[T] { return s.q.MustHandle(i) }
 
-// shardState is one shard plus its routing metadata. Shards are held by
-// pointer inside topologies, so a stale handle's tallies still reach the
-// state it collected them against. The shard's backlog is read
-// straight from the underlying queue's root (Len is O(1) and exact as of
-// the last root propagation), so the fabric adds no per-operation atomic of
-// its own: enqueue/dequeue tallies are buffered per handle and folded in on
-// Release or on an epoch refresh.
+// shardState is one shard plus its routing tallies. The shard's backlog is
+// read straight from the underlying queue's root (Len is O(1) and exact as
+// of the last root propagation), so the fabric adds no per-operation atomic
+// of its own: enqueue/dequeue tallies are buffered per handle and folded in
+// on Release.
 type shardState[T any] struct {
 	q        subQueue[T]
-	counter  *metrics.Counter // cost-model totals folded in under Queue.mu (WithShardMetrics)
 	enqueues atomic.Int64
 	dequeues atomic.Int64
-	// mergedInto points at the shard that inherited this shard's recorded
-	// history when a growth retired it (nil while the shard is live). Late
-	// folds from handles that collected tallies against a retired shard
-	// follow the chain, so lifetime totals survive every growth.
-	mergedInto atomic.Pointer[shardState[T]]
 	// Pad to a multiple of the cache line so neighbouring shards' tallies
 	// never false-share: cross-shard independence is the whole point of
 	// the fabric.
-	_ [128 - (16+8+8*2+8)%128]byte
+	_ [128 - (16+8*2)%128]byte
 }
 
 // len returns the shard's backlog as of its queue's last root propagation.
 func (s *shardState[T]) len() int { return s.q.Len() }
-
-// sink follows the merged-into chain to the state that currently owns
-// this shard's accumulated history: itself while live, its migration
-// destination (transitively) once retired. The chain is time-ordered —
-// a retired shard always merges into a successor of a strictly newer
-// epoch — so it is acyclic and short.
-func (s *shardState[T]) sink() *shardState[T] {
-	for {
-		next := s.mergedInto.Load()
-		if next == nil {
-			return s
-		}
-		s = next
-	}
-}
-
-// addTally adds n to the tally pick selects on s's sink. A retirement may
-// hand the sink's tallies over between the lookup and the add; the add
-// then finds the state merged and hands the residue on itself, so a fold
-// racing a migration is never lost.
-func addTally[T any](s *shardState[T], n int64, pick func(*shardState[T]) *atomic.Int64) {
-	for n != 0 {
-		s = s.sink()
-		pick(s).Add(n)
-		if s.mergedInto.Load() == nil {
-			return
-		}
-		n = pick(s).Swap(0)
-	}
-}
-
-func enqueuesOf[T any](s *shardState[T]) *atomic.Int64 { return &s.enqueues }
-func dequeuesOf[T any](s *shardState[T]) *atomic.Int64 { return &s.dequeues }
 
 // Option configures New.
 type Option func(*config)
@@ -198,7 +155,6 @@ type config struct {
 	maxHandles    int
 	maxHandlesSet bool
 	gcInterval    int64
-	perShard      bool
 }
 
 // WithBackend selects the per-shard queue implementation (default
@@ -209,31 +165,29 @@ func WithBackend(b Backend) Option {
 
 // WithMaxHandles caps the number of leasable handle slots (default
 // max(16, 4*GOMAXPROCS)): Acquire refuses a lease beyond it, and each
-// shard's ordering tree grows with the leases up to maxHandles+1 leaves,
-// never past. Every leased slot owns one handle in every shard.
+// shard's ordering tree grows with the leases up to the smallest power of
+// two at or above n (and 2), never past. Every leased slot owns one handle
+// in every shard.
 func WithMaxHandles(n int) Option {
 	return func(c *config) { c.maxHandles, c.maxHandlesSet = n, true }
 }
 
 // WithGCInterval forwards a garbage-collection interval to BackendBounded
 // shards; it is ignored by BackendCore. The default is the paper's G for
-// the cap, maxHandles+1 processes, whatever size the trees have grown to.
+// maxHandles+1 processes, whatever size the trees have grown to.
 func WithGCInterval(g int64) Option {
 	return func(c *config) { c.gcInterval = g }
-}
-
-// WithShardMetrics attaches a fresh metrics.Counter per shard to every
-// leased handle and folds the counts into per-shard totals when the handle
-// is released, so ShardSummaries can report the paper's cost model per
-// shard. Handle.SetCounter overrides this for a given lease.
-func WithShardMetrics() Option {
-	return func(c *config) { c.perShard = true }
 }
 
 // Queue is a sharded queue fabric. It is safe for concurrent use; operate on
 // it through handles leased with Acquire.
 type Queue[T any] struct {
-	topo   atomic.Pointer[topology[T]]
+	shards []*shardState[T]
+	// subs[i] holds slot i's handle in every shard, made by the growth
+	// that gives the trees a leaf for slot i (by New for the first ones).
+	// Sub-handles are stable pointers, and a lease of slot i uses subs[i].
+	subs   [][]subHandle[T]
+	bitmap bitmap
 	reg    registry
 	cfg    config
 	closed atomic.Bool
@@ -243,24 +197,22 @@ type Queue[T any] struct {
 	// shard.
 	nextHome atomic.Uint64
 
-	// slotEpochs is the per-slot published operation epoch a growth's
-	// grace period waits on (see topology.go).
-	slotEpochs []slotEpoch
+	// growing is the growth in flight, nil while the gate is open, and
+	// busy[i] is 1 while slot i's lease runs an operation (Handle.enter).
+	growing atomic.Pointer[growth]
+	busy    []padUint64
 
-	// growMu serializes tree growths; the data plane never takes it.
-	growMu sync.Mutex
-
-	leafGrowths atomic.Int64 // Acquire calls that grew the trees
-	migrated    atomic.Int64 // elements drained from retired shards
-
-	// mu guards the per-shard counter totals that released handles merge
-	// into (only when WithShardMetrics is set). Release is cold path.
-	mu sync.Mutex
+	// growMu serializes growths; the data plane never takes it.
+	growMu      sync.Mutex
+	leaves      atomic.Int64 // leaves of every shard's tree
+	leafGrowths atomic.Int64 // tree doublings
 }
 
+// growth is one growth of the shards' trees; done closes when it ends.
+type growth struct{ done chan struct{} }
+
 // New creates a fabric of shards independent queues, each with an ordering
-// tree of min(4, maxHandles+1) leaves; Acquire grows the trees as leases
-// need it.
+// tree of min(4, P) leaves; Acquire grows the trees as leases need it.
 func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 	cfg := config{backend: BackendBounded}
 	for _, opt := range opts {
@@ -279,25 +231,31 @@ func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadHandles, cfg.maxHandles)
 	}
 	q := &Queue[T]{
-		cfg:        cfg,
-		slotEpochs: make([]slotEpoch, cfg.maxHandles),
+		shards: make([]*shardState[T], shards),
+		subs:   make([][]subHandle[T], cfg.maxHandles),
+		cfg:    cfg,
+		busy:   make([]padUint64, cfg.maxHandles),
 	}
-	// Epoch 1 succeeds an empty epoch 0, so every shard is built fresh.
-	t, err := q.successor(&topology[T]{}, shards, min(4, cfg.maxHandles+1))
-	if err != nil {
-		return nil, err
+	// P, the power of two at or above max(2, maxHandles), is as far as the
+	// trees grow: Acquire never pops a slot at or past maxHandles.
+	leaves := min(4, 1<<bits.Len(uint(max(2, cfg.maxHandles)-1)))
+	for j := range q.shards {
+		sub, err := newSubQueue[T](cfg, leaves)
+		if err != nil {
+			return nil, err
+		}
+		q.shards[j] = &shardState[T]{q: sub}
 	}
-	close(t.migrationsDone) // nothing to migrate in the first epoch
-	q.topo.Store(t)
+	q.addSubs(0, leaves)
+	q.leaves.Store(int64(leaves))
+	q.bitmap.init(shards)
 	q.reg.init(cfg.maxHandles)
 	return q, nil
 }
 
 // newSubQueue builds one shard's backing queue with the given number of
-// leaves; the last is reserved for the fabric's own maintenance operations
-// (migration drains). A bounded shard's G is the one for the cap, so
-// growing the trees changes neither how often GC phases run nor
-// Theorem 31's space bound.
+// leaves. A bounded shard's G is the one for the cap, so growing the trees
+// changes neither how often GC phases run nor Theorem 31's space bound.
 func newSubQueue[T any](cfg config, leaves int) (subQueue[T], error) {
 	switch cfg.backend {
 	case BackendCore:
@@ -321,8 +279,19 @@ func newSubQueue[T any](cfg config, leaves int) (subQueue[T], error) {
 	}
 }
 
+// addSubs fills subs for the leasable slots among from..to-1, which the
+// trees have leaves for.
+func (q *Queue[T]) addSubs(from, to int) {
+	for i := from; i < min(to, len(q.subs)); i++ {
+		q.subs[i] = make([]subHandle[T], len(q.shards))
+		for j, s := range q.shards {
+			q.subs[i][j] = s.q.handle(i)
+		}
+	}
+}
+
 // Shards returns the shard count k the fabric was built with.
-func (q *Queue[T]) Shards() int { return len(q.topo.Load().shards) }
+func (q *Queue[T]) Shards() int { return len(q.shards) }
 
 // MaxHandles returns the cap on leasable handle slots.
 func (q *Queue[T]) MaxHandles() int { return q.cfg.maxHandles }
@@ -334,60 +303,96 @@ func (q *Queue[T]) Backend() Backend { return q.cfg.backend }
 // must be used by one goroutine at a time and returned with Release; until
 // then the slot is unavailable to other callers. Acquire returns
 // ErrNoFreeHandles when every slot is leased. It is lock-free unless the
-// slot it pops is one the shards' trees do not have a leaf for: then it
-// grows the trees (see growFor) before it returns, which waits for any
-// growth in flight and for its own growth's migration. A closed fabric
-// grows too, because consumers lease handles to drain it.
+// slot it pops is one the shards' trees have no leaf for: then it grows the
+// trees (see grow) before it returns. A closed fabric grows too, because
+// consumers lease handles to drain it.
 func (q *Queue[T]) Acquire() (*Handle[T], error) {
 	slot, ok := q.reg.acquire()
 	if !ok {
 		return nil, ErrNoFreeHandles
 	}
-	if slot >= q.topo.Load().maintSlot() {
-		if err := q.growFor(slot); err != nil {
-			q.reg.release(slot)
-			return nil, err
-		}
+	if int64(slot) >= q.leaves.Load() {
+		q.grow(slot)
 	}
-	t := q.topo.Load()
 	h := &Handle[T]{
 		q:    q,
 		slot: slot,
-		home: int((q.nextHome.Add(1) - 1) % uint64(len(t.shards))),
+		home: int((q.nextHome.Add(1) - 1) % uint64(len(q.shards))),
 		rng:  rngSeed(slot),
+		sub:  q.subs[slot],
+		deqs: make([]int64, len(q.shards)),
 	}
-	h.refresh(t)
+	// Sub-handles are recycled across leases; clear whatever counter the
+	// previous lessee left behind.
+	h.SetCounter(nil)
 	return h, nil
+}
+
+// grow doubles every shard's tree until it has a leaf for slot, which
+// Acquire has just popped. It closes the gate, waits until no operation
+// runs, grows and reopens the gate: O(k·p) with the trees to itself.
+// Growths serialize on growMu, and a growth that finds the trees already
+// grown far enough by a concurrent Acquire does nothing.
+func (q *Queue[T]) grow(slot int) {
+	q.growMu.Lock()
+	defer q.growMu.Unlock()
+	from := int(q.leaves.Load())
+	if slot < from {
+		return
+	}
+	g := &growth{done: make(chan struct{})}
+	q.growing.Store(g)
+	for i := range q.busy {
+		for q.busy[i].v.Load() != 0 {
+			runtime.Gosched()
+		}
+	}
+	leaves := from
+	for ; leaves <= slot; leaves *= 2 {
+		for _, s := range q.shards {
+			s.q.Grow()
+		}
+		q.leafGrowths.Add(1)
+	}
+	q.addSubs(from, leaves)
+	q.leaves.Store(int64(leaves))
+	q.growing.Store(nil)
+	close(g.done)
+}
+
+// ResizeStats counts tree growths over the fabric's lifetime. The JSON
+// field names are a stable encoding consumed by the service layer's
+// /statsz endpoint.
+type ResizeStats struct {
+	Epoch       uint64 `json:"epoch"`        // 1 + LeafGrowths
+	Leaves      int    `json:"leaves"`       // leaves of every shard's ordering tree now
+	LeafGrowths int64  `json:"leaf_growths"` // tree doublings
+}
+
+// ResizeStats returns the fabric's tree-growth counters.
+func (q *Queue[T]) ResizeStats() ResizeStats {
+	n := q.leafGrowths.Load()
+	return ResizeStats{Epoch: uint64(n) + 1, Leaves: int(q.leaves.Load()), LeafGrowths: n}
 }
 
 // Close marks the fabric closed: subsequent Enqueues return ErrClosed while
 // Dequeue and Drain keep working, so consumers can drain the backlog.
 // Enqueues that began before Close completed may still be admitted. Close is
 // idempotent. An Acquire may still grow the trees, since consumers lease
-// handles in order to drain: a growth moves each shard's elements, in
-// order, into its successor at the same index, and a consumer's sweep that
-// comes up short waits for that move, so Drain still returns every
-// element.
+// handles in order to drain; a growth moves no element, so Drain still
+// returns every one.
 func (q *Queue[T]) Close() { q.closed.Store(true) }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed.Load() }
 
 // Len returns the fabric's total backlog estimate: the sum of the per-shard
-// root sizes, including any retired shards still awaiting migration (their
-// elements are owed to the successors). Like the underlying queues' Len,
-// each addend was exact at some recent moment but may lag concurrent
-// operations.
+// root sizes. Like the underlying queues' Len, each addend was exact at
+// some recent moment but may lag concurrent operations.
 func (q *Queue[T]) Len() int {
-	t := q.topo.Load()
 	total := 0
-	for _, s := range t.shards {
+	for _, s := range q.shards {
 		total += s.len()
-	}
-	if retired := t.retired.Load(); retired != nil { // migration in flight
-		for _, s := range *retired {
-			total += s.len()
-		}
 	}
 	return total
 }
@@ -398,44 +403,24 @@ func (q *Queue[T]) Len() int {
 type ShardStat struct {
 	Shard    int   `json:"shard"`
 	Len      int   `json:"len"`      // backlog as of the shard's last root propagation
-	Enqueues int64 `json:"enqueues"` // completed enqueues routed to this shard (migrations included)
-	Dequeues int64 `json:"dequeues"` // successful dequeues served by this shard (migrations included)
+	Enqueues int64 `json:"enqueues"` // completed enqueues routed to this shard
+	Dequeues int64 `json:"dequeues"` // successful dequeues served by this shard
 	Pairs    int64 `json:"pairs"`    // always 0: elimination is gone, bench/ still decodes the field
 }
 
-// ShardStats returns per-shard routing statistics, one entry per current
-// shard. Len is live; the Enqueues/Dequeues tallies are folded in when a
-// lease is Released or refreshed onto a new epoch (keeping them off the
-// per-operation hot path), so live handles' traffic is not yet included.
-// A growth's drain is not traffic: the successor continues its shard's
-// tallies, so each shard's enqueues-dequeues == len audit stays exact.
+// ShardStats returns per-shard routing statistics. Len is live; the
+// Enqueues/Dequeues tallies are folded in when a lease is Released
+// (keeping them off the per-operation hot path), so live handles' traffic
+// is not yet included.
 func (q *Queue[T]) ShardStats() []ShardStat {
-	t := q.topo.Load()
-	out := make([]ShardStat, len(t.shards))
-	for j, s := range t.shards {
+	out := make([]ShardStat, len(q.shards))
+	for j, s := range q.shards {
 		out[j] = ShardStat{
 			Shard:    j,
 			Len:      s.len(),
 			Enqueues: s.enqueues.Load(),
 			Dequeues: s.dequeues.Load(),
 		}
-	}
-	return out
-}
-
-// ShardSummaries returns the paper's cost-model summary per current shard,
-// aggregated from handles that have been Released (live handles' counters
-// cannot be read safely). A shard retired by a growth bequeaths its
-// accumulated summary to its successor, so the fabric-wide totals survive
-// every growth. It returns meaningful data only when the fabric was built
-// WithShardMetrics.
-func (q *Queue[T]) ShardSummaries() []metrics.Summary {
-	t := q.topo.Load()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]metrics.Summary, len(t.shards))
-	for j, s := range t.shards {
-		out[j] = metrics.Summarize(s.counter)
 	}
 	return out
 }
@@ -464,26 +449,22 @@ func (q *Queue[T]) RegistryStats() RegistryStats {
 }
 
 // Snapshot is a stable JSON-encodable view of the whole fabric: identity,
-// topology epoch and growth history, aggregate backlog, per-shard routing
-// traffic, lease churn, and (when the fabric was built WithShardMetrics)
-// per-shard cost-model summaries.
+// tree growth, aggregate backlog, per-shard routing traffic and lease
+// churn.
 type Snapshot struct {
-	Backend    Backend           `json:"backend"`
-	Shards     int               `json:"shards"` // k, fixed at New
-	MaxHandles int               `json:"max_handles"`
-	Closed     bool              `json:"closed"`
-	Len        int               `json:"len"`
-	Resize     ResizeStats       `json:"resize"` // epoch, tree growth and migration counters
-	ShardStats []ShardStat       `json:"shard_stats"`
-	Registry   RegistryStats     `json:"registry"`
-	Summaries  []metrics.Summary `json:"summaries,omitempty"`
+	Backend    Backend       `json:"backend"`
+	Shards     int           `json:"shards"` // k, fixed at New
+	MaxHandles int           `json:"max_handles"`
+	Closed     bool          `json:"closed"`
+	Len        int           `json:"len"`
+	Resize     ResizeStats   `json:"resize"` // tree growth counters
+	ShardStats []ShardStat   `json:"shard_stats"`
+	Registry   RegistryStats `json:"registry"`
 }
 
-// Snapshot captures the fabric's current statistics. Cost-model summaries
-// are included only when the fabric was built WithShardMetrics (they are
-// all-zero otherwise and would only bloat the encoding).
+// Snapshot captures the fabric's current statistics.
 func (q *Queue[T]) Snapshot() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		Backend:    q.cfg.backend,
 		Shards:     q.Shards(),
 		MaxHandles: q.cfg.maxHandles,
@@ -492,22 +473,5 @@ func (q *Queue[T]) Snapshot() Snapshot {
 		Resize:     q.ResizeStats(),
 		ShardStats: q.ShardStats(),
 		Registry:   q.RegistryStats(),
-	}
-	if q.cfg.perShard {
-		s.Summaries = q.ShardSummaries()
-	}
-	return s
-}
-
-// mergeShardCounters folds a handle's per-shard counters into the given
-// shard states' totals (the states of the topology the counters were
-// collected against). A state retired since the counters were collected
-// forwards to its migration destination, so no recorded cost-model work
-// is dropped by a growth.
-func (q *Queue[T]) mergeShardCounters(states []*shardState[T], counters []*metrics.Counter) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for j, c := range counters {
-		states[j].sink().counter.Merge(c)
 	}
 }

@@ -256,46 +256,6 @@ func TestShardStatsAndRouting(t *testing.T) {
 	}
 }
 
-func TestShardMetrics(t *testing.T) {
-	q, err := New[int](2, WithMaxHandles(2), WithShardMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := q.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := h.Enqueue(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.Drain(nil)
-	// Live handles have not merged yet.
-	for _, s := range q.ShardSummaries() {
-		if s.Ops != 0 {
-			t.Errorf("ShardSummaries before Release: ops = %d, want 0", s.Ops)
-		}
-	}
-	h.Release()
-	sums := q.ShardSummaries()
-	var ops int64
-	for _, s := range sums {
-		ops += s.TotalEnqs + s.TotalDeqs
-	}
-	// 50 enqueues and 50 successful dequeues, attributed to their shards.
-	if ops != 100 {
-		t.Errorf("merged enq+deq ops = %d, want 100", ops)
-	}
-	home := sums[h.Home()]
-	if home.TotalEnqs != 50 {
-		t.Errorf("home shard enqueues = %d, want 50", home.TotalEnqs)
-	}
-	if home.StepsPerOp <= 0 {
-		t.Errorf("home shard steps/op = %v, want > 0", home.StepsPerOp)
-	}
-}
-
 func TestBoundedBackendWithGC(t *testing.T) {
 	q, err := New[int](2, WithBackend(BackendBounded), WithGCInterval(16), WithMaxHandles(2))
 	if err != nil {
@@ -380,7 +340,7 @@ func TestAllocsFabricSingleOp(t *testing.T) {
 	for _, row := range []struct {
 		name           string
 		leases, leaves int
-	}{{"start", 1, 4}, {"cap", 16, 17}} {
+	}{{"start", 1, 4}, {"cap", 16, 16}} {
 		t.Run(row.name, func(t *testing.T) {
 			q, err := New[int](4, WithMaxHandles(16), WithBackend(BackendCore))
 			if err != nil {
@@ -419,7 +379,7 @@ func TestAllocsFabricSingleOp(t *testing.T) {
 // installed on core (its blocks are immortal), the live ones on bounded.
 func blocksInstalled[T any](q *Queue[T]) int64 {
 	var total int64
-	for _, s := range q.topo.Load().shards {
+	for _, s := range q.shards {
 		switch sq := s.q.(type) {
 		case coreShard[T]:
 			total += sq.q.BlocksInstalled()
@@ -504,16 +464,15 @@ func nullDequeueCosts(t *testing.T, k int) {
 		}
 
 		// A stale bit (set, shard empty) is cleared by the root read alone.
-		tp := q.topo.Load()
 		for j := 0; j < k; j++ {
-			tp.bitmap.set(j)
+			q.bitmap.set(j)
 		}
 		before, blocks := c, blocksInstalled(q)
 		if v, ok := h.Dequeue(); ok {
 			t.Fatalf("k=%d: Dequeue on an empty fabric with stale bits returned %d", k, v)
 		}
 		for j := 0; j < k; j++ {
-			if tp.bitmap.isSet(j) {
+			if q.bitmap.isSet(j) {
 				t.Errorf("k=%d: stale bit %d survived an empty sweep", k, j)
 			}
 		}
@@ -591,9 +550,8 @@ func TestNullDequeueRacesEnqueue(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		tp := q.topo.Load()
-		for j, s := range tp.shards {
-			if s.len() > 0 && !tp.bitmap.isSet(j) {
+		for j, s := range q.shards {
+			if s.len() > 0 && !q.bitmap.isSet(j) {
 				t.Errorf("shard %d holds %d values with its nonempty bit clear", j, s.len())
 			}
 		}
@@ -686,7 +644,7 @@ func TestRegistryStatsChurn(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	q, err := New[int](2, WithMaxHandles(4), WithShardMetrics())
+	q, err := New[int](2, WithMaxHandles(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,16 +668,13 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if want.Shards != 2 || want.MaxHandles != 4 || want.Len != 6 {
 		t.Fatalf("snapshot identity = %+v", want)
 	}
-	if len(want.Summaries) != 2 {
-		t.Fatalf("WithShardMetrics snapshot has %d summaries, want 2", len(want.Summaries))
-	}
 	data, err := json.Marshal(want)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
 	for _, key := range []string{"backend", "shards", "max_handles", "closed", "len",
 		"shard_stats", "registry", "capacity", "in_use", "acquires", "releases",
-		"failures", "enqueues", "dequeues", "summaries"} {
+		"failures", "enqueues", "dequeues"} {
 		if !strings.Contains(string(data), `"`+key+`"`) {
 			t.Errorf("encoding missing key %q: %s", key, data)
 		}
@@ -731,26 +686,13 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip changed snapshot:\n got %+v\nwant %+v", got, want)
 	}
-
-	// Without WithShardMetrics the all-zero summaries must be elided.
-	q2, err := New[int](1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := json.Marshal(q2.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data2), "summaries") {
-		t.Errorf("metrics-less snapshot should omit summaries: %s", data2)
-	}
 }
 
 // TestResizeSnapshotJSONRoundTrip: the snapshot's resize section — epoch,
-// leaves, tree growths, migrated items — keeps its stable keys and
-// round-trips through JSON, both as built and after a tree growth.
+// leaves, tree growths — keeps its stable keys and round-trips through
+// JSON, both as built and after a tree growth.
 func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
-	q, err := New[int](2, WithMaxHandles(4))
+	q, err := New[int](2, WithMaxHandles(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,15 +731,14 @@ func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 		}
 	}
 	snap := q.Snapshot()
-	if snap.Resize.Epoch != 1 || snap.Resize.LeafGrowths != 0 || snap.Resize.Migrated != 0 {
-		t.Fatalf("Snapshot.Resize = %+v, want epoch 1 / 0 leaf growths / 0 migrated", snap.Resize)
+	if snap.Resize.Epoch != 1 || snap.Resize.Leaves != 4 || snap.Resize.LeafGrowths != 0 {
+		t.Fatalf("Snapshot.Resize = %+v, want epoch 1 / 4 leaves / 0 leaf growths", snap.Resize)
 	}
-	roundTrip(snap, `"resize"`, `"epoch":1`, `"leaf_growths":0`, `"migrated":0`)
+	roundTrip(snap, `"resize"`, `"epoch":1`, `"leaves":4`, `"leaf_growths":0`)
 
-	// The 4th concurrent lease grows the trees: one more epoch, and the
-	// six queued items migrate into the grown fabric.
+	// The 5th concurrent lease doubles the trees, to the cap's 8 leaves.
 	var hs []*Handle[int]
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		h, err := q.Acquire()
 		if err != nil {
 			t.Fatal(err)
@@ -808,10 +749,13 @@ func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 		h.Release()
 	}
 	snap = q.Snapshot()
-	if snap.Resize.Epoch != 2 || snap.Resize.Leaves != 5 || snap.Resize.LeafGrowths != 1 || snap.Resize.Migrated != 6 {
-		t.Fatalf("Snapshot.Resize = %+v, want epoch 2 / 5 leaves (the cap) / 1 leaf growth / 6 migrated", snap.Resize)
+	if snap.Resize.Epoch != 2 || snap.Resize.Leaves != 8 || snap.Resize.LeafGrowths != 1 || snap.Len != 6 {
+		t.Fatalf("Snapshot = %+v, want epoch 2 / 8 leaves (the cap) / 1 leaf growth, 6 values", snap)
 	}
-	roundTrip(snap, `"epoch":2`, `"leaves":5`, `"leaf_growths":1`, `"migrated":6`)
+	roundTrip(snap, `"epoch":2`, `"leaves":8`, `"leaf_growths":1`)
+	if data, _ := json.Marshal(snap); strings.Contains(string(data), "migrated") {
+		t.Errorf("snapshot JSON still carries a migrated key: %s", data)
+	}
 }
 
 // TestDefaultBackendIsBounded pins the fabric's default backend: a fabric

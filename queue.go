@@ -55,9 +55,9 @@
 //
 // The fabric keeps the shard count it was built with. Its shards'
 // ordering trees start small and grow with the leases: the Acquire that
-// needs a leaf the trees lack installs a successor epoch with bigger
-// trees while operations continue, draining every shard into its
-// successor with exact conservation and per-producer FIFO preserved.
+// needs a leaf the trees lack doubles every tree in place, in O(k·p) and
+// without moving an element, while operations wait at a gate for the
+// ones already running to finish.
 //
 // Serve exposes a byte-valued fabric over TCP as the default queue of a
 // multi-tenant namespace — each client connection leases fabric handles
@@ -181,16 +181,12 @@ func WithShardBackend(b ShardBackend) ShardedOption { return shard.WithBackend(b
 
 // WithShardMaxHandles caps the number of leasable handle slots (default
 // max(16, 4*GOMAXPROCS)): Acquire refuses a lease beyond it. The shards'
-// ordering trees start at 4 leaves and grow with the leases up to n+1,
-// never past.
+// ordering trees start at up to 4 leaves and double in place with the
+// leases up to the smallest power of two at or above n, never past.
 func WithShardMaxHandles(n int) ShardedOption { return shard.WithMaxHandles(n) }
 
 // WithShardGCInterval forwards a GC interval to ShardBackendBounded shards.
 func WithShardGCInterval(g int64) ShardedOption { return shard.WithGCInterval(g) }
-
-// WithShardMetrics enables per-shard cost-model accounting, reported by
-// ShardedQueue.ShardSummaries.
-func WithShardMetrics() ShardedOption { return shard.WithShardMetrics() }
 
 // NewShardedQueue creates a sharded queue fabric with the given shard count.
 func NewShardedQueue[T any](shards int, opts ...ShardedOption) (*ShardedQueue[T], error) {
