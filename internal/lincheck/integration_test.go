@@ -256,20 +256,27 @@ func TestFabricHistoryAcrossGrowth(t *testing.T) {
 			for started.Load() < early {
 				runtime.Gosched()
 			}
-			for p := early; p < early+late; p++ {
+			// Both late leases are taken before either runs: a late lease
+			// released before the other was taken would be handed out
+			// again by the free list.
+			lates := make([]*shard.Handle[int64], late)
+			for i := range lates {
 				h, err := q.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if h.Slot() != p {
+				if p := early + i; h.Slot() != p {
 					t.Fatalf("late lease got slot %d, want %d", h.Slot(), p)
 				}
+				lates[i] = h
+			}
+			for i, h := range lates {
 				wg.Add(1)
 				go func(p int, h *shard.Handle[int64]) {
 					defer wg.Done()
 					defer h.Release()
 					mixedScript(p, rec.Wrap(lease{h}, p))
-				}(p, h)
+				}(early+i, h)
 			}
 			// Only now may the early processes stop: a slot they released
 			// before every late lease was taken would be handed out first
