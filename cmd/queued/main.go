@@ -14,7 +14,7 @@
 //
 //	/statsz    full JSON snapshot: service counters, per-shard routing
 //	           traffic, handle-lease churn, per-queue stats (shard count,
-//	           topology epoch, tree growths, latency summaries)
+//	           tree leaves and growths, latency summaries)
 //	/healthz   liveness: 200 + uptime
 //	/varz      build and process identity, configured options, flag values
 //	/metricsz  Prometheus text exposition (counters, per-queue gauges,
@@ -153,8 +153,8 @@ func run(addr, addrFile string, shards int, backend string, handles, window int,
 		snap.Server.Requests, snap.Server.OpsPerBatch)
 	fmt.Printf("queued: %d queues live (%d opened, %d deleted, %d idle-expired)\n",
 		snap.Server.QueuesOpen, snap.Server.QueuesOpened, snap.Server.QueuesDeleted, snap.Server.QueuesExpired)
-	fmt.Printf("queued: default queue at %d shards, %d-leaf trees (epoch %d)\n",
-		snap.Fabric.Shards, snap.Fabric.Resize.Leaves, snap.Fabric.Resize.Epoch)
+	fmt.Printf("queued: default queue at %d shards, %d-leaf trees (%d growths)\n",
+		snap.Fabric.Shards, snap.Fabric.Resize.Leaves, snap.Fabric.Resize.LeafGrowths)
 	return nil
 }
 

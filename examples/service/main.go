@@ -144,9 +144,9 @@ func run() error {
 	close(done)
 	consWG.Wait()
 
-	// Client Closes have returned, but the server tears sessions down (and
-	// folds their dequeue tallies into the shard stats) asynchronously as
-	// the closes propagate; wait for the leases to come home.
+	// Client Closes have returned, but the server tears sessions down
+	// asynchronously as the closes propagate; wait for the leases to come
+	// home.
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.Snapshot().Server.SessionsOpen > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -56,7 +56,7 @@ func run() error {
 	var produced, consumed atomic.Int64
 	var consWG, prodWG sync.WaitGroup
 
-	// Long-lived consumers drain whatever shard the bitmap says is fullest.
+	// Long-lived consumers drain the fuller of two sampled shards.
 	done := make(chan struct{})
 	for c := 0; c < consumers; c++ {
 		consWG.Add(1)

@@ -217,10 +217,17 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 // lags only those in flight (TestLenCoversCompletedOps); see core.Queue.Len
 // on reading 0. It retries only when GC phases ran past the head it read.
 func (q *Queue[T]) Len() int {
+	_, size := q.Totals()
+	return int(size)
+}
+
+// Totals returns the sumEnq and size of the block Len reads, from one load;
+// see core.Queue.Totals.
+func (q *Queue[T]) Totals() (enqueues, size int64) {
 	for {
 		root := q.root.Load()
 		if p := root.blocks.load(root.head.Load()-1, nil); p != tomb {
-			return int((*block)(p).size)
+			return (*block)(p).sumEnq, (*block)(p).size
 		}
 	}
 }

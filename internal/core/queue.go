@@ -172,10 +172,19 @@ func (q *Queue[T]) MustHandle(i int) *Handle[T] {
 // A reader that sees 0 may answer "empty" like a null dequeue ordered right
 // after that block (package shard does; TestLenCoversCompletedOps).
 func (q *Queue[T]) Len() int {
+	_, size := q.Totals()
+	return int(size)
+}
+
+// Totals returns the sumEnq and size of the block Len reads, from one load:
+// the enqueues the queue has applied and the elements it holds, as of the
+// same moment, so sumEnq - size counts its non-null dequeues. Grow's root
+// summary carries both, so they stay cumulative across growths.
+func (q *Queue[T]) Totals() (enqueues, size int64) {
 	root := &q.tree()[rootIdx]
-	h := root.head.Load()
-	// blocks[h-1] is always non-nil (Invariant 3).
-	return int(root.blocks.Get(h - 1).size())
+	// blocks[head-1] is always non-nil (Invariant 3).
+	b := root.blocks.Get(root.head.Load() - 1)
+	return b.sumEnq, b.size()
 }
 
 // BlocksInstalled returns the total number of blocks installed across all

@@ -143,10 +143,6 @@ func (srv *Server) MetricszHandler() http.Handler {
 		for _, q := range snap.Queues {
 			obs.WriteCounter(w, "queued_queue_shards", queueLabel(q.Name), q.Shards)
 		}
-		obs.WriteMetricHeader(w, "queued_queue_epoch", "Topology epoch per queue.", "gauge")
-		for _, q := range snap.Queues {
-			obs.WriteCounter(w, "queued_queue_epoch", queueLabel(q.Name), q.Epoch)
-		}
 
 		if snap.Obs != nil {
 			obs.WriteMetricHeader(w, "queued_trace_events_total", "Control-plane events recorded in the trace ring.", "counter")

@@ -256,15 +256,13 @@ type QueueStat struct {
 	Enqueues int64  `json:"enqueues"` // values acknowledged enqueued
 	Dequeues int64  `json:"dequeues"` // values delivered by dequeue replies
 
-	// Topology state of this queue's fabric: its shard count, its epoch
-	// (1 + tree growths), the leaves of every shard's ordering tree and
-	// how many times leases grew them, and the dequeue requests that found
-	// the queue empty.
-	Shards        int    `json:"shards"`
-	Epoch         uint64 `json:"epoch"`
-	Leaves        int    `json:"leaves"`
-	LeafGrowths   int64  `json:"leaf_growths"`
-	EmptyDequeues int64  `json:"empty_dequeues"`
+	// Topology state of this queue's fabric: its shard count, the leaves
+	// of every shard's ordering tree and how many times leases grew them,
+	// and the dequeue requests that found the queue empty.
+	Shards        int   `json:"shards"`
+	Leaves        int   `json:"leaves"`
+	LeafGrowths   int64 `json:"leaf_growths"`
+	EmptyDequeues int64 `json:"empty_dequeues"`
 
 	// In-server latency summaries per operation class, measured from the
 	// moment a request frame is read off the socket to the moment its
@@ -291,7 +289,6 @@ func (ns *namespace) queueStats() []QueueStat {
 			Enqueues:      t.enqueues.Load(),
 			Dequeues:      t.dequeues.Load(),
 			Shards:        t.q.Shards(),
-			Epoch:         rs.Epoch,
 			Leaves:        rs.Leaves,
 			LeafGrowths:   rs.LeafGrowths,
 			EmptyDequeues: t.emptyDeqs.Load(),

@@ -464,19 +464,14 @@ func TestSnapshotQueueJSONRoundTrip(t *testing.T) {
 	if snap.Server.QueuesOpened != 1 {
 		t.Fatalf("QueuesOpened = %d, want 1", snap.Server.QueuesOpened)
 	}
-	// Topology state rides every per-queue entry: fresh fabrics report
-	// their shard count at the initial epoch.
-	if audit.Shards != 2 || audit.Epoch != 1 {
-		t.Fatalf("audit topology stats = %+v, want 2 shards at epoch 1", audit)
-	}
-	// One session leases one handle: the trees are still the 4-leaf ones
-	// a fabric starts with.
-	if audit.Leaves != 4 || audit.LeafGrowths != 0 {
-		t.Fatalf("audit tree stats = %+v, want 4 leaves, no growth", audit)
+	// Topology state rides every per-queue entry. One session leases one
+	// handle: the trees are still the 4-leaf ones a fabric starts with.
+	if audit.Shards != 2 || audit.Leaves != 4 || audit.LeafGrowths != 0 {
+		t.Fatalf("audit topology stats = %+v, want 2 shards, 4 leaves, no growth", audit)
 	}
 	// The raw JSON must use the stable field names.
 	for _, key := range []string{`"queues_open"`, `"queues_opened"`, `"queues_deleted"`, `"queues_expired"`,
-		`"queues"`, `"sessions"`, `"shards"`, `"epoch"`, `"leaves"`, `"leaf_growths"`,
+		`"queues"`, `"sessions"`, `"shards"`, `"leaves"`, `"leaf_growths"`,
 		`"empty_dequeues"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("stats JSON lacks %s", key)

@@ -196,7 +196,7 @@ func TestBatchChurnConservation(t *testing.T) {
 			got[v]++
 		}
 	}
-	h.Release() // folds the drain's dequeue tallies into the shard stats
+	h.Release()
 	for v, n := range got {
 		if n != 1 {
 			t.Errorf("value %#x dequeued %d times", v, n)

@@ -46,7 +46,7 @@ func TestGrowCountsMatchBareTree(t *testing.T) {
 				t.Fatalf("%d leases: tree has %d leaves, want %d", row.leases, got, row.leaves)
 			}
 			for _, s := range q.shards {
-				if g := s.q.(boundedShard[int]).q.GCInterval(); g != capG {
+				if g := s.(boundedShard[int]).q.GCInterval(); g != capG {
 					t.Errorf("shard G = %d, want %d (the cap's)", g, capG)
 				}
 			}
@@ -246,17 +246,21 @@ func growMidStream(t *testing.T, k int, b Backend) {
 	if n := q.Len(); n != 0 {
 		t.Errorf("Len = %d after every value was consumed", n)
 	}
-	if rs := q.ResizeStats(); rs.Leaves != 8 || rs.LeafGrowths != 1 || rs.Epoch != 2 {
-		t.Errorf("ResizeStats = %+v, want 8 leaves after one growth at epoch 2", rs)
+	if rs := q.ResizeStats(); rs.Leaves != 8 || rs.LeafGrowths != 1 {
+		t.Errorf("ResizeStats = %+v, want 8 leaves after one growth", rs)
+	}
+	// The shards' Enqueues are their roots' sumEnq, which Grow's root
+	// summary carries over: they still count the backlog enqueued before
+	// the growth.
+	var enqs int64
+	for _, st := range q.ShardStats() {
+		enqs += st.Enqueues
+	}
+	if enqs != total {
+		t.Errorf("shards count %d enqueues across the growth, want the %d the producers made", enqs, total)
 	}
 	for _, x := range append(prods, cons, held, h) {
 		x.Release()
-	}
-	for _, st := range q.ShardStats() {
-		if st.Enqueues-st.Dequeues != int64(st.Len) {
-			t.Errorf("shard %d audit broken across the growth: enq %d - deq %d != len %d",
-				st.Shard, st.Enqueues, st.Dequeues, st.Len)
-		}
 	}
 }
 
@@ -266,12 +270,22 @@ func growMidStream(t *testing.T, k int, b Backend) {
 // doubles the trees: that Acquire makes as many heap allocations at a
 // backlog of 1,000 values as at growBacklog, and afterwards every value
 // comes out exactly once, each producer's in order, with Len exact
-// throughout.
+// throughout. MemStats.Mallocs is process-wide, so whatever another
+// goroutine allocates inside the window counts too; noise only ever adds
+// allocations, so each backlog's count is the least over growRuns fabrics.
 func TestGrowCostIndependentOfBacklog(t *testing.T) {
+	const growRuns = 3
+	least := func(t *testing.T, k int, b Backend, backlog int) uint64 {
+		n := growAtBacklog(t, k, b, backlog)
+		for range growRuns - 1 {
+			n = min(n, growAtBacklog(t, k, b, backlog))
+		}
+		return n
+	}
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			backends(t, func(t *testing.T, b Backend) {
-				small, large := growAtBacklog(t, k, b, 1_000), growAtBacklog(t, k, b, growBacklog)
+				small, large := least(t, k, b, 1_000), least(t, k, b, growBacklog)
 				if small != large {
 					t.Errorf("the growing Acquire made %d heap allocations at a backlog of 1,000 and %d at %d",
 						small, large, growBacklog)
@@ -441,8 +455,8 @@ func TestGrowSequenceToCap(t *testing.T) {
 	if _, err := q.Acquire(); !errors.Is(err, ErrNoFreeHandles) {
 		t.Fatalf("17th Acquire = %v, want ErrNoFreeHandles", err)
 	}
-	if rs := q.ResizeStats(); rs.LeafGrowths != 2 || rs.Epoch != 3 {
-		t.Errorf("ResizeStats = %+v, want 2 growths, epoch 3", rs)
+	if rs := q.ResizeStats(); rs.LeafGrowths != 2 {
+		t.Errorf("ResizeStats = %+v, want 2 growths", rs)
 	}
 	// Releasing leases never shrinks the tree.
 	for _, h := range hs {

@@ -17,9 +17,7 @@ type Handle[T any] struct {
 	home int // shard index enqueues go to, fixed at Acquire
 	rng  uint64
 
-	sub  []subHandle[T] // the slot's handle in each shard
-	deqs []int64        // per-shard successful-dequeue tally, folded on Release
-	enq  int64          // home-shard enqueue tally
+	sub []subHandle[T] // the slot's handle in each shard
 
 	// one is the batch of one that Enqueue and Dequeue hand to the batch
 	// path: it lives in the handle so a single op allocates no slice, and
@@ -69,16 +67,6 @@ func (h *Handle[T]) enter() {
 // exit ends the operation begun by enter.
 func (h *Handle[T]) exit() { h.q.busy[h.slot].v.Store(0) }
 
-// fold flushes the handle's buffered tallies into the shard states.
-func (h *Handle[T]) fold() {
-	h.q.shards[h.home].enqueues.Add(h.enq)
-	h.enq = 0
-	for j, n := range h.deqs {
-		h.q.shards[j].dequeues.Add(n)
-		h.deqs[j] = 0
-	}
-}
-
 // Enqueue appends v to the handle's home shard: EnqueueBatch of one. It
 // returns ErrClosed once the fabric is closed; an enqueue that began before
 // Close completed may still be admitted.
@@ -106,12 +94,6 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 	}
 	h.enter()
 	h.sub[h.home].EnqueueBatch(vs)
-	h.enq += int64(len(vs))
-	// The elements are at the shard's root before EnqueueBatch returns
-	// (propagation completes first), so setting the bit here serializes
-	// after a root state that a concurrent clear-then-recheck in
-	// batchFrom will see.
-	h.q.bitmap.set(h.home)
 	h.exit()
 	return nil
 }
@@ -137,11 +119,11 @@ func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 // the (possibly grown) slice with the count actually pulled; callers that
 // dequeue in a loop (the server's reply path) reuse one scratch slice
 // across calls. It first drains the home shard (locality fast path), then
-// refills by two-random-choice over the nonempty bitmap, and finally
+// refills by two-random-choice over the shards' roots, and finally
 // certifies emptiness with a deterministic sweep of all shards; each visit
 // is a root read, plus one multi-op sub-dequeue for everything still missing
-// if it read nonempty (batchFrom). Values pulled from the same shard are
-// contiguous and FIFO-ordered; values of different shards may interleave.
+// if it read nonempty. Values pulled from the same shard are contiguous and
+// FIFO-ordered; values of different shards may interleave.
 // A count below n is a true emptiness verdict: every shard was observed
 // empty after the batch's last successful pull.
 func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
@@ -163,16 +145,14 @@ func (h *Handle[T]) batchSweep(n int, out []T) []T {
 	// Locality fast path: the home shard first. Producers-turned-consumers
 	// (and symmetric workloads like pairs) find their own elements there
 	// without touching other shards' cache lines.
-	if h.q.bitmap.isSet(home) {
-		out = h.batchFrom(home, n, out)
+	if h.q.size(home) > 0 {
+		out = h.take(home, n, out)
 	}
-	// Guided attempts: two-random-choice over the nonempty bitmap.
+	// Guided attempts: two random choices, read at the shards' roots.
 	for attempt := 0; attempt < 2 && len(out) < n; attempt++ {
-		j := h.pickShard()
-		if j < 0 {
-			break
+		if j := h.pickShard(); j >= 0 {
+			out = h.take(j, n, out)
 		}
-		out = h.batchFrom(j, n, out)
 	}
 	// Certification sweep: every shard, starting at home so concurrent
 	// dequeuers spread out. An empty shard answers at its root read and a
@@ -187,11 +167,11 @@ func (h *Handle[T]) batchSweep(n int, out []T) []T {
 	return out
 }
 
-// batchFrom pulls what out still lacks from shard j and maintains the
-// nonempty bitmap. It reads the shard's root first and issues the multi-op
-// sub-dequeue only if the root holds elements: a root block of size 0 IS the
-// shard's null answer, so an empty shard costs a load — no block appended,
-// propagated, allocated or (on core) retained. The block read is the newest
+// batchFrom pulls what out still lacks from shard j. It reads the shard's
+// root first and issues the multi-op sub-dequeue only if the root holds
+// elements: a root block of size 0 IS the shard's null answer, so an empty
+// shard costs a load — no block appended, propagated, allocated or (on
+// core) retained. The block read is the newest
 // installed one (bounded: the root's Max; core: blocks[head-1], and every
 // refresh ends in advance(v, hd) before propagate returns), hence at least
 // as new as the block of every operation that has returned: the null
@@ -199,53 +179,51 @@ func (h *Handle[T]) batchSweep(n int, out []T) []T {
 // the read, before every one that starts later (TestLenCoversCompletedOps;
 // cross-shard order is relaxed anyway). It is charged as one null
 // sub-operation of two reads to the counter the sub-dequeue would have used.
-//
-// A shard that filled the whole request may well have more elements, so
-// only a short pull or an empty read clears the bit — and then re-sets it
-// if elements raced in between: an enqueue reaches the root before its
-// bitmap set (see EnqueueBatch), so either this len read sees it, or the
-// enqueuer's own set lands after the clear.
 func (h *Handle[T]) batchFrom(j, n int, out []T) []T {
-	want, got := n-len(out), 0
-	s := h.q.shards[j]
-	if s.len() > 0 {
-		out, got = h.sub[j].DequeueBatchAppend(out, want)
-		h.deqs[j] += int64(got)
-	} else {
-		c := h.counter
-		c.BeginOp()
-		c.Read(2)
-		c.EndBatch(0, 0, int64(want))
+	if h.q.size(j) > 0 {
+		return h.take(j, n, out)
 	}
-	if got < want {
-		h.q.bitmap.clear(j)
-		if s.len() > 0 {
-			h.q.bitmap.set(j)
-		}
-	}
+	c := h.counter
+	c.BeginOp()
+	c.Read(2)
+	c.EndBatch(0, 0, int64(n-len(out)))
 	return out
 }
 
-// pickChoices is d, the number of nonempty shards a guided attempt
-// samples before committing to the fullest.
+// take pulls what out still lacks from shard j with one multi-op
+// sub-dequeue; the caller has read the shard's root nonempty.
+func (h *Handle[T]) take(j, n int, out []T) []T {
+	out, _ = h.sub[j].DequeueBatchAppend(out, n-len(out))
+	return out
+}
+
+// pickChoices is d, the number of shards a guided attempt samples before
+// committing to the fullest.
 const pickChoices = 2
 
-// pickShard samples up to pickChoices set bits from the nonempty bitmap
-// and returns the candidate with the largest backlog estimate, or -1 when
-// no bit was observed set.
+// pickShard samples pickChoices shards uniformly and returns the one whose
+// root reads largest, or -1 if that root reads empty.
 func (h *Handle[T]) pickShard() int {
-	best := -1
-	var bestSize int64 = -1
+	k := uint64(len(h.q.shards))
+	best, bestSize := -1, int64(0)
 	for i := 0; i < pickChoices; i++ {
-		j := h.q.bitmap.randomSet(&h.rng)
-		if j < 0 {
-			break
-		}
-		if sz := int64(h.q.shards[j].len()); sz > bestSize {
+		j := int(xorshift(&h.rng) % k)
+		if sz := h.q.size(j); sz > bestSize {
 			best, bestSize = j, sz
 		}
 	}
 	return best
+}
+
+// xorshift advances a xorshift64* PRNG state; each handle owns one state, so
+// no synchronization is needed.
+func xorshift(s *uint64) uint64 {
+	x := *s
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	*s = x
+	return x * 0x2545F4914F6CDD1D
 }
 
 // Drain dequeues until the fabric certifies empty, calling fn for each
@@ -267,8 +245,7 @@ func (h *Handle[T]) Drain(fn func(T)) int {
 }
 
 // Release returns the handle's slot to the registry so another goroutine
-// can lease it, and folds the lease's per-shard tallies into the fabric
-// totals. The handle must not be used afterwards (other methods panic);
+// can lease it. The handle must not be used afterwards (other methods panic);
 // Release itself is idempotent — a second Release is a defined no-op, so
 // teardown paths may release defensively.
 func (h *Handle[T]) Release() {
@@ -276,7 +253,6 @@ func (h *Handle[T]) Release() {
 		return
 	}
 	h.released = true
-	h.fold()
 	h.sub = nil // the slot's sub-handles pass to its next lease
 	h.q.reg.release(h.slot)
 }

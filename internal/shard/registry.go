@@ -28,6 +28,12 @@ type registry struct {
 	failures atomic.Int64
 }
 
+// padInt64 is an atomic int64 alone on two cache lines.
+type padInt64 struct {
+	v atomic.Int64
+	_ [120]byte
+}
+
 const regTagShift = 32
 
 func regPack(tag uint64, slot int64) uint64 {

@@ -16,14 +16,16 @@
 // a set of operations, so the fabric has one path per direction —
 // EnqueueBatch and DequeueBatchAppend — and single ops are the n=1 case.
 //
-// Dequeues use two-random-choice guided by a lock-free nonempty-shard
-// bitmap: a dequeuer tries its home shard, then samples up to two set bits
-// and takes the candidate with the larger estimated backlog, and falls back
-// to a deterministic full sweep before reporting the fabric empty. A shard
-// is asked for elements only if its root reads nonempty (a root of size 0 is
-// that shard's null answer), so certifying the fabric empty costs k root
-// reads; sub-operations, each wait-free and at most k+3 per call, go only
-// where there was something to take.
+// The shards' roots are the fabric's only record of its shards: a root
+// block's size is the shard's backlog, and a size of 0 is its null answer.
+// A dequeuer tries its home shard if that root reads nonempty, then makes
+// two guided attempts, each sampling two shards uniformly and taking from
+// the one whose root reads larger (two-random-choice), and falls back to a
+// deterministic sweep of every shard before reporting the fabric empty. So
+// certifying the fabric empty costs k+5 root reads, and sub-operations,
+// each wait-free and at most k+3 per call, go only where there was
+// something to take. The roots' sums are the shards' traffic statistics
+// too (ShardStats).
 //
 // Unlike the paper's model — a fixed set of p processes, each statically
 // bound to handle i — the fabric leases its fixed handle slots to arbitrary
@@ -109,43 +111,27 @@ type subHandle[T any] interface {
 	SetCounter(c *metrics.Counter)
 }
 
-// subQueue is the per-shard queue surface the fabric needs. Grow doubles
-// the queue's tree and runs only while no operation does.
+// subQueue is the per-shard queue surface the fabric needs. Totals reads
+// the newest root block's sumEnq and size, exact as of the last root
+// propagation. Grow doubles the queue's tree and runs only while no
+// operation does.
 type subQueue[T any] interface {
-	Len() int
+	Totals() (enqueues, size int64)
 	Grow()
 	handle(i int) subHandle[T]
 }
 
 type coreShard[T any] struct{ q *core.Queue[T] }
 
-func (s coreShard[T]) Len() int                  { return s.q.Len() }
+func (s coreShard[T]) Totals() (int64, int64)    { return s.q.Totals() }
 func (s coreShard[T]) Grow()                     { s.q.Grow() }
 func (s coreShard[T]) handle(i int) subHandle[T] { return s.q.MustHandle(i) }
 
 type boundedShard[T any] struct{ q *bounded.Queue[T] }
 
-func (s boundedShard[T]) Len() int                  { return s.q.Len() }
+func (s boundedShard[T]) Totals() (int64, int64)    { return s.q.Totals() }
 func (s boundedShard[T]) Grow()                     { s.q.Grow() }
 func (s boundedShard[T]) handle(i int) subHandle[T] { return s.q.MustHandle(i) }
-
-// shardState is one shard plus its routing tallies. The shard's backlog is
-// read straight from the underlying queue's root (Len is O(1) and exact as
-// of the last root propagation), so the fabric adds no per-operation atomic
-// of its own: enqueue/dequeue tallies are buffered per handle and folded in
-// on Release.
-type shardState[T any] struct {
-	q        subQueue[T]
-	enqueues atomic.Int64
-	dequeues atomic.Int64
-	// Pad to a multiple of the cache line so neighbouring shards' tallies
-	// never false-share: cross-shard independence is the whole point of
-	// the fabric.
-	_ [128 - (16+8*2)%128]byte
-}
-
-// len returns the shard's backlog as of its queue's last root propagation.
-func (s *shardState[T]) len() int { return s.q.Len() }
 
 // Option configures New.
 type Option func(*config)
@@ -182,12 +168,11 @@ func WithGCInterval(g int64) Option {
 // Queue is a sharded queue fabric. It is safe for concurrent use; operate on
 // it through handles leased with Acquire.
 type Queue[T any] struct {
-	shards []*shardState[T]
+	shards []subQueue[T]
 	// subs[i] holds slot i's handle in every shard, made by the growth
 	// that gives the trees a leaf for slot i (by New for the first ones).
 	// Sub-handles are stable pointers, and a lease of slot i uses subs[i].
 	subs   [][]subHandle[T]
-	bitmap bitmap
 	reg    registry
 	cfg    config
 	closed atomic.Bool
@@ -211,6 +196,12 @@ type Queue[T any] struct {
 // growth is one growth of the shards' trees; done closes when it ends.
 type growth struct{ done chan struct{} }
 
+// padUint64 is an atomic word alone on two cache lines.
+type padUint64 struct {
+	v atomic.Uint64
+	_ [120]byte
+}
+
 // New creates a fabric of shards independent queues, each with an ordering
 // tree of min(4, P) leaves; Acquire grows the trees as leases need it.
 func New[T any](shards int, opts ...Option) (*Queue[T], error) {
@@ -231,7 +222,7 @@ func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadHandles, cfg.maxHandles)
 	}
 	q := &Queue[T]{
-		shards: make([]*shardState[T], shards),
+		shards: make([]subQueue[T], shards),
 		subs:   make([][]subHandle[T], cfg.maxHandles),
 		cfg:    cfg,
 		busy:   make([]padUint64, cfg.maxHandles),
@@ -244,11 +235,10 @@ func New[T any](shards int, opts ...Option) (*Queue[T], error) {
 		if err != nil {
 			return nil, err
 		}
-		q.shards[j] = &shardState[T]{q: sub}
+		q.shards[j] = sub
 	}
 	q.addSubs(0, leaves)
 	q.leaves.Store(int64(leaves))
-	q.bitmap.init(shards)
 	q.reg.init(cfg.maxHandles)
 	return q, nil
 }
@@ -285,7 +275,7 @@ func (q *Queue[T]) addSubs(from, to int) {
 	for i := from; i < min(to, len(q.subs)); i++ {
 		q.subs[i] = make([]subHandle[T], len(q.shards))
 		for j, s := range q.shards {
-			q.subs[i][j] = s.q.handle(i)
+			q.subs[i][j] = s.handle(i)
 		}
 	}
 }
@@ -320,12 +310,20 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 		home: int((q.nextHome.Add(1) - 1) % uint64(len(q.shards))),
 		rng:  rngSeed(slot),
 		sub:  q.subs[slot],
-		deqs: make([]int64, len(q.shards)),
 	}
 	// Sub-handles are recycled across leases; clear whatever counter the
 	// previous lessee left behind.
 	h.SetCounter(nil)
 	return h, nil
+}
+
+// rngSeed derives a nonzero, well-mixed PRNG seed from a slot number
+// (splitmix64 finalizer).
+func rngSeed(slot int) uint64 {
+	z := uint64(slot) + 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // grow doubles every shard's tree until it has a leaf for slot, which
@@ -350,7 +348,7 @@ func (q *Queue[T]) grow(slot int) {
 	leaves := from
 	for ; leaves <= slot; leaves *= 2 {
 		for _, s := range q.shards {
-			s.q.Grow()
+			s.Grow()
 		}
 		q.leafGrowths.Add(1)
 	}
@@ -364,15 +362,13 @@ func (q *Queue[T]) grow(slot int) {
 // field names are a stable encoding consumed by the service layer's
 // /statsz endpoint.
 type ResizeStats struct {
-	Epoch       uint64 `json:"epoch"`        // 1 + LeafGrowths
-	Leaves      int    `json:"leaves"`       // leaves of every shard's ordering tree now
-	LeafGrowths int64  `json:"leaf_growths"` // tree doublings
+	Leaves      int   `json:"leaves"`       // leaves of every shard's ordering tree now
+	LeafGrowths int64 `json:"leaf_growths"` // tree doublings
 }
 
 // ResizeStats returns the fabric's tree-growth counters.
 func (q *Queue[T]) ResizeStats() ResizeStats {
-	n := q.leafGrowths.Load()
-	return ResizeStats{Epoch: uint64(n) + 1, Leaves: int(q.leaves.Load()), LeafGrowths: n}
+	return ResizeStats{Leaves: int(q.leaves.Load()), LeafGrowths: q.leafGrowths.Load()}
 }
 
 // Close marks the fabric closed: subsequent Enqueues return ErrClosed while
@@ -391,36 +387,36 @@ func (q *Queue[T]) Closed() bool { return q.closed.Load() }
 // some recent moment but may lag concurrent operations.
 func (q *Queue[T]) Len() int {
 	total := 0
-	for _, s := range q.shards {
-		total += s.len()
+	for j := range q.shards {
+		total += int(q.size(j))
 	}
 	return total
 }
 
-// ShardStat is a point-in-time view of one shard's traffic. The JSON field
-// names are a stable encoding consumed by the service layer's /statsz
-// endpoint; renaming them is a wire-format change.
+// size returns shard j's backlog as of its last root propagation.
+func (q *Queue[T]) size(j int) int64 {
+	_, n := q.shards[j].Totals()
+	return n
+}
+
+// ShardStat is a point-in-time view of one shard's traffic, read from the
+// shard's newest root block: all three counts are exact as of its last root
+// propagation. The JSON field names are a stable encoding consumed by the
+// service layer's /statsz endpoint; renaming them is a wire-format change.
 type ShardStat struct {
 	Shard    int   `json:"shard"`
-	Len      int   `json:"len"`      // backlog as of the shard's last root propagation
-	Enqueues int64 `json:"enqueues"` // completed enqueues routed to this shard
-	Dequeues int64 `json:"dequeues"` // successful dequeues served by this shard
+	Len      int   `json:"len"`      // backlog: the root's size
+	Enqueues int64 `json:"enqueues"` // enqueues applied to this shard: the root's sumEnq
+	Dequeues int64 `json:"dequeues"` // successful dequeues: Enqueues - Len
 	Pairs    int64 `json:"pairs"`    // always 0: elimination is gone, bench/ still decodes the field
 }
 
-// ShardStats returns per-shard routing statistics. Len is live; the
-// Enqueues/Dequeues tallies are folded in when a lease is Released
-// (keeping them off the per-operation hot path), so live handles' traffic
-// is not yet included.
+// ShardStats returns per-shard traffic statistics, live leases' included.
 func (q *Queue[T]) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(q.shards))
 	for j, s := range q.shards {
-		out[j] = ShardStat{
-			Shard:    j,
-			Len:      s.len(),
-			Enqueues: s.enqueues.Load(),
-			Dequeues: s.dequeues.Load(),
-		}
+		enq, size := s.Totals()
+		out[j] = ShardStat{Shard: j, Len: int(size), Enqueues: enq, Dequeues: enq - size}
 	}
 	return out
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"repro/internal/metrics"
 )
@@ -230,10 +229,11 @@ func TestShardStatsAndRouting(t *testing.T) {
 			}
 		}
 	}
-	// Enqueue/dequeue tallies are folded in on Release.
+	// The counts are read from the shards' roots, so they are live: the
+	// leases need not be released first.
 	for _, st := range q.ShardStats() {
-		if st.Enqueues != 0 {
-			t.Errorf("shard %d: Enqueues = %d before any Release", st.Shard, st.Enqueues)
+		if st.Enqueues == 0 {
+			t.Errorf("shard %d: Enqueues = 0 before any Release", st.Shard)
 		}
 	}
 	for _, h := range handles {
@@ -254,6 +254,54 @@ func TestShardStatsAndRouting(t *testing.T) {
 	if want := 10 + 20 + 30 + 40; total != want {
 		t.Errorf("total backlog = %d, want %d", total, want)
 	}
+}
+
+// TestShardStatsLive: ShardStats reads each shard's root, so while every
+// lease is still held it already counts what went into each shard and what
+// came out of it, on both backends.
+func TestShardStatsLive(t *testing.T) {
+	backends(t, func(t *testing.T, b Backend) {
+		const k = 4
+		q, err := New[int](k, WithBackend(b), WithMaxHandles(k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEnq := make([]int64, k)
+		homes := make([]int, k)
+		for p := range homes {
+			h, err := q.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Release()
+			homes[p] = h.Home()
+			for s := 0; s < (p+1)*10; s++ {
+				if err := h.Enqueue(p*1000 + s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantEnq[h.Home()] += int64((p + 1) * 10)
+		}
+		cons, err := q.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cons.Release()
+		wantDeq := make([]int64, k)
+		vs, got := cons.DequeueBatch(37)
+		if got != 37 {
+			t.Fatalf("DequeueBatch(37) took %d values", got)
+		}
+		for _, v := range vs {
+			wantDeq[homes[v/1000]]++
+		}
+		for j, st := range q.ShardStats() {
+			if st.Enqueues != wantEnq[j] || st.Dequeues != wantDeq[j] || st.Len != int(wantEnq[j]-wantDeq[j]) {
+				t.Errorf("shard %d with every lease held: %+v, want %d enqueues, %d dequeues",
+					j, st, wantEnq[j], wantDeq[j])
+			}
+		}
+	})
 }
 
 func TestBoundedBackendWithGC(t *testing.T) {
@@ -278,53 +326,6 @@ func TestBoundedBackendWithGC(t *testing.T) {
 		if n := h.Drain(nil); n != 64 {
 			t.Fatalf("round %d: drained %d, want 64", round, n)
 		}
-	}
-}
-
-func TestBitmap(t *testing.T) {
-	var b bitmap
-	b.init(130) // 3 words, last one partial
-	rng := rngSeed(7)
-	if got := b.randomSet(&rng); got != -1 {
-		t.Errorf("randomSet on empty bitmap = %d, want -1", got)
-	}
-	for _, j := range []int{0, 63, 64, 129} {
-		b.set(j)
-		if !b.isSet(j) {
-			t.Errorf("bit %d not set", j)
-		}
-	}
-	found := map[int]bool{}
-	for i := 0; i < 2000; i++ {
-		j := b.randomSet(&rng)
-		if j < 0 {
-			t.Fatal("randomSet = -1 with bits set")
-		}
-		if !b.isSet(j) {
-			t.Fatalf("randomSet returned clear bit %d", j)
-		}
-		found[j] = true
-	}
-	if len(found) != 4 {
-		t.Errorf("randomSet reached %d of 4 set bits: %v", len(found), found)
-	}
-	for _, j := range []int{0, 63, 64, 129} {
-		b.clear(j)
-		if b.isSet(j) {
-			t.Errorf("bit %d still set after clear", j)
-		}
-	}
-	if got := b.randomSet(&rng); got != -1 {
-		t.Errorf("randomSet after clearing all = %d, want -1", got)
-	}
-}
-
-// shardState's pad expression is written out by hand; a field added or
-// removed without recomputing it would let neighbouring shards' tallies
-// false-share.
-func TestShardStatePadded(t *testing.T) {
-	if sz := unsafe.Sizeof(shardState[int]{}); sz%128 != 0 {
-		t.Errorf("sizeof(shardState) = %d, want a multiple of 128", sz)
 	}
 }
 
@@ -380,7 +381,7 @@ func TestAllocsFabricSingleOp(t *testing.T) {
 func blocksInstalled[T any](q *Queue[T]) int64 {
 	var total int64
 	for _, s := range q.shards {
-		switch sq := s.q.(type) {
+		switch sq := s.(type) {
 		case coreShard[T]:
 			total += sq.q.BlocksInstalled()
 		case boundedShard[T]:
@@ -437,7 +438,6 @@ func nullDequeueCosts(t *testing.T, k int) {
 			{"DequeueBatchAppend", 16, func() int { _, got := h.DequeueBatchAppend(scratch, 16); return got }},
 		}
 		for _, p := range polls {
-			h.Dequeue() // clear whatever bits the last pull left set
 			before, blocks := c, blocksInstalled(q)
 			const runs = 10000
 			for i := 0; i < runs; i++ {
@@ -462,32 +462,13 @@ func nullDequeueCosts(t *testing.T, k int) {
 				t.Errorf("k=%d %s: %.2f allocs per empty poll, want 0", k, p.name, avg)
 			}
 		}
-
-		// A stale bit (set, shard empty) is cleared by the root read alone.
-		for j := 0; j < k; j++ {
-			q.bitmap.set(j)
-		}
-		before, blocks := c, blocksInstalled(q)
-		if v, ok := h.Dequeue(); ok {
-			t.Fatalf("k=%d: Dequeue on an empty fabric with stale bits returned %d", k, v)
-		}
-		for j := 0; j < k; j++ {
-			if q.bitmap.isSet(j) {
-				t.Errorf("k=%d: stale bit %d survived an empty sweep", k, j)
-			}
-		}
-		if c.CASAttempts != before.CASAttempts || blocksInstalled(q) != blocks {
-			t.Errorf("k=%d: clearing stale bits cost %d CAS and %d blocks, want 0 and 0",
-				k, c.CASAttempts-before.CASAttempts, blocksInstalled(q)-blocks)
-		}
 	})
 }
 
 // TestNullDequeueRacesEnqueue polls a fabric that keeps crossing empty while
 // two producers fill it: every value must come out exactly once and in its
-// producer's order, and once the producers have stopped no shard may hold a
-// value with its nonempty bit clear (the clear-then-recheck after a root
-// read that found the shard empty). The race is exercised by contract, not
+// producer's order, though a root read that found a shard empty may race
+// the enqueue that fills it. The race is exercised by contract, not
 // by scheduling: each producer parks at its midpoint until the consumer has
 // polled the fabric empty, which it must do once every producer is parked.
 func TestNullDequeueRacesEnqueue(t *testing.T) {
@@ -550,11 +531,6 @@ func TestNullDequeueRacesEnqueue(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		for j, s := range q.shards {
-			if s.len() > 0 && !q.bitmap.isSet(j) {
-				t.Errorf("shard %d holds %d values with its nonempty bit clear", j, s.len())
-			}
-		}
 		h.Drain(take)
 		for p, n := range next {
 			if n != perProducer {
@@ -688,8 +664,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResizeSnapshotJSONRoundTrip: the snapshot's resize section — epoch,
-// leaves, tree growths — keeps its stable keys and round-trips through
+// TestResizeSnapshotJSONRoundTrip: the snapshot's resize section — leaves
+// and tree growths — keeps its stable keys and round-trips through
 // JSON, both as built and after a tree growth.
 func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 	q, err := New[int](2, WithMaxHandles(5))
@@ -731,10 +707,10 @@ func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 		}
 	}
 	snap := q.Snapshot()
-	if snap.Resize.Epoch != 1 || snap.Resize.Leaves != 4 || snap.Resize.LeafGrowths != 0 {
-		t.Fatalf("Snapshot.Resize = %+v, want epoch 1 / 4 leaves / 0 leaf growths", snap.Resize)
+	if snap.Resize.Leaves != 4 || snap.Resize.LeafGrowths != 0 {
+		t.Fatalf("Snapshot.Resize = %+v, want 4 leaves / 0 leaf growths", snap.Resize)
 	}
-	roundTrip(snap, `"resize"`, `"epoch":1`, `"leaves":4`, `"leaf_growths":0`)
+	roundTrip(snap, `"resize"`, `"leaves":4`, `"leaf_growths":0`)
 
 	// The 5th concurrent lease doubles the trees, to the cap's 8 leaves.
 	var hs []*Handle[int]
@@ -749,12 +725,15 @@ func TestResizeSnapshotJSONRoundTrip(t *testing.T) {
 		h.Release()
 	}
 	snap = q.Snapshot()
-	if snap.Resize.Epoch != 2 || snap.Resize.Leaves != 8 || snap.Resize.LeafGrowths != 1 || snap.Len != 6 {
-		t.Fatalf("Snapshot = %+v, want epoch 2 / 8 leaves (the cap) / 1 leaf growth, 6 values", snap)
+	if snap.Resize.Leaves != 8 || snap.Resize.LeafGrowths != 1 || snap.Len != 6 {
+		t.Fatalf("Snapshot = %+v, want 8 leaves (the cap) / 1 leaf growth, 6 values", snap)
 	}
-	roundTrip(snap, `"epoch":2`, `"leaves":8`, `"leaf_growths":1`)
-	if data, _ := json.Marshal(snap); strings.Contains(string(data), "migrated") {
-		t.Errorf("snapshot JSON still carries a migrated key: %s", data)
+	roundTrip(snap, `"leaves":8`, `"leaf_growths":1`)
+	data, _ := json.Marshal(snap)
+	for _, gone := range []string{"migrated", "epoch"} {
+		if strings.Contains(string(data), gone) {
+			t.Errorf("snapshot JSON still carries a %s key: %s", gone, data)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func TestChurnConservation(t *testing.T) {
 			seen[v] = true
 			deqSum.Add(v)
 		}))
-		h.Release() // fold the drain's tallies in before the cross-check
+		h.Release()
 		if drained != outstanding {
 			t.Errorf("drained %d values, want %d", drained, outstanding)
 		}
