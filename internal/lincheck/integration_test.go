@@ -131,18 +131,39 @@ func TestRealQueuesPassLinearizabilityCheck(t *testing.T) {
 		{name: "mutex", new: func(p int) (queues.Queue, error) { return mutexqueue.New(p) }},
 	}
 	for _, r := range rows {
-		recordAndCheck(t, r.name, r.new, mixedScript, 0)
+		recordAndCheck(t, r.name, r.new, mixedScript, 0, reportViolations)
 		if r.nullHeavy {
-			recordAndCheck(t, r.name+"/1enq-5deq", r.new, pollingScript(1, false), 0.3)
-			recordAndCheck(t, r.name+"/bursty", r.new, pollingScript(2, true), 0.3)
+			recordAndCheck(t, r.name+"/1enq-5deq", r.new, pollingScript(1, false), 0.3, reportViolations)
+			recordAndCheck(t, r.name+"/bursty", r.new, pollingScript(2, true), 0.3, reportViolations)
+		}
+	}
+}
+
+// TestShardedFabricOnlyInvertsFIFO is the correctness gate for the fabric
+// at k > 1, whose FIFO order holds per shard but not across shards: at
+// k=2 and k=4, on both backends, through the mixed and both null-heavy
+// rows, every violation the checker reports must be a FIFO inversion. A
+// lost, duplicated or invented value, a value dequeued before its enqueue
+// began, or an empty answer while some shard certainly held a value is a
+// bug at any k. k=1 keeps the full check
+// (TestRealQueuesPassLinearizabilityCheck).
+func TestShardedFabricOnlyInvertsFIFO(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		for _, b := range []shard.Backend{shard.BackendCore, shard.BackendBounded} {
+			name := fmt.Sprintf("sharded-%d(%s)", k, b)
+			newQueue := func(p int) (queues.Queue, error) { return queues.NewSharded(p, k, b) }
+			recordAndCheck(t, name, newQueue, mixedScript, 0, reportNonInversions)
+			recordAndCheck(t, name+"/1enq-5deq", newQueue, pollingScript(1, false), 0.3, reportNonInversions)
+			recordAndCheck(t, name+"/bursty", newQueue, pollingScript(2, true), 0.3, reportNonInversions)
 		}
 	}
 }
 
 // recordAndCheck runs one row as a subtest: six processes run the script on
 // a fresh queue under the recorder, at least minNullFrac of the recorded
-// dequeues must have been null, and the history must pass the checker.
-func recordAndCheck(t *testing.T, name string, newQueue func(procs int) (queues.Queue, error), run script, minNullFrac float64) {
+// dequeues must have been null, and report must find the history clean.
+func recordAndCheck(t *testing.T, name string, newQueue func(procs int) (queues.Queue, error), run script, minNullFrac float64,
+	report func(*testing.T, []lincheck.Event)) {
 	const procs = 6
 	t.Run(name, func(t *testing.T) {
 		q, err := newQueue(procs)
@@ -184,7 +205,7 @@ func recordAndCheck(t *testing.T, name string, newQueue func(procs int) (queues.
 			t.Errorf("%d of %d dequeues were null (%.2f), want at least %.2f: the row no longer crosses empty",
 				nulls, deqs, frac, minNullFrac)
 		}
-		reportViolations(t, events)
+		report(t, events)
 	})
 }
 
@@ -199,6 +220,25 @@ func reportViolations(t *testing.T, events []lincheck.Event) {
 		}
 		t.Errorf("violation: %v", v)
 	}
+}
+
+// reportNonInversions fails t with the first few violations the checker
+// finds in events that are not FIFO inversions.
+func reportNonInversions(t *testing.T, events []lincheck.Event) {
+	t.Helper()
+	bad, inversions := 0, 0
+	for _, v := range lincheck.Check(events) {
+		if v.Pattern == "fifo-inversion" {
+			inversions++
+			continue
+		}
+		if bad++; bad > 5 {
+			t.Errorf("... and more")
+			break
+		}
+		t.Errorf("violation: %v", v)
+	}
+	t.Logf("%d FIFO inversions", inversions)
 }
 
 // TestFabricHistoryAcrossGrowth records a k=1 fabric history during which

@@ -1,9 +1,10 @@
 package server
 
 // Golden wire-stream test. On one connection every enqueue lands on the
-// handle's home shard and every dequeue is served stash-first then
-// home-first, so the reply bytes are a function of the request frames'
-// order alone — not of where the server happened to cut its windows,
+// handle's home shard and every dequeue is served stash-first, then from
+// the handle's sticky shard, which starts at home and is the only shard
+// that ever holds the connection's values, so the reply bytes are a
+// function of the request frames' order alone — not of where the server happened to cut its windows,
 // and not of how the executor groups frames into fabric calls. The digests
 // below were recorded at the commit before the executor was reduced to one
 // run-based path (six routes and a switchable legacy network arm at the

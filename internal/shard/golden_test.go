@@ -5,11 +5,14 @@ package shard
 // thing that draws from the handle's rng is pickShard. So a seeded script of
 // fabric calls has one possible transcript — every returned value, ok flag
 // and count, and the per-shard counts read from the roots — and its digest
-// pins the routing rules (home first if its root reads nonempty, two guided
-// attempts that each sample two shards uniformly, certification sweep from
-// home) independently of how Enqueue/Dequeue reach the sub-queues. The k=4
-// digests were re-recorded when the guided picks became uniform samples of
-// the roots; the k=1 ones, where every pick is shard 0, did not move.
+// pins the routing rules (the sticky shard first while its budget lasts and
+// its root reads nonempty, starting at home; two guided attempts that each
+// sample two shards uniformly; certification sweep from home; the shard
+// that serves a call becomes sticky) independently of how Enqueue/Dequeue
+// reach the sub-queues. The k=4 digests were re-recorded when the guided
+// picks became uniform samples of the roots, and again when the sticky
+// shard replaced the home-first visit; the k=1 ones, where every visit is
+// shard 0, did not move.
 
 import (
 	"crypto/sha256"
@@ -22,8 +25,8 @@ import (
 var goldenScriptDigests = map[string]string{
 	"k1/core":    "13f831112e7aab1bdec3584310d28ddc5bef95eec725b19d0624a8e73a2382bd",
 	"k1/bounded": "13f831112e7aab1bdec3584310d28ddc5bef95eec725b19d0624a8e73a2382bd",
-	"k4/core":    "5089c4049d1f60234de84da63a5b93b79c95b7981c8c7ab077bf9387b0d9dc67",
-	"k4/bounded": "5089c4049d1f60234de84da63a5b93b79c95b7981c8c7ab077bf9387b0d9dc67",
+	"k4/core":    "6a7dda2bd5420425719bb44ecdbafc8f9e15669a8eac696105c6c53535582432",
+	"k4/bounded": "6a7dda2bd5420425719bb44ecdbafc8f9e15669a8eac696105c6c53535582432",
 }
 
 func TestGoldenOpScript(t *testing.T) {

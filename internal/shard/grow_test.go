@@ -15,9 +15,10 @@ import (
 
 // TestGrowCountsMatchBareTree is the portable gate for sizing each shard's
 // tree to the leases in use: on a k=1 bounded fabric, a script of single
-// operations spread over n leases costs exactly the steps and CAS of the
+// operations spread over n leases costs exactly the CAS and writes of the
 // same script on a bare bounded queue with the leaf count the fabric grew
-// to (4 leaves for 2 leases, 8 for 5), while every shard keeps the GC
+// to (4 leaves for 2 leases, 8 for 5), and exactly its reads plus the
+// routing's root reads (routingReads), while every shard keeps the GC
 // interval G the fabric computes for its cap of 16 slots,
 // DefaultGCInterval(17) = 17²·⌈log₂ 17⌉.
 func TestGrowCountsMatchBareTree(t *testing.T) {
@@ -69,10 +70,11 @@ func TestGrowCountsMatchBareTree(t *testing.T) {
 			countScript(t, fhs)
 			countScript(t, bhs)
 			f, d := metrics.Summarize(&fabric), metrics.Summarize(&direct)
-			if f.Ops == 0 || f.TotalReads != d.TotalReads || f.TotalCAS != d.TotalCAS || f.TotalWrites != d.TotalWrites {
-				t.Errorf("fabric %d leases: %v (reads %d, cas %d, writes %d)\nbare %d-leaf tree: %v (reads %d, cas %d, writes %d)",
+			routing := int64(row.leases) * routingReads(countDequeues/row.leases)
+			if f.Ops == 0 || f.TotalReads != d.TotalReads+routing || f.TotalCAS != d.TotalCAS || f.TotalWrites != d.TotalWrites {
+				t.Errorf("fabric %d leases: %v (reads %d, cas %d, writes %d)\nbare %d-leaf tree: %v (reads %d + %d routing, cas %d, writes %d)",
 					row.leases, f, f.TotalReads, f.TotalCAS, f.TotalWrites,
-					row.leaves, d, d.TotalReads, d.TotalCAS, d.TotalWrites)
+					row.leaves, d, d.TotalReads, routing, d.TotalCAS, d.TotalWrites)
 			}
 		})
 	}
@@ -92,16 +94,29 @@ func (f fabricOps[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 }
 func (f fabricOps[T]) SetCounter(c *metrics.Counter) { f.h.SetCounter(c) }
 
-// countScript prefills 64 values from handle 0, then runs single
-// enqueue/dequeue pairs rotating over the handles; no dequeue finds the
-// queue empty, so only tree work is counted.
+// countDequeues is countScript's number of dequeue calls.
+const countDequeues = 600
+
+// routingReads is what a handle's dequeue calls read at the fabric's root
+// beyond the tree's own reads when its sticky shard never reads empty, as
+// on a k=1 fabric that always holds values: one root, two loads, per call,
+// except that each call that finds the budget spent reads the two roots of
+// a guided attempt instead.
+func routingReads(calls int) int64 {
+	return int64(2*calls + 2*(calls/(stickyPulls+1)))
+}
+
+// countScript prefills 64 values from handle 0, then runs countDequeues
+// single enqueue/dequeue pairs rotating over the handles; no dequeue finds
+// the queue empty, so only tree work and the routing's root reads are
+// counted.
 func countScript(t *testing.T, hs []subHandle[int]) {
 	one := []int{0}
 	for v := 0; v < 64; v++ {
 		one[0] = v
 		hs[0].EnqueueBatch(one)
 	}
-	for r := 0; r < 600; r++ {
+	for r := 0; r < countDequeues; r++ {
 		one[0] = 64 + r
 		hs[r%len(hs)].EnqueueBatch(one)
 		if _, got := hs[(r+1)%len(hs)].DequeueBatchAppend(nil, 1); got != 1 {

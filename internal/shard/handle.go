@@ -5,8 +5,10 @@ import "repro/internal/metrics"
 // Handle is a leased capability to operate on the fabric. A handle may be
 // used by one goroutine at a time; it owns its slot's handle in every
 // shard, which a growth keeps on its leaf. Enqueues are routed to the
-// handle's home shard (preserving per-producer order), dequeues roam the
-// fabric via two-random-choice. There is one path per direction,
+// handle's home shard (preserving per-producer order). Dequeues stick to
+// the shard that served the handle's last one, for up to stickyPulls
+// calls, and otherwise roam the fabric via two-random-choice; a handle
+// starts sticky on its home. There is one path per direction,
 // EnqueueBatch and DequeueBatchAppend; single ops are the n=1 case, as a
 // single op is the m=1 block in the tree below. Every operation passes the
 // fabric's growth gate (enter), its one blocking point: it waits only
@@ -16,6 +18,11 @@ type Handle[T any] struct {
 	slot int
 	home int // shard index enqueues go to, fixed at Acquire
 	rng  uint64
+
+	// sticky is the shard the handle's dequeues try first, and budget the
+	// calls it may still serve before the handle samples again.
+	sticky int
+	budget int
 
 	sub []subHandle[T] // the slot's handle in each shard
 
@@ -118,12 +125,13 @@ func (h *Handle[T]) DequeueBatch(n int) ([]T, int) {
 // DequeueBatchAppend appends up to n dequeued elements to dst and returns
 // the (possibly grown) slice with the count actually pulled; callers that
 // dequeue in a loop (the server's reply path) reuse one scratch slice
-// across calls. It first drains the home shard (locality fast path), then
-// refills by two-random-choice over the shards' roots, and finally
-// certifies emptiness with a deterministic sweep of all shards; each visit
-// is a root read, plus one multi-op sub-dequeue for everything still missing
-// if it read nonempty. Values pulled from the same shard are contiguous and
-// FIFO-ordered; values of different shards may interleave.
+// across calls. It first pulls from the handle's sticky shard (locality:
+// the shard that served its last call), then refills by two-random-choice
+// over the shards' roots, and finally certifies emptiness with a
+// deterministic sweep of all shards; each visit is a root read, plus one
+// multi-op sub-dequeue for everything still missing if it read nonempty.
+// Values pulled from the same shard are contiguous and FIFO-ordered;
+// values of different shards may interleave.
 // A count below n is a true emptiness verdict: every shard was observed
 // empty after the batch's last successful pull.
 func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
@@ -139,32 +147,55 @@ func (h *Handle[T]) DequeueBatchAppend(dst []T, n int) ([]T, int) {
 }
 
 // batchSweep runs DequeueBatchAppend's three phases, appending to out until
-// len(out) reaches the absolute target n.
+// len(out) reaches the absolute target n. The sticky shard goes first while
+// it has budget and its root reads nonempty, and each call it serves spends
+// one; a call that another shard serves makes that shard sticky with a full
+// budget. So the sticky shard adds no visit beyond the k+3 sub-operations
+// and k+5 root reads of the sampled path.
 func (h *Handle[T]) batchSweep(n int, out []T) []T {
-	home, k := h.home, len(h.q.shards)
-	// Locality fast path: the home shard first. Producers-turned-consumers
-	// (and symmetric workloads like pairs) find their own elements there
-	// without touching other shards' cache lines.
-	if h.q.size(home) > 0 {
-		out = h.take(home, n, out)
+	k := len(h.q.shards)
+	if h.budget > 0 {
+		h.chargeRoots(1, 0)
+		if h.q.size(h.sticky) > 0 {
+			h.budget--
+			if out = h.take(h.sticky, n, out); len(out) >= n {
+				return out
+			}
+		}
 	}
 	// Guided attempts: two random choices, read at the shards' roots.
 	for attempt := 0; attempt < 2 && len(out) < n; attempt++ {
 		if j := h.pickShard(); j >= 0 {
-			out = h.take(j, n, out)
+			had := len(out)
+			if out = h.take(j, n, out); len(out) > had {
+				h.sticky, h.budget = j, stickyPulls
+			}
 		}
 	}
 	// Certification sweep: every shard, starting at home so concurrent
 	// dequeuers spread out. An empty shard answers at its root read and a
 	// sub-dequeue is wait-free, so the whole operation is wait-free.
 	for i := 0; i < k && len(out) < n; i++ {
-		j := home + i
+		j := h.home + i
 		if j >= k {
 			j -= k
 		}
-		out = h.batchFrom(j, n, out)
+		had := len(out)
+		if out = h.batchFrom(j, n, out); len(out) > had {
+			h.sticky, h.budget = j, stickyPulls
+		}
 	}
 	return out
+}
+
+// chargeRoots charges m root reads, two loads each, to the counter as one
+// sub-operation that answers nulls null dequeues, so routing reads count
+// toward the call's steps.
+func (h *Handle[T]) chargeRoots(m, nulls int64) {
+	c := h.counter
+	c.BeginOp()
+	c.Read(2 * m)
+	c.EndBatch(0, 0, nulls)
 }
 
 // batchFrom pulls what out still lacks from shard j. It reads the shard's
@@ -183,10 +214,7 @@ func (h *Handle[T]) batchFrom(j, n int, out []T) []T {
 	if h.q.size(j) > 0 {
 		return h.take(j, n, out)
 	}
-	c := h.counter
-	c.BeginOp()
-	c.Read(2)
-	c.EndBatch(0, 0, int64(n-len(out)))
+	h.chargeRoots(1, int64(n-len(out)))
 	return out
 }
 
@@ -201,9 +229,17 @@ func (h *Handle[T]) take(j, n int, out []T) []T {
 // committing to the fullest.
 const pickChoices = 2
 
+// stickyPulls is the budget of calls a sticky shard may serve in a row
+// before the handle samples the fabric again, so a shard that never
+// empties cannot keep a consumer from the others. Consecutive pulls from
+// one shard reuse the root blocks and store paths the last one touched.
+const stickyPulls = 64
+
 // pickShard samples pickChoices shards uniformly and returns the one whose
-// root reads largest, or -1 if that root reads empty.
+// root reads largest, or -1 if that root reads empty. Its root reads are
+// charged to the counter.
 func (h *Handle[T]) pickShard() int {
+	h.chargeRoots(pickChoices, 0)
 	k := uint64(len(h.q.shards))
 	best, bestSize := -1, int64(0)
 	for i := 0; i < pickChoices; i++ {

@@ -18,14 +18,19 @@
 //
 // The shards' roots are the fabric's only record of its shards: a root
 // block's size is the shard's backlog, and a size of 0 is its null answer.
-// A dequeuer tries its home shard if that root reads nonempty, then makes
-// two guided attempts, each sampling two shards uniformly and taking from
-// the one whose root reads larger (two-random-choice), and falls back to a
-// deterministic sweep of every shard before reporting the fabric empty. So
-// certifying the fabric empty costs k+5 root reads, and sub-operations,
-// each wait-free and at most k+3 per call, go only where there was
-// something to take. The roots' sums are the shards' traffic statistics
-// too (ShardStats).
+// A dequeuer first tries its sticky shard — the one that served its last
+// call, its home until something else has — if that root reads nonempty
+// and the shard has served fewer than 64 calls in a row (stickiness, as in
+// Williams, Sanders and Dementiev's "Engineering MultiQueues": consecutive
+// pulls reuse what the last one touched, and the budget keeps a shard
+// that never empties from starving the others). Then it makes two guided
+// attempts, each sampling two shards uniformly and taking from the one
+// whose root reads larger (two-random-choice), and falls back to a
+// deterministic sweep of every shard before reporting the fabric empty;
+// whichever shard serves the call becomes sticky. So certifying the fabric
+// empty costs at most k+5 root reads, and sub-operations, each wait-free
+// and at most k+3 per call, go only where there was something to take.
+// The roots' sums are the shards' traffic statistics too (ShardStats).
 //
 // Unlike the paper's model — a fixed set of p processes, each statically
 // bound to handle i — the fabric leases its fixed handle slots to arbitrary
@@ -304,12 +309,15 @@ func (q *Queue[T]) Acquire() (*Handle[T], error) {
 	if int64(slot) >= q.leaves.Load() {
 		q.grow(slot)
 	}
+	home := int((q.nextHome.Add(1) - 1) % uint64(len(q.shards)))
 	h := &Handle[T]{
-		q:    q,
-		slot: slot,
-		home: int((q.nextHome.Add(1) - 1) % uint64(len(q.shards))),
-		rng:  rngSeed(slot),
-		sub:  q.subs[slot],
+		q:      q,
+		slot:   slot,
+		home:   home,
+		rng:    rngSeed(slot),
+		sticky: home,
+		budget: stickyPulls,
+		sub:    q.subs[slot],
 	}
 	// Sub-handles are recycled across leases; clear whatever counter the
 	// previous lessee left behind.

@@ -395,7 +395,8 @@ func blocksInstalled[T any](q *Queue[T]) int64 {
 // reads each shard's root and issues no sub-dequeue on a shard that reads
 // empty, so polling an empty fabric allocates nothing, issues no CAS,
 // installs no block (on core a block would be retained for ever) and is
-// charged two reads and one null sub-operation per shard.
+// charged one null sub-operation per shard and two reads for each of the
+// k+5 roots it reads.
 func TestAllocsFabricNullDequeue(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) { nullDequeueCosts(t, k) })
@@ -451,8 +452,9 @@ func nullDequeueCosts(t *testing.T, k int) {
 			if d := c.CASAttempts - before.CASAttempts; d != 0 {
 				t.Errorf("k=%d %s: %d CAS over %d empty polls, want 0", k, p.name, d, runs)
 			}
-			if d := c.Reads - before.Reads; d > runs*int64(2*k+6) {
-				t.Errorf("k=%d %s: %.1f reads per empty poll, want <= 2k+6", k, p.name, float64(d)/runs)
+			if d, want := c.Reads-before.Reads, runs*int64(2*(k+5)); d != want {
+				t.Errorf("k=%d %s: %.1f reads per empty poll, want 2(k+5) = %d (the sticky root, two guided attempts of two roots, the sweep's k)",
+					k, p.name, float64(d)/runs, 2*(k+5))
 			}
 			if d, want := c.NullDeqs-before.NullDeqs, runs*int64(k)*p.n; d != want {
 				t.Errorf("k=%d %s: %d null dequeues charged over %d polls, want %d (one per shard per dequeue asked for)",
