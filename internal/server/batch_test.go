@@ -6,8 +6,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/shard"
 )
@@ -200,6 +202,33 @@ func TestNearCapValueStaysBatchDequeueable(t *testing.T) {
 	defer c2.Close()
 	if err := c2.Enqueue(gapValue); err == nil {
 		t.Fatal("client accepted a value that no batch reply can ship")
+	}
+}
+
+// TestTracedNearCapBatchDequeue checks that a trace-sampled DEQ_BATCH
+// ships a value too large to ride beside the span block: the reply drops
+// the block and carries the value, rather than answering EMPTY while the
+// value waits in the session's stash.
+func TestTracedNearCapBatchDequeue(t *testing.T) {
+	const maxFrame = 4096
+	srv, _ := newTestServer(t, 1, nil, WithMaxFrame(maxFrame), WithObservability(true))
+	rc := dialRaw(t, srv.Addr().String())
+	biggest := bytes.Repeat([]byte{0x5A}, maxFrame-frameHeader-batchReplyOverhead)
+	rc.write(rawFrame(1, OpEnqueue, biggest))
+	if kind, _ := rc.reply(); kind != StatusOK {
+		t.Fatalf("enqueue answered 0x%02x, want OK", kind)
+	}
+	var req [traceStampLen + 4]byte
+	binary.BigEndian.PutUint64(req[:traceStampLen], uint64(time.Now().UnixNano()))
+	binary.BigEndian.PutUint32(req[traceStampLen:], 4)
+	rc.write(rawFrame(2, OpDequeueBatch|OpTraceFlag, req[:]))
+	kind, payload := rc.reply()
+	if kind != StatusOK {
+		t.Fatalf("traced DEQ_BATCH answered 0x%02x with a %d-byte value parked, want OK", kind, len(biggest))
+	}
+	vs, err := decodeBatch(payload)
+	if err != nil || len(vs) != 1 || !bytes.Equal(vs[0], biggest) {
+		t.Fatalf("traced DEQ_BATCH shipped (%d values, %v), want the near-cap value", len(vs), err)
 	}
 }
 

@@ -293,13 +293,16 @@ func (c *Client) flush() error {
 	for len(c.out) > 0 && err == nil {
 		// The buffer being written must never share a backing array with
 		// out: spare is cleared as out takes it over, and the written buffer
-		// becomes the next spare only under the server's retention mark.
+		// becomes the next spare up to the client's frame cap. Callers pile
+		// a burst into out during the syscall and nothing spills it, so a
+		// buffer dropped here would be regrown by doubling for the next
+		// burst.
 		buf := c.out
 		c.out, c.spare = c.spare[:0], nil
 		c.wmu.Unlock()
 		_, err = c.conn.Write(buf)
 		c.wmu.Lock()
-		if cap(buf) <= fwRetain {
+		if cap(buf) <= c.maxFrame {
 			c.spare = buf[:0]
 		}
 	}

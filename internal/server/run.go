@@ -229,16 +229,16 @@ func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, dec
 			d.n = min(1, len(pending))
 		default:
 			// The frame cap bounds every frame the server emits, not only
-			// the ones it reads; a traced reply carries the span block too.
+			// the ones it reads. A traced reply carries the span block too,
+			// but only if a value fits beside it: writeReply drops a block
+			// that does not fit, and charging for it would answer EMPTY
+			// while a value waits in the stash.
+			vals := pending[:min(d.n, len(pending))]
 			budget := srv.opts.maxFrame - frameHeader - 4
-			if sampled(f, *d) {
+			if sampled(f, *d) && batchFits(vals, budget-traceBlockLen) > 0 {
 				budget -= traceBlockLen
 			}
-			k := 0
-			for ; k < min(d.n, len(pending)) && 4+len(pending[k]) <= budget; k++ {
-				budget -= 4 + len(pending[k])
-			}
-			d.n = k
+			d.n = batchFits(vals, budget)
 		}
 		switch {
 		case d.n == 0:
@@ -265,6 +265,16 @@ func (srv *Server) dequeueRun(s *session, b *binding, want int, run []frame, dec
 	b.t.dequeues.Add(shipped)
 	b.t.emptyDeqs.Add(empties)
 	return werr
+}
+
+// batchFits returns how many of vals, from the first, a batch reply body
+// of budget bytes (past its count word) can carry.
+func batchFits(vals [][]byte, budget int) int {
+	k := 0
+	for ; k < len(vals) && 4+len(vals[k]) <= budget; k++ {
+		budget -= 4 + len(vals[k])
+	}
+	return k
 }
 
 // pull makes at least n values pending if the fabric has them: what the

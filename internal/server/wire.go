@@ -248,8 +248,10 @@ const (
 	// buffering without bound (batch dequeue replies can reach the frame
 	// cap each).
 	fwSpill = 32 << 10
-	// fwRetain caps the capacity kept across flushes; a rare giant window
-	// must not pin its scratch forever.
+	// fwRetain caps the reply scratch's capacity kept across flushes; a
+	// rare giant window must not pin its scratch forever. It is the
+	// server's mark only: the client's pending buffer never spills, so it
+	// keeps its buffers up to its frame cap (see Client.flush).
 	fwRetain = 64 << 10
 )
 
